@@ -17,7 +17,8 @@
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale small
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale small \
 //!     --shards 1,2 --check BENCH_sim.json --out target/BENCH_sim.json
-//!                                                                   # CI smoke: >2x regression fails
+//!                                                                   # CI smoke: >2x regression or
+//!                                                                   # moved accepted_load fails
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale large --table-only
 //!                                                                   # build-only: table kind + bytes
 //! cargo run --release -p rfc-bench --bin engine_baseline -- --scale medium --repair
@@ -32,7 +33,9 @@
 //!
 //! The `--check` regression gate applies to `small` and `medium` only
 //! (the `large` scale — 100K+ terminals — is report-only: big enough
-//! that a loaded CI host would flake the 2x budget). For each measured
+//! that a loaded CI host would flake the 2x budget). It fails when the
+//! deterministic `accepted_load` differs from the committed value at
+//! its 4 written decimals — the engine's results moved. For each measured
 //! shard count the gate compares against the committed
 //! `sharded_cycles_per_sec` entry, falling back to the scale's
 //! top-level (serial) `cycles_per_sec` for 1 shard; shard counts with
@@ -43,8 +46,9 @@ use std::process::ExitCode;
 
 use rfc_net::graph::HeapBytes;
 use rfc_net::routing::UpDownRouting;
+use rfc_net::sim::churn::DynState;
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
-use rfc_net::topology::FoldedClos;
+use rfc_net::topology::{FoldedClos, LinkEvent};
 
 /// One scale's fixed workload definition.
 struct Workload {
@@ -179,8 +183,9 @@ fn build_report(w: &Workload) {
     );
 }
 
-/// Times single-event incremental routing repair (topology overlay +
-/// [`UpDownRouting::apply_event`] + candidate-table patch) against a
+/// Times single-event incremental routing repair — the churn runner's
+/// own apply step, [`DynState::apply`] (topology overlay +
+/// `UpDownRouting::apply_event` + candidate-table patch) — against a
 /// from-scratch rebuild on the same faulted topology (DESIGN.md §16).
 /// `--repair` uses it; the measured ratio is the Figure 11 driver's
 /// speed lever, so a collapse here is a perf regression even while all
@@ -193,19 +198,47 @@ fn repair_report(w: &Workload) {
             std::process::exit(1);
         }
     };
+    let net = SimNetwork::from_folded_clos(&clos);
+    let routing = UpDownRouting::new(&clos);
     let mut cfg = SimConfig::paper_defaults();
     cfg.warmup_cycles = w.warmup;
     cfg.measure_cycles = w.measure;
-    let trials = 12.min(clos.links().len());
-    let b = rfc_net::sim::churn::repair_speedup(&clos, cfg, trials, SEED);
+    let sim = Simulation::new(&net, &routing, cfg);
+    let mut links = clos.links();
+    links.sort_unstable();
+    links.dedup();
+    let trials = 12.min(links.len());
+    let mut state = DynState::new(&sim, &clos);
+    let (mut incremental_s, mut rebuild_s) = (0.0f64, 0.0f64);
+    let (mut applied, mut rebuilds) = (0usize, 0usize);
+    for i in 0..trials {
+        // Evenly spaced links: a fixed sample, no RNG needed.
+        let fail = LinkEvent::fail(links[i * links.len() / trials]);
+        // Fail, then recover back to the pristine state for the next
+        // trial; a churn cycle pays both directions, so both count.
+        for ev in [fail, fail.inverse()] {
+            let t = now();
+            let changed = state.apply(&ev);
+            incremental_s += t.elapsed().as_secs_f64();
+            applied += usize::from(changed);
+        }
+        let faulty = clos.with_links_removed(&[fail.link]);
+        let t = now();
+        let rebuilt = UpDownRouting::new(&faulty);
+        let rebuilt_sim = Simulation::new(&net, &rebuilt, cfg);
+        rebuild_s += t.elapsed().as_secs_f64();
+        std::hint::black_box(&rebuilt_sim);
+        rebuilds += 1;
+    }
+    let per_event = incremental_s / applied.max(1) as f64;
+    let per_rebuild = rebuild_s / rebuilds.max(1) as f64;
     eprintln!(
-        "# {}: {} single-link events: incremental repair {:.2} ms/event vs \
-         full rebuild {:.2} ms/event — {:.1}x speedup",
+        "# {}: {applied} single-link events ({rebuilds} links failed and recovered): \
+         incremental repair {:.2} ms/event vs full rebuild {:.2} ms/event — {:.1}x speedup",
         w.name,
-        b.events,
-        b.incremental.as_secs_f64() * 1e3 / b.events.max(1) as f64,
-        b.full_rebuild.as_secs_f64() * 1e3 / b.events.max(1) as f64,
-        b.speedup(),
+        per_event * 1e3,
+        per_rebuild * 1e3,
+        per_rebuild / per_event,
     );
 }
 
@@ -343,6 +376,13 @@ fn number_after(text: &str, from: usize, key: &str) -> Option<f64> {
 fn committed_cycles_per_sec(text: &str, scale: &str) -> Option<f64> {
     let at = text.find(&format!("\"{scale}\""))?;
     number_after(text, at, "\"cycles_per_sec\"")
+}
+
+/// Reads `"accepted_load"` out of the named scale object of a baseline
+/// file.
+fn committed_accepted_load(text: &str, scale: &str) -> Option<f64> {
+    let at = text.find(&format!("\"{scale}\""))?;
+    number_after(text, at, "\"accepted_load\"")
 }
 
 /// Reads the committed throughput for one shard count of one scale:
@@ -515,6 +555,30 @@ fn main() -> ExitCode {
                                         m.name
                                     );
                                 }
+                            }
+                        }
+                        // The workload is deterministic, so its accepted
+                        // load must reproduce the committed value at the
+                        // 4 decimals it is written with.
+                        let measured = format!("{:.4}", m.accepted_load);
+                        match committed_accepted_load(&text, m.name) {
+                            Some(committed) if format!("{committed:.4}") == measured => {
+                                eprintln!("# {} accepted_load {measured} matches", m.name);
+                            }
+                            Some(committed) => {
+                                eprintln!(
+                                    "error: {} accepted_load {measured} differs from the \
+                                     committed {committed:.4}: the engine's results moved",
+                                    m.name
+                                );
+                                failed = true;
+                            }
+                            None => {
+                                eprintln!(
+                                    "# {} has no committed accepted_load in {path}; \
+                                     check skipped",
+                                    m.name
+                                );
                             }
                         }
                     }

@@ -345,7 +345,13 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let results = parallel::map_init(jobs, RunScratch::new, |scratch, (index, pattern, load)| {
         (
             pattern,
-            sim.run_scratch(pattern, load, parallel::child_seed(seed, index), scratch),
+            sim.run_sharded_scratch(
+                pattern,
+                load,
+                parallel::child_seed(seed, index),
+                parallel::current_shards(),
+                scratch,
+            ),
         )
     });
     let elapsed = start.elapsed();

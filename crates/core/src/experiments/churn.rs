@@ -11,9 +11,10 @@
 //! fraction of cycles the up/down property held.
 
 use rfc_routing::UpDownRouting;
-use rfc_sim::{FaultSchedule, SimConfig, SimNetwork, Simulation, TrafficPattern};
+use rfc_sim::{FaultSchedule, RunScratch, SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_topology::FoldedClos;
 
+use crate::parallel;
 use crate::report::{f3, Report, ReportError};
 
 /// Parameters of one churn run (shared by every network in the report).
@@ -78,7 +79,16 @@ pub fn report(
             cfg.total_cycles(),
             seed,
         );
-        let out = sim.run_churn(clos, &schedule, pattern, params.load, seed, params.epochs);
+        let out = sim.run_churn_sharded_scratch(
+            clos,
+            &schedule,
+            pattern,
+            params.load,
+            seed,
+            params.epochs,
+            parallel::current_shards(),
+            &mut RunScratch::new(),
+        );
         for (epoch, accepted) in out.epoch_accepted.iter().enumerate() {
             rep.push_row(vec![
                 (*label).to_string(),

@@ -70,7 +70,15 @@ pub fn run<R: Rng + ?Sized>(
                     .enumerate()
                     .map(|(pi, &pattern)| {
                         let seed = 1_000 + s as u64 * 17 + pi as u64;
-                        let throughput = sim.run_scratch(pattern, 1.0, seed, scratch).accepted_load;
+                        let throughput = sim
+                            .run_sharded_scratch(
+                                pattern,
+                                1.0,
+                                seed,
+                                parallel::current_shards(),
+                                scratch,
+                            )
+                            .accepted_load;
                         FaultThroughputPoint {
                             net: snet.label.clone(),
                             pattern,

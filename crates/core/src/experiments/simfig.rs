@@ -100,7 +100,13 @@ pub fn run_prepared(
         jobs,
         RunScratch::new,
         |scratch, (index, ni, pattern, load)| {
-            let r = sims[ni].run_scratch(pattern, load, parallel::child_seed(seed, index), scratch);
+            let r = sims[ni].run_sharded_scratch(
+                pattern,
+                load,
+                parallel::child_seed(seed, index),
+                parallel::current_shards(),
+                scratch,
+            );
             SimPoint {
                 net: scenario.nets[ni].label.clone(),
                 pattern,

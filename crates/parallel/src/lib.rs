@@ -229,14 +229,15 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// Runs one scoped worker thread per element of `states`, passing each
-/// worker its index and exclusive `&mut` access to its state.
+/// Runs `f` once per element of `states`, each on its own thread,
+/// passing it the element's index and exclusive `&mut` access to it.
 ///
 /// This is the execution substrate for the sharded simulator: each
 /// shard's queues, credits and event wheel live in one `states` element,
 /// and the workers coordinate through a [`SpinBarrier`] and shared
-/// mailboxes captured by `f`. With a single state, `f` runs inline on
-/// the caller's thread — no threads, no atomics.
+/// mailboxes captured by `f`. State 0 runs on the caller's thread and
+/// only the others get a scoped thread, so a single state runs inline
+/// with no threads at all.
 ///
 /// Worker panics are re-raised on the caller with their original
 /// payload. A panic *between* barrier phases would leave the surviving
@@ -248,19 +249,21 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    if states.len() == 1 {
-        f(0, &mut states[0]);
+    let Some((first, rest)) = states.split_first_mut() else {
+        return;
+    };
+    if rest.is_empty() {
+        f(0, first);
         return;
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = states
+        let f = &f;
+        let handles: Vec<_> = rest
             .iter_mut()
             .enumerate()
-            .map(|(index, state)| {
-                let f = &f;
-                scope.spawn(move || f(index, state))
-            })
+            .map(|(index, state)| scope.spawn(move || f(index + 1, state)))
             .collect();
+        f(0, first);
         for h in handles {
             h.join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
@@ -494,6 +497,20 @@ mod tests {
             *state = Some(std::thread::current().id());
         });
         assert_eq!(states[0], Some(caller), "one shard must not spawn");
+    }
+
+    #[test]
+    fn shard_workers_run_state_zero_on_the_caller() {
+        let caller = std::thread::current().id();
+        let mut states = vec![None; 3];
+        run_shard_workers(&mut states, |_, state| {
+            *state = Some(std::thread::current().id());
+        });
+        assert_eq!(states[0], Some(caller), "state 0 must not spawn");
+        for state in &states[1..] {
+            assert!(state.is_some_and(|id| id != caller), "the others spawn");
+        }
+        assert_ne!(states[1], states[2], "one thread per spawned state");
     }
 
     #[test]

@@ -346,7 +346,8 @@ impl UpDownRouting {
             dst_delta: delta_mark
                 .iter()
                 .enumerate()
-                .filter_map(|(d, &m)| m.then(|| vid(d)))
+                .filter(|&(_, &m)| m)
+                .map(|(d, _)| vid(d))
                 .collect(),
             down_recomputed,
             updown_recomputed,

@@ -2,20 +2,18 @@
 //!
 //! A [`FaultSchedule`] is a deterministic, pre-generated list of link
 //! events (fail/recover) pinned to simulated cycles. The churn runner
-//! replays it *during* a simulation: at every cycle boundary each shard
-//! applies the cycle's due events to its own replica of the dynamic
-//! routing state — a [`LiveClos`] overlay, an incrementally repaired
-//! [`UpDownRouting`] table ([`UpDownRouting::apply_event`]), and a
-//! region-patched candidate table — before stepping the engine
-//! (DESIGN.md §16).
+//! replays it *during* a simulation. It cuts the run into segments at
+//! every distinct event cycle and epoch boundary; between segments the
+//! calling thread applies the due events to one [`DynState`] — a
+//! [`LiveClos`] overlay, an incrementally repaired [`UpDownRouting`]
+//! table ([`UpDownRouting::apply_event`]), and a region-patched
+//! candidate table — and the shards then step the next segment in
+//! lockstep, all reading that one state (DESIGN.md §16).
 //!
-//! Replication is what keeps the sharded path deterministic: repairs
-//! are pure functions of the schedule, so every shard computes
-//! byte-identical routing state at every cycle without any cross-shard
-//! synchronization beyond the two existing barriers. Results are
-//! therefore **byte-identical at any shard count**, exactly like plain
-//! runs. The price is `shards ×` the routing-state memory for the
-//! duration of the run.
+//! Repairs are pure functions of the schedule and happen only while no
+//! shard runs, so results are **byte-identical at any shard count**,
+//! exactly like plain runs, and the routing state exists once whatever
+//! the shard count.
 //!
 //! The physical [`SimNetwork`] stays pristine throughout: a failed link
 //! disappears from the *routing* state, so no new packet is steered
@@ -24,22 +22,19 @@
 //! the availability and accepted-load-over-time outputs.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rfc_graph::vid;
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::engine::{row_index, Candidates, PatchScope, RowInterner, RunScratch, Simulation, StepCtx};
+use crate::engine::{row_index, Candidates, PatchScope, RowInterner, RunScratch, Simulation};
 use crate::network::SimNetwork;
-use crate::shard::{drain_mailboxes, new_mailboxes, ShardState, Streams};
-use crate::{SimConfig, SimResult, TrafficPattern};
+use crate::{SimResult, TrafficPattern};
 
 /// A deterministic, cycle-stamped sequence of link events, applied at
-/// cycle boundaries by [`Simulation::run_churn`].
+/// cycle boundaries by [`Simulation::run_churn_sharded_scratch`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Sorted by `(cycle, event)`; ties resolve by the event order so
@@ -157,144 +152,78 @@ pub struct ChurnResult {
     pub events_applied: usize,
 }
 
-/// Per-shard replica of the dynamic routing state.
-struct DynState {
+/// The dynamic routing state of a churn run: the topology overlay, the
+/// repaired routing table and the patched candidate table, kept
+/// byte-identical to a from-scratch build on the current topology.
+pub struct DynState<'a> {
+    net: &'a SimNetwork,
+    /// The byte budget the table is patched under (the simulation's).
+    budget: usize,
     live: LiveClos,
     routing: UpDownRouting,
     candidates: Candidates,
     /// Content → row id map of the current candidate table, renumbered
     /// in place by every patch (see [`row_index`]).
     index: RowInterner,
-    /// Cursor into the schedule's canonical event order.
-    next_event: usize,
-    /// `delivered` snapshots at epoch boundaries.
-    marks: Vec<u64>,
 }
 
-impl DynState {
-    fn new(sim: &Simulation<'_, UpDownRouting>, clos: &FoldedClos) -> Self {
+impl<'a> DynState<'a> {
+    /// The pristine state of `sim`; `clos` must be the topology its
+    /// network and oracle were built from.
+    #[must_use]
+    pub fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
         let candidates = sim.candidates().clone();
         let index = match &candidates {
             Candidates::Table(table) => row_index(table),
             Candidates::Live => RowInterner::new(),
         };
         DynState {
+            net: sim.net(),
+            budget: sim.table_budget(),
             live: LiveClos::new(clos),
             routing: sim.oracle().clone(),
             candidates,
             index,
-            next_event: 0,
-            marks: Vec::new(),
         }
     }
 
-    /// Applies every event due at or before `now`: the topology overlay
-    /// flips, the routing table repairs incrementally, and the
-    /// candidate table patches over the repair's dirty region — all
-    /// byte-identical to a from-scratch rebuild on the new topology.
-    fn apply_due(
-        &mut self,
-        net: &SimNetwork,
-        schedule: &FaultSchedule,
-        budget: usize,
-        now: u64,
-    ) {
-        while let Some((cycle, ev)) = schedule.events.get(self.next_event) {
-            if *cycle > now {
-                break;
-            }
-            self.next_event += 1;
-            if self.live.apply(ev) {
-                let scope = self.routing.apply_event(self.live.current(), ev);
-                if let Candidates::Table(old) = &self.candidates {
-                    self.candidates = Simulation::patch_table(
-                        net,
-                        &self.routing,
-                        old,
-                        &PatchScope {
-                            dirty: &scope.table_dirty,
-                            full: &scope.endpoints,
-                            dst_delta: &scope.dst_delta,
-                        },
-                        budget,
-                        &mut self.index,
-                    )
-                    .map_or(Candidates::Live, Candidates::Table);
-                }
-            }
+    /// Applies one link event: the topology overlay flips, the routing
+    /// table repairs incrementally, and the candidate table patches over
+    /// the repair's dirty region. Returns whether the event changed the
+    /// topology (a duplicate fail or spurious recover is a no-op).
+    pub fn apply(&mut self, ev: &LinkEvent) -> bool {
+        if !self.live.apply(ev) {
+            return false;
         }
-    }
-}
-
-/// Replays `schedule` against a standalone overlay, measuring the
-/// fraction of `[0, end)` cycles during which the up/down property
-/// holds, plus the number of events that changed the topology.
-fn availability_scan(
-    clos: &FoldedClos,
-    routing: &UpDownRouting,
-    schedule: &FaultSchedule,
-    end: u64,
-) -> (f64, usize) {
-    if end == 0 {
-        return (1.0, 0);
-    }
-    let mut live = LiveClos::new(clos);
-    let mut routing = routing.clone();
-    let mut ok = routing.has_updown_property();
-    let mut ok_cycles = 0u64;
-    let mut prev = 0u64;
-    let mut applied = 0usize;
-    for (cycle, ev) in &schedule.events {
-        if *cycle >= end {
-            break;
+        let scope = self.routing.apply_event(self.live.current(), ev);
+        if let Candidates::Table(old) = &self.candidates {
+            self.candidates = Simulation::patch_table(
+                self.net,
+                &self.routing,
+                old,
+                &PatchScope {
+                    dirty: &scope.table_dirty,
+                    full: &scope.endpoints,
+                    dst_delta: &scope.dst_delta,
+                },
+                self.budget,
+                &mut self.index,
+            )
+            .map_or(Candidates::Live, Candidates::Table);
         }
-        if ok {
-            ok_cycles += cycle - prev;
-        }
-        prev = *cycle;
-        if live.apply(ev) {
-            routing.apply_event(live.current(), ev);
-            applied += 1;
-            ok = routing.has_updown_property();
-        }
+        true
     }
-    if ok {
-        ok_cycles += end - prev;
-    }
-    (ok_cycles as f64 / end as f64, applied)
 }
 
 impl<'a> Simulation<'a, UpDownRouting> {
-    /// Runs one experiment under failure churn: `schedule` events apply
-    /// at cycle boundaries while traffic flows. `clos` must be the
-    /// pristine topology this simulation's network and oracle were
-    /// built from. The measurement is reported in `epochs` equal
-    /// time slices alongside the usual end-of-run statistics. The shard
-    /// count comes from [`rfc_parallel::current_shards`]; results are
-    /// byte-identical at any value.
-    pub fn run_churn(
-        &self,
-        clos: &FoldedClos,
-        schedule: &FaultSchedule,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        epochs: usize,
-    ) -> ChurnResult {
-        self.run_churn_sharded_scratch(
-            clos,
-            schedule,
-            pattern,
-            offered_load,
-            seed,
-            epochs,
-            rfc_parallel::current_shards(),
-            &mut RunScratch::new(),
-        )
-    }
-
-    /// [`Simulation::run_churn`] with an explicit shard count and
-    /// caller-owned buffers.
+    /// Runs one experiment under failure churn on `shards` shards
+    /// (clamped to the switch count) over caller-owned buffers:
+    /// `schedule` events apply at cycle boundaries while traffic flows.
+    /// `clos` must be the pristine topology this simulation's network
+    /// and oracle were built from. The measurement is reported in
+    /// `epochs` equal time slices alongside the usual end-of-run
+    /// statistics; results are byte-identical at any shard count.
+    /// Events at or after the last cycle are not applied.
     #[allow(clippy::too_many_arguments)]
     pub fn run_churn_sharded_scratch(
         &self,
@@ -308,103 +237,68 @@ impl<'a> Simulation<'a, UpDownRouting> {
         scratch: &mut RunScratch,
     ) -> ChurnResult {
         let cfg = *self.config();
-        let net = self.net();
-        let budget = self.table_budget();
-        let v = cfg.virtual_channels;
-        let terminals = net.num_terminals();
-        let shard_count = shards.clamp(1, net.num_switches().max(1));
-        let end = cfg.total_cycles();
+        let terminals = self.net().num_terminals();
+        let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
+        let end = ctx.end;
         let epochs = epochs.clamp(1, (end.max(1)) as usize);
         let epoch_len = (end / epochs as u64).max(1);
 
-        let mut traffic_rng = SmallRng::seed_from_u64(rfc_parallel::child_seed(seed, 1));
-        let traffic = crate::traffic::build(pattern, terminals, end, &mut traffic_rng);
-        let streams = Streams::derive(seed);
-        scratch.reset(net, &cfg, shard_count, streams.inj);
+        // Segment ends: every epoch boundary and distinct event cycle
+        // inside the run, then the end itself.
+        let mut cuts: Vec<u64> = (1..epochs as u64)
+            .map(|e| e * epoch_len)
+            .chain(schedule.events.iter().map(|&(cycle, _)| cycle))
+            .filter(|&cycle| 0 < cycle && cycle < end)
+            .chain([end])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
 
-        let p_gen = (offered_load / cfg.packet_length as f64).clamp(0.0, 1.0);
-        let ctx = StepCtx {
-            traffic: &*traffic,
-            streams,
-            p_gen,
-            ln_q: (1.0 - p_gen).ln(),
-            t32: vid(terminals),
-            warmup: cfg.warmup_cycles,
-            end,
+        let delivered = |scratch: &RunScratch| -> u64 {
+            scratch.shard_states.iter().map(|st| st.delivered).sum()
         };
-
-        let marks_per_shard: Vec<Vec<u64>> = {
-            let RunScratch {
-                plan, shard_states, ..
-            } = &mut *scratch;
-            let plan = &*plan;
-            if shard_count == 1 {
-                let mut ds = DynState::new(self, clos);
-                let st = &mut shard_states[0];
-                for now in 0..end {
-                    ds.apply_due(net, schedule, budget, now);
-                    if now > 0 && now % epoch_len == 0 && now / epoch_len < epochs as u64 {
-                        ds.marks.push(st.delivered);
-                    }
-                    self.step_shard_with(&ds.candidates, &ds.routing, plan, 0, st, &[], &ctx, now);
+        let mut ds = DynState::new(self, clos);
+        let mut ok = ds.routing.has_updown_property();
+        let mut ok_cycles = 0u64;
+        let mut events_applied = 0usize;
+        let mut next_event = 0usize;
+        // `delivered` totals at epoch boundaries and at the end.
+        let mut marks: Vec<u64> = Vec::with_capacity(epochs);
+        let mut from = 0u64;
+        for to in cuts {
+            // Events due at `from` apply before its cycle is stepped.
+            let mut changed = false;
+            while let Some((cycle, ev)) = schedule.events.get(next_event) {
+                if *cycle > from || *cycle >= end {
+                    break;
                 }
-                ds.marks.push(st.delivered);
-                vec![ds.marks]
-            } else {
-                let dyn_states: Vec<DynState> =
-                    (0..shard_count).map(|_| DynState::new(self, clos)).collect();
-                let mut workers: Vec<(&mut ShardState, DynState)> =
-                    shard_states.iter_mut().zip(dyn_states).collect();
-                let mailboxes = new_mailboxes(shard_count * shard_count);
-                let mailboxes = &mailboxes[..];
-                let barrier = rfc_parallel::SpinBarrier::new(shard_count);
-                let barrier = &barrier;
-                let ctx = &ctx;
-                rfc_parallel::run_shard_workers(&mut workers, move |me, worker| {
-                    let (st, ds) = worker;
-                    let _poison = barrier.guard();
-                    for now in 0..end {
-                        // Every shard applies the same due events to its
-                        // own replica before stepping — pure replicated
-                        // computation, no cross-shard coordination.
-                        // xtask: lockstep-begin — runs between the
-                        // previous cycle's drain barrier and this
-                        // cycle's send barrier; no locks, channels,
-                        // sleeps, blocking I/O, or SeqCst here
-                        ds.apply_due(net, schedule, budget, now);
-                        if now > 0 && now % epoch_len == 0 && now / epoch_len < epochs as u64 {
-                            ds.marks.push(st.delivered);
-                        }
-                        // xtask: lockstep-end
-                        self.step_shard_with(
-                            &ds.candidates,
-                            &ds.routing,
-                            plan,
-                            me,
-                            st,
-                            mailboxes,
-                            ctx,
-                            now,
-                        );
-                        barrier.wait();
-                        drain_mailboxes(plan, me, st, mailboxes, v);
-                        barrier.wait();
-                    }
-                    ds.marks.push(st.delivered);
-                });
-                workers.into_iter().map(|(_, ds)| ds.marks).collect()
+                next_event += 1;
+                if ds.apply(ev) {
+                    events_applied += 1;
+                    changed = true;
+                }
             }
-        };
+            if changed {
+                ok = ds.routing.has_updown_property();
+            }
+            if ok {
+                ok_cycles += to - from;
+            }
+            if from > 0 && from.is_multiple_of(epoch_len) && from / epoch_len < epochs as u64 {
+                marks.push(delivered(scratch));
+            }
+            self.lockstep(&ds.candidates, &ds.routing, scratch, &ctx, from..to);
+            from = to;
+        }
+        marks.push(delivered(scratch));
 
-        let (result, _probes) = self.merge_stats(offered_load, scratch);
+        let result = self.merge_stats(offered_load, scratch);
 
-        // Per-epoch accepted load from the merged delivery snapshots.
-        let mut epoch_accepted = Vec::with_capacity(epochs);
+        // Per-epoch accepted load from the delivery marks.
+        let mut epoch_accepted = Vec::with_capacity(marks.len());
         let mut prev_total = 0u64;
-        let marks = marks_per_shard[0].len();
-        for e in 0..marks {
-            let total: u64 = marks_per_shard.iter().map(|m| m[e]).sum();
-            let cycles = if e + 1 == marks {
+        for (e, &total) in marks.iter().enumerate() {
+            let cycles = if e + 1 == marks.len() {
                 end - epoch_len * e as u64
             } else {
                 epoch_len
@@ -416,200 +310,61 @@ impl<'a> Simulation<'a, UpDownRouting> {
             prev_total = total;
         }
 
-        let (availability, events_applied) =
-            availability_scan(clos, self.oracle(), schedule, end);
         ChurnResult {
             result,
             epoch_accepted,
-            availability,
+            availability: if end == 0 {
+                1.0
+            } else {
+                ok_cycles as f64 / end as f64
+            },
             events_applied,
         }
-    }
-}
-
-/// Wall-clock comparison of a single-event incremental repair (routing
-/// table + candidate patch) against a from-scratch rebuild of both, on
-/// the first `trials` inter-switch links of `clos`.
-#[derive(Debug, Clone, Copy)]
-pub struct RepairBenchmark {
-    /// Total time for `events` from-scratch rebuilds.
-    pub full_rebuild: Duration,
-    /// Total time for `events` incremental repairs (plus the reverts
-    /// that restore the pristine state between trials).
-    pub incremental: Duration,
-    /// Number of single-link fail events measured.
-    pub events: usize,
-}
-
-impl RepairBenchmark {
-    /// Speedup factor of incremental repair over full rebuild.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        let inc = self.incremental.as_secs_f64();
-        if inc == 0.0 {
-            return f64::INFINITY;
-        }
-        self.full_rebuild.as_secs_f64() / inc
-    }
-}
-
-/// Measures [`RepairBenchmark`] on `clos`: for each sampled link, time
-/// (a) rebuilding `UpDownRouting` plus the candidate table from scratch
-/// on the faulted topology, against (b) applying the fail event
-/// incrementally and patching the table. Both sides produce
-/// byte-identical state (asserted in the sim test-suite); this function
-/// only measures.
-#[must_use]
-pub fn repair_speedup(clos: &FoldedClos, cfg: SimConfig, trials: usize, seed: u64) -> RepairBenchmark {
-    let net = SimNetwork::from_folded_clos(clos);
-    let routing = UpDownRouting::new(clos);
-    let sim = Simulation::new(&net, &routing, cfg);
-    let budget = sim.table_budget();
-    let mut links: Vec<Link> = clos.links();
-    links.sort_unstable();
-    links.dedup();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let trials = trials.min(links.len());
-
-    let mut live = LiveClos::new(clos);
-    // A long-lived churn loop carries the row index across events (see
-    // `DynState`), so restoring the pristine copy between trials is
-    // bookkeeping, not repair work — it stays outside the timed region.
-    let pristine_index = match sim.candidates() {
-        Candidates::Table(table) => Some(row_index(table)),
-        Candidates::Live => None,
-    };
-    let mut incremental = Duration::ZERO;
-    let mut full_rebuild = Duration::ZERO;
-    let mut events = 0usize;
-    for _ in 0..trials {
-        let link = links[rng.gen_range(0..links.len())];
-        let ev = LinkEvent::fail(link);
-
-        // Incremental: repair the live routing + patch the table, then
-        // revert (the revert is also incremental, so it counts too —
-        // a churn cycle pays both directions).
-        let mut repaired = routing.clone();
-        let mut index = pristine_index.clone();
-        // xtask: allow(wall-clock) — this function *is* the stopwatch
-        let t0 = Instant::now();
-        if !live.apply(&ev) {
-            continue;
-        }
-        let scope = repaired.apply_event(live.current(), &ev);
-        let patched = match (sim.candidates(), index.as_mut()) {
-            (Candidates::Table(old), Some(idx)) => Simulation::patch_table(
-                &net,
-                &repaired,
-                old,
-                &PatchScope {
-                    dirty: &scope.table_dirty,
-                    full: &scope.endpoints,
-                    dst_delta: &scope.dst_delta,
-                },
-                budget,
-                idx,
-            ),
-            _ => None,
-        };
-        incremental += t0.elapsed();
-        std::hint::black_box(&patched);
-
-        // Full rebuild on the faulted topology.
-        let t1 = Instant::now(); // xtask: allow(wall-clock) — stopwatch
-        let rebuilt = UpDownRouting::new(live.current());
-        let rebuilt_sim = Simulation::new(&net, &rebuilt, cfg);
-        full_rebuild += t1.elapsed();
-        std::hint::black_box(&rebuilt_sim);
-
-        let t2 = Instant::now(); // xtask: allow(wall-clock) — stopwatch
-        let undo = ev.inverse();
-        if live.apply(&undo) {
-            // Keep the pristine baseline for the next trial.
-        }
-        incremental += t2.elapsed();
-        events += 1;
-    }
-    RepairBenchmark {
-        full_rebuild,
-        incremental,
-        events,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimConfig;
 
-    #[test]
-    #[ignore = "profiling helper, run with --ignored --nocapture"]
-    fn profile_repair_breakdown() {
-        let clos = FoldedClos::cft(16, 3).unwrap();
-        let net = SimNetwork::from_folded_clos(&clos);
-        let routing = UpDownRouting::new(&clos);
-        let cfg = SimConfig::quick();
-        let sim = Simulation::new(&net, &routing, cfg);
-        let budget = sim.table_budget();
-        let mut links: Vec<Link> = clos.links();
-        links.sort_unstable();
-        links.dedup();
-        let mut rng = SmallRng::seed_from_u64(2017);
-        let mut live = LiveClos::new(&clos);
-        let pristine_index = match sim.candidates() {
-            Candidates::Table(table) => Some(row_index(table)),
-            Candidates::Live => None,
-        };
-        let (mut t_apply, mut t_patch, mut t_routing, mut t_table) =
-            (Duration::ZERO, Duration::ZERO, Duration::ZERO, Duration::ZERO);
-        for _ in 0..12 {
-            let link = links[rng.gen_range(0..links.len())];
-            let ev = LinkEvent::fail(link);
-            if !live.apply(&ev) {
-                continue;
-            }
-            let mut repaired = routing.clone();
-            let mut index = pristine_index.clone();
-            let t0 = Instant::now();
-            let scope = repaired.apply_event(live.current(), &ev);
-            t_apply += t0.elapsed();
-            let t1 = Instant::now();
-            if let (Candidates::Table(old), Some(idx)) = (sim.candidates(), index.as_mut()) {
-                let p = Simulation::patch_table(
-                    &net,
-                    &repaired,
-                    old,
-                    &PatchScope {
-                        dirty: &scope.table_dirty,
-                        full: &scope.endpoints,
-                        dst_delta: &scope.dst_delta,
-                    },
-                    budget,
-                    idx,
-                );
-                std::hint::black_box(&p);
-            }
-            t_patch += t1.elapsed();
-            let t2 = Instant::now();
-            let rebuilt = UpDownRouting::new(live.current());
-            t_routing += t2.elapsed();
-            let t3 = Instant::now();
-            let s2 = Simulation::new(&net, &rebuilt, cfg);
-            t_table += t3.elapsed();
-            std::hint::black_box(&s2);
-            live.apply(&ev.inverse());
+    /// Independent reference for the runner's `availability` and
+    /// `events_applied`: replays `schedule` against a standalone overlay
+    /// and counts the `[0, end)` cycles during which the up/down
+    /// property holds, plus the events that changed the topology.
+    fn reference_availability(
+        clos: &FoldedClos,
+        routing: &UpDownRouting,
+        schedule: &FaultSchedule,
+        end: u64,
+    ) -> (f64, usize) {
+        if end == 0 {
+            return (1.0, 0);
         }
-        println!(
-            "apply_event {t_apply:?}  patch {t_patch:?}  routing_rebuild {t_routing:?}  table_rebuild {t_table:?}"
-        );
-        if let Candidates::Table(t) = sim.candidates() {
-            println!(
-                "switches {}  rows {}  runs {}  ports {}",
-                net.num_switches(),
-                t.row_off.len() - 1,
-                t.runs_start.len(),
-                t.row_ports.len()
-            );
+        let mut live = LiveClos::new(clos);
+        let mut routing = routing.clone();
+        let mut ok = routing.has_updown_property();
+        let mut ok_cycles = 0u64;
+        let mut prev = 0u64;
+        let mut applied = 0usize;
+        for (cycle, ev) in &schedule.events {
+            if *cycle >= end {
+                break;
+            }
+            if ok {
+                ok_cycles += cycle - prev;
+            }
+            prev = *cycle;
+            if live.apply(ev) {
+                routing.apply_event(live.current(), ev);
+                applied += 1;
+                ok = routing.has_updown_property();
+            }
         }
+        if ok {
+            ok_cycles += end - prev;
+        }
+        (ok_cycles as f64 / end as f64, applied)
     }
 
     fn setup(radix: usize, levels: usize) -> (FoldedClos, SimNetwork, UpDownRouting) {
@@ -632,13 +387,15 @@ mod tests {
         let cfg = churn_cfg();
         let sim = Simulation::new(&net, &routing, cfg);
         let plain = sim.run(TrafficPattern::Uniform, 0.5, 11);
-        let churn = sim.run_churn(
+        let churn = sim.run_churn_sharded_scratch(
             &clos,
             &FaultSchedule::empty(),
             TrafficPattern::Uniform,
             0.5,
             11,
             4,
+            rfc_parallel::current_shards(),
+            &mut RunScratch::new(),
         );
         assert_eq!(churn.result, plain, "no events => identical run");
         assert_eq!(churn.events_applied, 0);
@@ -701,8 +458,8 @@ mod tests {
         assert!(schedule.len() > 6);
         let mut ds = DynState::new(&sim, &clos);
         let mut checked = 0;
-        for (cycle, _) in schedule.events().iter() {
-            ds.apply_due(&net, &schedule, sim.table_budget(), *cycle);
+        for (cycle, ev) in schedule.events() {
+            ds.apply(ev);
             let fresh = Simulation::new(&net, &ds.routing, cfg);
             match (&ds.candidates, fresh.candidates()) {
                 (Candidates::Table(patched), Candidates::Table(built)) => {
@@ -723,17 +480,89 @@ mod tests {
         // availability 0.8 exactly.
         let clos = FoldedClos::oft(3, 2).unwrap();
         let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let mut cfg = churn_cfg();
+        cfg.measure_cycles = 1_000;
+        let sim = Simulation::new(&net, &routing, cfg);
         let link = clos.links()[0];
         let schedule = FaultSchedule::new(vec![
             (100, LinkEvent::fail(link)),
             (300, LinkEvent::recover(link)),
         ]);
-        let (availability, applied) = availability_scan(&clos, &routing, &schedule, 1_000);
+        let churn = sim.run_churn_sharded_scratch(
+            &clos,
+            &schedule,
+            TrafficPattern::Uniform,
+            0.3,
+            5,
+            4,
+            rfc_parallel::current_shards(),
+            &mut RunScratch::new(),
+        );
+        let (availability, applied) = (churn.availability, churn.events_applied);
         assert_eq!(applied, 2);
         assert!(
             (availability - 0.8).abs() < 1e-12,
             "availability {availability}"
         );
+    }
+
+    #[test]
+    fn segment_edges_are_shard_invariant_and_match_the_reference() {
+        // Events at cycle 0, two at one cycle, one on an epoch boundary,
+        // a duplicate fail, one at the last cycle's end and one beyond
+        // it: every segment edge case of the runner at once.
+        let (clos, net, routing) = setup(4, 2);
+        let cfg = churn_cfg();
+        let end = cfg.total_cycles();
+        let epochs = 4;
+        let epoch_len = end / epochs as u64;
+        let sim = Simulation::new(&net, &routing, cfg);
+        let leaf0: Vec<Link> = clos.links().into_iter().filter(|l| l.lower == 0).collect();
+        let other: Vec<Link> = clos.links().into_iter().filter(|l| l.lower != 0).collect();
+        let schedule = FaultSchedule::new(vec![
+            (0, LinkEvent::fail(other[0])),
+            (150, LinkEvent::fail(leaf0[0])),
+            (150, LinkEvent::fail(leaf0[1])),
+            (epoch_len, LinkEvent::recover(leaf0[0])),
+            (epoch_len + 150, LinkEvent::fail(other[0])),
+            (2 * epoch_len + 7, LinkEvent::recover(leaf0[1])),
+            (end, LinkEvent::recover(other[0])),
+            (end + 500, LinkEvent::fail(other[1])),
+        ]);
+        let mut scratch = RunScratch::new();
+        let base = sim.run_churn_sharded_scratch(
+            &clos,
+            &schedule,
+            TrafficPattern::Uniform,
+            0.5,
+            13,
+            epochs,
+            1,
+            &mut scratch,
+        );
+        // Five events change the topology; the duplicate fail is a
+        // no-op and the events at or after `end` never apply.
+        assert_eq!(base.events_applied, 5);
+        assert!(base.availability < 1.0, "leaf 0 was cut off for a while");
+        assert_eq!(
+            (base.availability, base.events_applied),
+            reference_availability(&clos, &routing, &schedule, end)
+        );
+        assert_eq!(base.epoch_accepted.len(), epochs);
+        for shards in 2..=4 {
+            let r = sim.run_churn_sharded_scratch(
+                &clos,
+                &schedule,
+                TrafficPattern::Uniform,
+                0.5,
+                13,
+                epochs,
+                shards,
+                &mut scratch,
+            );
+            assert_eq!(base, r, "churn diverged at {shards} shards");
+        }
     }
 
     #[test]
@@ -751,7 +580,16 @@ mod tests {
             faults.iter().map(|&l| (mid, LinkEvent::fail(l))).collect();
         events.extend(faults.iter().map(|&l| (rec, LinkEvent::recover(l))));
         let schedule = FaultSchedule::new(events);
-        let churn = sim.run_churn(&clos, &schedule, TrafficPattern::Uniform, 0.6, 3, 6);
+        let churn = sim.run_churn_sharded_scratch(
+            &clos,
+            &schedule,
+            TrafficPattern::Uniform,
+            0.6,
+            3,
+            6,
+            rfc_parallel::current_shards(),
+            &mut RunScratch::new(),
+        );
         let plain = sim.run(TrafficPattern::Uniform, 0.6, 3);
         assert!(churn.availability < 1.0);
         assert!(churn.events_applied >= 2);
@@ -787,15 +625,5 @@ mod tests {
         }
         let c = FaultSchedule::poisson(&clos, 0.01, 100.0, 5_000, 2);
         assert_ne!(a, c, "different seeds, different schedules");
-    }
-
-    #[test]
-    fn repair_speedup_measures_nonzero_work() {
-        let (clos, _, _) = setup(6, 3);
-        let bench = repair_speedup(&clos, SimConfig::quick(), 3, 5);
-        assert_eq!(bench.events, 3);
-        assert!(bench.full_rebuild > Duration::ZERO);
-        assert!(bench.incremental > Duration::ZERO);
-        assert!(bench.speedup() > 0.0);
     }
 }

@@ -469,21 +469,22 @@ impl rfc_graph::HeapBytes for Candidates {
 /// a dozen MB, so this is headroom, not a target.
 const TABLE_BUDGET: usize = 64 << 20;
 
-/// The per-cycle read-only context shared by every shard worker.
+/// The per-run read-only context shared by every shard worker.
 #[derive(Debug)]
-pub(crate) struct StepCtx<'t> {
-    pub(crate) traffic: &'t dyn TrafficModel,
-    pub(crate) streams: Streams,
-    pub(crate) p_gen: f64,
+pub(crate) struct StepCtx {
+    traffic: Box<dyn TrafficModel>,
+    streams: Streams,
+    p_gen: f64,
     /// Precomputed `ln(1 - p_gen)`; see [`geometric_gap`].
-    pub(crate) ln_q: f64,
+    ln_q: f64,
     /// Terminal count, for the Valiant intermediate pick.
-    pub(crate) t32: u32,
-    pub(crate) warmup: u64,
+    t32: u32,
+    warmup: u64,
+    /// One past the last simulated cycle.
     pub(crate) end: u64,
 }
 
-/// Reusable per-run buffers for [`Simulation::run_scratch`].
+/// Reusable per-run buffers for [`Simulation::run_sharded_scratch`].
 ///
 /// A run needs packet rings, credit counters, event wheels, request
 /// chains, and the latency reservoirs — allocations whose sizes depend
@@ -506,8 +507,10 @@ pub struct RunScratch {
     pub(crate) merge_buf: Vec<Sample>,
     /// The merged, sorted latency values percentiles are read from.
     pub(crate) latency_samples: Vec<u32>,
-    /// Per-output-port busy cycles scattered back to global port order.
-    pub(crate) busy_global: Vec<u64>,
+    /// Address of the network the last run simulated, and that run's
+    /// measurement window: what [`Simulation::port_utilization`] checks
+    /// before reading the per-shard busy counters.
+    last_run: Option<(usize, u64)>,
 }
 
 impl RunScratch {
@@ -519,7 +522,13 @@ impl RunScratch {
 
     /// Rebuilds the shard plan and clears/resizes every per-shard state.
     /// Retains capacity across calls.
-    pub(crate) fn reset(&mut self, net: &SimNetwork, cfg: &SimConfig, shards: usize, inj_stream: u64) {
+    pub(crate) fn reset(
+        &mut self,
+        net: &SimNetwork,
+        cfg: &SimConfig,
+        shards: usize,
+        inj_stream: u64,
+    ) {
         self.plan.build(net, shards);
         self.shard_states.truncate(shards);
         while self.shard_states.len() < shards {
@@ -530,7 +539,7 @@ impl RunScratch {
         }
         self.merge_buf.clear();
         self.latency_samples.clear();
-        self.busy_global.clear();
+        self.last_run = Some((std::ptr::from_ref(net).addr(), cfg.measure_cycles));
     }
 }
 
@@ -623,8 +632,9 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         let mut interner: RowInterner = RowInterner::new();
         let all: Vec<u32> = (0..vid(net.num_switches())).collect();
         for chunk in all.chunks(CHUNK) {
-            let per_switch: Vec<SwitchRuns> =
-                rfc_parallel::map(chunk.to_vec(), |switch| switch_runs(net, oracle, switch, dst32));
+            let per_switch: Vec<SwitchRuns> = rfc_parallel::map(chunk.to_vec(), |switch| {
+                switch_runs(net, oracle, switch, dst32)
+            });
             for sr in per_switch {
                 stitch_switch(&mut table, &mut interner, &sr)?;
                 if table.bytes() > budget {
@@ -793,8 +803,8 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
 
     /// Whether any route exists from `switch` toward `dst` — the cheap
     /// injection-time pre-check. Takes the candidate/oracle pair
-    /// explicitly so churn runs can substitute per-shard repaired
-    /// copies (see [`crate::churn`]).
+    /// explicitly so churn runs can substitute their repaired state
+    /// (see [`crate::churn`]).
     #[inline]
     fn has_route_with(
         candidates: &Candidates,
@@ -814,7 +824,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     }
 
     /// The candidate structure built at construction (shared by every
-    /// plain run; churn clones it per shard).
+    /// plain run; a churn run patches its own copy).
     pub(crate) fn candidates(&self) -> &Candidates {
         &self.candidates
     }
@@ -873,37 +883,28 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// count comes from [`rfc_parallel::current_shards`] (`--shards` /
     /// `RFC_SHARDS`); results are identical at any value.
     pub fn run(&self, pattern: TrafficPattern, offered_load: f64, seed: u64) -> SimResult {
-        self.run_with_probes(pattern, offered_load, seed).0
-    }
-
-    /// Like [`Simulation::run`] but reusing the caller's [`RunScratch`]
-    /// instead of allocating fresh per-run buffers — the hot path for
-    /// load sweeps and parallel drivers. Results are identical.
-    pub fn run_scratch(
-        &self,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        scratch: &mut RunScratch,
-    ) -> SimResult {
-        self.run_with_probes_scratch(pattern, offered_load, seed, scratch)
-            .0
+        self.run_sharded_scratch(
+            pattern,
+            offered_load,
+            seed,
+            rfc_parallel::current_shards(),
+            &mut RunScratch::new(),
+        )
     }
 
     /// Like [`Simulation::run`] with an explicit shard count (clamped to
-    /// the switch count). Exposed for benchmarks and tests; ordinary
-    /// callers use [`Simulation::run`] and the `--shards` knob.
-    pub fn run_sharded(
-        &self,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        shards: usize,
-    ) -> SimResult {
-        self.run_sharded_scratch(pattern, offered_load, seed, shards, &mut RunScratch::new())
-    }
-
-    /// [`Simulation::run_sharded`] over caller-owned buffers.
+    /// the switch count) and caller-owned buffers — the entry point for
+    /// load sweeps, parallel drivers and benchmarks. Results are
+    /// identical to [`Simulation::run`] at any shard count; afterwards
+    /// [`Simulation::port_utilization`] reads the run's port probes out
+    /// of `scratch`.
+    ///
+    /// Randomness is organized as independent streams derived from
+    /// `seed` (see [`Streams`]): the traffic-state build, per-switch
+    /// sequential injection generators, and three stateless counter
+    /// streams for routing decisions, arbitration priorities, and
+    /// reservoir sampling. No draw depends on event order or on the
+    /// partition, which is what makes results shard-count-invariant.
     pub fn run_sharded_scratch(
         &self,
         pattern: TrafficPattern,
@@ -912,146 +913,126 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         shards: usize,
         scratch: &mut RunScratch,
     ) -> SimResult {
-        self.run_with_probes_sharded_scratch(pattern, offered_load, seed, shards, scratch)
-            .0
+        let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
+        self.lockstep(&self.candidates, self.oracle, scratch, &ctx, 0..ctx.end);
+        self.merge_stats(offered_load, scratch)
     }
 
-    /// Like [`Simulation::run`], additionally reporting per-port
-    /// serialization utilization over the measurement window.
-    pub fn run_with_probes(
-        &self,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-    ) -> (SimResult, crate::stats::PortUtilization) {
-        self.run_with_probes_scratch(pattern, offered_load, seed, &mut RunScratch::new())
+    /// Per-port serialization utilization over the measurement window of
+    /// the last run made through `scratch`, or `None` when that run was
+    /// not on this simulation's network (compared by address) or
+    /// `scratch` has not run yet.
+    pub fn port_utilization(&self, scratch: &RunScratch) -> Option<crate::stats::PortUtilization> {
+        let (net, window) = scratch.last_run?;
+        if net != std::ptr::from_ref(self.net).addr() {
+            return None;
+        }
+        let mut busy = vec![0u64; self.net.num_out_ports()];
+        for (st, gids) in scratch.shard_states.iter().zip(&scratch.plan.out_gids) {
+            for (&b, &gid) in st.busy_cycles.iter().zip(gids) {
+                busy[gid as usize] = b;
+            }
+        }
+        let mut link = Vec::new();
+        let mut eject = Vec::new();
+        for (out, &b) in busy.iter().enumerate() {
+            let utilization = b as f64 / window as f64;
+            match self.net.out_target[out] {
+                OutTarget::Link { .. } => link.push(utilization),
+                OutTarget::Eject { .. } => eject.push(utilization),
+            }
+        }
+        Some(crate::stats::PortUtilization { link, eject })
     }
 
-    /// [`Simulation::run_with_probes`] over caller-owned buffers, at the
-    /// ambient shard count.
-    pub fn run_with_probes_scratch(
-        &self,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        scratch: &mut RunScratch,
-    ) -> (SimResult, crate::stats::PortUtilization) {
-        self.run_with_probes_sharded_scratch(
-            pattern,
-            offered_load,
-            seed,
-            rfc_parallel::current_shards(),
-            scratch,
-        )
-    }
-
-    /// The common implementation behind every `run` variant: advances
-    /// `shards` independent shard states in lockstep (inline when
-    /// `shards == 1`, on scoped workers otherwise) and merges per-shard
-    /// statistics in shard order.
-    ///
-    /// Randomness is organized as independent streams derived from
-    /// `seed` (see [`Streams`]): the traffic-state build, per-switch
-    /// sequential injection generators, and three stateless counter
-    /// streams for routing decisions, arbitration priorities, and
-    /// reservoir sampling. No draw depends on event order or on the
-    /// partition, which is what makes results shard-count-invariant.
-    pub fn run_with_probes_sharded_scratch(
+    /// Starts a run: builds the traffic state, resets `scratch` for
+    /// `shards` shards (clamped to the switch count) and returns the
+    /// context every shard reads while stepping.
+    pub(crate) fn start_run(
         &self,
         pattern: TrafficPattern,
         offered_load: f64,
         seed: u64,
         shards: usize,
         scratch: &mut RunScratch,
-    ) -> (SimResult, crate::stats::PortUtilization) {
+    ) -> StepCtx {
         let cfg = self.config;
         let net = self.net;
-        let v = cfg.virtual_channels;
         let terminals = net.num_terminals();
-        let shard_count = shards.clamp(1, net.num_switches().max(1));
-
+        let end = cfg.total_cycles();
         let mut traffic_rng = SmallRng::seed_from_u64(rfc_parallel::child_seed(seed, 1));
-        let traffic = crate::traffic::build(pattern, terminals, cfg.total_cycles(), &mut traffic_rng);
+        let traffic = crate::traffic::build(pattern, terminals, end, &mut traffic_rng);
         let streams = Streams::derive(seed);
+        let shard_count = shards.clamp(1, net.num_switches().max(1));
         scratch.reset(net, &cfg, shard_count, streams.inj);
-
         let p_gen = (offered_load / cfg.packet_length as f64).clamp(0.0, 1.0);
-        // Skip-ahead denominator ln(1-p); see `geometric_gap` for the
-        // p = 1 limit. Only used when p_gen > 0.
-        let ctx = StepCtx {
-            traffic: &*traffic,
+        StepCtx {
+            traffic,
             streams,
             p_gen,
+            // Skip-ahead denominator ln(1-p); see `geometric_gap` for the
+            // p = 1 limit. Only used when p_gen > 0.
             ln_q: (1.0 - p_gen).ln(),
             t32: vid(terminals),
             warmup: cfg.warmup_cycles,
-            end: cfg.total_cycles(),
-        };
-        let end = ctx.end;
+            end,
+        }
+    }
 
+    /// Advances every shard of `scratch` through `cycles` in lockstep,
+    /// routing over `candidates`/`oracle`. The one cycle loop of the
+    /// engine: a plain run is the single segment `0..end`, a churn run
+    /// one segment per stretch between routing changes.
+    ///
+    /// Each shard runs on its own worker (shard 0 on the caller's
+    /// thread, a lone shard with no threads at all); per cycle it
+    /// steps, then drains the mailboxes its peers filled, with a barrier
+    /// after each phase. The segment ends with every mailbox drained.
+    pub(crate) fn lockstep(
+        &self,
+        candidates: &Candidates,
+        oracle: &O,
+        scratch: &mut RunScratch,
+        ctx: &StepCtx,
+        cycles: std::ops::Range<u64>,
+    ) {
+        let v = self.config.virtual_channels;
         let RunScratch {
             plan, shard_states, ..
         } = scratch;
         let plan: &ShardPlan = plan;
-
-        if shard_count == 1 {
-            // No mailboxes, no barriers: every port is local.
-            let st = &mut shard_states[0];
-            for now in 0..end {
-                self.step_shard_with(&self.candidates, self.oracle, plan, 0, st, &[], &ctx, now);
+        let mailboxes = new_mailboxes(plan.shards * plan.shards);
+        let mailboxes = &mailboxes[..];
+        let barrier = rfc_parallel::SpinBarrier::new(plan.shards);
+        let barrier = &barrier;
+        rfc_parallel::run_shard_workers(shard_states, |me, st| {
+            // A panic in the cycle loop (engine invariant failure)
+            // poisons the barrier so the other shards fail fast instead
+            // of spinning on a generation that never comes.
+            let _poison = barrier.guard();
+            for now in cycles.clone() {
+                self.step_shard(candidates, oracle, plan, me, st, mailboxes, ctx, now);
+                // All sends for this cycle are in the mailboxes…
+                barrier.wait();
+                drain_mailboxes(plan, me, st, mailboxes, v);
+                // …and all drains done before anyone starts cycle
+                // now + 1.
+                barrier.wait();
             }
-        } else {
-            let mailboxes = new_mailboxes(shard_count * shard_count);
-            let mailboxes = &mailboxes[..];
-            let barrier = rfc_parallel::SpinBarrier::new(shard_count);
-            let barrier = &barrier;
-            let ctx = &ctx;
-            rfc_parallel::run_shard_workers(shard_states, move |me, st| {
-                // A panic in the cycle loop (engine invariant failure)
-                // poisons the barrier so the other shards fail fast
-                // instead of spinning on a generation that never comes.
-                let _poison = barrier.guard();
-                for now in 0..end {
-                    self.step_shard_with(
-                        &self.candidates,
-                        self.oracle,
-                        plan,
-                        me,
-                        st,
-                        mailboxes,
-                        ctx,
-                        now,
-                    );
-                    // All sends for this cycle are in the mailboxes…
-                    barrier.wait();
-                    drain_mailboxes(plan, me, st, mailboxes, v);
-                    // …and all drains done before anyone starts cycle
-                    // now + 1.
-                    barrier.wait();
-                }
-            });
-        }
-
-        self.merge_stats(offered_load, scratch)
+        });
     }
 
     /// Merges per-shard statistics (in fixed shard order) into the run
-    /// result and port probes. Shared by the plain run path and the
-    /// churn runner ([`crate::churn`]).
-    pub(crate) fn merge_stats(
-        &self,
-        offered_load: f64,
-        scratch: &mut RunScratch,
-    ) -> (SimResult, crate::stats::PortUtilization) {
+    /// result. Shared by the plain run path and the churn runner
+    /// ([`crate::churn`]).
+    pub(crate) fn merge_stats(&self, offered_load: f64, scratch: &mut RunScratch) -> SimResult {
         let cfg = self.config;
-        let net = self.net;
-        let terminals = net.num_terminals();
+        let terminals = self.net.num_terminals();
         let RunScratch {
-            plan,
             shard_states,
             merge_buf,
             latency_samples,
-            busy_global,
+            ..
         } = scratch;
 
         // Merge in fixed shard order: plain sums for the counters, a
@@ -1080,14 +1061,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         latency_samples.extend(merge_buf.iter().map(|s| s.latency));
         latency_samples.sort_unstable();
 
-        busy_global.clear();
-        busy_global.resize(net.num_out_ports(), 0);
-        for (k, st) in shard_states.iter().enumerate() {
-            for (o, &busy) in st.busy_cycles.iter().enumerate() {
-                busy_global[plan.out_gids[k][o] as usize] = busy;
-            }
-        }
-
         let window = cfg.measure_cycles as f64;
         let percentile = |p: f64| -> f64 {
             if latency_samples.is_empty() {
@@ -1096,7 +1069,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             let idx = (p * (latency_samples.len() - 1) as f64).round() as usize;
             f64::from(latency_samples[idx])
         };
-        let result = SimResult {
+        SimResult {
             offered_load,
             accepted_load: delivered as f64 * cfg.packet_length as f64
                 / (window * terminals.max(1) as f64),
@@ -1112,17 +1085,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             generated_packets: generated,
             refused_packets: refused + unroutable,
             in_flight_at_end: in_flight,
-        };
-        let mut link = Vec::new();
-        let mut eject = Vec::new();
-        for (out, &busy) in busy_global.iter().enumerate() {
-            let utilization = busy as f64 / window;
-            match net.out_target[out] {
-                OutTarget::Link { .. } => link.push(utilization),
-                OutTarget::Eject { .. } => eject.push(utilization),
-            }
         }
-        (result, crate::stats::PortUtilization { link, eject })
     }
 
     /// Advances shard `me` by one cycle: deliver scheduled events,
@@ -1132,10 +1095,10 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// mailboxes; everything else stays in `st`.
     ///
     /// The candidate/oracle pair is a parameter (rather than read from
-    /// `self`) so churn runs can substitute per-shard repaired copies;
-    /// plain runs pass `(&self.candidates, self.oracle)`.
+    /// `self`) so churn runs can substitute their repaired state; plain
+    /// runs pass `(&self.candidates, self.oracle)`.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub(crate) fn step_shard_with(
+    fn step_shard(
         &self,
         candidates: &Candidates,
         oracle: &O,
@@ -1143,7 +1106,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         me: usize,
         st: &mut ShardState,
         mailboxes: &[MailboxCell],
-        ctx: &StepCtx<'_>,
+        ctx: &StepCtx,
         now: u64,
     ) {
         let cfg = &self.config;
@@ -1289,11 +1252,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         if via_switch != NO_VIA
                             && via_switch != dst_switch
                             && !Self::has_route_with(
-                                candidates,
-                                oracle,
-                                via_switch,
-                                dst_switch,
-                                hop_buf,
+                                candidates, oracle, via_switch, dst_switch, hop_buf,
                             )
                         {
                             if in_window {
@@ -1656,17 +1615,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         // xtask: hot-loop-end
     }
 
-    /// Runs a load sweep, one run per entry of `loads`, with seeds
-    /// `seed, seed+1, …`. Buffers are shared across the runs.
-    pub fn sweep(&self, pattern: TrafficPattern, loads: &[f64], seed: u64) -> Vec<SimResult> {
-        let mut scratch = RunScratch::new();
-        loads
-            .iter()
-            .enumerate()
-            .map(|(i, &load)| self.run_scratch(pattern, load, seed + i as u64, &mut scratch))
-            .collect()
-    }
-
     /// Saturation throughput: accepted load when every node offers one
     /// phit per cycle.
     pub fn max_throughput(&self, pattern: TrafficPattern, seed: u64) -> f64 {
@@ -1693,7 +1641,13 @@ mod tests {
         cfg.latency_reservoir = 10;
         let sim = Simulation::new(&net, &routing, cfg);
         let mut scratch = RunScratch::new();
-        let (r, _) = sim.run_with_probes_scratch(TrafficPattern::Uniform, 0.6, 5, &mut scratch);
+        let r = sim.run_sharded_scratch(
+            TrafficPattern::Uniform,
+            0.6,
+            5,
+            rfc_parallel::current_shards(),
+            &mut scratch,
+        );
         assert!(
             r.delivered_packets > 10,
             "test needs more deliveries ({}) than the cap",
@@ -1715,10 +1669,22 @@ mod tests {
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
         let mut scratch = RunScratch::new();
         // Dirty the scratch with a different pattern/load first.
-        let _ = sim.run_scratch(TrafficPattern::Shuffle, 0.9, 99, &mut scratch);
+        let _ = sim.run_sharded_scratch(
+            TrafficPattern::Shuffle,
+            0.9,
+            99,
+            rfc_parallel::current_shards(),
+            &mut scratch,
+        );
         for (load, seed) in [(0.3, 7u64), (0.8, 8)] {
             let fresh = sim.run(TrafficPattern::Uniform, load, seed);
-            let reused = sim.run_scratch(TrafficPattern::Uniform, load, seed, &mut scratch);
+            let reused = sim.run_sharded_scratch(
+                TrafficPattern::Uniform,
+                load,
+                seed,
+                rfc_parallel::current_shards(),
+                &mut scratch,
+            );
             assert_eq!(fresh, reused, "scratch reuse changed results");
         }
     }
@@ -1739,15 +1705,33 @@ mod tests {
         let small_fresh = small_sim.run(TrafficPattern::Uniform, 0.7, 17);
         // big -> small -> big through the same scratch.
         assert_eq!(
-            big_sim.run_scratch(TrafficPattern::Uniform, 0.7, 17, &mut scratch),
+            big_sim.run_sharded_scratch(
+                TrafficPattern::Uniform,
+                0.7,
+                17,
+                rfc_parallel::current_shards(),
+                &mut scratch
+            ),
             big_fresh
         );
         assert_eq!(
-            small_sim.run_scratch(TrafficPattern::Uniform, 0.7, 17, &mut scratch),
+            small_sim.run_sharded_scratch(
+                TrafficPattern::Uniform,
+                0.7,
+                17,
+                rfc_parallel::current_shards(),
+                &mut scratch
+            ),
             small_fresh
         );
         assert_eq!(
-            big_sim.run_scratch(TrafficPattern::Uniform, 0.7, 17, &mut scratch),
+            big_sim.run_sharded_scratch(
+                TrafficPattern::Uniform,
+                0.7,
+                17,
+                rfc_parallel::current_shards(),
+                &mut scratch
+            ),
             big_fresh
         );
     }
@@ -1782,11 +1766,11 @@ mod tests {
             (TrafficPattern::Uniform, 0.5),
             (TrafficPattern::RandomPairing, 0.9),
         ] {
-            let (base, base_probes) =
-                sim.run_with_probes_sharded_scratch(pattern, load, 77, 1, &mut scratch);
+            let base = sim.run_sharded_scratch(pattern, load, 77, 1, &mut scratch);
+            let base_probes = sim.port_utilization(&scratch).unwrap();
             for shards in [2usize, 3, 8] {
-                let (r, probes) =
-                    sim.run_with_probes_sharded_scratch(pattern, load, 77, shards, &mut scratch);
+                let r = sim.run_sharded_scratch(pattern, load, 77, shards, &mut scratch);
+                let probes = sim.port_utilization(&scratch).unwrap();
                 assert_eq!(base, r, "{pattern} diverged at {shards} shards");
                 assert_eq!(base_probes.link, probes.link, "{pattern} link probes");
                 assert_eq!(base_probes.eject, probes.eject, "{pattern} eject probes");
@@ -1801,12 +1785,20 @@ mod tests {
         // consecutive cycles — the sharpest mailbox/credit-mirror test.
         let (net, routing) = tiny_sim();
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let base = sim.run_sharded(TrafficPattern::Uniform, 0.7, 19, 1);
+        let base =
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.7, 19, 1, &mut RunScratch::new());
         assert!(base.delivered_packets > 0, "traffic must actually flow");
-        let all = sim.run_sharded(TrafficPattern::Uniform, 0.7, 19, net.num_switches());
+        let all = sim.run_sharded_scratch(
+            TrafficPattern::Uniform,
+            0.7,
+            19,
+            net.num_switches(),
+            &mut RunScratch::new(),
+        );
         assert_eq!(base, all, "one-switch shards diverged from serial");
         // Shard counts beyond the switch count clamp (and still match).
-        let over = sim.run_sharded(TrafficPattern::Uniform, 0.7, 19, 64);
+        let over =
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.7, 19, 64, &mut RunScratch::new());
         assert_eq!(base, over, "over-sharding must clamp, not diverge");
     }
 
@@ -1847,9 +1839,13 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.valiant_routing = true;
         let sim = Simulation::new(&net, &routing, cfg);
-        let base = sim.run_sharded(TrafficPattern::Uniform, 0.4, 29, 1);
+        let base =
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.4, 29, 1, &mut RunScratch::new());
         assert!(base.delivered_packets > 0);
-        assert_eq!(base, sim.run_sharded(TrafficPattern::Uniform, 0.4, 29, 3));
+        assert_eq!(
+            base,
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.4, 29, 3, &mut RunScratch::new())
+        );
     }
 
     #[test]
@@ -1858,9 +1854,13 @@ mod tests {
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);
         let sim = Simulation::with_table_budget(&net, &routing, SimConfig::quick(), 0);
-        let base = sim.run_sharded(TrafficPattern::Uniform, 0.5, 37, 1);
+        let base =
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 37, 1, &mut RunScratch::new());
         assert!(base.delivered_packets > 0);
-        assert_eq!(base, sim.run_sharded(TrafficPattern::Uniform, 0.5, 37, 4));
+        assert_eq!(
+            base,
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 37, 4, &mut RunScratch::new())
+        );
     }
 
     #[test]
@@ -1927,7 +1927,13 @@ mod tests {
         let mut scratch = RunScratch::new();
         for load in [0.05f64, 0.2, 0.5] {
             for seed in [1u64, 2, 3] {
-                let r = sim.run_scratch(TrafficPattern::Uniform, load, seed, &mut scratch);
+                let r = sim.run_sharded_scratch(
+                    TrafficPattern::Uniform,
+                    load,
+                    seed,
+                    rfc_parallel::current_shards(),
+                    &mut scratch,
+                );
                 let expected = load / cfg.packet_length as f64
                     * net.num_terminals() as f64
                     * cfg.measure_cycles as f64;
@@ -2002,7 +2008,13 @@ mod tests {
         cfg.warmup_cycles = 0;
         let sim = Simulation::new(&net, &routing, cfg);
         for shards in [1usize, 4] {
-            let r = sim.run_sharded(TrafficPattern::Uniform, 0.6, 4, shards);
+            let r = sim.run_sharded_scratch(
+                TrafficPattern::Uniform,
+                0.6,
+                4,
+                shards,
+                &mut RunScratch::new(),
+            );
             assert_eq!(
                 r.generated_packets,
                 r.delivered_packets + r.in_flight_at_end,
@@ -2148,7 +2160,11 @@ mod tests {
     fn sweep_latency_grows_with_load() {
         let (net, routing) = tiny_sim();
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let results = sim.sweep(TrafficPattern::Uniform, &[0.1, 0.9], 5);
+        let results: Vec<SimResult> = [0.1, 0.9]
+            .iter()
+            .zip(5u64..)
+            .map(|(&load, seed)| sim.run(TrafficPattern::Uniform, load, seed))
+            .collect();
         assert_eq!(results.len(), 2);
         assert!(
             results[1].avg_latency > results[0].avg_latency,
@@ -2185,7 +2201,9 @@ mod tests {
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let (r, probes) = sim.run_with_probes(TrafficPattern::AllToOne, 1.0, 41);
+        let mut scratch = RunScratch::new();
+        let r = sim.run_sharded_scratch(TrafficPattern::AllToOne, 1.0, 41, 1, &mut scratch);
+        let probes = sim.port_utilization(&scratch).unwrap();
         assert!(r.delivered_packets > 0);
         assert!(probes.eject[0] > 0.9, "hot ejector {}", probes.eject[0]);
         assert!(
@@ -2203,7 +2221,9 @@ mod tests {
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let (r, probes) = sim.run_with_probes(TrafficPattern::Uniform, 0.5, 42);
+        let mut scratch = RunScratch::new();
+        let r = sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 42, 1, &mut scratch);
+        let probes = sim.port_utilization(&scratch).unwrap();
         assert!(
             (probes.mean_eject() - r.accepted_load).abs() < 0.02,
             "eject {} vs accepted {}",
@@ -2211,6 +2231,33 @@ mod tests {
             r.accepted_load
         );
         assert!(probes.max_link() <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn port_utilization_reads_only_this_networks_last_run() {
+        let big = FoldedClos::cft(6, 3).unwrap();
+        let big_routing = UpDownRouting::new(&big);
+        let big_net = SimNetwork::from_folded_clos(&big);
+        let big_sim = Simulation::new(&big_net, &big_routing, SimConfig::quick());
+        let (small_net, small_routing) = tiny_sim();
+        let small_sim = Simulation::new(&small_net, &small_routing, SimConfig::quick());
+        let mut scratch = RunScratch::new();
+        assert_eq!(
+            small_sim.port_utilization(&scratch),
+            None,
+            "nothing ran yet"
+        );
+        small_sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 3, 2, &mut scratch);
+        let probes = small_sim.port_utilization(&scratch).unwrap();
+        assert_eq!(
+            probes.link.len() + probes.eject.len(),
+            small_net.num_out_ports()
+        );
+        assert_eq!(
+            big_sim.port_utilization(&scratch),
+            None,
+            "the last run was on another network"
+        );
     }
 
     #[test]

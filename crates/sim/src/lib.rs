@@ -24,7 +24,7 @@
 //! ([`SimConfig::valiant_routing`]), hash-based ECMP
 //! ([`RequestMode::UpDownHash`]), two extra adversarial traffic
 //! patterns, latency percentiles, and per-port utilization probes
-//! ([`Simulation::run_with_probes`]).
+//! ([`Simulation::port_utilization`]).
 //!
 //! # Examples
 //!
@@ -57,7 +57,7 @@ mod shard;
 mod stats;
 mod traffic;
 
-pub use churn::{ChurnResult, FaultSchedule, RepairBenchmark};
+pub use churn::{ChurnResult, FaultSchedule};
 pub use config::{RequestMode, SimConfig};
 pub use engine::{RunScratch, Simulation};
 pub use network::SimNetwork;

@@ -49,7 +49,7 @@ impl SimResult {
 /// (fraction of cycles each output port spent transmitting), split into
 /// inter-switch links and terminal ejection ports.
 ///
-/// Produced by [`crate::Simulation::run_with_probes`]; useful for
+/// Read by [`crate::Simulation::port_utilization`] after a run; useful for
 /// locating the saturated stage (e.g. the top-level links of a tapered
 /// tree, or the single ejector under incast).
 #[derive(Debug, Clone, PartialEq)]

@@ -151,7 +151,9 @@ struct BurstyTraffic {
 
 impl BurstyTraffic {
     fn new<R: Rng + ?Sized>(terminals: u32, horizon: u64, rng: &mut R) -> Self {
-        let windows = usize::try_from(horizon.div_ceil(BURST_WINDOW)).unwrap_or(0).max(1);
+        let windows = usize::try_from(horizon.div_ceil(BURST_WINDOW))
+            .unwrap_or(0)
+            .max(1);
         let groups = (terminals.div_ceil(BURST_GROUP)) as usize;
         let bits = groups * windows;
         let mut on = vec![0u64; bits.div_ceil(64)];
@@ -344,7 +346,9 @@ mod tests {
         let t = model(TrafficPattern::RandomPairing, 16, 2);
         let mut rng = SmallRng::seed_from_u64(2);
         for src in 0..16u32 {
-            let d = t.dest(src, 0, &mut rng).expect("even count: everyone paired");
+            let d = t
+                .dest(src, 0, &mut rng)
+                .expect("even count: everyone paired");
             assert_ne!(d, src);
             assert_eq!(t.dest(d, 0, &mut rng), Some(src), "partner of partner");
         }

@@ -145,7 +145,13 @@ impl LiveClos {
         if !self.pristine.stage(level).adj1[lo_local as usize].contains(&hi_local) {
             return None;
         }
-        Some((Link { lower: lo, upper: hi }, level))
+        Some((
+            Link {
+                lower: lo,
+                upper: hi,
+            },
+            level,
+        ))
     }
 
     /// Applies one event, returning whether the current view changed.
