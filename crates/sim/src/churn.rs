@@ -29,7 +29,8 @@ use rand::{Rng, SeedableRng};
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::engine::{row_index, Candidates, PatchScope, RowInterner, RunScratch, Simulation};
+use crate::candidates::{row_index, Candidates, PatchScope, RowInterner};
+use crate::engine::{RunScratch, Simulation};
 use crate::network::SimNetwork;
 use crate::{SimResult, TrafficPattern};
 
@@ -157,8 +158,6 @@ pub struct ChurnResult {
 /// byte-identical to a from-scratch build on the current topology.
 pub struct DynState<'a> {
     net: &'a SimNetwork,
-    /// The byte budget the table is patched under (the simulation's).
-    budget: usize,
     live: LiveClos,
     routing: UpDownRouting,
     candidates: Candidates,
@@ -173,13 +172,9 @@ impl<'a> DynState<'a> {
     #[must_use]
     pub fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
         let candidates = sim.candidates().clone();
-        let index = match &candidates {
-            Candidates::Table(table) => row_index(table),
-            Candidates::Live => RowInterner::new(),
-        };
+        let index = candidates.table().map_or_else(RowInterner::new, row_index);
         DynState {
             net: sim.net(),
-            budget: sim.table_budget(),
             live: LiveClos::new(clos),
             routing: sim.oracle().clone(),
             candidates,
@@ -196,21 +191,16 @@ impl<'a> DynState<'a> {
             return false;
         }
         let scope = self.routing.apply_event(self.live.current(), ev);
-        if let Candidates::Table(old) = &self.candidates {
-            self.candidates = Simulation::patch_table(
-                self.net,
-                &self.routing,
-                old,
-                &PatchScope {
-                    dirty: &scope.table_dirty,
-                    full: &scope.endpoints,
-                    dst_delta: &scope.dst_delta,
-                },
-                self.budget,
-                &mut self.index,
-            )
-            .map_or(Candidates::Live, Candidates::Table);
-        }
+        self.candidates = self.candidates.patched(
+            self.net,
+            &self.routing,
+            &PatchScope {
+                dirty: &scope.table_dirty,
+                full: &scope.endpoints,
+                dst_delta: &scope.dst_delta,
+            },
+            &mut self.index,
+        );
         true
     }
 }
@@ -447,6 +437,42 @@ mod tests {
     }
 
     #[test]
+    fn live_candidate_churn_matches_the_table() {
+        // Networks too large for the table budget run churn on live
+        // oracle queries: repairs must leave them byte-identical to the
+        // patched table at any shard count.
+        let (clos, net, routing) = setup(6, 3);
+        let cfg = churn_cfg();
+        let table = Simulation::new(&net, &routing, cfg);
+        let live = Candidates::build_within(&net, &routing, 0);
+        let live = Simulation::with_candidates(&net, &routing, cfg, live);
+        assert_eq!(live.candidate_table_bytes(), None);
+        let schedule = FaultSchedule::poisson(&clos, 0.01, 150.0, cfg.total_cycles(), 42);
+        assert!(schedule.len() > 4, "schedule too quiet: {}", schedule.len());
+        let mut scratch = RunScratch::new();
+        for shards in [1usize, 3] {
+            let mut run = |sim: &Simulation<'_, UpDownRouting>| {
+                sim.run_churn_sharded_scratch(
+                    &clos,
+                    &schedule,
+                    TrafficPattern::Uniform,
+                    0.6,
+                    7,
+                    5,
+                    shards,
+                    &mut scratch,
+                )
+            };
+            let (a, b) = (run(&table), run(&live));
+            assert!(a.events_applied > 0);
+            assert_eq!(
+                a, b,
+                "live churn diverged from the table at {shards} shards"
+            );
+        }
+    }
+
+    #[test]
     fn patched_candidate_table_is_byte_identical_to_fresh_build() {
         // After every applied event, the patched table must equal what
         // a from-scratch Simulation::new would build over the repaired
@@ -461,13 +487,9 @@ mod tests {
         for (cycle, ev) in schedule.events() {
             ds.apply(ev);
             let fresh = Simulation::new(&net, &ds.routing, cfg);
-            match (&ds.candidates, fresh.candidates()) {
-                (Candidates::Table(patched), Candidates::Table(built)) => {
-                    assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
-                }
-                (Candidates::Live, Candidates::Live) => {}
-                (a, b) => panic!("candidate kinds diverged: {a:?} vs {b:?}"),
-            }
+            let patched = ds.candidates.table().expect("the patched table fits");
+            let built = fresh.candidates().table().expect("the fresh table fits");
+            assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
             checked += 1;
         }
         assert!(checked > 6);

@@ -41,6 +41,7 @@ use rand::{Rng, SeedableRng};
 use rfc_graph::vid;
 use rfc_routing::RoutingOracle;
 
+use crate::candidates::{Candidates, RleTable};
 use crate::network::{OutTarget, SimNetwork};
 use crate::shard::{
     bounded_hi, bounded_lo, drain_mailboxes, draw, lat32, mailbox_push, new_mailboxes,
@@ -88,11 +89,9 @@ fn geometric_gap(rng: &mut SmallRng, ln_q: f64) -> usize {
     ((1.0 - u).ln() / ln_q) as usize
 }
 
-/// Uniform candidate pick shared by the request stage's table and live
-/// paths — both must consume the draw identically for the materialized
-/// table to be a pure cache. `h` is the slot's stateless per-cycle draw;
-/// its low half picks the candidate (the high half is reserved for the
-/// target-VC start).
+/// The request stage's pick among `len` candidate out-ports. `h` is the
+/// slot's stateless per-cycle draw; its low half picks the candidate
+/// (the high half is reserved for the target-VC start).
 #[inline]
 fn pick_candidate(mode: RequestMode, h: u64, len: usize, switch: u32, target: u32) -> usize {
     match mode {
@@ -133,341 +132,6 @@ impl Default for Packet {
         }
     }
 }
-
-/// Precomputed ECMP candidate lists. Routing oracles are deterministic
-/// per `(switch, destination)` pair, and the request stage queries them
-/// for every head packet every cycle — so for all but huge networks the
-/// answers are materialized once, fully *resolved to output ports*,
-/// removing the per-request neighbor binary search from the cycle loop.
-#[derive(Debug, Clone)]
-pub(crate) enum Candidates {
-    /// Materialized, deduplicated, run-length-compressed table.
-    Table(RleTable),
-    /// Table would exceed the byte budget (or its offsets would overflow
-    /// `u32`); query the oracle live.
-    Live,
-}
-
-/// The deduplicated candidate table (DESIGN.md §15).
-///
-/// Three compressions stack on the old `switches × dst_space` matrix:
-///
-/// 1. **Rows resolve once** — a row is the out-port list one `(switch,
-///    dst)` query yields, in oracle order (the cached-vs-live agreement
-///    contract depends on that order).
-/// 2. **Rows intern** — identical rows share one entry in the
-///    `row_off`/`row_ports` pool. Same-level switches answer most
-///    destinations identically (e.g. "all up-ports"), so a switch
-///    contributes only a handful of distinct rows.
-/// 3. **Columns run-length-compress** — per switch, destinations with
-///    the same row collapse into `[start, next_start)` runs, which
-///    folded-Clos reach sets keep to a few dozen per switch regardless
-///    of the destination count.
-///
-/// Lookup is a binary search over the switch's runs (few dozen entries,
-/// ~5 probes) instead of one flat index — measurably free next to the
-/// draw + arbitration work per request.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RleTable {
-    pub(crate) dst_space: usize,
-    /// Runs of switch `s` live at `col_off[s] .. col_off[s+1]` in the
-    /// two parallel run arrays.
-    pub(crate) col_off: Vec<u32>,
-    /// Ascending first-destination of each run; the first run of every
-    /// switch starts at 0, the last extends to `dst_space`.
-    pub(crate) runs_start: Vec<u32>,
-    /// Interned row id of each run.
-    pub(crate) runs_row: Vec<u32>,
-    /// Row `r`'s resolved out-ports live at `row_off[r] .. row_off[r+1]`
-    /// in `row_ports`.
-    pub(crate) row_off: Vec<u32>,
-    pub(crate) row_ports: Vec<u32>,
-}
-
-impl RleTable {
-    /// The resolved out-ports for `(switch, dst)`; empty when unroutable.
-    #[inline]
-    fn row(&self, switch: u32, dst: u32) -> &[u32] {
-        let lo = self.col_off[switch as usize] as usize;
-        let hi = self.col_off[switch as usize + 1] as usize;
-        let runs = &self.runs_start[lo..hi];
-        // Last run starting at or before dst; every switch's first run
-        // starts at 0, so the subtraction cannot underflow.
-        let k = lo + runs.partition_point(|&s| s <= dst) - 1;
-        let r = self.runs_row[k] as usize;
-        &self.row_ports[self.row_off[r] as usize..self.row_off[r + 1] as usize]
-    }
-
-    /// Logical bytes of the five arrays — the quantity checked against
-    /// the build budget and reported to the memory ratchet.
-    fn bytes(&self) -> usize {
-        rfc_graph::slice_heap_bytes(&self.col_off)
-            + rfc_graph::slice_heap_bytes(&self.runs_start)
-            + rfc_graph::slice_heap_bytes(&self.runs_row)
-            + rfc_graph::slice_heap_bytes(&self.row_off)
-            + rfc_graph::slice_heap_bytes(&self.row_ports)
-    }
-}
-
-/// A fresh, zero-switch [`RleTable`] ready for stitching.
-fn empty_table(dst_space: usize) -> RleTable {
-    RleTable {
-        dst_space,
-        col_off: vec![0u32],
-        runs_start: Vec::new(),
-        runs_row: Vec::new(),
-        row_off: vec![0u32],
-        row_ports: Vec::new(),
-    }
-}
-
-/// Row contents → global row id, in first-appearance order. BTreeMap
-/// keeps the layout independent of any hasher state.
-pub(crate) type RowInterner = std::collections::BTreeMap<Vec<u32>, u32>;
-
-/// The content → id index of `table`'s row pool, exactly as
-/// [`Simulation::patch_table`] consumes and maintains it. Built once
-/// per dynamic routing replica (see [`crate::churn`]); each patch then
-/// renumbers it in place instead of re-deriving it, which is what keeps
-/// a single-event patch an order of magnitude under a full build.
-pub(crate) fn row_index(table: &RleTable) -> RowInterner {
-    let mut index = RowInterner::new();
-    for r in 0..table.row_off.len() - 1 {
-        let ports = &table.row_ports[table.row_off[r] as usize..table.row_off[r + 1] as usize];
-        index.insert(ports.to_vec(), vid(r));
-    }
-    index
-}
-
-/// Dirty-region description for [`Simulation::patch_table`], distilled
-/// from a routing repair (`rfc_routing::RepairScope`).
-pub(crate) struct PatchScope<'a> {
-    /// Switches whose columns must be re-derived (sorted, deduplicated).
-    pub dirty: &'a [u32],
-    /// The switches whose *adjacency* changed — their columns are
-    /// recomputed from the oracle in full. Every other dirty switch keeps
-    /// its neighbor lists and can differ only at `dst_delta`
-    /// destinations, so its column is spliced from the old table.
-    pub full: &'a [u32],
-    /// Sorted destinations at which a non-`full` dirty switch's row may
-    /// differ from its pre-event value.
-    pub dst_delta: &'a [u32],
-}
-
-/// One switch's runs with switch-locally interned rows.
-struct SwitchRuns {
-    starts: Vec<u32>,
-    /// Index into the local row pool, per run.
-    rows: Vec<u32>,
-    local_off: Vec<u32>,
-    local_ports: Vec<u32>,
-    /// Per local row: the old-table row id this content was copied from,
-    /// or `u32::MAX` when freshly derived from the oracle. Lets the
-    /// patch stitcher renumber spliced rows through its id array instead
-    /// of re-interning them by content.
-    local_old: Vec<u32>,
-}
-
-impl SwitchRuns {
-    fn empty() -> Self {
-        SwitchRuns {
-            starts: Vec::new(),
-            rows: Vec::new(),
-            local_off: vec![0u32],
-            local_ports: Vec::new(),
-            local_old: Vec::new(),
-        }
-    }
-
-    /// Resets to empty, keeping allocations — the patch loop reuses one
-    /// instance across every dirty switch.
-    fn clear(&mut self) {
-        self.starts.clear();
-        self.rows.clear();
-        self.local_off.clear();
-        self.local_off.push(0);
-        self.local_ports.clear();
-        self.local_old.clear();
-    }
-
-    /// Appends one run, interning its row locally (linear scan —
-    /// switches hold a handful of distinct rows) and merging runs whose
-    /// rows turn out equal. `old_id` records the old-table identity of a
-    /// copied row (`u32::MAX` = derived, identity unknown).
-    fn push_run(&mut self, start: u32, resolved: &[u32], old_id: u32) {
-        let local = (0..self.local_off.len() - 1).find(|&r| {
-            self.local_ports[self.local_off[r] as usize..self.local_off[r + 1] as usize]
-                == resolved[..]
-        });
-        let local = vid(local.unwrap_or_else(|| {
-            self.local_ports.extend_from_slice(resolved);
-            self.local_off.push(vid(self.local_ports.len()));
-            self.local_old.push(old_id);
-            self.local_off.len() - 2
-        }));
-        // Old-table interning was content-unique, so a re-encounter that
-        // knows its old id can settle a previously derived row's identity.
-        if old_id != u32::MAX && self.local_old[local as usize] == u32::MAX {
-            self.local_old[local as usize] = old_id;
-        }
-        if self.rows.last() == Some(&local) {
-            return;
-        }
-        self.starts.push(start);
-        self.rows.push(local);
-    }
-}
-
-/// Resolves one switch's oracle answers to out-port runs.
-fn switch_runs<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    switch: u32,
-    dst32: u32,
-) -> SwitchRuns {
-    let mut sr = SwitchRuns::empty();
-    let mut resolved: Vec<u32> = Vec::new();
-    switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut resolved);
-    sr
-}
-
-/// Resolves next-hop switch ids into `switch`'s out-port numbers,
-/// overwriting `resolved`.
-///
-/// # Panics
-///
-/// Panics if a hop is not a neighbor of `switch` — the oracle and the
-/// network disagree about adjacency, which no repair can make sound.
-fn resolve_out_ports(net: &SimNetwork, switch: u32, hops: &[u32], resolved: &mut Vec<u32>) {
-    resolved.clear();
-    for &hop in hops {
-        let out = net
-            .out_port_to(switch, hop)
-            .expect("oracle returned a non-neighbor");
-        resolved.push(out);
-    }
-}
-
-/// [`switch_runs`] writing into caller-owned buffers (cleared first).
-fn switch_runs_into<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    switch: u32,
-    dst32: u32,
-    sr: &mut SwitchRuns,
-    resolved: &mut Vec<u32>,
-) {
-    sr.clear();
-    oracle.for_each_dst_run(switch, dst32, &mut |start, hops| {
-        resolve_out_ports(net, switch, hops, resolved);
-        sr.push_run(start, resolved, u32::MAX);
-    });
-}
-
-/// Rebuilds one *dirty but adjacency-stable* switch's runs by splicing:
-/// the old column is kept wholesale except at `delta` destinations,
-/// where the row is re-resolved against the repaired oracle. Sound
-/// because such a switch's row can change only where a consulted reach
-/// set's membership changed (see `rfc_routing::RepairScope::dst_delta`);
-/// [`SwitchRuns::push_run`] re-merges equal neighbors, so the result is
-/// byte-identical to a full [`switch_runs`] re-derivation.
-#[allow(clippy::too_many_arguments)]
-fn splice_runs_into<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    old: &RleTable,
-    switch: u32,
-    delta: &[u32],
-    dst32: u32,
-    sr: &mut SwitchRuns,
-    hops: &mut Vec<u32>,
-    resolved: &mut Vec<u32>,
-) {
-    sr.clear();
-    let lo = old.col_off[switch as usize] as usize;
-    let hi = old.col_off[switch as usize + 1] as usize;
-    let mut di = delta.partition_point(|&d| d < old.runs_start.get(lo).copied().unwrap_or(0));
-    for k in lo..hi {
-        let a = old.runs_start[k];
-        let b = if k + 1 < hi {
-            old.runs_start[k + 1]
-        } else {
-            dst32
-        };
-        let old_id = old.runs_row[k] as usize;
-        let content =
-            &old.row_ports[old.row_off[old_id] as usize..old.row_off[old_id + 1] as usize];
-        let mut pos = a;
-        while di < delta.len() && delta[di] < b {
-            let d = delta[di];
-            di += 1;
-            if pos < d {
-                sr.push_run(pos, content, old.runs_row[k]);
-            }
-            hops.clear();
-            oracle.next_hops_into(switch, d, hops);
-            resolve_out_ports(net, switch, hops, resolved);
-            sr.push_run(d, resolved, u32::MAX);
-            pos = d + 1;
-        }
-        if pos < b {
-            sr.push_run(pos, content, old.runs_row[k]);
-        }
-    }
-}
-
-/// Appends one row's ports to the shared pool, returning its id.
-/// `None` on `u32` overflow (callers fall back to live queries).
-fn append_row(table: &mut RleTable, ports: &[u32]) -> Option<u32> {
-    let id = u32::try_from(table.row_off.len() - 1).ok()?;
-    table.row_ports.extend_from_slice(ports);
-    table
-        .row_off
-        .push(u32::try_from(table.row_ports.len()).ok()?);
-    Some(id)
-}
-
-/// Maps one switch's locally interned runs into the shared pool,
-/// appending its column to `table`. Returns `None` on `u32` overflow
-/// (the caller falls back to live queries).
-fn stitch_switch(table: &mut RleTable, interner: &mut RowInterner, sr: &SwitchRuns) -> Option<()> {
-    let mut global_of_local: Vec<u32> = Vec::with_capacity(sr.local_off.len() - 1);
-    for r in 0..sr.local_off.len() - 1 {
-        let ports = &sr.local_ports[sr.local_off[r] as usize..sr.local_off[r + 1] as usize];
-        let id = match interner.get(ports) {
-            Some(&id) => id,
-            None => {
-                let id = append_row(table, ports)?;
-                interner.insert(ports.to_vec(), id);
-                id
-            }
-        };
-        global_of_local.push(id);
-    }
-    for (start, local) in sr.starts.iter().zip(&sr.rows) {
-        table.runs_start.push(*start);
-        table.runs_row.push(global_of_local[*local as usize]);
-    }
-    table
-        .col_off
-        .push(u32::try_from(table.runs_start.len()).ok()?);
-    Some(())
-}
-
-impl rfc_graph::HeapBytes for Candidates {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Candidates::Table(t) => t.bytes(),
-            Candidates::Live => 0,
-        }
-    }
-}
-
-/// Above this many *bytes* of table arrays the build aborts and the
-/// simulation queries the oracle live. The deduplicated encoding keeps
-/// even the paper's Table 3 scale (cft(36,4), 209,952 terminals) around
-/// a dozen MB, so this is headroom, not a target.
-const TABLE_BUDGET: usize = 64 << 20;
 
 /// The per-run read-only context shared by every shard worker.
 #[derive(Debug)]
@@ -555,9 +219,6 @@ pub struct Simulation<'a, O> {
     oracle: &'a O,
     config: SimConfig,
     candidates: Candidates,
-    /// The byte budget the table was built under; churn repairs patch
-    /// under the same budget.
-    table_budget: usize,
 }
 
 impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
@@ -572,266 +233,37 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// Panics if the configuration is invalid (see
     /// [`SimConfig::assert_valid`]).
     pub fn new(net: &'a SimNetwork, oracle: &'a O, config: SimConfig) -> Self {
-        Self::with_table_budget(net, oracle, config, TABLE_BUDGET)
+        config.assert_valid();
+        Self {
+            net,
+            oracle,
+            config,
+            candidates: Candidates::build(net, oracle),
+        }
     }
 
-    /// Like [`Simulation::new`] with an explicit candidate-table budget
-    /// in *bytes* of table arrays; 0 forces live oracle queries.
-    /// Exposed for benchmarking and tests — `new` picks a sensible
-    /// default.
-    pub fn with_table_budget(
+    /// A simulation over an already built candidate source — how tests
+    /// force the live-oracle path.
+    #[cfg(test)]
+    pub(crate) fn with_candidates(
         net: &'a SimNetwork,
         oracle: &'a O,
         config: SimConfig,
-        budget: usize,
+        candidates: Candidates,
     ) -> Self {
         config.assert_valid();
-        let dst_space = net
-            .dst_switch_of_terminal
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
-        let candidates = Self::build_table(net, oracle, dst_space, budget)
-            .map_or(Candidates::Live, Candidates::Table);
         Self {
             net,
             oracle,
             config,
             candidates,
-            table_budget: budget,
         }
     }
 
-    /// Builds the deduplicated candidate table, or `None` when the byte
-    /// budget is exceeded or an index would overflow `u32` — both fall
-    /// back to live oracle queries rather than wrapping silently.
-    ///
-    /// Switches are processed in fixed-size chunks: each chunk fans out
-    /// over the shared worker pool (`rfc_parallel`) and is stitched
-    /// serially *in switch order*, so the arrays are byte-identical to a
-    /// serial build at any thread count, and the budget check between
-    /// switches bounds how far an over-budget build can overshoot before
-    /// bailing.
-    fn build_table(
-        net: &SimNetwork,
-        oracle: &O,
-        dst_space: usize,
-        budget: usize,
-    ) -> Option<RleTable> {
-        /// Switches per parallel stitching round.
-        const CHUNK: usize = 4096;
-        if budget == 0 {
-            return None;
-        }
-        let dst32 = vid(dst_space);
-        let mut table = empty_table(dst_space);
-        // Global interner: row contents → id, in first-appearance order
-        // (switch-major), so the pool layout is deterministic. BTreeMap
-        // keeps it independent of any hasher state.
-        let mut interner: RowInterner = RowInterner::new();
-        let all: Vec<u32> = (0..vid(net.num_switches())).collect();
-        for chunk in all.chunks(CHUNK) {
-            let per_switch: Vec<SwitchRuns> = rfc_parallel::map(chunk.to_vec(), |switch| {
-                switch_runs(net, oracle, switch, dst32)
-            });
-            for sr in per_switch {
-                stitch_switch(&mut table, &mut interner, &sr)?;
-                if table.bytes() > budget {
-                    return None;
-                }
-            }
-        }
-        Some(table)
-    }
-
-    /// Region-scoped table repair: rebuilds only the `dirty` switches'
-    /// runs against the (already repaired) `oracle`, reuses every clean
-    /// switch's runs from `old`, and re-canonicalizes the shared row
-    /// pool in the same first-appearance order a fresh
-    /// [`Simulation::build_table`] would produce — so the result is
-    /// byte-identical to a from-scratch build over the new oracle.
-    ///
-    /// `index` must be the content → id map of `old`'s row pool (built
-    /// by [`row_index`], then carried between patches); on success it is
-    /// renumbered in place to describe the returned table.
-    ///
-    /// Returns `None` on budget/overflow exhaustion, the same live-query
-    /// fallback as the full build (`index` is left untouched — stale,
-    /// but the caller stops patching once it falls back to live).
-    pub(crate) fn patch_table(
-        net: &SimNetwork,
-        oracle: &O,
-        old: &RleTable,
-        scope: &PatchScope<'_>,
-        budget: usize,
-        index: &mut RowInterner,
-    ) -> Option<RleTable> {
-        if budget == 0 {
-            return None;
-        }
-        let dst32 = vid(old.dst_space);
-        let old_rows = old.row_off.len() - 1;
-        let old_ports =
-            |r: usize| &old.row_ports[old.row_off[r] as usize..old.row_off[r + 1] as usize];
-        // Old row id → id in the rebuilt pool, assigned lazily in the
-        // new scan's first-appearance order (`u32::MAX` = unseen; real
-        // ids stay far below it under any byte budget). Rows of clean
-        // switches renumber through this array alone — one indexed load
-        // per run — which is what makes a patch an order of magnitude
-        // cheaper than re-interning every row by content.
-        let mut old_to_new: Vec<u32> = vec![u32::MAX; old_rows];
-        // Contents the old pool has never held (dirty switches only).
-        let mut fresh: RowInterner = RowInterner::new();
-        let mut table = empty_table(old.dst_space);
-        // A single-event patch shifts sizes by at most a few rows; old's
-        // footprint is the right capacity to within a reallocation.
-        table.runs_start.reserve(old.runs_start.len() + 8);
-        table.runs_row.reserve(old.runs_row.len() + 8);
-        table.row_ports.reserve(old.row_ports.len() + 64);
-        table.row_off.reserve(old.row_off.len() + 8);
-        table.col_off.reserve(old.col_off.len());
-        // `scope.dirty` arrives sorted and deduplicated (`RepairScope`
-        // collects from a set), so one cursor tracks it in switch order.
-        // All dirty-switch work reuses one set of scratch buffers.
-        let mut scratch = SwitchRuns::empty();
-        let mut hops: Vec<u32> = Vec::new();
-        let mut resolved: Vec<u32> = Vec::new();
-        let mut global_of_local: Vec<u32> = Vec::new();
-        let mut next_dirty = 0usize;
-        for switch in 0..net.num_switches() {
-            let is_dirty =
-                next_dirty < scope.dirty.len() && scope.dirty[next_dirty] as usize == switch;
-            if is_dirty {
-                next_dirty += 1;
-                let sw32 = vid(switch);
-                if scope.full.contains(&sw32) {
-                    switch_runs_into(net, oracle, sw32, dst32, &mut scratch, &mut resolved);
-                } else {
-                    splice_runs_into(
-                        net,
-                        oracle,
-                        old,
-                        sw32,
-                        scope.dst_delta,
-                        dst32,
-                        &mut scratch,
-                        &mut hops,
-                        &mut resolved,
-                    );
-                }
-                let sr = &scratch;
-                global_of_local.clear();
-                for r in 0..sr.local_off.len() - 1 {
-                    let ports =
-                        &sr.local_ports[sr.local_off[r] as usize..sr.local_off[r + 1] as usize];
-                    // A spliced row remembers which old row it came from
-                    // (`local_old`), skipping the content lookup; a
-                    // recomputed row usually reproduces a content the
-                    // old pool already holds, and `index` lets it rejoin
-                    // that identity instead of forking a duplicate.
-                    let known = sr.local_old[r];
-                    let id = if known != u32::MAX {
-                        let slot = &mut old_to_new[known as usize];
-                        if *slot == u32::MAX {
-                            *slot = append_row(&mut table, ports)?;
-                        }
-                        *slot
-                    } else if let Some(&old_id) = index.get(ports) {
-                        let slot = &mut old_to_new[old_id as usize];
-                        if *slot == u32::MAX {
-                            *slot = append_row(&mut table, ports)?;
-                        }
-                        *slot
-                    } else if let Some(&id) = fresh.get(ports) {
-                        id
-                    } else {
-                        let id = append_row(&mut table, ports)?;
-                        fresh.insert(ports.to_vec(), id);
-                        id
-                    };
-                    global_of_local.push(id);
-                }
-                for (start, local) in sr.starts.iter().zip(&sr.rows) {
-                    table.runs_start.push(*start);
-                    table.runs_row.push(global_of_local[*local as usize]);
-                }
-            } else {
-                // Clean switch: runs are unchanged, rows keep their old
-                // content identity and renumber at first encounter. Run
-                // order *is* local first-appearance order (push_run
-                // assigns local ids that way), so the ids land exactly
-                // where a fresh `stitch_switch` would put them.
-                let lo = old.col_off[switch] as usize;
-                let hi = old.col_off[switch + 1] as usize;
-                table.runs_start.extend_from_slice(&old.runs_start[lo..hi]);
-                for k in lo..hi {
-                    let old_id = old.runs_row[k] as usize;
-                    let id = if old_to_new[old_id] == u32::MAX {
-                        let id = append_row(&mut table, old_ports(old_id))?;
-                        old_to_new[old_id] = id;
-                        id
-                    } else {
-                        old_to_new[old_id]
-                    };
-                    table.runs_row.push(id);
-                }
-            }
-            table
-                .col_off
-                .push(u32::try_from(table.runs_start.len()).ok()?);
-            if table.bytes() > budget {
-                return None;
-            }
-        }
-        // Renumber the persistent index to the rebuilt pool: dropped
-        // rows (never re-encountered) leave, survivors take their new
-        // id, and brand-new contents join. No content is re-keyed, so
-        // this is O(rows) pointer work, not O(rows) allocations.
-        index.retain(|_, id| {
-            let new_id = old_to_new[*id as usize];
-            *id = new_id;
-            new_id != u32::MAX
-        });
-        // Insert the few new contents one by one — `BTreeMap::append`
-        // would bulk-rebuild the whole tree on every patch.
-        for (ports, id) in fresh {
-            index.insert(ports, id);
-        }
-        Some(table)
-    }
-
-    /// Whether any route exists from `switch` toward `dst` — the cheap
-    /// injection-time pre-check. Takes the candidate/oracle pair
-    /// explicitly so churn runs can substitute their repaired state
-    /// (see [`crate::churn`]).
-    #[inline]
-    fn has_route_with(
-        candidates: &Candidates,
-        oracle: &O,
-        switch: u32,
-        dst: u32,
-        buf: &mut Vec<u32>,
-    ) -> bool {
-        match candidates {
-            Candidates::Table(table) => !table.row(switch, dst).is_empty(),
-            Candidates::Live => {
-                buf.clear();
-                oracle.next_hops_into(switch, dst, buf);
-                !buf.is_empty()
-            }
-        }
-    }
-
-    /// The candidate structure built at construction (shared by every
+    /// The candidate source built at construction (shared by every
     /// plain run; a churn run patches its own copy).
     pub(crate) fn candidates(&self) -> &Candidates {
         &self.candidates
-    }
-
-    /// The byte budget the candidate table was built under.
-    pub(crate) fn table_budget(&self) -> usize {
-        self.table_budget
     }
 
     /// The network this simulation runs on.
@@ -848,29 +280,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// the simulation runs on live oracle queries — the table half of
     /// the `routing_bytes_per_terminal` figure (DESIGN.md §15).
     pub fn candidate_table_bytes(&self) -> Option<usize> {
-        match &self.candidates {
-            Candidates::Table(table) => Some(table.bytes()),
-            Candidates::Live => None,
-        }
-    }
-
-    /// The raw table, for the serial-vs-parallel build tests.
-    #[cfg(test)]
-    fn table_parts(&self) -> Option<&RleTable> {
-        match &self.candidates {
-            Candidates::Table(table) => Some(table),
-            Candidates::Live => None,
-        }
-    }
-
-    /// Expanded table row for one `(switch, dst)` pair, for equivalence
-    /// tests against the dense per-destination oracle answers.
-    #[cfg(test)]
-    fn table_row(&self, switch: u32, dst: u32) -> Option<&[u32]> {
-        match &self.candidates {
-            Candidates::Table(table) => Some(table.row(switch, dst)),
-            Candidates::Live => None,
-        }
+        self.candidates.table().map(RleTable::bytes)
     }
 
     /// The configuration in use.
@@ -1129,7 +539,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             req_head,
             req_count,
             touched,
-            hop_buf,
+            row_bufs,
             slot_switch,
             slot_gid,
             slot_vc,
@@ -1236,13 +646,9 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                             dst_switch
                         };
                         if src_switch != first_target
-                            && !Self::has_route_with(
-                                candidates,
-                                oracle,
-                                src_switch,
-                                first_target,
-                                hop_buf,
-                            )
+                            && candidates
+                                .row(net, oracle, src_switch, first_target, row_bufs)
+                                .is_empty()
                         {
                             if in_window {
                                 *unroutable += 1;
@@ -1251,9 +657,9 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         }
                         if via_switch != NO_VIA
                             && via_switch != dst_switch
-                            && !Self::has_route_with(
-                                candidates, oracle, via_switch, dst_switch, hop_buf,
-                            )
+                            && candidates
+                                .row(net, oracle, via_switch, dst_switch, row_bufs)
+                                .is_empty()
                         {
                             if in_window {
                                 *unroutable += 1;
@@ -1363,86 +769,29 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 // One draw serves both decisions: low half picks the
                 // candidate, high half starts the target-VC rotation.
                 let h = draw(ctx.streams.dec, now, u64::from(gid));
-                let out = match candidates {
-                    Candidates::Table(table) => {
-                        let ports = table.row(switch, routing_target);
-                        if ports.is_empty() {
-                            // Statically faulted networks never strand a
-                            // packet mid-route (injection pre-checks),
-                            // but stay safe: stall it.
-                            i += 1;
-                            continue;
-                        }
-                        let k = pick_candidate(
-                            cfg.request_mode,
-                            h,
-                            ports.len(),
-                            switch,
-                            routing_target,
-                        );
-                        let out = ports[k];
-                        if busy_until[out as usize] > now {
-                            let mut wake = u64::MAX;
-                            for &cand in ports {
-                                wake = wake.min(busy_until[cand as usize]);
-                            }
-                            if wake > now {
-                                park_until!(wake);
-                            }
-                            // A free sibling exists: retry the uniform
-                            // pick next cycle.
-                            i += 1;
-                            continue;
-                        }
-                        out
+                let ports = candidates.row(net, oracle, switch, routing_target, row_bufs);
+                if ports.is_empty() {
+                    // Statically faulted networks never strand a packet
+                    // mid-route (injection pre-checks), but stay safe:
+                    // stall it.
+                    i += 1;
+                    continue;
+                }
+                let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, routing_target);
+                let out = ports[k];
+                if busy_until[out as usize] > now {
+                    let mut wake = u64::MAX;
+                    for &cand in ports {
+                        wake = wake.min(busy_until[cand as usize]);
                     }
-                    Candidates::Live => {
-                        hop_buf.clear();
-                        oracle.next_hops_into(switch, routing_target, hop_buf);
-                        if hop_buf.is_empty() {
-                            i += 1;
-                            continue;
-                        }
-                        let k = pick_candidate(
-                            cfg.request_mode,
-                            h,
-                            hop_buf.len(),
-                            switch,
-                            routing_target,
-                        );
-                        let hop = hop_buf[k];
-                        // An oracle handing back a non-neighbor (or an
-                        // ejection port) is a routing bug; stall the
-                        // packet instead of panicking mid-run.
-                        let Some(out) = net.out_port_to(switch, hop) else {
-                            debug_assert!(false, "oracle returned non-neighbor {hop}");
-                            i += 1;
-                            continue;
-                        };
-                        if !matches!(out_target[out as usize], OutTarget::Link { .. }) {
-                            debug_assert!(false, "next-hop port {out} is not a link");
-                            i += 1;
-                            continue;
-                        }
-                        if busy_until[out as usize] > now {
-                            // Mirror the table path exactly (the
-                            // cached-vs-live agreement contract): park
-                            // only when every candidate is busy.
-                            let mut wake = u64::MAX;
-                            for &cand in hop_buf.iter() {
-                                if let Some(oc) = net.out_port_to(switch, cand) {
-                                    wake = wake.min(busy_until[oc as usize]);
-                                }
-                            }
-                            if wake > now {
-                                park_until!(wake);
-                            }
-                            i += 1;
-                            continue;
-                        }
-                        out
+                    if wake > now {
+                        park_until!(wake);
                     }
-                };
+                    // A free sibling exists: retry the uniform pick next
+                    // cycle.
+                    i += 1;
+                    continue;
+                }
                 let o = local_of_out[out as usize] as usize;
                 // Random target VC among those with a free slot (read
                 // from this shard's credit mirror of the downstream
@@ -1625,6 +974,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::RowBufs;
     use rfc_routing::UpDownRouting;
     use rfc_topology::FoldedClos;
 
@@ -1853,7 +1203,9 @@ mod tests {
         let clos = FoldedClos::cft(6, 3).unwrap();
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);
-        let sim = Simulation::with_table_budget(&net, &routing, SimConfig::quick(), 0);
+        let live = Candidates::build_within(&net, &routing, 0);
+        let sim = Simulation::with_candidates(&net, &routing, SimConfig::quick(), live);
+        assert_eq!(sim.candidate_table_bytes(), None);
         let base =
             sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 37, 1, &mut RunScratch::new());
         assert!(base.delivered_packets > 0);
@@ -2072,8 +1424,11 @@ mod tests {
         rfc_parallel::set_threads(Some(8));
         let parallel = Simulation::new(&net, &routing, cfg);
         rfc_parallel::set_threads(None);
-        let s = serial.table_parts().expect("table fits the budget");
-        let p = parallel.table_parts().expect("table fits the budget");
+        let s = serial.candidates().table().expect("table fits the budget");
+        let p = parallel
+            .candidates()
+            .table()
+            .expect("table fits the budget");
         assert_eq!(s, p, "parallel build diverged from serial");
         assert!(!s.row_ports.is_empty(), "table must hold resolved ports");
     }
@@ -2094,9 +1449,10 @@ mod tests {
             let routing = UpDownRouting::new(clos);
             let net = SimNetwork::from_folded_clos(clos);
             let sim = Simulation::new(&net, &routing, SimConfig::quick());
-            let table = sim.table_parts().expect("table fits the budget");
+            let table = sim.candidates().table().expect("table fits the budget");
             let dst_space = table.dst_space;
             let mut hops = Vec::new();
+            let mut bufs = RowBufs::default();
             for switch in 0..vid(net.num_switches()) {
                 for dst in 0..vid(dst_space) {
                     hops.clear();
@@ -2106,7 +1462,7 @@ mod tests {
                         .map(|&h| net.out_port_to(switch, h).unwrap())
                         .collect();
                     assert_eq!(
-                        sim.table_row(switch, dst).unwrap(),
+                        sim.candidates().row(&net, &routing, switch, dst, &mut bufs),
                         &dense[..],
                         "switch {switch} dst {dst}"
                     );
@@ -2116,26 +1472,6 @@ mod tests {
             // (switch, dst) pairs.
             assert!(table.row_off.len() - 1 < net.num_switches() * dst_space);
         }
-    }
-
-    #[test]
-    fn tiny_byte_budget_falls_back_to_live_with_identical_results() {
-        // The budget is now in bytes; a budget too small for even the
-        // per-switch offsets must abort the build cleanly (this is also
-        // the guard path for u32 offset overflow — both return None from
-        // build_table) and produce byte-identical results via the oracle.
-        let clos = FoldedClos::cft(6, 3).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let cfg = SimConfig::quick();
-        let tiny = Simulation::with_table_budget(&net, &routing, cfg, 64);
-        assert_eq!(tiny.candidate_table_bytes(), None, "64 bytes cannot fit");
-        let full = Simulation::new(&net, &routing, cfg);
-        assert!(full.candidate_table_bytes().is_some());
-        assert_eq!(
-            tiny.run(TrafficPattern::Uniform, 0.5, 7),
-            full.run(TrafficPattern::Uniform, 0.5, 7),
-        );
     }
 
     #[test]
@@ -2149,7 +1485,8 @@ mod tests {
         let net = SimNetwork::from_folded_clos(&clos);
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
         let bytes = sim.candidate_table_bytes().unwrap();
-        let dense_offsets = (net.num_switches() * sim.table_parts().unwrap().dst_space + 1) * 4;
+        let dense_offsets =
+            (net.num_switches() * sim.candidates().table().unwrap().dst_space + 1) * 4;
         assert!(
             bytes < dense_offsets / 2,
             "{bytes} bytes should undercut {dense_offsets} bytes of dense offsets"
@@ -2285,19 +1622,23 @@ mod tests {
 
     #[test]
     fn candidate_table_and_live_oracle_agree_exactly() {
-        // The materialized table must be a pure cache: identical results
-        // to live oracle queries for the same seeds.
+        // The materialized table must be a pure cache. A build whose
+        // byte budget cannot hold the table aborts mid-construction (the
+        // same path a u32 offset overflow takes) and queries the oracle
+        // live, with results identical for the same seeds.
         let clos = FoldedClos::cft(6, 3).unwrap();
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);
         let cfg = SimConfig::quick();
         let cached = Simulation::new(&net, &routing, cfg);
-        assert!(
-            cached.candidate_table_bytes().is_some(),
-            "the deduped table must materialize"
-        );
-        let live = Simulation::with_table_budget(&net, &routing, cfg, 0);
-        assert_eq!(live.candidate_table_bytes(), None);
+        let bytes = cached
+            .candidate_table_bytes()
+            .expect("the deduped table must materialize");
+        let budget = 64;
+        assert!(bytes > budget, "the budget must bind");
+        let live = Candidates::build_within(&net, &routing, budget);
+        let live = Simulation::with_candidates(&net, &routing, cfg, live);
+        assert_eq!(live.candidate_table_bytes(), None, "64 bytes cannot fit");
         for (pattern, load) in [
             (TrafficPattern::Uniform, 0.4),
             (TrafficPattern::RandomPairing, 0.8),

@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod candidates;
 pub mod churn;
 mod config;
 mod engine;

@@ -20,6 +20,7 @@ use rand::SeedableRng;
 use rfc_graph::vid;
 use std::sync::Mutex;
 
+use crate::candidates::RowBufs;
 use crate::engine::{Packet, EVENT_WHEEL};
 use crate::network::SimNetwork;
 use crate::SimConfig;
@@ -428,7 +429,9 @@ pub(crate) struct ShardState {
     /// Requests per local output port this cycle.
     pub req_count: Vec<u32>,
     pub touched: Vec<u32>,
-    pub hop_buf: Vec<u32>,
+    /// Scratch for live candidate rows
+    /// ([`crate::candidates::Candidates::row`]).
+    pub row_bufs: RowBufs,
     /// Slot → owning switch (global id).
     pub slot_switch: Vec<u32>,
     /// Slot → global slot id (`global_in_port · v + vc`), the stateless
@@ -496,7 +499,6 @@ impl ShardState {
         self.req_count.clear();
         self.req_count.resize(n_out, 0);
         self.touched.clear();
-        self.hop_buf.clear();
         self.slot_switch.clear();
         self.slot_switch.reserve(slots);
         self.slot_gid.clear();

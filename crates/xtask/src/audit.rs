@@ -1,8 +1,8 @@
 //! The `cargo xtask audit` driver: workspace-level passes that the
 //! line-local lint cannot express.
 //!
-//! Three passes (DESIGN.md §12), sharing the scanner, walker, and
-//! ratchet infrastructure with `cargo xtask lint`:
+//! Two passes (DESIGN.md §12), sharing the walker and ratchet
+//! infrastructure with `cargo xtask lint`:
 //!
 //! 1. **Layering** ([`crate::layers`]) — the inter-crate dependency
 //!    DAG must match the committed `xtask-layers.toml`; upward or
@@ -10,12 +10,10 @@
 //! 2. **Numeric-cast ratchet** ([`crate::casts`]) — per-crate
 //!    potentially-lossy `as` cast counts may only decrease relative to
 //!    the `lossy-cast` keys in `xtask-ratchet.toml`.
-//! 3. **Unsafe soundness** — every `unsafe` token in non-test code
-//!    outside `crates/compat` must carry a `// SAFETY:` justification
-//!    on the same line or the comment block directly above. This is a
-//!    hard rule with no ratchet and no allow directive: the workspace
-//!    builds with `unsafe_code = "forbid"`, so any future opt-out must
-//!    justify every site from day one.
+//!
+//! No pass looks for `unsafe`: every crate root carries
+//! `#![forbid(unsafe_code)]` and inherits the workspace lints, both
+//! enforced by the lint-gate rule, so the compiler rejects it first.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,8 +22,7 @@ use std::path::Path;
 use crate::casts::{analyze_casts, CastCounts, LossySite};
 use crate::layers::{self, LayerCrate, LAYERS_FILE};
 use crate::ratchet;
-use crate::rules::{Violation, RULE_LAYERING, RULE_UNSAFE_SOUNDNESS};
-use crate::scan::{scan, ScannedLine};
+use crate::rules::{Violation, RULE_LAYERING};
 use crate::workspace::{discover, rust_files, RATCHET_FILE};
 
 /// Everything `cargo xtask audit` found.
@@ -49,7 +46,7 @@ impl AuditReport {
     }
 }
 
-/// Runs the three audit passes over the workspace at `root`.
+/// Runs the two audit passes over the workspace at `root`.
 pub fn run_audit(root: &Path) -> Result<AuditReport, String> {
     let mut report = AuditReport::default();
     let crates = discover(root)?;
@@ -102,9 +99,8 @@ pub fn run_audit(root: &Path) -> Result<AuditReport, String> {
         )),
     }
 
-    // Passes 2 and 3: per-file cast tallies and unsafe soundness.
+    // Pass 2: per-file cast tallies.
     for krate in &crates {
-        let compat = krate.name.starts_with("compat-");
         let mut crate_casts = CastCounts::default();
         for (path, test_file) in rust_files(krate)? {
             let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -113,11 +109,6 @@ pub fn run_audit(root: &Path) -> Result<AuditReport, String> {
             crate_casts.add(analysis.counts);
             for site in analysis.lossy_sites {
                 report.lossy_sites.push((display.clone(), site));
-            }
-            if !compat && !test_file {
-                for v in unsafe_violations(&scan(&src)) {
-                    report.violations.push((display.clone(), v));
-                }
             }
         }
         report.cast_counts.insert(krate.name.clone(), crate_casts);
@@ -159,138 +150,9 @@ pub fn run_audit(root: &Path) -> Result<AuditReport, String> {
     Ok(report)
 }
 
-/// The unsafe-soundness pass over one scanned file: every non-test
-/// line carrying an `unsafe` token needs a `SAFETY:` comment on the
-/// same line or in the contiguous comment block directly above.
-pub fn unsafe_violations(lines: &[ScannedLine]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test || !has_unsafe_token(&line.code) {
-            continue;
-        }
-        if !has_safety_comment(lines, idx) {
-            out.push(Violation {
-                rule: RULE_UNSAFE_SOUNDNESS.to_string(),
-                line: idx + 1,
-                message: "`unsafe` without a `// SAFETY:` comment on the preceding line; \
-                          state the invariant that makes this sound"
-                    .to_string(),
-            });
-        }
-    }
-    out
-}
-
-/// Whether the stripped code text contains `unsafe` as a standalone
-/// keyword (so `unsafe_code` in attributes never matches).
-fn has_unsafe_token(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = code[from..].find("unsafe") {
-        let start = from + at;
-        let end = start + "unsafe".len();
-        let pre_ok = code[..start]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-        let post_ok = code[end..]
-            .chars()
-            .next()
-            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-        if pre_ok && post_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-/// Whether line `idx` carries a `SAFETY:` justification: on the line
-/// itself (trailing comment) or anywhere in the contiguous block of
-/// comment-only lines directly above.
-fn has_safety_comment(lines: &[ScannedLine], idx: usize) -> bool {
-    if lines[idx].raw.contains("SAFETY:") {
-        return true;
-    }
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let above = lines[j].raw.trim();
-        if above.starts_with("//") {
-            if above.contains("SAFETY:") {
-                return true;
-            }
-        } else {
-            break;
-        }
-    }
-    false
-}
-
 fn rel_display(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .display()
         .to_string()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn violations(src: &str) -> Vec<Violation> {
-        unsafe_violations(&scan(src))
-    }
-
-    #[test]
-    fn unannotated_unsafe_is_flagged_with_its_line() {
-        let src = "fn f() {\n    let p = unsafe { *ptr };\n}";
-        let v = violations(src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-        assert_eq!(v[0].rule, RULE_UNSAFE_SOUNDNESS);
-    }
-
-    #[test]
-    fn safety_comment_above_or_trailing_satisfies_the_rule() {
-        for good in [
-            "// SAFETY: ptr is valid for the slice's lifetime\nlet p = unsafe { *ptr };",
-            "let p = unsafe { *ptr }; // SAFETY: checked above",
-            "// The block below needs care.\n// SAFETY: bounds checked at construction\n// (see new())\nlet p = unsafe { *ptr };",
-        ] {
-            assert!(violations(good).is_empty(), "{good}");
-        }
-    }
-
-    #[test]
-    fn a_gap_between_comment_and_unsafe_breaks_coverage() {
-        let src = "// SAFETY: stale justification\nlet x = 1;\nlet p = unsafe { *ptr };";
-        assert_eq!(violations(src).len(), 1);
-    }
-
-    #[test]
-    fn unsafe_fn_and_impl_are_covered() {
-        assert_eq!(violations("unsafe fn raw() {}").len(), 1);
-        assert_eq!(violations("unsafe impl Send for X {}").len(), 1);
-        assert!(
-            violations("// SAFETY: X owns no thread-local state\nunsafe impl Send for X {}")
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn attribute_and_string_mentions_do_not_fire() {
-        for benign in [
-            "#![forbid(unsafe_code)]",
-            "let s = \"unsafe\";",
-            "// unsafe discussed in a comment",
-        ] {
-            assert!(violations(benign).is_empty(), "{benign}");
-        }
-    }
-
-    #[test]
-    fn test_code_is_exempt() {
-        let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() { unsafe { x() } }\n}";
-        assert!(violations(src).is_empty());
-    }
 }

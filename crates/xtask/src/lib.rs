@@ -17,8 +17,8 @@
 //!   `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]` header and
 //!   inherits `[workspace.lints]`.
 //!
-//! `cargo xtask audit` adds three workspace-level passes on the same
-//! scanner (DESIGN.md §12):
+//! `cargo xtask audit` adds two workspace-level passes on the same
+//! walker (DESIGN.md §12):
 //!
 //! * **Layering** ([`layers`]) — the inter-crate dependency DAG must
 //!   match the committed `xtask-layers.toml`; upward edges and
@@ -26,8 +26,9 @@
 //! * **Numeric-cast ratchet** ([`casts`]) — per-crate potentially-lossy
 //!   `as` cast counts may only decrease (`lossy-cast` keys in
 //!   `xtask-ratchet.toml`).
-//! * **Unsafe soundness** ([`audit`]) — every `unsafe` outside
-//!   `crates/compat` must carry a `// SAFETY:` justification.
+//!
+//! No pass scans for `unsafe`: the lint gates make the compiler reject
+//! it in every crate.
 //!
 //! `cargo xtask conc` adds the concurrency-soundness passes over the
 //! sharded execution substrate (DESIGN.md §14; all three commands run

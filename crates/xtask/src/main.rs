@@ -14,9 +14,8 @@ Usage: cargo xtask <command>
 Commands:
   lint                   run the determinism, ratchet, and lint-gate checks
   lint --all             run lint plus the audit passes (layering,
-                         cast ratchet, unsafe soundness) and the conc
-                         passes (atomic orderings, lockstep regions,
-                         sync ratchet)
+                         cast ratchet) and the conc passes (atomic
+                         orderings, lockstep regions, sync ratchet)
   audit                  run only the audit passes
   conc                   run only the concurrency-soundness passes
   counts                 print the per-crate panic-surface table

@@ -26,9 +26,6 @@ pub const RULE_THIN_BENCH_BIN: &str = "thin-bench-bin";
 /// Rule name for potentially-lossy numeric `as` casts (`cargo xtask
 /// audit`; ratcheted per crate, see [`crate::casts`]).
 pub const RULE_LOSSY_CAST: &str = "lossy-cast";
-/// Rule name for `unsafe` without a `// SAFETY:` justification
-/// (`cargo xtask audit`; hard rule outside `crates/compat`).
-pub const RULE_UNSAFE_SOUNDNESS: &str = "unsafe-soundness";
 /// Rule name for inter-crate dependency edges that violate the layer
 /// graph committed in `xtask-layers.toml` (`cargo xtask audit`).
 pub const RULE_LAYERING: &str = "layering";

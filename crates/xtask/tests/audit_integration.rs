@@ -6,8 +6,8 @@
 //! workspace (`tests/fixtures/upward-edge/`) seeded with one layering
 //! violation must fail with a `path: dependency` diagnostic, and
 //! mutations of a copy of that fixture must trip the other audit
-//! passes (undeclared crates, unsafe soundness, the lossy-cast
-//! ratchet) with path:line diagnostics.
+//! passes (undeclared crates, the lossy-cast ratchet) with path:line
+//! diagnostics.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -144,37 +144,6 @@ fn a_crate_missing_from_the_layer_map_fails_closed() {
             .iter()
             .any(|(_, v)| v.message.contains("`sim`") && v.message.contains("not declared")),
         "undeclared crates must fail closed: {:#?}",
-        report.violations
-    );
-}
-
-#[test]
-fn unannotated_unsafe_fails_with_its_line() {
-    let root = fixture_copy("unsafe");
-    let lib = root.join("crates/sim/src/lib.rs");
-    fs::write(
-        &lib,
-        "//! Fixture crate.\nstruct X;\nunsafe impl Send for X {}\n",
-    )
-    .expect("fixture write");
-    let report = run_audit(&root).expect("fixture audit must run");
-    let hits = of_rule(&report, "unsafe-soundness");
-    assert_eq!(hits.len(), 1, "{:#?}", report.violations);
-    let (path, v) = hits[0];
-    assert_eq!(path.as_str(), "crates/sim/src/lib.rs");
-    assert_eq!(v.line, 3);
-    assert!(v.message.contains("SAFETY:"), "{}", v.message);
-
-    // A SAFETY justification on the preceding line satisfies the rule.
-    fs::write(
-        &lib,
-        "//! Fixture crate.\nstruct X;\n// SAFETY: X holds no data at all\nunsafe impl Send for X {}\n",
-    )
-    .expect("fixture write");
-    let report = run_audit(&root).expect("fixture audit must run");
-    assert!(
-        of_rule(&report, "unsafe-soundness").is_empty(),
-        "{:#?}",
         report.violations
     );
 }
