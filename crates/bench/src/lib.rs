@@ -1,137 +1,10 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! The engine performance baseline behind `BENCH_sim.json`.
 //!
-//! Every binary under `src/bin/` is a thin shim over the experiment
-//! registry ([`rfc_net::experiments::registry`]): it names one
-//! experiment and [`run_registry`] resolves it, runs it with the
-//! environment-configured scale/seed/trials, prints the report tables
-//! and mirrors CSVs under `target/experiments/`. The registry is also
-//! what `rfcgen repro` drives, so both paths produce identical rows.
-//!
-//! Environment knobs shared by all binaries:
-//!
-//! * `RFC_SCALE` = `small` | `medium` (default) | `paper` — experiment
-//!   scale (see [`rfc_net::scenarios::Scale`]). Paper scale makes the
-//!   simulation figures take hours; structural figures are fine.
-//! * `RFC_SEED` — RNG seed (default 2017, the paper's year).
-//! * `RFC_TRIALS` — trial count for the Monte-Carlo experiments
-//!   (Table 3, Figure 11; default depends on the binary).
-//! * `RFC_THREADS` — worker threads for the parallel sweep/trial stages
-//!   (default: all cores; see [`rfc_net::parallel`]). Results are
-//!   identical at any thread count.
-//! * `RFC_SHARDS` — shards per simulation run: each run's switches are
-//!   partitioned across this many lockstep workers (default: 1; see
-//!   [`rfc_net::parallel::current_shards`]). Results are byte-identical
-//!   at any shard count. Threads parallelize *across* runs, shards
-//!   *within* one — for a sweep of many runs prefer threads; for one
-//!   big run, shards.
+//! This crate holds one binary, `engine_baseline` (see its module docs
+//! for usage): the CI determinism and throughput gate, whose per-scale
+//! routing footprint feeds the routing-bytes ratchet. Paper experiments
+//! run through `rfcgen repro --only <name>`; per-layer timings come from
+//! the `rfcbench` benchmark at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-pub use rfc_net::scenarios::Scale;
-
-/// The seed used by every driver unless `RFC_SEED` overrides it.
-pub const DEFAULT_SEED: u64 = 2017;
-
-/// Reads the shared seed knob.
-pub fn seed() -> u64 {
-    std::env::var("RFC_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
-
-/// A seeded RNG for a driver.
-pub fn rng() -> StdRng {
-    StdRng::seed_from_u64(seed())
-}
-
-/// Reads the trial-count knob with a per-binary default.
-pub fn trials(default: usize) -> usize {
-    std::env::var("RFC_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Reads the scale knob.
-pub fn scale() -> Scale {
-    Scale::from_env()
-}
-
-/// Simulation cycle counts per scale (see
-/// [`rfc_net::experiments::runner::sim_for_scale`], shared with
-/// `rfcgen repro`).
-pub fn sim_config() -> rfc_net::sim::SimConfig {
-    rfc_net::experiments::runner::sim_for_scale(scale())
-}
-
-/// Runs one registered experiment with the environment-configured
-/// scale, seed and trials, printing every report and mirroring CSVs
-/// under `target/experiments/` (the legacy bench-binary behavior).
-///
-/// Errors are reported on stderr and turn into a non-zero exit status
-/// instead of a panic, so a failing driver produces a diagnosable
-/// message rather than a backtrace.
-pub fn run_registry(name: &str) {
-    use rfc_net::experiments::{registry, ExperimentContext};
-
-    let Some(exp) = registry::find(name) else {
-        eprintln!("error: experiment `{name}` is not registered");
-        std::process::exit(2);
-    };
-    let mut ctx = ExperimentContext::new(scale(), seed(), sim_config());
-    ctx.set_trials(
-        std::env::var("RFC_TRIALS")
-            .ok()
-            .and_then(|s| s.parse().ok()),
-    );
-    match timed(name, || exp.run(&mut ctx)) {
-        Ok(reports) => {
-            for rep in &reports {
-                rep.emit();
-            }
-        }
-        Err(e) => {
-            eprintln!("error: experiment `{name}` failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs `f` (typically one figure's sweep) and prints its wall-clock
-/// time and thread count to stderr, keeping stdout clean for the report
-/// rows.
-pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    // Wall-clock is the point of this helper (stderr progress only);
-    // results never depend on it.
-    #[allow(clippy::disallowed_methods)]
-    let start = std::time::Instant::now();
-    let value = f();
-    eprintln!(
-        "# {label}: {:.2}s wall-clock on {} thread(s)",
-        start.elapsed().as_secs_f64(),
-        rfc_net::parallel::current_threads()
-    );
-    value
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn knobs_have_defaults() {
-        assert_eq!(trials(42), 42);
-        assert!(seed() > 0);
-        let _ = sim_config();
-    }
-
-    #[test]
-    fn timed_returns_the_closure_value() {
-        assert_eq!(timed("test", || 7), 7);
-    }
-}

@@ -11,24 +11,15 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Parses `--key value` pairs; rejects positional arguments and
-    /// dangling flags.
+    /// Parses `--key value` pairs for a command that accepts the flags
+    /// in `known`; flags named in `switches` take no value (`--force`),
+    /// are recorded as `"true"` and read back with [`Parsed::switch`].
     ///
     /// # Errors
     ///
-    /// [`CliError::Usage`] on malformed input.
-    pub fn parse(argv: &[String]) -> Result<Self, CliError> {
-        Self::parse_with_switches(argv, &[])
-    }
-
-    /// Like [`Parsed::parse`], but flags named in `switches` take no
-    /// value (`--force`); they are recorded as `"true"` and read back
-    /// with [`Parsed::switch`].
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::Usage`] on malformed input.
-    pub fn parse_with_switches(argv: &[String], switches: &[&str]) -> Result<Self, CliError> {
+    /// [`CliError::Usage`] on positional arguments, dangling flags, and
+    /// flags that are neither in `known` nor in `switches`.
+    pub fn parse(argv: &[String], known: &[&str], switches: &[&str]) -> Result<Self, CliError> {
         let mut flags = BTreeMap::new();
         let mut it = argv.iter();
         while let Some(token) = it.next() {
@@ -41,6 +32,11 @@ impl Parsed {
                 flags.insert(key.to_string(), "true".to_string());
                 continue;
             }
+            if !known.contains(&key) {
+                return Err(CliError::Usage(format!(
+                    "unknown flag --{key} (see `rfcgen help`)"
+                )));
+            }
             let Some(value) = it.next() else {
                 return Err(CliError::Usage(format!(
                     "flag --{key} is missing its value"
@@ -51,8 +47,7 @@ impl Parsed {
         Ok(Self { flags })
     }
 
-    /// True when a switch flag (see [`Parsed::parse_with_switches`]) was
-    /// present.
+    /// True when a switch flag (see [`Parsed::parse`]) was present.
     pub fn switch(&self, key: &str) -> bool {
         self.flags.get(key).is_some_and(|v| v == "true")
     }
@@ -104,8 +99,12 @@ impl Parsed {
 mod tests {
     use super::*;
 
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|s| s.to_string()).collect()
+    }
+
     fn parse(tokens: &[&str]) -> Result<Parsed, CliError> {
-        Parsed::parse(&tokens.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        Parsed::parse(&argv(tokens), &["radix", "kind", "seed"], &[])
     }
 
     #[test]
@@ -118,24 +117,25 @@ mod tests {
     }
 
     #[test]
-    fn rejects_positionals_and_dangling_flags() {
+    fn rejects_positionals_dangling_and_unknown_flags() {
         assert!(parse(&["stray"]).is_err());
         assert!(parse(&["--radix"]).is_err());
+        let Err(CliError::Usage(msg)) = parse(&["--topology", "cft"]) else {
+            panic!("an unknown flag must be a usage error");
+        };
+        assert!(msg.contains("--topology"), "{msg}");
     }
 
     #[test]
     fn switch_flags_take_no_value() {
-        let argv: Vec<String> = ["--force", "--only", "fig8,costs", "--list"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let p = Parsed::parse_with_switches(&argv, &["force", "list"]).unwrap();
+        let tokens = argv(&["--force", "--only", "fig8,costs", "--list"]);
+        let p = Parsed::parse(&tokens, &["only"], &["force", "list"]).unwrap();
         assert!(p.switch("force"));
         assert!(p.switch("list"));
         assert!(!p.switch("missing"));
         assert_eq!(p.str("only", ""), "fig8,costs");
         // Without the switch declaration, `--force` would swallow `--only`.
-        assert!(Parsed::parse_with_switches(&argv, &["list"]).is_err());
+        assert!(Parsed::parse(&tokens, &["only", "force"], &["list"]).is_err());
     }
 
     #[test]

@@ -15,6 +15,66 @@ use rfc_net::UpDownRouting;
 use crate::args::Parsed;
 use crate::{io_err, CliError};
 
+/// Flags read by [`build`].
+const TOPOLOGY_FLAGS: &[&str] = &[
+    "kind", "radix", "leaves", "levels", "order", "arity", "switches", "degree", "hosts", "seed",
+];
+
+/// Flags read by [`sim_config`].
+const SIM_FLAGS: &[&str] = &["cycles", "warmup", "router-latency", "valiant"];
+
+/// A subcommand's entry point.
+pub(crate) type Handler = fn(&Parsed, &mut dyn Write) -> Result<(), CliError>;
+
+/// A subcommand's handler and the flags it accepts besides the common
+/// `--threads`/`--shards`.
+pub(crate) struct Command {
+    /// Runs the command.
+    pub run: Handler,
+    /// Groups of `--key value` flags the command reads.
+    pub flags: &'static [&'static [&'static str]],
+    /// Valueless switch flags.
+    pub switches: &'static [&'static str],
+}
+
+/// The subcommand called `name`, if there is one.
+pub(crate) fn lookup(name: &str) -> Option<Command> {
+    let (run, flags, switches): (Handler, &[&[&str]], &[&str]) = match name {
+        "generate" => (generate, &[TOPOLOGY_FLAGS, &["format"]], &[]),
+        "analyze" => (analyze, &[TOPOLOGY_FLAGS], &[]),
+        "simulate" => (
+            simulate,
+            &[TOPOLOGY_FLAGS, SIM_FLAGS, &["traffic", "load"]],
+            &[],
+        ),
+        "sweep" => (
+            sweep,
+            &[TOPOLOGY_FLAGS, SIM_FLAGS, &["traffic", "loads"]],
+            &[],
+        ),
+        "expand" => (expand, &[TOPOLOGY_FLAGS, &["steps"]], &[]),
+        "threshold" => (threshold, &[&["radix", "levels"]], &[]),
+        "repro" => (
+            repro,
+            &[&[
+                "only", "scale", "seed", "trials", "cycles", "warmup", "out-dir",
+            ]],
+            &["list", "force"],
+        ),
+        "help" | "--help" | "-h" => (help, &[], &[]),
+        _ => return None,
+    };
+    Some(Command {
+        run,
+        flags,
+        switches,
+    })
+}
+
+fn help(_: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(out, "{}", crate::USAGE.trim()).map_err(io_err)
+}
+
 /// The topology a command operates on: an indirect folded Clos or the
 /// direct RRN.
 pub enum BuiltNetwork {
@@ -247,6 +307,35 @@ fn parse_traffic(name: &str) -> Result<TrafficPattern, CliError> {
     }
 }
 
+/// Applies `--cycles`, `--warmup`, `--router-latency` and `--valiant`
+/// on top of `base`, the one parser for the simulator flags of
+/// `simulate`, `sweep` and `repro` (which accepts only the first two).
+///
+/// # Errors
+///
+/// [`CliError::Usage`] on an unparsable number, a `--valiant` other
+/// than `on|off`, or a configuration [`SimConfig::validate`] rejects.
+pub(crate) fn sim_config(parsed: &Parsed, base: SimConfig) -> Result<SimConfig, CliError> {
+    let mut config = base;
+    config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
+    config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
+    config.router_latency = parsed.num("router-latency", config.router_latency)?;
+    config.valiant_routing = match parsed.opt_str("valiant") {
+        None => config.valiant_routing,
+        Some("on") => true,
+        Some("off") => false,
+        Some(other) => {
+            return Err(CliError::Usage(format!(
+                "--valiant: expected on|off, got `{other}`"
+            )))
+        }
+    };
+    config
+        .validate()
+        .map_err(|e| CliError::Usage(format!("invalid simulator flags: {e}")))?;
+    Ok(config)
+}
+
 /// `rfcgen simulate`: one simulator run on the topology.
 ///
 /// # Errors
@@ -256,11 +345,7 @@ pub fn simulate(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let pattern = parse_traffic(&parsed.str("traffic", "uniform"))?;
     let load: f64 = parsed.num("load", 0.5)?;
     let seed: u64 = parsed.num("seed", 2017)?;
-    let mut config = SimConfig::paper_defaults();
-    config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
-    config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
-    config.router_latency = parsed.num("router-latency", config.router_latency)?;
-    config.valiant_routing = parsed.str("valiant", "off") == "on";
+    let config = sim_config(parsed, SimConfig::paper_defaults())?;
 
     let clos = require_clos(build(parsed)?, "simulate")?;
     let routing = UpDownRouting::new(&clos);
@@ -321,11 +406,7 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         ));
     }
     let seed: u64 = parsed.num("seed", 2017)?;
-    let mut config = SimConfig::paper_defaults();
-    config.measure_cycles = parsed.num("cycles", config.measure_cycles)?;
-    config.warmup_cycles = parsed.num("warmup", config.warmup_cycles)?;
-    config.router_latency = parsed.num("router-latency", config.router_latency)?;
-    config.valiant_routing = parsed.str("valiant", "off") == "on";
+    let config = sim_config(parsed, SimConfig::paper_defaults())?;
 
     let clos = require_clos(build(parsed)?, "sweep")?;
     let routing = UpDownRouting::new(&clos);
@@ -489,27 +570,18 @@ pub fn repro(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let scale = match parsed.opt_str("scale") {
-        None => Scale::from_env(),
-        Some("small") => Scale::Small,
-        Some("medium") => Scale::Medium,
-        Some("paper") => Scale::Paper,
-        Some(other) => {
+    let scale = match parsed.str("scale", "medium").as_str() {
+        "small" => Scale::Small,
+        "medium" => Scale::Medium,
+        "paper" => Scale::Paper,
+        other => {
             return Err(CliError::Usage(format!(
                 "--scale: expected small|medium|paper, got `{other}`"
             )))
         }
     };
-    let seed: u64 = match parsed.opt_num("seed")? {
-        Some(s) => s,
-        None => std::env::var("RFC_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2017),
-    };
-    let mut sim = runner::sim_for_scale(scale);
-    sim.measure_cycles = parsed.num("cycles", sim.measure_cycles)?;
-    sim.warmup_cycles = parsed.num("warmup", sim.warmup_cycles)?;
+    let seed: u64 = parsed.num("seed", 2017)?;
+    let sim = sim_config(parsed, runner::sim_for_scale(scale))?;
 
     let mut opts = RunOptions::new(scale, seed, sim);
     opts.trials = parsed.opt_num("trials")?;
@@ -524,7 +596,7 @@ pub fn repro(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         opts.root = dir.into();
     }
 
-    let summary = runner::run(&opts).map_err(|e| CliError::Operation(e.to_string()))?;
+    let summary = runner::run(&opts, out).map_err(|e| CliError::Operation(e.to_string()))?;
     let (mut ran, mut skipped) = (0usize, 0usize);
     for (_, outcome) in &summary.outcomes {
         match outcome {

@@ -61,13 +61,16 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
     let Some((command, rest)) = argv.split_first() else {
         return Err(CliError::Usage(USAGE.trim().to_string()));
     };
-    // `repro` has valueless switch flags; everything else is strict
-    // `--key value` pairs.
-    let parsed = if command == "repro" {
-        args::Parsed::parse_with_switches(rest, &["list", "force"])?
-    } else {
-        args::Parsed::parse(rest)?
+    let Some(cmd) = commands::lookup(command) else {
+        return Err(CliError::Usage(format!(
+            "unknown command `{command}`\n{USAGE}"
+        )));
     };
+    let known: Vec<&str> = ["threads", "shards"]
+        .into_iter()
+        .chain(cmd.flags.iter().flat_map(|group| group.iter().copied()))
+        .collect();
+    let parsed = args::Parsed::parse(rest, &known, cmd.switches)?;
     // Common flag: worker threads for parallel stages (overrides the
     // RFC_THREADS environment variable; default: all cores).
     rfc_net::parallel::set_threads(parsed.opt_num::<usize>("threads")?);
@@ -75,22 +78,7 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
     // environment variable; default: 1). Results are byte-identical at
     // any shard count, so this is purely a speed knob.
     rfc_net::parallel::set_shards(parsed.opt_num::<usize>("shards")?);
-    match command.as_str() {
-        "generate" => commands::generate(&parsed, out),
-        "analyze" => commands::analyze(&parsed, out),
-        "simulate" => commands::simulate(&parsed, out),
-        "sweep" => commands::sweep(&parsed, out),
-        "expand" => commands::expand(&parsed, out),
-        "threshold" => commands::threshold(&parsed, out),
-        "repro" => commands::repro(&parsed, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{}", USAGE.trim()).map_err(io_err)?;
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n{USAGE}"
-        ))),
-    }
+    (cmd.run)(&parsed, out)
 }
 
 pub(crate) fn io_err(e: std::io::Error) -> CliError {
@@ -111,7 +99,8 @@ COMMANDS:
     sweep       parallel load sweep: one simulator run per (traffic, load) point
     expand      grow an RFC incrementally and report rewiring
     threshold   Theorem 4.2 sizing for a radix/levels pair
-    repro       reproduce the paper's evaluation (registry of 14 experiments)
+    repro       reproduce the paper's evaluation (`repro --list` names
+                every registered experiment)
     help        show this text
 
 COMMON FLAGS:
@@ -151,10 +140,10 @@ EXPANSION FLAGS (expand):
 
 REPRO FLAGS (repro):
     --list      enumerate the registered experiments and exit
-    --only      comma-separated experiment names    (default: all 14)
+    --only      comma-separated experiment names    (default: all; see --list)
     --force     re-run experiments whose artifacts already verify
-    --scale     small | medium | paper              (default: RFC_SCALE, else medium)
-    --seed      run seed                            (default: RFC_SEED, else 2017)
+    --scale     small | medium | paper              (default medium)
+    --seed      run seed                            (default 2017)
     --trials    Monte-Carlo trial override          (default: per experiment)
     --cycles    measured cycles override            (default: per scale)
     --warmup    warmup cycles override              (default: per scale)

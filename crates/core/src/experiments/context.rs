@@ -2,9 +2,8 @@
 //! a lazy, seed-keyed memo cache for the expensive objects (scenarios,
 //! routable RFC draws, up/down routing tables).
 //!
-//! Before the registry existed, every bench binary independently rebuilt
-//! its scenarios and routing tables — fig8, fig12 and the ablations all
-//! paid for the equal-resources construction separately. The context
+//! Experiments share scenarios and routing tables — fig8, fig12 and the
+//! ablations all use the equal-resources construction. The context
 //! builds each object **once per (kind, scale, seed)** and hands out
 //! shared references; a second experiment requesting the same scenario
 //! is a cache hit (observable through [`CacheStats`], asserted in
@@ -175,7 +174,7 @@ impl ExperimentContext {
     }
 
     /// Overrides the Monte-Carlo trial count for every experiment
-    /// (`RFC_TRIALS` / `rfcgen repro --trials`).
+    /// (`rfcgen repro --trials`).
     pub fn set_trials(&mut self, trials: Option<usize>) {
         self.trials = trials;
     }

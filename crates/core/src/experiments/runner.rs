@@ -30,6 +30,7 @@
 //! are provenance, not results.
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use rfc_sim::SimConfig;
@@ -58,8 +59,6 @@ pub struct RunOptions {
     pub only: Option<Vec<String>>,
     /// Re-run experiments whose artifacts already check out.
     pub force: bool,
-    /// Echo each report's text table to stdout.
-    pub print_reports: bool,
 }
 
 impl RunOptions {
@@ -73,7 +72,6 @@ impl RunOptions {
             trials: None,
             only: None,
             force: false,
-            print_reports: false,
         }
     }
 }
@@ -318,6 +316,9 @@ fn run_caught(
 /// Executes the selected experiments, writes artifacts and the
 /// manifest, and returns what happened.
 ///
+/// Progress lines (`[run ]`, `[skip]`, `[manifest]`) and every report's
+/// text table go to `out`; failures are also reported on stderr.
+///
 /// Failures are captured per experiment (see [`Outcome::Failed`]); the
 /// error return is reserved for conditions that invalidate the whole
 /// run (unknown `--only` names, unwritable artifact root).
@@ -326,7 +327,7 @@ fn run_caught(
 ///
 /// Returns [`ExperimentError`] on unknown experiment names or run-level
 /// I/O failures.
-pub fn run(opts: &RunOptions) -> Result<RunSummary, ExperimentError> {
+pub fn run(opts: &RunOptions, out: &mut dyn Write) -> Result<RunSummary, ExperimentError> {
     let selected = select(opts.only.as_deref())?;
     let id = run_id(opts.scale, opts.seed, opts.trials, &opts.sim);
     let run_dir = opts.root.join(&id);
@@ -344,14 +345,14 @@ pub fn run(opts: &RunOptions) -> Result<RunSummary, ExperimentError> {
         if !opts.force {
             if let Some(record) = load_record(&dir) {
                 if is_complete(&dir, &record) {
-                    println!("[skip] {} (complete, artifacts verified)", exp.name());
+                    writeln!(out, "[skip] {} (complete, artifacts verified)", exp.name())?;
                     outcomes.push((exp.name().to_string(), Outcome::Skipped));
                     continue;
                 }
             }
         }
 
-        println!("[run ] {} — {}", exp.name(), exp.description());
+        writeln!(out, "[run ] {} — {}", exp.name(), exp.description())?;
         #[allow(clippy::disallowed_methods)]
         let started = std::time::Instant::now(); // xtask: allow(wall-clock) — provenance metadata only, never in artifacts
         let result = run_caught(*exp, &mut ctx);
@@ -362,9 +363,7 @@ pub fn run(opts: &RunOptions) -> Result<RunSummary, ExperimentError> {
             Ok(reports) => {
                 let mut artifacts = Vec::new();
                 for rep in &reports {
-                    if opts.print_reports {
-                        print!("{}", rep.to_text());
-                    }
+                    write!(out, "{}", rep.to_text())?;
                     let json_path = rep.write_json(&dir)?;
                     rep.write_csv(&dir)?;
                     for path in [json_path, dir.join(format!("{}.csv", rep.title))] {
@@ -406,7 +405,11 @@ pub fn run(opts: &RunOptions) -> Result<RunSummary, ExperimentError> {
     }
 
     write_manifest(&run_dir, &id, opts, run_started.elapsed().as_secs_f64())?;
-    println!("[manifest] {}", run_dir.join("manifest.json").display());
+    writeln!(
+        out,
+        "[manifest] {}",
+        run_dir.join("manifest.json").display()
+    )?;
 
     Ok(RunSummary {
         run_id: id,

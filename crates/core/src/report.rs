@@ -148,21 +148,6 @@ impl Report {
         }
         Ok(path)
     }
-
-    /// Prints the text table to stdout and writes the CSV next to the
-    /// build artifacts (`target/experiments/`), reporting where.
-    ///
-    /// Kept for ad-hoc use; the registry runner
-    /// ([`crate::experiments::runner`]) writes provenance-stamped JSON
-    /// artifacts instead.
-    pub fn emit(&self) {
-        print!("{}", self.to_text());
-        let dir = Path::new("target").join("experiments");
-        match self.write_csv(&dir) {
-            Ok(path) => println!("[csv] {}\n", path.display()),
-            Err(e) => println!("[csv] write failed: {e}\n"),
-        }
-    }
 }
 
 /// Formats a float with 3 decimals for table cells.

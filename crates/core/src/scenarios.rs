@@ -24,7 +24,7 @@ use crate::theory;
 pub enum Scale {
     /// Radix 8, a few hundred nodes — CI-speed.
     Small,
-    /// Radix 12, ~1.5K nodes — the default for `cargo bench` drivers.
+    /// Radix 12, ~1.5K nodes — the default for `rfcgen repro`.
     Medium,
     /// Radix 36, the paper's exact sizes. Simulation at this scale takes
     /// hours per data point; topology/cost/resiliency experiments are
@@ -33,22 +33,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `RFC_SCALE` (`small` / `medium` / `paper`), defaulting to
-    /// `Medium`; `RFC_FULL_SCALE=1` also selects `Paper`.
-    pub fn from_env() -> Self {
-        if std::env::var("RFC_FULL_SCALE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            return Scale::Paper;
-        }
-        match std::env::var("RFC_SCALE").as_deref() {
-            Ok("small") => Scale::Small,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Medium,
-        }
-    }
-
     /// The switch radix used at this scale.
     pub fn radix(self) -> usize {
         match self {

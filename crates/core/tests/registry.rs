@@ -4,6 +4,7 @@
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -128,14 +129,16 @@ fn repro_runs_are_byte_identical_and_reruns_skip() {
         fs::remove_dir_all(&base).expect("stale test dir must be removable");
     }
 
-    let first = runner::run(&tiny_options(base.join("a"))).expect("first run must succeed");
+    let first = runner::run(&tiny_options(base.join("a")), &mut io::sink())
+        .expect("first run must succeed");
     assert!(first.failures().is_empty(), "{:?}", first.outcomes);
     assert!(first.run_dir.join("manifest.json").is_file());
     assert!(first.run_dir.join("fig8").join("experiment.json").is_file());
 
     // An independent run with identical parameters into a fresh root
     // produces byte-identical report artifacts (JSON and CSV).
-    let second = runner::run(&tiny_options(base.join("b"))).expect("second run must succeed");
+    let second = runner::run(&tiny_options(base.join("b")), &mut io::sink())
+        .expect("second run must succeed");
     assert_eq!(first.run_id, second.run_id, "run identity must be stable");
     let a = artifact_bytes(&first.run_dir);
     let b = artifact_bytes(&second.run_dir);
@@ -152,7 +155,8 @@ fn repro_runs_are_byte_identical_and_reruns_skip() {
     }
 
     // Rerunning into an existing run directory skips everything.
-    let rerun = runner::run(&tiny_options(base.join("a"))).expect("rerun must succeed");
+    let rerun =
+        runner::run(&tiny_options(base.join("a")), &mut io::sink()).expect("rerun must succeed");
     assert!(
         rerun.outcomes.iter().all(|(_, o)| *o == Outcome::Skipped),
         "verified artifacts must be skipped: {:?}",
@@ -163,7 +167,7 @@ fn repro_runs_are_byte_identical_and_reruns_skip() {
     let mut forced = tiny_options(base.join("a"));
     forced.force = true;
     forced.only = Some(vec!["costs".to_string()]);
-    let forced_run = runner::run(&forced).expect("forced rerun must succeed");
+    let forced_run = runner::run(&forced, &mut io::sink()).expect("forced rerun must succeed");
     assert_eq!(
         forced_run.outcomes,
         vec![("costs".to_string(), Outcome::Ran)]
@@ -180,7 +184,7 @@ fn unknown_only_name_fails_before_running_anything() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-unknown");
     let mut opts = tiny_options(base.clone());
     opts.only = Some(vec!["fig99".to_string()]);
-    let err = match runner::run(&opts) {
+    let err = match runner::run(&opts, &mut io::sink()) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("unknown experiment name must be rejected"),
     };

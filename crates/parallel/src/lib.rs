@@ -53,7 +53,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Overrides the worker count for all subsequent [`map`] calls.
 ///
 /// `Some(0)` is treated as unset. This is what `rfcgen --threads` and
-/// the bench binaries call; it takes precedence over `RFC_THREADS`.
+/// the `rfcbench` benchmark call; it takes precedence over `RFC_THREADS`.
 pub fn set_threads(n: Option<usize>) {
     THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }
@@ -86,7 +86,7 @@ static SHARD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Overrides the intra-run shard count for subsequent simulator runs.
 ///
 /// `Some(0)` is treated as unset. This is what `rfcgen --shards` and the
-/// bench binaries call; it takes precedence over `RFC_SHARDS`.
+/// `rfcbench` benchmark call; it takes precedence over `RFC_SHARDS`.
 pub fn set_shards(n: Option<usize>) {
     SHARD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }

@@ -94,41 +94,61 @@ impl SimConfig {
         self.warmup_cycles + self.measure_cycles
     }
 
+    /// Checks the configuration, naming the first field that is zero
+    /// where that makes no sense or that overflows the engine's fixed
+    /// structures (u8 VC indices and credit counters, the event wheel).
+    ///
+    /// # Errors
+    ///
+    /// A message describing the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks = [
+            (
+                self.virtual_channels >= 1,
+                "need at least one virtual channel",
+            ),
+            (self.buffer_packets >= 1, "need at least one buffer slot"),
+            (
+                self.buffer_packets <= 255,
+                "ring offsets and credit counters are u8: at most 255 buffers per VC",
+            ),
+            (
+                self.virtual_channels <= 255,
+                "VC indices are u8: at most 255 virtual channels",
+            ),
+            (self.packet_length >= 1, "packets need at least one phit"),
+            (self.measure_cycles >= 1, "nothing to measure"),
+            (
+                self.latency_reservoir >= 1,
+                "percentiles need at least one latency sample slot",
+            ),
+            (
+                self.link_latency
+                    .saturating_add(self.router_latency)
+                    .saturating_add(self.packet_length)
+                    < crate::engine::EVENT_WHEEL as u64,
+                "link + router latency + packet length must fit the event wheel",
+            ),
+            (
+                !self.valiant_routing || self.virtual_channels >= 2,
+                "valiant routing needs >= 2 virtual channels for its phase partition",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, msg)) => Err((*msg).to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics when a field is zero where that makes no sense, or the link
-    /// latency/packet length exceed the event-wheel horizon.
+    /// Panics with the [`SimConfig::validate`] message when the
+    /// configuration is invalid.
     pub fn assert_valid(&self) {
-        assert!(
-            self.virtual_channels >= 1,
-            "need at least one virtual channel"
-        );
-        assert!(self.buffer_packets >= 1, "need at least one buffer slot");
-        assert!(
-            self.buffer_packets <= 255,
-            "ring offsets and credit counters are u8: at most 255 buffers per VC"
-        );
-        assert!(
-            self.virtual_channels <= 255,
-            "VC indices are u8: at most 255 virtual channels"
-        );
-        assert!(self.packet_length >= 1, "packets need at least one phit");
-        assert!(self.measure_cycles >= 1, "nothing to measure");
-        assert!(
-            self.latency_reservoir >= 1,
-            "percentiles need at least one latency sample slot"
-        );
-        assert!(
-            self.link_latency + self.router_latency + self.packet_length
-                < crate::engine::EVENT_WHEEL as u64,
-            "link + router latency + packet length must fit the event wheel"
-        );
-        assert!(
-            !self.valiant_routing || self.virtual_channels >= 2,
-            "valiant routing needs >= 2 virtual channels for its phase partition"
-        );
+        let verdict = self.validate();
+        assert!(verdict.is_ok(), "{}", verdict.err().unwrap_or_default());
     }
 }
 
@@ -161,6 +181,26 @@ mod tests {
         let c = SimConfig::quick();
         c.assert_valid();
         assert!(c.total_cycles() < SimConfig::paper_defaults().total_cycles());
+    }
+
+    #[test]
+    fn validate_names_the_violated_constraint() {
+        let too_slow = SimConfig {
+            router_latency: 60,
+            ..SimConfig::paper_defaults()
+        };
+        assert!(too_slow.validate().unwrap_err().contains("event wheel"));
+        let saturating = SimConfig {
+            router_latency: u64::MAX,
+            ..SimConfig::paper_defaults()
+        };
+        assert!(saturating.validate().is_err());
+        let nothing = SimConfig {
+            measure_cycles: 0,
+            ..SimConfig::paper_defaults()
+        };
+        assert_eq!(nothing.validate().unwrap_err(), "nothing to measure");
+        assert_eq!(SimConfig::quick().validate(), Ok(()));
     }
 
     #[test]

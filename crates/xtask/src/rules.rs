@@ -21,8 +21,6 @@ pub const RULE_AMBIENT_RNG: &str = "ambient-rng";
 pub const RULE_EXPECT_MESSAGE: &str = "expect-message";
 /// Rule name for heap allocation inside a marked hot-loop region.
 pub const RULE_HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
-/// Rule name for oversized bench binaries (must stay registry shims).
-pub const RULE_THIN_BENCH_BIN: &str = "thin-bench-bin";
 /// Rule name for potentially-lossy numeric `as` casts (`cargo xtask
 /// audit`; ratcheted per crate, see [`crate::casts`]).
 pub const RULE_LOSSY_CAST: &str = "lossy-cast";

@@ -30,16 +30,6 @@ pub const RATCHET_FILE: &str = "xtask-ratchet.toml";
 /// routing-memory ratchet (`[scale.*]` in [`RATCHET_FILE`]).
 pub const BENCH_FILE: &str = "BENCH_sim.json";
 
-/// Code-line budget for bench binaries: every bin except
-/// [`THIN_BIN_EXEMPT`] must stay a thin shim over the experiment
-/// registry (`rfc_bench::run_registry(...)`), so experiment parameters
-/// live in exactly one place. Comments and blank lines are free.
-pub const THIN_BIN_MAX_CODE_LINES: usize = 10;
-
-/// Bench binaries exempt from the thin-shim budget (the engine
-/// microbenchmark is a standalone harness, not a paper experiment).
-pub const THIN_BIN_EXEMPT: &[&str] = &["engine_baseline.rs"];
-
 /// One discovered workspace crate.
 #[derive(Debug, Clone)]
 pub struct CrateInfo {
@@ -272,40 +262,6 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
             ));
         }
 
-        // Thin bench binaries: parameters belong in the experiment
-        // registry, not in per-figure main()s. Tolerates trees without
-        // a bench crate (fixture workspaces).
-        if krate.name == "bench" {
-            let bin_dir = krate.root.join("src").join("bin");
-            if bin_dir.is_dir() {
-                for path in read_dir_sorted(&bin_dir)? {
-                    let name = file_name(&path);
-                    if path.extension().is_none_or(|e| e != "rs")
-                        || THIN_BIN_EXEMPT.contains(&name.as_str())
-                    {
-                        continue;
-                    }
-                    let src = fs::read_to_string(&path)
-                        .map_err(|e| format!("{}: {e}", path.display()))?;
-                    let code = code_line_count(&src);
-                    if code > THIN_BIN_MAX_CODE_LINES {
-                        report.violations.push((
-                            rel_display(root, &path),
-                            Violation {
-                                rule: crate::rules::RULE_THIN_BENCH_BIN.to_string(),
-                                line: 1,
-                                message: format!(
-                                    "{code} code lines (budget {THIN_BIN_MAX_CODE_LINES}); \
-                                     bench bins must stay `rfc_bench::run_registry(...)` shims — \
-                                     move parameters into the experiment registry"
-                                ),
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-
         // Per-file rules, panic counting, and cast/sync tallies.
         let mut crate_counts = PanicCounts::default();
         let mut crate_casts = CastCounts::default();
@@ -434,17 +390,6 @@ pub fn bench_scale_bytes(root: &Path) -> Result<BTreeMap<String, usize>, String>
     Ok(scales)
 }
 
-/// Counts the lines of a source file that carry code: non-blank and not
-/// pure comments. The budget ignores docs so shims can stay
-/// well-documented.
-pub fn code_line_count(source: &str) -> usize {
-    source
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .count()
-}
-
 fn rel_display(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -466,14 +411,6 @@ mod tests {
         assert_eq!(missing.len(), 1);
         assert!(missing[0].contains("missing_docs"));
         assert_eq!(check_lib_header("").len(), 2);
-    }
-
-    #[test]
-    fn code_line_count_ignores_comments_and_blanks() {
-        let shim = "//! Doc.\n//! More doc.\n\nfn main() {\n    // inline note\n    rfc_bench::run_registry(\"fig8\");\n}\n";
-        assert_eq!(code_line_count(shim), 3);
-        assert_eq!(code_line_count(""), 0);
-        assert_eq!(code_line_count("//! only docs\n// and comments\n"), 0);
     }
 
     #[test]

@@ -72,36 +72,14 @@ impl Fixture {
         self
     }
 
-    /// Adds a `bench` member with one binary of the given source (used
-    /// by the thin-bench-bin tests).
-    fn with_bench_bin(self, bin_name: &str, body: &str) -> Self {
-        let manifest = "[package]\nname = \"fixture\"\n\n[lints]\nworkspace = true\n";
-        fs::create_dir_all(self.root.join("crates/bench/src/bin")).expect("fixture mkdir");
-        fs::write(self.root.join("crates/bench/Cargo.toml"), manifest).expect("fixture write");
-        fs::write(
-            self.root.join("crates/bench/src/lib.rs"),
-            "//! Fixture bench.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n",
-        )
-        .expect("fixture write");
-        fs::write(
-            self.root.join(format!("crates/bench/src/bin/{bin_name}")),
-            body,
-        )
-        .expect("fixture write");
-        self
-    }
-
     /// Runs the lint with a ratchet baseline matching `counts` for both
     /// crates (fixture root is always clean).
     fn lint_with_baseline(&self, sim: PanicCounts) -> xtask::LintReport {
-        let mut ratchet = format!(
+        let ratchet = format!(
             "[crate.sim]\nunwrap = {}\nexpect = {}\npanic = {}\n\
              [crate.suite]\nunwrap = 0\nexpect = 0\npanic = 0\n",
             sim.unwrap, sim.expect, sim.panic
         );
-        if self.root.join("crates/bench").is_dir() {
-            ratchet.push_str("[crate.bench]\nunwrap = 0\nexpect = 0\npanic = 0\n");
-        }
         fs::write(self.root.join("xtask-ratchet.toml"), ratchet).expect("fixture write");
         run_lint(&self.root, false).expect("fixture lint must run")
     }
@@ -122,34 +100,6 @@ fn zero() -> PanicCounts {
 #[test]
 fn clean_fixture_passes() {
     let fx = Fixture::new("clean");
-    assert!(fx.lint_with_baseline(zero()).is_clean());
-}
-
-#[test]
-fn fat_bench_bin_fails_thin_shim_budget() {
-    let fat_body: String = (0..20).map(|i| format!("    let _x{i} = {i};\n")).collect();
-    let fx = Fixture::new("fatbin").with_bench_bin(
-        "fig99.rs",
-        &format!("//! Fixture bin.\nfn main() {{\n{fat_body}}}\n"),
-    );
-    assert_eq!(fx.rules_hit(zero()), vec!["thin-bench-bin"]);
-}
-
-#[test]
-fn thin_bench_bin_and_exempt_baseline_pass() {
-    let fx = Fixture::new("thinbin").with_bench_bin(
-        "fig99.rs",
-        "//! Fixture bin (well-documented shims stay within budget).\n\
-         fn main() {\n    rfc_bench::run_registry(\"fig99\");\n}\n",
-    );
-    assert!(fx.lint_with_baseline(zero()).is_clean());
-
-    // engine_baseline.rs is exempt however large it grows.
-    let fat_body: String = (0..40).map(|i| format!("    let _x{i} = {i};\n")).collect();
-    let fx = Fixture::new("exemptbin").with_bench_bin(
-        "engine_baseline.rs",
-        &format!("//! Fixture bin.\nfn main() {{\n{fat_body}}}\n"),
-    );
     assert!(fx.lint_with_baseline(zero()).is_clean());
 }
 

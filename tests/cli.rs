@@ -118,3 +118,85 @@ fn usage_errors_are_reported() {
         "direct nets need SP oracle"
     );
 }
+
+/// Runs the CLI and returns its error, which must be a usage error.
+fn usage_error(args: &[&str]) -> String {
+    let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    match rfcgen::run(&argv, &mut Vec::new()) {
+        Err(e @ rfcgen::CliError::Usage(_)) => e.to_string(),
+        Err(e) => panic!("{args:?}: expected a usage error, got {e}"),
+        Ok(()) => panic!("{args:?}: expected a usage error, but the command ran"),
+    }
+}
+
+#[test]
+fn invalid_simulator_flags_are_usage_errors() {
+    let base = ["simulate", "--kind", "cft", "--radix", "4", "--levels", "2"];
+    let with = |extra: [&'static str; 2]| {
+        let mut argv = base.to_vec();
+        argv.extend(extra);
+        usage_error(&argv)
+    };
+    assert!(with(["--cycles", "0"]).contains("nothing to measure"));
+    assert!(with(["--router-latency", "60"]).contains("event wheel"));
+    assert!(with(["--valiant", "yes"]).contains("on|off"));
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let err = usage_error(&[
+        "simulate",
+        "--topology",
+        "cft",
+        "--radix",
+        "4",
+        "--levels",
+        "2",
+    ]);
+    assert!(err.contains("--topology"), "{err}");
+    // `repro` reads only the window flags of the simulator set.
+    assert!(usage_error(&["repro", "--valiant", "on"]).contains("--valiant"));
+}
+
+#[test]
+fn repro_prints_reports_and_writes_artifacts() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-repro-costs");
+    if root.exists() {
+        std::fs::remove_dir_all(&root).expect("stale test dir must be removable");
+    }
+    let text = run(&[
+        "repro",
+        "--only",
+        "costs",
+        "--scale",
+        "small",
+        "--out-dir",
+        root.to_str().expect("utf8 tmp path"),
+    ])
+    .unwrap();
+    assert!(
+        text.lines().any(|l| l.split_whitespace().eq([
+            "case",
+            "cft_switches",
+            "cft_wires",
+            "rfc_switches",
+            "rfc_wires",
+            "switch_savings",
+            "wire_savings"
+        ])),
+        "report header row missing:\n{text}"
+    );
+    assert!(text.lines().any(|l| l.starts_with("[manifest]")), "{text}");
+    let run_dir = std::fs::read_dir(&root)
+        .expect("out-dir must exist")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .find(|p| p.is_dir())
+        .expect("one run directory");
+    let csvs = std::fs::read_dir(run_dir.join("costs"))
+        .expect("costs artifacts")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "csv"))
+        .count();
+    assert_eq!(csvs, 1, "costs writes one CSV");
+}
