@@ -128,19 +128,6 @@ impl BitSet {
         }
     }
 
-    /// Whether the two sets share any bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets have different lengths.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(&a, &b)| a & b != 0)
-    }
-
     /// Whether every bit of `other` is also set in `self`.
     ///
     /// # Panics
@@ -157,19 +144,6 @@ impl BitSet {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Sets every bit in `0..len`.
-    pub fn insert_all(&mut self) {
-        for w in &mut self.words {
-            *w = u64::MAX;
-        }
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
     }
 
     /// Clears every bit.
@@ -257,26 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn intersects_and_superset() {
+    fn superset_checks_every_bit() {
         let mut a = BitSet::new(70);
         let mut b = BitSet::new(70);
         a.insert(69);
-        assert!(!a.intersects(&b));
         b.insert(69);
-        assert!(a.intersects(&b));
         assert!(a.is_superset(&b));
         b.insert(1);
         assert!(!a.is_superset(&b));
-    }
-
-    #[test]
-    fn insert_all_respects_length() {
-        let mut s = BitSet::new(67);
-        s.insert_all();
-        assert_eq!(s.count_ones(), 67);
-        let mut t = BitSet::new(64);
-        t.insert_all();
-        assert_eq!(t.count_ones(), 64);
     }
 
     #[test]

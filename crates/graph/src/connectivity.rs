@@ -194,26 +194,6 @@ pub fn disconnection_trial<R: Rng + ?Sized>(
     })
 }
 
-/// Averages [`disconnection_trial`] over `trials` random removal orders and
-/// returns the mean fraction of links removed at first disconnection.
-///
-/// Returns `None` if the intact graph is disconnected or edgeless.
-pub fn mean_disconnection_fraction<R: Rng + ?Sized>(
-    n: usize,
-    edges: &[(u32, u32)],
-    trials: usize,
-    rng: &mut R,
-) -> Option<f64> {
-    if trials == 0 {
-        return None;
-    }
-    let mut acc = 0.0;
-    for _ in 0..trials {
-        acc += disconnection_trial(n, edges, rng)?.fraction();
-    }
-    Some(acc / trials as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,19 +256,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(disconnection_trial(3, &[(0, 1)], &mut rng).is_none());
         assert!(disconnection_trial(2, &[], &mut rng).is_none());
-    }
-
-    #[test]
-    fn mean_fraction_is_in_unit_interval() {
-        // Complete graph on 6 vertices.
-        let mut edges = Vec::new();
-        for u in 0..6u32 {
-            for v in (u + 1)..6 {
-                edges.push((u, v));
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(5);
-        let f = mean_disconnection_fraction(6, &edges, 25, &mut rng).unwrap();
-        assert!(f > 0.3 && f <= 1.0, "complete graph is robust, got {f}");
     }
 }

@@ -149,14 +149,6 @@ impl Csr {
             .filter(|&(u, v)| u <= v)
     }
 
-    /// Maximum degree over all vertices, or 0 for the empty graph.
-    pub fn max_degree(&self) -> usize {
-        (0..vid(self.num_vertices()))
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Whether every vertex has degree exactly `d`.
     pub fn is_regular(&self, d: usize) -> bool {
         (0..vid(self.num_vertices())).all(|v| self.degree(v) == d)
@@ -202,11 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn degree_and_max_degree() {
+    fn degree_and_regularity() {
         let g = Csr::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.degree(3), 1);
-        assert_eq!(g.max_degree(), 3);
         assert!(!g.is_regular(3));
     }
 
@@ -215,7 +206,6 @@ mod tests {
         let g = Csr::from_edges(0, &[]);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.max_degree(), 0);
     }
 
     #[test]

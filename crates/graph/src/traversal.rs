@@ -73,21 +73,6 @@ pub fn diameter(graph: &Csr) -> Option<u32> {
     Some(best)
 }
 
-/// Lower bound on the diameter from BFS at `sources.len()` chosen vertices.
-///
-/// Returns `None` if the graph is empty or any sampled source fails to
-/// reach the whole graph (i.e. the graph is disconnected).
-pub fn diameter_lower_bound(graph: &Csr, sources: &[u32]) -> Option<u32> {
-    if graph.num_vertices() == 0 || sources.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for &v in sources {
-        best = best.max(eccentricity(graph, v)?);
-    }
-    Some(best)
-}
-
 /// Mean hop distance from `src` to every *other* vertex, or `None` if the
 /// graph is disconnected from `src` or has a single vertex.
 pub fn mean_distance_from(graph: &Csr, src: u32) -> Option<f64> {
@@ -167,14 +152,6 @@ mod tests {
         let g = Csr::from_edges(1, &[]);
         assert_eq!(diameter(&g), Some(0));
         assert_eq!(mean_distance_from(&g, 0), None);
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_diameter() {
-        let g = cycle(9);
-        let lb = diameter_lower_bound(&g, &[0, 3]).unwrap();
-        assert!(lb <= diameter(&g).unwrap());
-        assert!(lb >= 1);
     }
 
     #[test]

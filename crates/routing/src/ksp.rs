@@ -116,34 +116,6 @@ fn shortest_path_avoiding(
     None
 }
 
-/// Mean number of distinct loopless paths of length at most
-/// `max_len` found among the `k` shortest, averaged over `pairs` sampled
-/// switch pairs — the path-diversity metric contrasted between RFC and
-/// RRN/OFT in the resiliency discussion.
-pub fn mean_path_diversity<R: rand::Rng + ?Sized>(
-    graph: &Csr,
-    k: usize,
-    max_len: usize,
-    pairs: usize,
-    rng: &mut R,
-) -> f64 {
-    let n = graph.num_vertices() as u32;
-    if n < 2 || pairs == 0 {
-        return 0.0;
-    }
-    let mut acc = 0usize;
-    for _ in 0..pairs {
-        let a = rng.gen_range(0..n);
-        // Sample b != a without a rejection loop: a degenerate rng (e.g.
-        // the StepRng mock, whose small outputs make multiply-shift range
-        // reduction return 0 forever) would otherwise never terminate.
-        let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-        let paths = k_shortest_paths(graph, a, b, k);
-        acc += paths.iter().filter(|p| p.len() - 1 <= max_len).count();
-    }
-    acc as f64 / pairs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,12 +162,5 @@ mod tests {
     fn trivial_source_equals_destination() {
         let paths = k_shortest_paths(&square(), 1, 1, 3);
         assert_eq!(paths, vec![vec![1]]);
-    }
-
-    #[test]
-    fn diversity_metric_is_positive_on_a_cycle() {
-        let mut rng = rand::rngs::mock::StepRng::new(7, 11);
-        let d = mean_path_diversity(&square(), 4, 4, 8, &mut rng);
-        assert!(d >= 1.0, "every pair has at least one short path, got {d}");
     }
 }

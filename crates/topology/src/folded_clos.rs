@@ -2,7 +2,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::ops::Range;
 
 use rfc_graph::random::BipartiteGraph;
 use rfc_graph::Csr;
@@ -497,21 +496,6 @@ impl FoldedClos {
         t / self.terminals_per_leaf as u32
     }
 
-    /// The terminals hosted by `leaf` (a level-0 local/global id — they
-    /// coincide).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is not a leaf switch.
-    pub fn terminals_of_leaf(&self, leaf: u32) -> Range<u32> {
-        assert!(
-            (leaf as usize) < self.num_leaves(),
-            "switch {leaf} is not a leaf"
-        );
-        let tpl = self.terminals_per_leaf as u32;
-        leaf * tpl..(leaf + 1) * tpl
-    }
-
     /// The leaf-to-leaf diameter: the maximum switch-graph distance
     /// between two leaf switches, i.e. the paper's notion of indirect
     /// network diameter (`D ≤ 2(l-1)` when up/down routing exists).
@@ -678,7 +662,6 @@ mod tests {
         assert_eq!(t.num_terminals(), 6);
         assert_eq!(t.leaf_of_terminal(0), 0);
         assert_eq!(t.leaf_of_terminal(5), 1);
-        assert_eq!(t.terminals_of_leaf(1), 3..6);
     }
 
     #[test]

@@ -117,12 +117,6 @@ impl LiveClos {
         self.down.iter().copied().collect()
     }
 
-    /// Number of links currently down.
-    #[inline]
-    pub fn num_down(&self) -> usize {
-        self.down.len()
-    }
-
     /// Normalizes a link to lower-level-endpoint-first and locates its
     /// stage, returning `None` when the link is not a pristine
     /// adjacent-level link (such events are no-ops, mirroring
@@ -233,7 +227,7 @@ mod tests {
         }
         let expected = clos.with_links_removed(faults);
         assert_eq!(live.current().links(), expected.links());
-        assert_eq!(live.num_down(), 8);
+        assert_eq!(live.down_links().len(), 8);
     }
 
     #[test]
@@ -249,7 +243,7 @@ mod tests {
             assert!(live.apply(&LinkEvent::recover(l)));
         }
         assert_eq!(live.current().links(), clos.links());
-        assert_eq!(live.num_down(), 0);
+        assert!(live.down_links().is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Numeric-cast classification for `cargo xtask audit`.
+//! Numeric-cast classification for the lossy-cast ratchet.
 //!
 //! A truncated switch or port index in a Jellyfish-style random
 //! topology produces a *valid but wrong* graph rather than a crash, so
@@ -25,7 +25,7 @@
 //! documented invariant; allowed sites are excluded from the ratchet.
 
 use crate::rules::RULE_LOSSY_CAST;
-use crate::scan::{allow_covers, scan};
+use crate::scan::{allow_covers, ScannedLine};
 
 /// Classification of one `as` cast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +63,8 @@ impl CastCounts {
     }
 }
 
-/// One potentially-lossy cast site, for `path:line` diagnostics and the
-/// `cargo xtask casts` burn-down listing.
+/// One potentially-lossy cast site, listed as `path:line: as <type>`
+/// when the crate's lossy-cast count rises above its baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LossySite {
     /// 1-based line number.
@@ -87,15 +87,10 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"]
 /// Targets assumed wide enough on the 64-bit platforms we build for.
 const WIDE_TARGETS: &[&str] = &["u64", "i64", "u128", "i128", "usize", "isize", "f64"];
 
-/// Scans one file's source text for numeric casts. `test_file` marks
-/// sources that are test-only by path, which exempts every line; inline
+/// Tallies the numeric casts of one scanned non-test file; inline
 /// `#[cfg(test)]` items are exempted per line.
-pub fn analyze_casts(source: &str, test_file: bool) -> CastAnalysis {
+pub fn analyze_casts(lines: &[ScannedLine]) -> CastAnalysis {
     let mut analysis = CastAnalysis::default();
-    if test_file {
-        return analysis;
-    }
-    let lines = scan(source);
     for (idx, line) in lines.iter().enumerate() {
         if line.in_test {
             continue;
@@ -105,7 +100,7 @@ pub fn analyze_casts(source: &str, test_file: bool) -> CastAnalysis {
                 CastClass::Lossless => analysis.counts.lossless += 1,
                 CastClass::Widening => analysis.counts.widening += 1,
                 CastClass::Lossy => {
-                    if allow_covers(&lines, idx, RULE_LOSSY_CAST) {
+                    if allow_covers(lines, idx, RULE_LOSSY_CAST) {
                         analysis.counts.allowed += 1;
                     } else {
                         analysis.counts.lossy += 1;
@@ -276,9 +271,10 @@ fn fits(value: u128, target: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::scan;
 
     fn counts(src: &str) -> CastCounts {
-        analyze_casts(src, false).counts
+        analyze_casts(&scan(src)).counts
     }
 
     #[test]
@@ -334,11 +330,6 @@ mod tests {
     fn test_code_is_exempt() {
         let inline = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let a = n as u32; }\n}";
         assert_eq!(counts(inline).lossy, 0);
-        assert_eq!(
-            analyze_casts("fn t() { let a = n as u32; }", true).counts,
-            CastCounts::default(),
-            "test-by-path files are exempt wholesale"
-        );
     }
 
     #[test]
@@ -369,7 +360,7 @@ mod tests {
 
     #[test]
     fn lossy_sites_carry_line_numbers() {
-        let a = analyze_casts("fn f() {\n    let a = n as u32;\n}", false);
+        let a = analyze_casts(&scan("fn f() {\n    let a = n as u32;\n}"));
         assert_eq!(a.lossy_sites.len(), 1);
         assert_eq!(a.lossy_sites[0].line, 2);
         assert_eq!(a.lossy_sites[0].target, "u32");

@@ -1,8 +1,6 @@
-//! The `cargo xtask conc` driver: concurrency-soundness passes over the
-//! sharded execution substrate (DESIGN.md §14).
-//!
-//! Four passes, sharing the scanner, walker, and ratchet infrastructure
-//! with `cargo xtask lint` / `cargo xtask audit`:
+//! Concurrency-soundness checks over the sharded execution substrate
+//! (DESIGN.md §14), run by `cargo xtask lint` on the same scanned lines
+//! as every other rule:
 //!
 //! 1. **Atomic-ordering rule** — every atomic operation in non-test
 //!    code outside `crates/compat` must spell its memory ordering at
@@ -13,7 +11,7 @@
 //!    sites enumerated in the committed `xtask-conc.toml` (config
 //!    cells, the work-stealing cursor) or carrying an
 //!    `// xtask: allow(relaxed-ordering) — <reason>` directive. Stale
-//!    allowlist entries that no longer match any site fail the pass, so
+//!    allowlist entries that no longer match any site fail the check, so
 //!    the file cannot drift from the tree.
 //! 3. **Lockstep-region rule** — `lockstep-begin` / `lockstep-end`
 //!    raw-comment markers (same mechanism as `hot-loop-alloc`)
@@ -21,26 +19,23 @@
 //!    channels, sleeps, blocking I/O, and `SeqCst` are banned — the
 //!    region runs between two barrier waits every cycle and must
 //!    neither block nor over-synchronize.
-//! 4. **Sync-primitive ratchet** — per-crate counts of lock-type and
-//!    atomic-type mentions may only decrease relative to the
-//!    `sync-lock` / `sync-atomic` keys in `xtask-ratchet.toml`, so the
-//!    concurrency surface grows only deliberately.
+//! 4. **Sync-primitive tally** — per-crate counts of lock-type and
+//!    atomic-type mentions, ratcheted by the `sync-lock` /
+//!    `sync-atomic` keys in `xtask-ratchet.toml`, so the concurrency
+//!    surface grows only deliberately.
 //!
-//! Like every other pass this is lexical, not type-aware: `.load(` /
+//! Like every other check this is lexical, not type-aware: `.load(` /
 //! `.store(` on a non-atomic receiver would false-positive (none exist
 //! in the tree today) and would be suppressed with the allow directive.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::ratchet;
 use crate::rules::{
     contains_token, count_token, Violation, LOCKSTEP_BEGIN, LOCKSTEP_END, RULE_ATOMIC_ORDERING,
     RULE_LOCKSTEP_REGION, RULE_RELAXED_ORDERING,
 };
-use crate::scan::{allow_covers, scan, ScannedLine};
-use crate::workspace::{discover, rust_files, RATCHET_FILE};
+use crate::scan::{allow_covers, ScannedLine};
 
 /// File name of the committed Relaxed-ordering allowlist, at the repo
 /// root.
@@ -203,83 +198,40 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<RelaxedAllow>, String> {
     Ok(out)
 }
 
-/// Everything `cargo xtask conc` found.
-#[derive(Debug, Default)]
-pub struct ConcReport {
-    /// Hard failures: `(display path, violation)`.
-    pub violations: Vec<(String, Violation)>,
-    /// Measured non-test sync-primitive tallies per crate.
-    pub sync_counts: BTreeMap<String, SyncCounts>,
-    /// Counts now below the committed baseline (nudges, not failures).
-    pub improvements: Vec<String>,
-}
-
-impl ConcReport {
-    /// Whether the tree is clean.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Runs the concurrency-soundness passes over the workspace at `root`.
-pub fn run_conc(root: &Path) -> Result<ConcReport, String> {
-    let mut report = ConcReport::default();
-    let crates = discover(root)?;
-
-    // The Relaxed allowlist fails closed: a missing or malformed file
-    // is itself a violation, and the pass proceeds with no allowances.
-    let mut allowlist = Vec::new();
-    match fs::read_to_string(root.join(CONC_FILE)) {
+/// Reads the committed allowlist at `root`. It fails closed: a missing
+/// or malformed file is itself a violation, and the caller proceeds
+/// with no allowances.
+pub fn read_allowlist(root: &Path) -> Result<Vec<RelaxedAllow>, (String, Violation)> {
+    let message = match fs::read_to_string(root.join(CONC_FILE)) {
         Ok(text) => match parse_allowlist(&text) {
-            Ok(entries) => allowlist = entries,
-            Err(e) => report.violations.push((
-                CONC_FILE.to_string(),
-                Violation {
-                    rule: RULE_RELAXED_ORDERING.to_string(),
-                    line: 1,
-                    message: format!("malformed allowlist: {e}"),
-                },
-            )),
+            Ok(entries) => return Ok(entries),
+            Err(e) => format!("malformed allowlist: {e}"),
         },
-        Err(e) => report.violations.push((
-            CONC_FILE.to_string(),
-            Violation {
-                rule: RULE_RELAXED_ORDERING.to_string(),
-                line: 1,
-                message: format!(
-                    "cannot read the Relaxed-ordering allowlist: {e}; every \
-                     `Ordering::Relaxed` site must be enumerated in {CONC_FILE}"
-                ),
-            },
-        )),
-    }
-    let mut matched = vec![false; allowlist.len()];
+        Err(e) => format!(
+            "cannot read the Relaxed-ordering allowlist: {e}; every \
+             `Ordering::Relaxed` site must be enumerated in {CONC_FILE}"
+        ),
+    };
+    Err((
+        CONC_FILE.to_string(),
+        Violation {
+            rule: RULE_RELAXED_ORDERING.to_string(),
+            line: 1,
+            message,
+        },
+    ))
+}
 
-    for krate in &crates {
-        let compat = krate.name.starts_with("compat-");
-        let mut crate_sync = SyncCounts::default();
-        for (path, test_file) in rust_files(krate)? {
-            if test_file {
-                continue;
-            }
-            let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let lines = scan(&src);
-            crate_sync.add(sync_counts(&lines));
-            if !compat {
-                let display = rel_display(root, &path);
-                for v in conc_violations(&lines, &display, &allowlist, &mut matched) {
-                    report.violations.push((display.clone(), v));
-                }
-            }
-        }
-        report.sync_counts.insert(krate.name.clone(), crate_sync);
-    }
-
-    // Drift check: an allowlist entry that covers no remaining site is
-    // stale and must be deleted, so the file always mirrors the tree.
-    for (entry, hit) in allowlist.iter().zip(&matched) {
-        if !hit {
-            report.violations.push((
+/// The drift check: an allowlist entry that covered no site (per the
+/// `matched` flags [`conc_violations`] set) is stale and must be
+/// deleted, so the file always mirrors the tree.
+pub fn stale_entries(allowlist: &[RelaxedAllow], matched: &[bool]) -> Vec<(String, Violation)> {
+    allowlist
+        .iter()
+        .zip(matched)
+        .filter(|(_, &hit)| !hit)
+        .map(|(entry, _)| {
+            (
                 CONC_FILE.to_string(),
                 Violation {
                     rule: RULE_RELAXED_ORDERING.to_string(),
@@ -290,44 +242,9 @@ pub fn run_conc(root: &Path) -> Result<ConcReport, String> {
                         entry.file, entry.contains
                     ),
                 },
-            ));
-        }
-    }
-
-    // Sync-primitive ratchet.
-    match fs::read_to_string(root.join(RATCHET_FILE)) {
-        Ok(text) => {
-            let baseline = ratchet::parse(&text)?;
-            let (failures, improvements) = ratchet::compare_sync(&baseline, &report.sync_counts);
-            for f in failures {
-                report.violations.push((
-                    RATCHET_FILE.to_string(),
-                    Violation {
-                        rule: "ratchet".to_string(),
-                        line: 1,
-                        message: f,
-                    },
-                ));
-            }
-            report.improvements = improvements;
-        }
-        Err(e) => report.violations.push((
-            RATCHET_FILE.to_string(),
-            Violation {
-                rule: "ratchet".to_string(),
-                line: 1,
-                message: format!(
-                    "cannot read the ratchet baseline: {e}; \
-                     create it with `cargo xtask lint --all --write-ratchet`"
-                ),
-            },
-        )),
-    }
-
-    report
-        .violations
-        .sort_by(|a, b| (&a.0, a.1.line).cmp(&(&b.0, b.1.line)));
-    Ok(report)
+            )
+        })
+        .collect()
 }
 
 /// The sync-primitive tally over one scanned file's non-test lines.
@@ -477,16 +394,10 @@ fn statement_window(lines: &[ScannedLine], idx: usize, col: usize) -> String {
     window
 }
 
-fn rel_display(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .display()
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::scan;
 
     fn check(src: &str) -> Vec<Violation> {
         conc_violations(&scan(src), "crates/x/src/lib.rs", &[], &mut [])

@@ -1,11 +1,11 @@
 //! Workspace layering: `xtask-layers.toml` parsing and the inter-crate
-//! dependency DAG check (`cargo xtask audit`).
+//! dependency DAG check (run by `cargo xtask lint`).
 //!
 //! The reproduction depends on a strict crate layering — theory code
 //! (`galois`, `graph`, `topology`) must stay free of simulator
 //! dependencies so Theorem 4.2 artifacts are auditable in isolation.
 //! The committed `xtask-layers.toml` assigns every workspace crate to a
-//! named layer with a rank; the audit parses every member `Cargo.toml`
+//! named layer with a rank; the check parses every member `Cargo.toml`
 //! and enforces:
 //!
 //! * a normal (or build) dependency may only point at a crate of
@@ -24,6 +24,7 @@
 //! only, which is all the workspace uses), not `cargo metadata`.
 
 use std::collections::BTreeMap;
+use std::fs;
 use std::path::{Component, Path, PathBuf};
 
 use crate::rules::{Violation, RULE_LAYERING};
@@ -150,6 +151,22 @@ pub fn parse_layers(text: &str) -> Result<LayersConfig, String> {
         }
     }
     Ok(config)
+}
+
+/// Reads and parses the committed layer declarations at `root`. It
+/// fails closed: a missing or malformed file is itself a violation.
+pub fn read_layers(root: &Path) -> Result<LayersConfig, (String, Violation)> {
+    let message = match fs::read_to_string(root.join(LAYERS_FILE)) {
+        Ok(text) => match parse_layers(&text) {
+            Ok(config) => return Ok(config),
+            Err(e) => format!("malformed layer declarations: {e}"),
+        },
+        Err(e) => format!(
+            "cannot read the layer declarations: {e}; every workspace crate must be \
+             assigned to a layer in {LAYERS_FILE}"
+        ),
+    };
+    Err((LAYERS_FILE.to_string(), layering(1, message)))
 }
 
 enum Section {

@@ -1,370 +1,279 @@
 //! The committed ratchet baseline (`xtask-ratchet.toml`).
 //!
-//! The baseline records, per crate, how many `.unwrap()` / `.expect(` /
-//! panic-macro sites exist in non-test code (enforced by `cargo xtask
-//! lint`), how many potentially-lossy `as` casts (enforced by
-//! `cargo xtask audit`, see [`crate::casts`]), and how many lock-type /
-//! atomic-type sync primitives (enforced by `cargo xtask conc`, see
-//! [`crate::conc`]). It also records, per benchmark scale, the routing
+//! The baseline is one `section → key → count` table. A
+//! `[crate.<name>]` section records a crate's non-test panic surface
+//! (`unwrap` / `expect` / `panic`), its potentially-lossy `as` casts
+//! (`lossy-cast`, see [`crate::casts`]) and its lock-type / atomic-type
+//! sync primitives (`sync-lock` / `sync-atomic`, see [`crate::conc`]).
+//! A `[scale.<name>]` section records one benchmark scale's routing
 //! memory footprint (`routing-bytes-per-terminal`, measured by
 //! `engine_baseline` and published in `BENCH_sim.json`; see DESIGN.md
-//! §15). Each check fails when its count *rises* above the baseline,
-//! and reports (without failing) when a count has dropped so the
-//! baseline can be tightened with `--write-ratchet`. The file is
-//! parsed with a purpose-built reader rather than a TOML dependency:
-//! the format is a fixed table of integer keys under `[crate.<name>]`
-//! and `[scale.<name>]` sections.
+//! §15). [`compare`] fails when any count *rises* above the baseline and
+//! notes (without failing) a count that dropped, so the baseline can be
+//! tightened with `cargo xtask lint --write-ratchet`. The file is read
+//! with a purpose-built parser rather than a TOML dependency; a key
+//! missing from a section counts as 0.
 
 use std::collections::BTreeMap;
 
 use crate::casts::CastCounts;
 use crate::conc::SyncCounts;
 use crate::rules::PanicCounts;
+use crate::workspace::RATCHET_FILE;
 
-/// Per-crate baseline: the panic surface plus the lossy-cast and
-/// sync-primitive counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BaselineCounts {
-    /// Panic-surface portion (ratcheted by `cargo xtask lint`).
-    pub panic: PanicCounts,
-    /// Potentially-lossy cast count (ratcheted by `cargo xtask audit`).
-    /// Files written before the audit existed default to 0.
-    pub lossy_cast: usize,
-    /// Sync-primitive counts (ratcheted by `cargo xtask conc`). Files
-    /// written before the conc pass existed default to 0.
-    pub sync: SyncCounts,
+/// `section → key → count`, with sections named `crate.<name>` or
+/// `scale.<name>`.
+pub type Table = BTreeMap<String, BTreeMap<String, usize>>;
+
+/// Sites behind a measured count, by `(section, key)`, as
+/// `path:line: ...` strings; a rise of that count lists them.
+pub type Sites = BTreeMap<(String, String), Vec<String>>;
+
+/// One family of sections (`crate.*` or `scale.*`) and its keys.
+struct Family {
+    prefix: &'static str,
+    /// Completes "xtask-ratchet.toml lists <section> ..." for a
+    /// baseline section nothing measured.
+    unmeasured: &'static str,
+    /// Keys in rendering order.
+    keys: &'static [Key],
 }
 
-/// Parses the ratchet file. Returns crate name → baseline counts, or a
-/// description of the first malformed line.
-pub fn parse(text: &str) -> Result<BTreeMap<String, BaselineCounts>, String> {
-    let mut out: BTreeMap<String, BaselineCounts> = BTreeMap::new();
-    // `None` while inside a `[scale.*]` section, whose keys are read by
-    // [`parse_scales`] instead.
-    let mut current: Option<String> = None;
-    let mut in_scale = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            if section.strip_prefix("scale.").is_some() {
-                current = None;
-                in_scale = true;
-                continue;
-            }
-            let name = section.strip_prefix("crate.").ok_or_else(|| {
-                format!(
-                    "line {}: expected [crate.<name>] or [scale.<name>]",
-                    idx + 1
-                )
-            })?;
-            if out.contains_key(name) {
-                return Err(format!("line {}: duplicate crate `{name}`", idx + 1));
-            }
-            out.insert(name.to_string(), BaselineCounts::default());
-            current = Some(name.to_string());
-            in_scale = false;
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`", idx + 1))?;
-        if in_scale {
-            continue;
-        }
-        let crate_name = current
-            .as_ref()
-            .ok_or_else(|| format!("line {}: key outside a [crate.*] section", idx + 1))?;
-        let n: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("line {}: value is not an integer", idx + 1))?;
-        let entry = out
-            .get_mut(crate_name)
-            .expect("section inserted on open above");
-        match key.trim() {
-            "unwrap" => entry.panic.unwrap = n,
-            "expect" => entry.panic.expect = n,
-            "panic" => entry.panic.panic = n,
-            "lossy-cast" => entry.lossy_cast = n,
-            "sync-lock" => entry.sync.lock = n,
-            "sync-atomic" => entry.sync.atomic = n,
-            other => return Err(format!("line {}: unknown key `{other}`", idx + 1)),
-        }
+/// One ratcheted key.
+struct Key {
+    name: &'static str,
+    /// How a diagnostic names the count.
+    noun: &'static str,
+    /// What to do when it rises.
+    hint: &'static str,
+}
+
+const PANIC_HINT: &str = "the panic-surface ratchet only turns downward";
+const SYNC_HINT: &str = "new concurrency surface must be deliberate — justify the growth and \
+                         re-baseline with `cargo xtask lint --write-ratchet`";
+
+const FAMILIES: &[Family] = &[
+    Family {
+        prefix: "crate",
+        unmeasured: "which is not in the workspace",
+        keys: &[
+            Key {
+                name: "unwrap",
+                noun: "unwrap count",
+                hint: PANIC_HINT,
+            },
+            Key {
+                name: "expect",
+                noun: "expect count",
+                hint: PANIC_HINT,
+            },
+            Key {
+                name: "panic",
+                noun: "panic count",
+                hint: PANIC_HINT,
+            },
+            Key {
+                name: "lossy-cast",
+                noun: "lossy-cast count",
+                hint: "convert the new casts to `try_from` or justify them with \
+                       `// xtask: allow(lossy-cast) — <invariant>`",
+            },
+            Key {
+                name: "sync-lock",
+                noun: "sync-lock count",
+                hint: SYNC_HINT,
+            },
+            Key {
+                name: "sync-atomic",
+                noun: "sync-atomic count",
+                hint: SYNC_HINT,
+            },
+        ],
+    },
+    Family {
+        prefix: "scale",
+        unmeasured: "which BENCH_sim.json does not report",
+        keys: &[Key {
+            name: "routing-bytes-per-terminal",
+            noun: "routing-bytes-per-terminal",
+            hint: "the routing-memory ratchet only turns downward — shrink the reach sets or \
+                   candidate table, or justify the growth and re-baseline",
+        }],
+    },
+];
+
+/// The family of `section`, with the name after its prefix.
+fn family(section: &str) -> Option<(&'static Family, &str)> {
+    let (prefix, name) = section.split_once('.')?;
+    FAMILIES
+        .iter()
+        .find(|f| f.prefix == prefix)
+        .map(|f| (f, name))
+}
+
+/// `crate.sim` → ``crate `sim` ``, for diagnostics.
+fn label(section: &str) -> String {
+    match section.split_once('.') {
+        Some((prefix, name)) => format!("{prefix} `{name}`"),
+        None => format!("`{section}`"),
     }
-    Ok(out)
 }
 
-/// Parses the `[scale.<name>]` sections of the ratchet file: benchmark
-/// scale → `routing-bytes-per-terminal` baseline. Crate sections are
-/// skipped (they are [`parse`]'s concern); files written before the
-/// memory ratchet existed simply yield an empty map.
-pub fn parse_scales(text: &str) -> Result<BTreeMap<String, usize>, String> {
-    let mut out: BTreeMap<String, usize> = BTreeMap::new();
-    // `None` while inside a `[crate.*]` section.
-    let mut current: Option<String> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            if let Some(name) = section.strip_prefix("scale.") {
-                if out.contains_key(name) {
-                    return Err(format!("line {}: duplicate scale `{name}`", idx + 1));
-                }
-                out.insert(name.to_string(), 0);
-                current = Some(name.to_string());
-            } else if section.strip_prefix("crate.").is_some() {
-                current = None;
-            } else {
-                return Err(format!(
-                    "line {}: expected [crate.<name>] or [scale.<name>]",
-                    idx + 1
-                ));
-            }
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`", idx + 1))?;
-        let Some(scale) = current.as_ref() else {
-            continue;
-        };
-        let n: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("line {}: value is not an integer", idx + 1))?;
-        match (key.trim(), out.get_mut(scale)) {
-            ("routing-bytes-per-terminal", Some(slot)) => *slot = n,
-            ("routing-bytes-per-terminal", None) => {
-                return Err(format!(
-                    "line {}: scale `{scale}` has no open section",
-                    idx + 1
-                ))
-            }
-            (other, _) => return Err(format!("line {}: unknown scale key `{other}`", idx + 1)),
-        }
-    }
-    Ok(out)
-}
-
-/// Renders a baseline back to the canonical file format from the three
-/// measured crate tables (which cover the same crate set) plus the
-/// per-scale routing-memory table from `BENCH_sim.json` (empty for
-/// trees without a benchmark report).
-pub fn render(
+/// The measured table: one `crate.<name>` section per crate of the
+/// three crate tallies (which cover the same crates) and one
+/// `scale.<name>` section per benchmark scale.
+pub fn measure(
     panic: &BTreeMap<String, PanicCounts>,
     casts: &BTreeMap<String, CastCounts>,
     sync: &BTreeMap<String, SyncCounts>,
     scales: &BTreeMap<String, usize>,
-) -> String {
-    let mut out = String::from(
-        "# Ratchet baselines enforced by the in-tree analyzer.\n\
-         #\n\
-         # unwrap/expect/panic cover `.unwrap()`, `.expect(` and panic!-family\n\
-         # macros in NON-TEST code (`cargo xtask lint`); lossy-cast counts\n\
-         # potentially-lossy `as` casts (`cargo xtask audit`, DESIGN.md §12);\n\
-         # sync-lock/sync-atomic count lock-type and atomic-type mentions\n\
-         # (`cargo xtask conc`, DESIGN.md §14); routing-bytes-per-terminal\n\
-         # is the per-scale routing-state footprint from BENCH_sim.json\n\
-         # (`cargo xtask ratchet`, DESIGN.md §15).\n\
-         # Each ratchet only turns one way: a count may drop (tighten with\n\
-         # `cargo xtask lint --all --write-ratchet`) but any increase fails.\n",
-    );
-    for (name, counts) in panic {
-        let lossy = casts.get(name).map(|c| c.lossy).unwrap_or(0);
+) -> Table {
+    let mut table = Table::new();
+    for (name, p) in panic {
+        let lossy = casts.get(name).map_or(0, |c| c.lossy);
         let s = sync.get(name).copied().unwrap_or_default();
-        out.push_str(&format!(
-            "\n[crate.{name}]\nunwrap = {}\nexpect = {}\npanic = {}\nlossy-cast = {lossy}\n\
-             sync-lock = {}\nsync-atomic = {}\n",
-            counts.unwrap, counts.expect, counts.panic, s.lock, s.atomic
-        ));
+        let counts = [
+            ("unwrap", p.unwrap),
+            ("expect", p.expect),
+            ("panic", p.panic),
+            ("lossy-cast", lossy),
+            ("sync-lock", s.lock),
+            ("sync-atomic", s.atomic),
+        ];
+        table.insert(
+            format!("crate.{name}"),
+            counts.iter().map(|&(k, n)| (k.to_string(), n)).collect(),
+        );
     }
-    for (name, bytes) in scales {
-        out.push_str(&format!(
-            "\n[scale.{name}]\nrouting-bytes-per-terminal = {bytes}\n"
-        ));
+    for (name, &bytes) in scales {
+        table.insert(
+            format!("scale.{name}"),
+            BTreeMap::from([("routing-bytes-per-terminal".to_string(), bytes)]),
+        );
+    }
+    table
+}
+
+/// Parses the ratchet file, or describes its first malformed line.
+pub fn parse(text: &str) -> Result<Table, String> {
+    let mut out = Table::new();
+    let mut current: Option<(&Family, String)> = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let lineno = idx + 1;
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if let Some(section) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            let (fam, _) = family(section).ok_or_else(|| {
+                format!("line {lineno}: expected [crate.<name>] or [scale.<name>]")
+            })?;
+            if out.insert(section.to_string(), BTreeMap::new()).is_some() {
+                return Err(format!("line {lineno}: duplicate section [{section}]"));
+            }
+            current = Some((fam, section.to_string()));
+            continue;
+        }
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
+        let (fam, section) = current
+            .as_ref()
+            .ok_or_else(|| format!("line {lineno}: key outside a section"))?;
+        let key = key.trim();
+        if !fam.keys.iter().any(|k| k.name == key) {
+            return Err(format!("line {lineno}: unknown key `{key}` in [{section}]"));
+        }
+        let n: usize = value
+            .trim()
+            .parse()
+            .map_err(|_| format!("line {lineno}: value is not an integer"))?;
+        out.entry(section.clone())
+            .or_default()
+            .insert(key.to_string(), n);
+    }
+    Ok(out)
+}
+
+/// Renders a table in the canonical file format: a header, then every
+/// section with its family's keys in order.
+pub fn render(table: &Table) -> String {
+    let mut out = String::from(
+        "# Ratchet baselines, checked by `cargo xtask lint` (DESIGN.md §9).\n\
+         #\n\
+         # Per crate, over NON-TEST code: unwrap/expect/panic count `.unwrap()`,\n\
+         # `.expect(` and panic!-family macros; lossy-cast counts\n\
+         # potentially-lossy `as` casts (DESIGN.md §12); sync-lock/sync-atomic\n\
+         # count lock-type and atomic-type mentions (DESIGN.md §14). Per scale,\n\
+         # routing-bytes-per-terminal is the routing-state footprint from\n\
+         # BENCH_sim.json (DESIGN.md §15).\n\
+         # Each ratchet only turns one way: a count may drop (tighten with\n\
+         # `cargo xtask lint --write-ratchet`) but any increase fails.\n",
+    );
+    for (section, counts) in table {
+        out.push_str(&format!("\n[{section}]\n"));
+        for key in family(section).map_or(&[][..], |(f, _)| f.keys) {
+            let n = counts.get(key.name).copied().unwrap_or(0);
+            out.push_str(&format!("{} = {n}\n", key.name));
+        }
     }
     out
 }
 
-/// Compares the measured panic surface against the baseline.
+/// Compares a measured table against the baseline.
 ///
-/// Returns `(failures, improvements)`: failures are regressions or
-/// bookkeeping errors (unknown/missing crates) that must fail the lint;
-/// improvements are counts now below baseline, reported as a nudge to
-/// re-tighten.
-pub fn compare(
-    baseline: &BTreeMap<String, BaselineCounts>,
-    measured: &BTreeMap<String, PanicCounts>,
-) -> (Vec<String>, Vec<String>) {
+/// Returns `(failures, improvements)`. Failures are rises (listing the
+/// count's `sites`, when given) and bookkeeping errors: a measured
+/// section missing from the baseline, or a baseline section nothing
+/// measured. Improvements are counts now below the baseline, reported
+/// as a nudge to re-tighten.
+pub fn compare(baseline: &Table, measured: &Table, sites: &Sites) -> (Vec<String>, Vec<String>) {
     let mut failures = Vec::new();
     let mut improvements = Vec::new();
-    for (name, have) in measured {
-        let Some(want) = baseline.get(name) else {
+    for (section, have) in measured {
+        let name = label(section);
+        let Some(want) = baseline.get(section) else {
+            let found: Vec<String> = have.iter().map(|(k, n)| format!("{k} = {n}")).collect();
             failures.push(format!(
-                "crate `{name}` is missing from xtask-ratchet.toml (found {} panic sites); \
+                "{name} is missing from {RATCHET_FILE} (measured {}); \
                  add it with `cargo xtask lint --write-ratchet`",
-                have.total()
+                found.join(", ")
             ));
             continue;
         };
-        for (kind, h, w) in [
-            ("unwrap", have.unwrap, want.panic.unwrap),
-            ("expect", have.expect, want.panic.expect),
-            ("panic", have.panic, want.panic.panic),
-        ] {
+        for key in family(section).map_or(&[][..], |(f, _)| f.keys) {
+            let h = have.get(key.name).copied().unwrap_or(0);
+            let w = want.get(key.name).copied().unwrap_or(0);
             if h > w {
-                failures.push(format!(
-                    "crate `{name}`: {kind} count rose to {h} (baseline {w}); \
-                     the panic-surface ratchet only turns downward"
-                ));
+                let mut msg = format!(
+                    "{name}: {} rose to {h} (baseline {w}); {}",
+                    key.noun, key.hint
+                );
+                if let Some(list) = sites.get(&(section.clone(), key.name.to_string())) {
+                    msg.push_str("; unsuppressed sites:");
+                    for site in list {
+                        msg.push_str("\n  ");
+                        msg.push_str(site);
+                    }
+                }
+                failures.push(msg);
             } else if h < w {
                 improvements.push(format!(
-                    "crate `{name}`: {kind} count is {h}, below baseline {w} — \
-                     tighten with `cargo xtask lint --write-ratchet`"
+                    "{name}: {} is {h}, below baseline {w} — \
+                     tighten with `cargo xtask lint --write-ratchet`",
+                    key.noun
                 ));
             }
         }
     }
-    for name in baseline.keys() {
-        if !measured.contains_key(name) {
+    for section in baseline.keys() {
+        if !measured.contains_key(section) {
+            let unmeasured =
+                family(section).map_or("which nothing measured", |(f, _)| f.unmeasured);
             failures.push(format!(
-                "xtask-ratchet.toml lists crate `{name}` which is not in the workspace; \
-                 remove it with `cargo xtask lint --write-ratchet`"
-            ));
-        }
-    }
-    (failures, improvements)
-}
-
-/// Compares the measured lossy-cast counts against the baseline
-/// (`cargo xtask audit`). Same one-way contract as [`compare`].
-pub fn compare_lossy(
-    baseline: &BTreeMap<String, BaselineCounts>,
-    measured: &BTreeMap<String, CastCounts>,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut improvements = Vec::new();
-    for (name, have) in measured {
-        let Some(want) = baseline.get(name) else {
-            failures.push(format!(
-                "crate `{name}` is missing from xtask-ratchet.toml (found {} lossy casts); \
-                 add it with `cargo xtask audit --write-ratchet`",
-                have.lossy
-            ));
-            continue;
-        };
-        if have.lossy > want.lossy_cast {
-            failures.push(format!(
-                "crate `{name}`: lossy-cast count rose to {} (baseline {}); convert the new \
-                 casts to `try_from` or justify them with \
-                 `// xtask: allow(lossy-cast) — <invariant>`",
-                have.lossy, want.lossy_cast
-            ));
-        } else if have.lossy < want.lossy_cast {
-            improvements.push(format!(
-                "crate `{name}`: lossy-cast count is {}, below baseline {} — \
-                 tighten with `cargo xtask audit --write-ratchet`",
-                have.lossy, want.lossy_cast
-            ));
-        }
-    }
-    for name in baseline.keys() {
-        if !measured.contains_key(name) {
-            failures.push(format!(
-                "xtask-ratchet.toml lists crate `{name}` which is not in the workspace; \
-                 remove it with `cargo xtask audit --write-ratchet`"
-            ));
-        }
-    }
-    (failures, improvements)
-}
-
-/// Compares the measured sync-primitive counts against the baseline
-/// (`cargo xtask conc`). Same one-way contract as [`compare`].
-pub fn compare_sync(
-    baseline: &BTreeMap<String, BaselineCounts>,
-    measured: &BTreeMap<String, SyncCounts>,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut improvements = Vec::new();
-    for (name, have) in measured {
-        let Some(want) = baseline.get(name) else {
-            failures.push(format!(
-                "crate `{name}` is missing from xtask-ratchet.toml (found {} sync sites); \
-                 add it with `cargo xtask lint --all --write-ratchet`",
-                have.total()
-            ));
-            continue;
-        };
-        for (kind, h, w) in [
-            ("sync-lock", have.lock, want.sync.lock),
-            ("sync-atomic", have.atomic, want.sync.atomic),
-        ] {
-            if h > w {
-                failures.push(format!(
-                    "crate `{name}`: {kind} count rose to {h} (baseline {w}); new \
-                     concurrency surface must be deliberate — justify the growth and \
-                     re-baseline with `cargo xtask lint --all --write-ratchet`"
-                ));
-            } else if h < w {
-                improvements.push(format!(
-                    "crate `{name}`: {kind} count is {h}, below baseline {w} — \
-                     tighten with `cargo xtask lint --all --write-ratchet`"
-                ));
-            }
-        }
-    }
-    for name in baseline.keys() {
-        if !measured.contains_key(name) {
-            failures.push(format!(
-                "xtask-ratchet.toml lists crate `{name}` which is not in the workspace; \
-                 remove it with `cargo xtask lint --all --write-ratchet`"
-            ));
-        }
-    }
-    (failures, improvements)
-}
-
-/// Compares the measured per-scale routing memory (from
-/// `BENCH_sim.json`) against the baseline. Same one-way contract as
-/// [`compare`]: a footprint may shrink, never grow.
-pub fn compare_scales(
-    baseline: &BTreeMap<String, usize>,
-    measured: &BTreeMap<String, usize>,
-) -> (Vec<String>, Vec<String>) {
-    let mut failures = Vec::new();
-    let mut improvements = Vec::new();
-    for (name, have) in measured {
-        let Some(want) = baseline.get(name) else {
-            failures.push(format!(
-                "scale `{name}` is missing from xtask-ratchet.toml (measured {have} routing \
-                 bytes/terminal); add it with `cargo xtask lint --write-ratchet`"
-            ));
-            continue;
-        };
-        if have > want {
-            failures.push(format!(
-                "scale `{name}`: routing-bytes-per-terminal rose to {have} (baseline {want}); \
-                 the routing-memory ratchet only turns downward — shrink the reach sets or \
-                 candidate table, or justify the growth and re-baseline"
-            ));
-        } else if have < want {
-            improvements.push(format!(
-                "scale `{name}`: routing-bytes-per-terminal is {have}, below baseline {want} — \
-                 tighten with `cargo xtask lint --write-ratchet`"
-            ));
-        }
-    }
-    for name in baseline.keys() {
-        if !measured.contains_key(name) {
-            failures.push(format!(
-                "xtask-ratchet.toml lists scale `{name}` which BENCH_sim.json does not report; \
-                 remove it with `cargo xtask lint --write-ratchet`"
+                "{RATCHET_FILE} lists {} {unmeasured}; \
+                 remove it with `cargo xtask lint --write-ratchet`",
+                label(section)
             ));
         }
     }
@@ -375,74 +284,61 @@ pub fn compare_scales(
 mod tests {
     use super::*;
 
-    fn counts(unwrap: usize, expect: usize, panic: usize) -> PanicCounts {
-        PanicCounts {
-            unwrap,
-            expect,
-            panic,
-        }
-    }
-
-    fn baseline(unwrap: usize, expect: usize, panic: usize, lossy: usize) -> BaselineCounts {
-        BaselineCounts {
-            panic: counts(unwrap, expect, panic),
-            lossy_cast: lossy,
-            sync: SyncCounts::default(),
-        }
-    }
-
-    fn sync(lock: usize, atomic: usize) -> SyncCounts {
-        SyncCounts { lock, atomic }
-    }
-
-    fn lossy(n: usize) -> CastCounts {
-        CastCounts {
-            lossy: n,
-            ..CastCounts::default()
-        }
+    fn section(pairs: &[(&str, usize)]) -> BTreeMap<String, usize> {
+        pairs.iter().map(|&(k, n)| (k.to_string(), n)).collect()
     }
 
     #[test]
     fn parse_render_round_trips() {
-        let mut panic = BTreeMap::new();
-        panic.insert("core".to_string(), counts(3, 5, 1));
-        panic.insert("sim".to_string(), counts(0, 4, 2));
-        let mut casts = BTreeMap::new();
-        casts.insert("core".to_string(), lossy(7));
-        casts.insert("sim".to_string(), lossy(0));
-        let mut syncs = BTreeMap::new();
-        syncs.insert("core".to_string(), sync(1, 0));
-        syncs.insert("sim".to_string(), sync(2, 3));
-        let mut scales = BTreeMap::new();
-        scales.insert("small".to_string(), 135);
-        scales.insert("large".to_string(), 52);
-        let text = render(&panic, &casts, &syncs, &scales);
-        let parsed = parse(&text).expect("rendered file must parse");
+        let panic = BTreeMap::from([
+            (
+                "core".to_string(),
+                PanicCounts {
+                    unwrap: 3,
+                    expect: 5,
+                    panic: 1,
+                },
+            ),
+            ("sim".to_string(), PanicCounts::default()),
+        ]);
+        let casts = BTreeMap::from([(
+            "core".to_string(),
+            CastCounts {
+                lossy: 7,
+                ..CastCounts::default()
+            },
+        )]);
+        let sync = BTreeMap::from([("sim".to_string(), SyncCounts { lock: 2, atomic: 3 })]);
+        let scales = BTreeMap::from([("small".to_string(), 135), ("large".to_string(), 52)]);
+        let table = measure(&panic, &casts, &sync, &scales);
+        let parsed = parse(&render(&table)).expect("rendered file must parse");
+        assert_eq!(parsed, table);
         assert_eq!(
-            parsed["core"],
-            BaselineCounts {
-                panic: counts(3, 5, 1),
-                lossy_cast: 7,
-                sync: sync(1, 0),
-            }
+            parsed["crate.core"],
+            section(&[
+                ("unwrap", 3),
+                ("expect", 5),
+                ("panic", 1),
+                ("lossy-cast", 7),
+                ("sync-lock", 0),
+                ("sync-atomic", 0),
+            ])
         );
-        assert_eq!(
-            parsed["sim"],
-            BaselineCounts {
-                panic: counts(0, 4, 2),
-                lossy_cast: 0,
-                sync: sync(2, 3),
-            }
-        );
-        let parsed_scales = parse_scales(&text).expect("rendered scales must parse");
-        assert_eq!(parsed_scales, scales);
+        assert_eq!(parsed["crate.sim"]["sync-atomic"], 3);
+        assert_eq!(parsed["scale.small"]["routing-bytes-per-terminal"], 135);
     }
 
     #[test]
-    fn parse_accepts_pre_audit_files_without_newer_keys() {
+    fn keys_missing_from_old_files_count_as_zero() {
         let parsed = parse("[crate.a]\nunwrap = 1\nexpect = 2\npanic = 0\n")
-            .expect("pre-audit files must stay parseable");
-        assert_eq!(parsed["a"], baseline(1, 2, 0, 0));
+            .expect("files without the newer keys must stay parseable");
+        let measured = Table::from([(
+            "crate.a".to_string(),
+            section(&[("unwrap", 1), ("expect", 2), ("lossy-cast", 0)]),
+        )]);
+        assert_eq!(compare(&parsed, &measured, &Sites::new()), (vec![], vec![]));
+        assert!(render(&parsed)
+            .contains("[crate.a]\nunwrap = 1\nexpect = 2\npanic = 0\nlossy-cast = 0\n"));
     }
 
     #[test]
@@ -452,115 +348,57 @@ mod tests {
         assert!(parse("[crate.a]\nunwrap = x\n").is_err());
         assert!(parse("[crate.a]\nwibble = 3\n").is_err());
         assert!(parse("[crate.a]\n[crate.a]\n").is_err(), "duplicate crate");
-    }
-
-    #[test]
-    fn parse_skips_scale_sections_and_vice_versa() {
-        let text = "[crate.a]\nunwrap = 1\n\n[scale.small]\nrouting-bytes-per-terminal = 135\n";
-        let crates = parse(text).expect("crate parse must tolerate scale sections");
-        assert_eq!(crates.len(), 1);
-        assert_eq!(crates["a"].panic.unwrap, 1);
-        let scales = parse_scales(text).expect("scale parse must tolerate crate sections");
-        assert_eq!(scales.len(), 1);
-        assert_eq!(scales["small"], 135);
-    }
-
-    #[test]
-    fn parse_scales_rejects_malformed_input() {
-        assert!(parse_scales("[notcrate.x]\n").is_err());
         assert!(
-            parse_scales("[scale.s]\nwibble = 3\n").is_err(),
-            "unknown key"
+            parse("[scale.s]\nunwrap = 3\n").is_err(),
+            "crate key in a scale"
         );
-        assert!(parse_scales("[scale.s]\nrouting-bytes-per-terminal = x\n").is_err());
-        assert!(parse_scales("[scale.s]\n[scale.s]\n").is_err(), "duplicate");
+        assert!(parse("[scale.s]\nrouting-bytes-per-terminal = x\n").is_err());
+        assert!(parse("[scale.s]\n[scale.s]\n").is_err(), "duplicate scale");
     }
 
     #[test]
-    fn compare_flags_regressions_and_improvements() {
-        let mut base = BTreeMap::new();
-        base.insert("a".to_string(), baseline(2, 2, 0, 0));
-        base.insert("gone".to_string(), baseline(0, 0, 0, 0));
-        let mut measured = BTreeMap::new();
-        measured.insert("a".to_string(), counts(3, 1, 0));
-        measured.insert("new".to_string(), counts(0, 0, 0));
-        let (failures, improvements) = compare(&base, &measured);
-        assert_eq!(
-            failures.len(),
-            3,
-            "regression + unknown crate + stale crate"
-        );
-        assert!(failures.iter().any(|f| f.contains("unwrap count rose")));
-        assert!(failures.iter().any(|f| f.contains("missing from")));
-        assert!(failures.iter().any(|f| f.contains("not in the workspace")));
-        assert_eq!(improvements.len(), 1);
-        assert!(improvements[0].contains("expect count is 1"));
-    }
+    fn compare_fails_rises_and_unmatched_sections_and_notes_drops() {
+        for fam in FAMILIES {
+            for key in fam.keys {
+                let sec = format!("{}.x", fam.prefix);
+                let base = Table::from([(sec.clone(), section(&[(key.name, 5)]))]);
+                let measured = |n: usize| Table::from([(sec.clone(), section(&[(key.name, n)]))]);
+                let sites = Sites::from([(
+                    (sec.clone(), key.name.to_string()),
+                    vec!["src/a.rs:3: as u32".to_string()],
+                )]);
 
-    #[test]
-    fn compare_lossy_flags_regressions_and_improvements() {
-        let mut base = BTreeMap::new();
-        base.insert("a".to_string(), baseline(0, 0, 0, 5));
-        base.insert("b".to_string(), baseline(0, 0, 0, 2));
-        base.insert("gone".to_string(), baseline(0, 0, 0, 0));
-        let mut measured = BTreeMap::new();
-        measured.insert("a".to_string(), lossy(6));
-        measured.insert("b".to_string(), lossy(1));
-        measured.insert("new".to_string(), lossy(0));
-        let (failures, improvements) = compare_lossy(&base, &measured);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("lossy-cast count rose to 6")));
-        assert_eq!(improvements.len(), 1);
-        assert!(improvements[0].contains("lossy-cast count is 1"));
-    }
+                // A rise fails and names the key, the value and the baseline.
+                let (failures, improvements) = compare(&base, &measured(6), &sites);
+                assert_eq!(failures.len(), 1, "{}: {failures:?}", key.name);
+                let f = &failures[0];
+                assert!(
+                    f.contains(key.name) && f.contains("rose to 6 (baseline 5)"),
+                    "{f}"
+                );
+                assert!(f.ends_with("sites:\n  src/a.rs:3: as u32"), "{f}");
+                assert!(improvements.is_empty());
 
-    #[test]
-    fn compare_scales_flags_regressions_and_improvements() {
-        let mut base = BTreeMap::new();
-        base.insert("small".to_string(), 135);
-        base.insert("medium".to_string(), 96);
-        base.insert("gone".to_string(), 1);
-        let mut measured = BTreeMap::new();
-        measured.insert("small".to_string(), 140);
-        measured.insert("medium".to_string(), 90);
-        measured.insert("large".to_string(), 52);
-        let (failures, improvements) = compare_scales(&base, &measured);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("routing-bytes-per-terminal rose to 140")));
-        assert!(failures.iter().any(|f| f.contains("missing from")));
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("BENCH_sim.json does not report")));
-        assert_eq!(improvements.len(), 1);
-        assert!(improvements[0].contains("routing-bytes-per-terminal is 90"));
-    }
+                // A drop is a note, not a failure.
+                let (failures, improvements) = compare(&base, &measured(4), &sites);
+                assert!(failures.is_empty(), "{failures:?}");
+                assert_eq!(improvements.len(), 1);
+                assert!(
+                    improvements[0].contains(&format!("{} is 4, below baseline 5", key.noun)),
+                    "{}",
+                    improvements[0]
+                );
 
-    #[test]
-    fn compare_sync_flags_regressions_and_improvements() {
-        let mut base = BTreeMap::new();
-        base.insert(
-            "a".to_string(),
-            BaselineCounts {
-                sync: sync(1, 4),
-                ..BaselineCounts::default()
-            },
-        );
-        base.insert("gone".to_string(), baseline(0, 0, 0, 0));
-        let mut measured = BTreeMap::new();
-        measured.insert("a".to_string(), sync(2, 3));
-        measured.insert("new".to_string(), sync(0, 0));
-        let (failures, improvements) = compare_sync(&base, &measured);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("sync-lock count rose to 2")));
-        assert!(failures.iter().any(|f| f.contains("missing from")));
-        assert!(failures.iter().any(|f| f.contains("not in the workspace")));
-        assert_eq!(improvements.len(), 1);
-        assert!(improvements[0].contains("sync-atomic count is 3"));
+                // A baseline section nothing measured fails.
+                let (failures, _) = compare(&base, &Table::new(), &sites);
+                assert_eq!(failures.len(), 1);
+                assert!(failures[0].contains(fam.unmeasured), "{}", failures[0]);
+
+                // A measured section without a baseline fails.
+                let (failures, _) = compare(&Table::new(), &measured(0), &sites);
+                assert_eq!(failures.len(), 1);
+                assert!(failures[0].contains("missing from"), "{}", failures[0]);
+            }
+        }
     }
 }

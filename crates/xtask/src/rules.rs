@@ -8,7 +8,7 @@
 //! `// xtask: allow(<rule>) — <reason>` comment on the same line or the
 //! line directly above (see [`crate::scan::allow_directive`]).
 
-use crate::scan::{allow_covers, scan, ScannedLine};
+use crate::scan::{allow_covers, ScannedLine};
 
 /// Names of the determinism rules, as used in allow comments and
 /// diagnostics.
@@ -21,20 +21,20 @@ pub const RULE_AMBIENT_RNG: &str = "ambient-rng";
 pub const RULE_EXPECT_MESSAGE: &str = "expect-message";
 /// Rule name for heap allocation inside a marked hot-loop region.
 pub const RULE_HOT_LOOP_ALLOC: &str = "hot-loop-alloc";
-/// Rule name for potentially-lossy numeric `as` casts (`cargo xtask
-/// audit`; ratcheted per crate, see [`crate::casts`]).
+/// Rule name for potentially-lossy numeric `as` casts (ratcheted per
+/// crate, see [`crate::casts`]).
 pub const RULE_LOSSY_CAST: &str = "lossy-cast";
 /// Rule name for inter-crate dependency edges that violate the layer
-/// graph committed in `xtask-layers.toml` (`cargo xtask audit`).
+/// graph committed in `xtask-layers.toml` (see [`crate::layers`]).
 pub const RULE_LAYERING: &str = "layering";
 /// Rule name for atomic operations that do not spell an ordering at the
-/// call site (`cargo xtask conc`, see [`crate::conc`]).
+/// call site (see [`crate::conc`]).
 pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
 /// Rule name for `Ordering::Relaxed` sites outside the committed
-/// `xtask-conc.toml` allowlist (`cargo xtask conc`).
+/// `xtask-conc.toml` allowlist (see [`crate::conc`]).
 pub const RULE_RELAXED_ORDERING: &str = "relaxed-ordering";
 /// Rule name for blocking/over-synchronizing constructs inside a
-/// marked lockstep region (`cargo xtask conc`).
+/// marked lockstep region (see [`crate::conc`]).
 pub const RULE_LOCKSTEP_REGION: &str = "lockstep-region";
 
 /// Raw-comment marker opening a hot-loop region (e.g. the simulator's
@@ -122,19 +122,13 @@ const DETERMINISM_RULES: &[DeterminismRule] = &[
     },
 ];
 
-/// Analyzes one file's source text.
+/// Analyzes one scanned non-test file.
 ///
 /// `deterministic` selects whether the determinism rules apply (they
 /// cover only the seed-deterministic crates); panic counting and the
-/// expect-message rule always run. `test_file` marks sources that are
-/// test-only by *path* (under `tests/`, `benches/`, `examples/`), which
-/// exempts every line.
-pub fn analyze_source(source: &str, deterministic: bool, test_file: bool) -> FileAnalysis {
-    let lines = scan(source);
+/// expect-message rule always run.
+pub fn analyze_lines(lines: &[ScannedLine], deterministic: bool) -> FileAnalysis {
     let mut analysis = FileAnalysis::default();
-    if test_file {
-        return analysis;
-    }
     // Hot-loop regions are delimited by raw-comment markers; track the
     // opening line for the unterminated-region diagnostic.
     let mut hot_since: Option<usize> = None;
@@ -153,7 +147,7 @@ pub fn analyze_source(source: &str, deterministic: bool, test_file: bool) -> Fil
                 if !contains_token(&line.code, needle) {
                     continue;
                 }
-                if allowed(&lines, idx, RULE_HOT_LOOP_ALLOC) {
+                if allowed(lines, idx, RULE_HOT_LOOP_ALLOC) {
                     continue;
                 }
                 analysis.violations.push(Violation {
@@ -172,7 +166,7 @@ pub fn analyze_source(source: &str, deterministic: bool, test_file: bool) -> Fil
                     if !contains_token(&line.code, needle) {
                         continue;
                     }
-                    if allowed(&lines, idx, rule.name) {
+                    if allowed(lines, idx, rule.name) {
                         continue;
                     }
                     analysis.violations.push(Violation {
@@ -193,7 +187,7 @@ pub fn analyze_source(source: &str, deterministic: bool, test_file: bool) -> Fil
         let mut search = 0;
         while let Some(at) = line.code[search..].find(".expect(") {
             let col = search + at + ".expect(".len();
-            if !expect_has_message(&lines, idx, col) && !allowed(&lines, idx, RULE_EXPECT_MESSAGE) {
+            if !expect_has_message(lines, idx, col) && !allowed(lines, idx, RULE_EXPECT_MESSAGE) {
                 analysis.violations.push(Violation {
                     rule: RULE_EXPECT_MESSAGE.to_string(),
                     line: lineno,
@@ -293,22 +287,27 @@ fn count_occurrences(hay: &str, needle: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::scan;
+
+    fn analyze(src: &str, deterministic: bool) -> FileAnalysis {
+        analyze_lines(&scan(src), deterministic)
+    }
 
     #[test]
     fn hash_collections_fire_in_deterministic_code() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32>; }";
-        let a = analyze_source(src, true, false);
+        let a = analyze(src, true);
         assert_eq!(a.violations.len(), 2);
         assert!(a.violations.iter().all(|v| v.rule == RULE_HASH_COLLECTIONS));
         // Non-deterministic crates are not subject to the rule.
-        assert!(analyze_source(src, false, false).violations.is_empty());
+        assert!(analyze(src, false).violations.is_empty());
     }
 
     #[test]
     fn allow_comment_suppresses_one_line() {
         let src = "let m = HashMap::new(); // xtask: allow(hash-collections) — keys sorted below\n\
                    let n = HashMap::new();";
-        let a = analyze_source(src, true, false);
+        let a = analyze(src, true);
         assert_eq!(a.violations.len(), 1, "only the unannotated line fires");
         assert_eq!(a.violations[0].line, 2);
     }
@@ -318,46 +317,38 @@ mod tests {
         // Regression: `allow(a, b)` used to be matched as the single
         // rule name "a, b" and suppressed nothing.
         let src = "let m = HashMap::new(); // xtask: allow(lossy-cast, hash-collections) — sorted before iteration";
-        assert!(analyze_source(src, true, false).violations.is_empty());
+        assert!(analyze(src, true).violations.is_empty());
         // ...but an unlisted rule still fires.
         let src =
             "let t = Instant::now(); // xtask: allow(lossy-cast, hash-collections) — wrong rules";
-        assert_eq!(analyze_source(src, true, false).violations.len(), 1);
+        assert_eq!(analyze(src, true).violations.len(), 1);
     }
 
     #[test]
     fn allow_comment_on_previous_line_applies() {
         let src = "// xtask: allow(wall-clock) — progress display only\nlet t = Instant::now();";
-        assert!(analyze_source(src, true, false).violations.is_empty());
+        assert!(analyze(src, true).violations.is_empty());
     }
 
     #[test]
     fn allow_without_reason_does_not_suppress() {
         let src = "let t = Instant::now(); // xtask: allow(wall-clock)";
-        assert_eq!(analyze_source(src, true, false).violations.len(), 1);
+        assert_eq!(analyze(src, true).violations.len(), 1);
     }
 
     #[test]
     fn test_code_is_exempt() {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let m = HashMap::new(); x.unwrap(); }\n}";
-        let a = analyze_source(src, true, false);
+        let a = analyze(src, true);
         assert!(a.violations.is_empty());
         assert_eq!(a.counts, PanicCounts::default());
-    }
-
-    #[test]
-    fn test_files_are_exempt_wholesale() {
-        let src = "fn t() { let m = HashMap::new(); x.unwrap(); }";
-        let a = analyze_source(src, true, true);
-        assert!(a.violations.is_empty());
-        assert_eq!(a.counts.total(), 0);
     }
 
     #[test]
     fn panic_surface_is_counted() {
         let src =
             "fn f() { a.unwrap(); b.unwrap(); c.expect(\"m\"); panic!(\"x\"); unreachable!() }";
-        let a = analyze_source(src, false, false);
+        let a = analyze(src, false);
         assert_eq!(a.counts.unwrap, 2);
         assert_eq!(a.counts.expect, 1);
         assert_eq!(a.counts.panic, 2);
@@ -366,13 +357,13 @@ mod tests {
     #[test]
     fn unwrap_or_variants_do_not_count() {
         let src = "fn f() { a.unwrap_or(0); b.unwrap_or_else(g); c.unwrap_or_default(); }";
-        assert_eq!(analyze_source(src, false, false).counts.total(), 0);
+        assert_eq!(analyze(src, false).counts.total(), 0);
     }
 
     #[test]
     fn expect_without_message_is_flagged() {
         let src = "fn f() { a.expect(\"\"); }";
-        let a = analyze_source(src, false, false);
+        let a = analyze(src, false);
         assert_eq!(a.violations.len(), 1);
         assert_eq!(a.violations[0].rule, RULE_EXPECT_MESSAGE);
         // Messaged / formatted / computed expects pass.
@@ -381,17 +372,14 @@ mod tests {
             "fn f() { a.expect(format!(\"bad {x}\")); }",
             "fn f() { a.expect(&msg); }",
         ] {
-            assert!(
-                analyze_source(good, false, false).violations.is_empty(),
-                "{good}"
-            );
+            assert!(analyze(good, false).violations.is_empty(), "{good}");
         }
     }
 
     #[test]
     fn wrapped_expect_message_on_next_line_passes() {
         let src = "fn f() {\n    a.expect(\n        \"a long invariant message\",\n    );\n}";
-        assert!(analyze_source(src, false, false).violations.is_empty());
+        assert!(analyze(src, false).violations.is_empty());
     }
 
     #[test]
@@ -404,7 +392,7 @@ mod tests {
                    // xtask: hot-loop-end\n\
                    let d = vec![1];\n\
                    }";
-        let a = analyze_source(src, true, false);
+        let a = analyze(src, true);
         assert_eq!(a.violations.len(), 2, "{:?}", a.violations);
         assert!(a.violations.iter().all(|v| v.rule == RULE_HOT_LOOP_ALLOC));
         assert_eq!(a.violations[0].line, 4);
@@ -417,19 +405,19 @@ mod tests {
                    // xtask: allow(hot-loop-alloc) — cold error path\n\
                    let b = Vec::new();\n\
                    // xtask: hot-loop-end";
-        assert!(analyze_source(src, true, false).violations.is_empty());
+        assert!(analyze(src, true).violations.is_empty());
     }
 
     #[test]
     fn hot_loop_rule_applies_outside_deterministic_crates_too() {
         let src = "// xtask: hot-loop-begin\nlet b = String::new();\n// xtask: hot-loop-end";
-        assert_eq!(analyze_source(src, false, false).violations.len(), 1);
+        assert_eq!(analyze(src, false).violations.len(), 1);
     }
 
     #[test]
     fn unterminated_hot_loop_marker_is_flagged() {
         let src = "fn f() {}\n// xtask: hot-loop-begin\nlet x = 1;";
-        let a = analyze_source(src, true, false);
+        let a = analyze(src, true);
         assert_eq!(a.violations.len(), 1);
         assert_eq!(a.violations[0].line, 2);
         assert!(a.violations[0].message.contains("never closed"));
@@ -438,13 +426,13 @@ mod tests {
     #[test]
     fn needles_inside_strings_and_comments_do_not_fire() {
         let src = "let s = \"HashMap\"; // HashMap, Instant::now\nlet d = \"thread_rng\";";
-        assert!(analyze_source(src, true, false).violations.is_empty());
+        assert!(analyze(src, true).violations.is_empty());
     }
 
     #[test]
     fn token_boundaries_are_respected() {
         // `MyHashMapLike` must not trip the rule.
         let src = "struct MyHashMapLike;\nfn f(x: MyHashMapLike) {}";
-        assert!(analyze_source(src, true, false).violations.is_empty());
+        assert!(analyze(src, true).violations.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! crate is any directory directly under `crates/` (or `crates/compat/`)
 //! with a `Cargo.toml`, plus the root suite package. Files under
 //! `tests/`, `benches/`, `examples/` or `fixtures/` are test-only by
-//! path and exempt from every rule.
+//! path and exempt from every rule, so the driver never reads them.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -12,8 +12,9 @@ use std::path::{Path, PathBuf};
 
 use crate::casts::{analyze_casts, CastCounts};
 use crate::conc::{self, SyncCounts};
-use crate::ratchet;
-use crate::rules::{analyze_source, PanicCounts, Violation};
+use crate::layers::{self, LayerCrate};
+use crate::ratchet::{self, Sites};
+use crate::rules::{analyze_lines, PanicCounts, Violation};
 use crate::scan::scan;
 
 /// Short names of the crates whose output must be byte-identical for a
@@ -22,7 +23,7 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "graph", "galois", "parallel", "topology", "routing", "sim", "core",
 ];
 
-/// File name of the committed panic-surface baseline, at the repo root.
+/// File name of the committed ratchet baseline, at the repo root.
 pub const RATCHET_FILE: &str = "xtask-ratchet.toml";
 
 /// File name of the committed engine benchmark, at the repo root. Its
@@ -96,37 +97,28 @@ fn crate_info(name: String, dir: PathBuf) -> Result<CrateInfo, String> {
     })
 }
 
-/// All `.rs` files of a crate as `(path, is_test_file)`, sorted.
-pub fn rust_files(krate: &CrateInfo) -> Result<Vec<(PathBuf, bool)>, String> {
+/// The non-test `.rs` files of a crate, sorted: everything under its
+/// `src/` that is not test-only by path.
+fn source_files(krate: &CrateInfo) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
-    // The root package shares its directory with the whole workspace:
-    // walk only its own source trees.
-    let subdirs: &[&str] = if krate.name == "suite" {
-        &["src", "tests", "examples"]
-    } else {
-        &["src", "tests", "benches", "examples"]
-    };
-    for sub in subdirs {
-        let dir = krate.root.join(sub);
-        if dir.is_dir() {
-            walk(&dir, &mut files)?;
-        }
+    let src = krate.root.join("src");
+    if src.is_dir() {
+        walk(&src, &mut files)?;
     }
+    files.retain(|p| !is_test_path(p.strip_prefix(&krate.root).unwrap_or(p)));
     files.sort();
-    let files = files
-        .into_iter()
-        .map(|p| {
-            let rel = p.strip_prefix(&krate.root).unwrap_or(&p);
-            let test_file = rel.components().any(|c| {
-                matches!(
-                    c.as_os_str().to_str(),
-                    Some("tests" | "benches" | "examples" | "fixtures")
-                )
-            });
-            (p.clone(), test_file)
-        })
-        .collect();
     Ok(files)
+}
+
+/// Whether a crate-relative path is test-only: any component named
+/// `tests`, `benches`, `examples` or `fixtures`.
+fn is_test_path(rel: &Path) -> bool {
+    rel.components().any(|c| {
+        matches!(
+            c.as_os_str().to_str(),
+            Some("tests" | "benches" | "examples" | "fixtures")
+        )
+    })
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -195,22 +187,21 @@ pub fn check_manifest_lints(manifest: &str) -> bool {
 /// Everything `cargo xtask lint` found.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Hard failures: `(display path, violation)`.
+    /// Hard failures: `(display path, violation)`, sorted by path and
+    /// line.
     pub violations: Vec<(String, Violation)>,
-    /// Measured non-test panic-surface per crate.
+    /// Measured non-test panic surface per crate.
     pub counts: BTreeMap<String, PanicCounts>,
-    /// Measured non-test cast tallies per crate (the lossy portion is
-    /// ratcheted by `cargo xtask audit`; measured here so
-    /// `--write-ratchet` renders the complete baseline in one pass).
+    /// Measured non-test cast tallies per crate.
     pub cast_counts: BTreeMap<String, CastCounts>,
-    /// Measured non-test sync-primitive tallies per crate (ratcheted by
-    /// `cargo xtask conc`; measured here for the same reason).
+    /// Measured non-test sync-primitive tallies per crate.
     pub sync_counts: BTreeMap<String, SyncCounts>,
-    /// Per-scale `routing_bytes_per_terminal` read from the committed
-    /// `BENCH_sim.json` (empty when the tree has no benchmark file, as
-    /// in fixture workspaces). Ratcheted against the `[scale.*]`
-    /// sections of `xtask-ratchet.toml`.
-    pub scale_bytes: BTreeMap<String, usize>,
+    /// The measured ratchet table: the three crate tallies plus the
+    /// per-scale `routing_bytes_per_terminal` of the committed
+    /// `BENCH_sim.json` (no scales when the tree has no benchmark file,
+    /// as in fixture workspaces). Compared against, or written as,
+    /// `xtask-ratchet.toml`.
+    pub ratchet: ratchet::Table,
     /// Counts now below the committed baseline (nudges, not failures).
     pub improvements: Vec<String>,
 }
@@ -222,117 +213,145 @@ impl LintReport {
     }
 }
 
-/// Runs every check over the workspace at `root`.
+/// Runs every check over the workspace at `root` in one pass: each
+/// non-test file is read and scanned once, and its lines feed the
+/// determinism and panic rules, the cast and sync tallies, and the
+/// atomic-ordering and lockstep checks. The manifests read for the
+/// lint gates feed the layering check; the measured ratchet table is
+/// compared against `xtask-ratchet.toml`.
 ///
-/// With `write_ratchet`, the measured counts replace
+/// With `write_ratchet`, the measured table replaces
 /// `xtask-ratchet.toml` instead of being compared against it.
 pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> {
     let mut report = LintReport::default();
     let crates = discover(root)?;
+    let allowlist = conc::read_allowlist(root).unwrap_or_else(|v| {
+        report.violations.push(v);
+        Vec::new()
+    });
+    let mut matched = vec![false; allowlist.len()];
+    let mut layer_crates = Vec::new();
+    let mut ws_paths = BTreeMap::new();
+    let mut sites = Sites::new();
     for krate in &crates {
         // Lint-gate header block.
         let lib_src = fs::read_to_string(&krate.lib_path)
             .map_err(|e| format!("{}: {e}", krate.lib_path.display()))?;
         let lib_display = rel_display(root, &krate.lib_path);
         for miss in check_lib_header(&lib_src) {
-            report.violations.push((
-                lib_display.clone(),
-                Violation {
-                    rule: "lint-gates".to_string(),
-                    line: 1,
-                    message: miss,
-                },
-            ));
+            report
+                .violations
+                .push((lib_display.clone(), gate_violation(miss)));
         }
 
-        // Workspace lint inheritance.
+        // Workspace lint inheritance, and the dependency edges the
+        // layering check reads.
         let manifest_path = krate.root.join("Cargo.toml");
         let manifest = fs::read_to_string(&manifest_path)
             .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
         if !check_manifest_lints(&manifest) {
             report.violations.push((
                 rel_display(root, &manifest_path),
-                Violation {
-                    rule: "lint-gates".to_string(),
-                    line: 1,
-                    message: "manifest does not inherit [workspace.lints] \
-                              (add `[lints]\\nworkspace = true`)"
+                gate_violation(
+                    "manifest does not inherit [workspace.lints] \
+                     (add `[lints]\\nworkspace = true`)"
                         .to_string(),
-                },
+                ),
             ));
         }
+        let dir = krate.root.strip_prefix(root).unwrap_or(&krate.root);
+        // The root manifest also holds `[workspace.dependencies]`.
+        if dir.as_os_str().is_empty() {
+            ws_paths = layers::workspace_dep_paths(&manifest);
+        }
+        layer_crates.push(LayerCrate {
+            name: krate.name.clone(),
+            dir: dir.to_path_buf(),
+            deps: layers::manifest_deps(&manifest),
+        });
 
-        // Per-file rules, panic counting, and cast/sync tallies.
+        // Every line-level rule and tally, over one scan per file.
+        let compat = krate.name.starts_with("compat-");
         let mut crate_counts = PanicCounts::default();
         let mut crate_casts = CastCounts::default();
         let mut crate_sync = SyncCounts::default();
-        for (path, test_file) in rust_files(krate)? {
+        let mut lossy_sites = Vec::new();
+        for path in source_files(krate)? {
             let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let analysis = analyze_source(&src, krate.deterministic, test_file);
-            crate_counts.add(analysis.counts);
-            crate_casts.add(analyze_casts(&src, test_file).counts);
-            if !test_file {
-                crate_sync.add(conc::sync_counts(&scan(&src)));
-            }
+            let lines = scan(&src);
             let display = rel_display(root, &path);
-            for v in analysis.violations {
+            let analysis = analyze_lines(&lines, krate.deterministic);
+            crate_counts.add(analysis.counts);
+            let casts = analyze_casts(&lines);
+            crate_casts.add(casts.counts);
+            for site in casts.lossy_sites {
+                lossy_sites.push(format!("{display}:{}: as {}", site.line, site.target));
+            }
+            crate_sync.add(conc::sync_counts(&lines));
+            let mut file_violations = analysis.violations;
+            if !compat {
+                file_violations.extend(conc::conc_violations(
+                    &lines,
+                    &display,
+                    &allowlist,
+                    &mut matched,
+                ));
+            }
+            for v in file_violations {
                 report.violations.push((display.clone(), v));
             }
         }
+        sites.insert(
+            (format!("crate.{}", krate.name), "lossy-cast".to_string()),
+            lossy_sites,
+        );
         report.counts.insert(krate.name.clone(), crate_counts);
         report.cast_counts.insert(krate.name.clone(), crate_casts);
         report.sync_counts.insert(krate.name.clone(), crate_sync);
     }
 
-    // Panic-surface and routing-memory ratchets.
-    report.scale_bytes = bench_scale_bytes(root)?;
+    match layers::read_layers(root) {
+        Ok(config) => report
+            .violations
+            .extend(layers::check(&config, &layer_crates, &ws_paths)),
+        Err(v) => report.violations.push(v),
+    }
+    report
+        .violations
+        .extend(conc::stale_entries(&allowlist, &matched));
+
+    report.ratchet = ratchet::measure(
+        &report.counts,
+        &report.cast_counts,
+        &report.sync_counts,
+        &bench_scale_bytes(root)?,
+    );
     let ratchet_path = root.join(RATCHET_FILE);
     if write_ratchet {
-        fs::write(
-            &ratchet_path,
-            ratchet::render(
-                &report.counts,
-                &report.cast_counts,
-                &report.sync_counts,
-                &report.scale_bytes,
-            ),
-        )
-        .map_err(|e| format!("{}: {e}", ratchet_path.display()))?;
+        fs::write(&ratchet_path, ratchet::render(&report.ratchet))
+            .map_err(|e| format!("{}: {e}", ratchet_path.display()))?;
     } else {
-        match fs::read_to_string(&ratchet_path) {
+        let failures = match fs::read_to_string(&ratchet_path) {
             Ok(text) => {
                 let baseline = ratchet::parse(&text)?;
-                let (mut failures, mut improvements) = ratchet::compare(&baseline, &report.counts);
-                let scale_baseline = ratchet::parse_scales(&text)?;
-                let (scale_failures, scale_improvements) =
-                    ratchet::compare_scales(&scale_baseline, &report.scale_bytes);
-                failures.extend(scale_failures);
-                improvements.extend(scale_improvements);
-                for f in failures {
-                    report.violations.push((
-                        RATCHET_FILE.to_string(),
-                        Violation {
-                            rule: "ratchet".to_string(),
-                            line: 1,
-                            message: f,
-                        },
-                    ));
-                }
+                let (failures, improvements) = ratchet::compare(&baseline, &report.ratchet, &sites);
                 report.improvements = improvements;
+                failures
             }
-            Err(e) => {
-                report.violations.push((
-                    RATCHET_FILE.to_string(),
-                    Violation {
-                        rule: "ratchet".to_string(),
-                        line: 1,
-                        message: format!(
-                            "cannot read the panic-surface baseline: {e}; \
-                             create it with `cargo xtask lint --write-ratchet`"
-                        ),
-                    },
-                ));
-            }
+            Err(e) => vec![format!(
+                "cannot read the ratchet baseline: {e}; \
+                 create it with `cargo xtask lint --write-ratchet`"
+            )],
+        };
+        for message in failures {
+            report.violations.push((
+                RATCHET_FILE.to_string(),
+                Violation {
+                    rule: "ratchet".to_string(),
+                    line: 1,
+                    message,
+                },
+            ));
         }
     }
 
@@ -340,6 +359,15 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         .violations
         .sort_by(|a, b| (&a.0, a.1.line).cmp(&(&b.0, b.1.line)));
     Ok(report)
+}
+
+/// A `lint-gates` violation on line 1 of a library root or manifest.
+fn gate_violation(message: String) -> Violation {
+    Violation {
+        rule: "lint-gates".to_string(),
+        line: 1,
+        message,
+    }
 }
 
 /// Reads the per-scale `routing_bytes_per_terminal` values out of the
@@ -351,7 +379,7 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
 /// Line-based on the benchmark's fixed rendering (one key per line),
 /// like every other parser in this crate: the scale name is the last
 /// `"name": {` object-open seen before the key line.
-pub fn bench_scale_bytes(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+fn bench_scale_bytes(root: &Path) -> Result<BTreeMap<String, usize>, String> {
     let path = root.join(BENCH_FILE);
     let text = match fs::read_to_string(&path) {
         Ok(t) => t,
@@ -411,6 +439,19 @@ mod tests {
         assert_eq!(missing.len(), 1);
         assert!(missing[0].contains("missing_docs"));
         assert_eq!(check_lib_header("").len(), 2);
+    }
+
+    #[test]
+    fn test_files_are_exempt_wholesale() {
+        for rel in [
+            "tests/a.rs",
+            "src/fixtures/b.rs",
+            "benches/c.rs",
+            "examples/d.rs",
+        ] {
+            assert!(is_test_path(Path::new(rel)), "{rel}");
+        }
+        assert!(!is_test_path(Path::new("src/tester.rs")));
     }
 
     #[test]

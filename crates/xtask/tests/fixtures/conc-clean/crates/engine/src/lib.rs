@@ -1,8 +1,12 @@
 //! Fixture engine: a miniature lockstep shard path touching every
-//! `cargo xtask conc` rule — an allowlisted Relaxed read, explicit
-//! orderings everywhere, a lockstep region whose only lock activity is
-//! an uncontended `.lock()` call, and a known sync-primitive tally.
-//! Never compiled; parsed only by the conc integration tests.
+//! concurrency rule of `cargo xtask lint` — an allowlisted Relaxed
+//! read, explicit orderings everywhere, a lockstep region whose only
+//! lock activity is an uncontended `.lock()` call, and a known
+//! sync-primitive tally.
+//! Never compiled; parsed only by the xtask lint integration tests.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -1,1 +1,3 @@
 //! Fixture crate: empty body; only the manifest matters.
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
