@@ -4,11 +4,16 @@
 //! Routing oracles are deterministic per pair, and the request stage
 //! asks for every head packet every cycle — so whenever it fits the byte
 //! budget the answers are materialized once, fully *resolved to output
-//! ports*, into a deduplicated run-length table ([`RleTable`]). Networks
-//! whose table would not fit (the paper's 100K- and 200K-terminal RFCs)
-//! query the oracle live instead. [`Candidates::row`] hides which source
-//! is in use: both return the same out-ports in the same order, so
-//! results are byte-identical either way (DESIGN.md §15).
+//! ports*, into a run-length table with per-switch rows ([`RleTable`]).
+//! Networks whose table would not fit (the paper's 100K- and
+//! 200K-terminal RFCs) query the oracle live instead.
+//! [`Candidates::row`] hides which source is in use: both return the
+//! same out-ports in the same order, so results are byte-identical
+//! either way (DESIGN.md §15).
+//!
+//! Every switch owns its rows, so a churn patch ([`Candidates::patch`])
+//! re-derives only the dirty switches and copies every clean switch's
+//! runs and rows with a constant id and offset shift (DESIGN.md §16).
 
 use rfc_graph::vid;
 use rfc_routing::RoutingOracle;
@@ -16,7 +21,7 @@ use rfc_routing::RoutingOracle;
 use crate::network::SimNetwork;
 
 /// Above this many *bytes* of table arrays the build (or a churn patch)
-/// aborts and the simulation queries the oracle live. The deduplicated
+/// aborts and the simulation queries the oracle live. The run-length
 /// encoding keeps even the paper's Table 3 scale (cft(36,4), 209,952
 /// terminals) around a dozen MB, so this is headroom, not a target.
 const TABLE_BUDGET: usize = 64 << 20;
@@ -24,7 +29,7 @@ const TABLE_BUDGET: usize = 64 << 20;
 /// Where candidate rows come from.
 #[derive(Debug, Clone)]
 pub(crate) enum Candidates {
-    /// Materialized, deduplicated, run-length-compressed table.
+    /// Materialized, run-length-compressed table.
     Table(RleTable),
     /// Table would exceed the byte budget (or its offsets would overflow
     /// `u32`); query the oracle live.
@@ -96,24 +101,25 @@ impl Candidates {
         }
     }
 
-    /// The candidates after a routing repair: a table is patched over
-    /// `scope` against the repaired `oracle` (falling back to live when
-    /// the result exceeds the budget), and a live source stays live.
-    ///
-    /// `index` must be the content → id map of the current table's row
-    /// pool (built by [`row_index`], then carried between patches); a
-    /// successful patch renumbers it in place to describe the new table.
-    pub(crate) fn patched<O: RoutingOracle + ?Sized>(
-        &self,
+    /// Brings the candidates past a routing repair: a table is patched
+    /// over `scope` against the repaired `oracle` (falling back to live
+    /// when the result exceeds the budget), and a live source stays
+    /// live. The patch is written into `spare`, which then swaps in, so
+    /// the replaced table's buffers are the next patch's `spare`.
+    pub(crate) fn patch<O: RoutingOracle + ?Sized>(
+        &mut self,
         net: &SimNetwork,
         oracle: &O,
         scope: &PatchScope<'_>,
-        index: &mut RowInterner,
-    ) -> Candidates {
-        match self {
-            Candidates::Table(old) => patch_table(net, oracle, old, scope, index)
-                .map_or(Candidates::Live, Candidates::Table),
-            Candidates::Live => Candidates::Live,
+        spare: &mut RleTable,
+    ) {
+        let Candidates::Table(table) = self else {
+            return;
+        };
+        if patch_table(net, oracle, table, scope, spare).is_some() {
+            std::mem::swap(table, spare);
+        } else {
+            *self = Candidates::Live;
         }
     }
 
@@ -132,17 +138,19 @@ impl rfc_graph::HeapBytes for Candidates {
     }
 }
 
-/// The deduplicated candidate table (DESIGN.md §15).
+/// The run-length candidate table (DESIGN.md §15).
 ///
 /// Three compressions stack on the old `switches × dst_space` matrix:
 ///
 /// 1. **Rows resolve once** — a row is the out-port list one `(switch,
 ///    dst)` query yields, in oracle order (the cached-vs-live agreement
 ///    contract depends on that order).
-/// 2. **Rows intern** — identical rows share one entry in the
-///    `row_off`/`row_ports` pool. Same-level switches answer most
-///    destinations identically (e.g. "all up-ports"), so a switch
-///    contributes only a handful of distinct rows.
+/// 2. **Rows are per switch** — a switch stores each distinct row once,
+///    and its rows take one contiguous id range, numbered in the order
+///    they first appear in its runs. Resolved rows hold out-port ids of
+///    one switch, so two switches could share only an empty row; a
+///    global pool would save almost nothing. The range starts at the
+///    row of the switch's first run, which is always its local row 0.
 /// 3. **Columns run-length-compress** — per switch, destinations with
 ///    the same row collapse into `[start, next_start)` runs, which
 ///    folded-Clos reach sets keep to a few dozen per switch regardless
@@ -151,7 +159,7 @@ impl rfc_graph::HeapBytes for Candidates {
 /// Lookup is a binary search over the switch's runs (few dozen entries,
 /// ~5 probes) instead of one flat index — measurably free next to the
 /// draw + arbitration work per request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RleTable {
     pub(crate) dst_space: usize,
     /// Runs of switch `s` live at `col_off[s] .. col_off[s+1]` in the
@@ -160,7 +168,7 @@ pub(crate) struct RleTable {
     /// Ascending first-destination of each run; the first run of every
     /// switch starts at 0, the last extends to `dst_space`.
     pub(crate) runs_start: Vec<u32>,
-    /// Interned row id of each run.
+    /// Row id of each run.
     pub(crate) runs_row: Vec<u32>,
     /// Row `r`'s resolved out-ports live at `row_off[r] .. row_off[r+1]`
     /// in `row_ports`.
@@ -178,8 +186,23 @@ impl RleTable {
         // Last run starting at or before dst; every switch's first run
         // starts at 0, so the subtraction cannot underflow.
         let k = lo + runs.partition_point(|&s| s <= dst) - 1;
-        let r = self.runs_row[k] as usize;
+        self.ports(self.runs_row[k] as usize)
+    }
+
+    /// Row `r`'s resolved out-ports.
+    #[inline]
+    fn ports(&self, r: usize) -> &[u32] {
         &self.row_ports[self.row_off[r] as usize..self.row_off[r + 1] as usize]
+    }
+
+    /// The id of the first row at or after run `k`: the row of that run
+    /// (a switch's first run holds its first row), or the row count at
+    /// the end of the table. The rows of switches `a..b` are therefore
+    /// `first_row(col_off[a]) .. first_row(col_off[b])`.
+    fn first_row(&self, k: usize) -> usize {
+        self.runs_row
+            .get(k)
+            .map_or(self.row_off.len() - 1, |&r| r as usize)
     }
 
     /// Logical bytes of the five arrays — the quantity checked against
@@ -191,36 +214,54 @@ impl RleTable {
             + rfc_graph::slice_heap_bytes(&self.row_off)
             + rfc_graph::slice_heap_bytes(&self.row_ports)
     }
-}
 
-/// A fresh, zero-switch [`RleTable`] ready for stitching.
-fn empty_table(dst_space: usize) -> RleTable {
-    RleTable {
-        dst_space,
-        col_off: vec![0u32],
-        runs_start: Vec::new(),
-        runs_row: Vec::new(),
-        row_off: vec![0u32],
-        row_ports: Vec::new(),
+    /// Empties the table to zero switches over `dst_space`, keeping its
+    /// allocations.
+    fn reset(&mut self, dst_space: usize) {
+        self.dst_space = dst_space;
+        self.col_off.clear();
+        self.col_off.push(0);
+        self.runs_start.clear();
+        self.runs_row.clear();
+        self.row_off.clear();
+        self.row_off.push(0);
+        self.row_ports.clear();
     }
-}
 
-/// Row contents → global row id, in first-appearance order. BTreeMap
-/// keeps the layout independent of any hasher state.
-pub(crate) type RowInterner = std::collections::BTreeMap<Vec<u32>, u32>;
-
-/// The content → id index of `table`'s row pool, exactly as
-/// [`patch_table`] consumes and maintains it. Built once per churn
-/// run's dynamic state (see [`crate::churn`]); each patch then
-/// renumbers it in place instead of re-deriving it, which is what keeps
-/// a single-event patch an order of magnitude under a full build.
-pub(crate) fn row_index(table: &RleTable) -> RowInterner {
-    let mut index = RowInterner::new();
-    for r in 0..table.row_off.len() - 1 {
-        let ports = &table.row_ports[table.row_off[r] as usize..table.row_off[r + 1] as usize];
-        index.insert(ports.to_vec(), vid(r));
+    /// Appends the columns of switches `a..b` of `src` unchanged, moving
+    /// their run, row and port ids by one constant shift each. `None`
+    /// when an id would overflow `u32` (callers fall back to live
+    /// queries).
+    fn copy_switches(&mut self, src: &RleTable, a: usize, b: usize) -> Option<()> {
+        fn moved(ids: &[u32], by: u32) -> impl Iterator<Item = u32> + '_ {
+            ids.iter().map(move |&i| i.wrapping_add(by))
+        }
+        let (runs_lo, runs_hi) = (src.col_off[a] as usize, src.col_off[b] as usize);
+        let (rows_lo, rows_hi) = (src.first_row(runs_lo), src.first_row(runs_hi));
+        let (ports_lo, ports_hi) = (src.row_off[rows_lo], src.row_off[rows_hi]);
+        // Wrapping shifts are exact whenever the shifted ids fit `u32`,
+        // which the length checks below confirm.
+        let shift = |base: usize, from: u32| Some(u32::try_from(base).ok()?.wrapping_sub(from));
+        let run_shift = shift(self.runs_start.len(), src.col_off[a])?;
+        let row_shift = shift(self.row_off.len() - 1, vid(rows_lo))?;
+        let port_shift = shift(self.row_ports.len(), ports_lo)?;
+        self.col_off
+            .extend(moved(&src.col_off[a + 1..=b], run_shift));
+        self.runs_start
+            .extend_from_slice(&src.runs_start[runs_lo..runs_hi]);
+        self.runs_row
+            .extend(moved(&src.runs_row[runs_lo..runs_hi], row_shift));
+        self.row_off
+            .extend(moved(&src.row_off[rows_lo + 1..=rows_hi], port_shift));
+        self.row_ports
+            .extend_from_slice(&src.row_ports[ports_lo as usize..ports_hi as usize]);
+        let longest = self
+            .runs_start
+            .len()
+            .max(self.row_off.len())
+            .max(self.row_ports.len());
+        u32::try_from(longest).ok().map(|_| ())
     }
-    index
 }
 
 /// Dirty-region description for [`patch_table`], distilled
@@ -238,81 +279,64 @@ pub(crate) struct PatchScope<'a> {
     pub dst_delta: &'a [u32],
 }
 
-/// One switch's runs with switch-locally interned rows.
+/// One switch's column while it is derived: a one-switch [`RleTable`]
+/// whose rows are numbered in order of first appearance, appended to a
+/// table by [`RleTable::copy_switches`].
+#[derive(Default)]
 struct SwitchRuns {
-    starts: Vec<u32>,
-    /// Index into the local row pool, per run.
-    rows: Vec<u32>,
-    local_off: Vec<u32>,
-    local_ports: Vec<u32>,
-    /// Per local row: the old-table row id this content was copied from,
-    /// or `u32::MAX` when freshly derived from the oracle. Lets the
-    /// patch stitcher renumber spliced rows through its id array instead
-    /// of re-interning them by content.
-    local_old: Vec<u32>,
+    col: RleTable,
+    /// The rows added by [`SwitchRuns::intern`], ordered by content:
+    /// the lookup that keeps interning logarithmic in the row count.
+    by_content: Vec<u32>,
 }
 
 impl SwitchRuns {
-    fn empty() -> Self {
-        SwitchRuns {
-            starts: Vec::new(),
-            rows: Vec::new(),
-            local_off: vec![0u32],
-            local_ports: Vec::new(),
-            local_old: Vec::new(),
-        }
-    }
-
-    /// Resets to empty, keeping allocations — the patch loop reuses one
-    /// instance across every dirty switch.
+    /// Resets to an empty column, keeping allocations — the patch loop
+    /// reuses one instance across every dirty switch. A column's
+    /// `dst_space` is never read, so it stays 0.
     fn clear(&mut self) {
-        self.starts.clear();
-        self.rows.clear();
-        self.local_off.clear();
-        self.local_off.push(0);
-        self.local_ports.clear();
-        self.local_old.clear();
+        self.col.reset(0);
+        self.by_content.clear();
     }
 
-    /// Appends one run, interning its row locally (linear scan —
-    /// switches hold a handful of distinct rows) and merging runs whose
-    /// rows turn out equal. `old_id` records the old-table identity of a
-    /// copied row (`u32::MAX` = derived, identity unknown).
-    fn push_run(&mut self, start: u32, resolved: &[u32], old_id: u32) {
-        let local = (0..self.local_off.len() - 1).find(|&r| {
-            self.local_ports[self.local_off[r] as usize..self.local_off[r + 1] as usize]
-                == resolved[..]
-        });
-        let local = vid(local.unwrap_or_else(|| {
-            self.local_ports.extend_from_slice(resolved);
-            self.local_off.push(vid(self.local_ports.len()));
-            self.local_old.push(old_id);
-            self.local_off.len() - 2
-        }));
-        // Old-table interning was content-unique, so a re-encounter that
-        // knows its old id can settle a previously derived row's identity.
-        if old_id != u32::MAX && self.local_old[local as usize] == u32::MAX {
-            self.local_old[local as usize] = old_id;
-        }
-        if self.rows.last() == Some(&local) {
-            return;
-        }
-        self.starts.push(start);
-        self.rows.push(local);
+    /// Appends a row without looking for its content; the caller knows
+    /// the switch holds no equal row.
+    fn add_row(&mut self, ports: &[u32]) -> u32 {
+        self.col.row_ports.extend_from_slice(ports);
+        self.col.row_off.push(vid(self.col.row_ports.len()));
+        vid(self.col.row_off.len() - 2)
     }
-}
 
-/// Resolves one switch's oracle answers to out-port runs.
-fn switch_runs<O: RoutingOracle + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    switch: u32,
-    dst32: u32,
-) -> SwitchRuns {
-    let mut sr = SwitchRuns::empty();
-    let mut resolved: Vec<u32> = Vec::new();
-    switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut resolved);
-    sr
+    /// The id of the row with these contents among the rows interned so
+    /// far, adding it when new.
+    fn intern(&mut self, ports: &[u32]) -> u32 {
+        match self
+            .by_content
+            .binary_search_by(|&r| self.col.ports(r as usize).cmp(ports))
+        {
+            Ok(i) => self.by_content[i],
+            Err(i) => {
+                let r = self.add_row(ports);
+                self.by_content.insert(i, r);
+                r
+            }
+        }
+    }
+
+    /// Appends a run of row `row`, merging it into the previous run when
+    /// their rows are equal.
+    fn push(&mut self, start: u32, row: u32) {
+        if self.col.runs_row.last() != Some(&row) {
+            self.col.runs_start.push(start);
+            self.col.runs_row.push(row);
+        }
+    }
+
+    /// Closes the column: the one switch's run range.
+    fn finish(&mut self) -> &RleTable {
+        self.col.col_off.push(vid(self.col.runs_start.len()));
+        &self.col
+    }
 }
 
 /// Resolves next-hop switch ids into `switch`'s out-port numbers,
@@ -332,7 +356,8 @@ fn resolve_out_ports(net: &SimNetwork, switch: u32, hops: &[u32], resolved: &mut
     }
 }
 
-/// [`switch_runs`] writing into caller-owned buffers (cleared first).
+/// Resolves one switch's oracle answers to out-port runs in `sr`,
+/// using `resolved` as scratch.
 fn switch_runs_into<O: RoutingOracle + ?Sized>(
     net: &SimNetwork,
     oracle: &O,
@@ -344,7 +369,8 @@ fn switch_runs_into<O: RoutingOracle + ?Sized>(
     sr.clear();
     oracle.for_each_dst_run(switch, dst32, &mut |start, hops| {
         resolve_out_ports(net, switch, hops, resolved);
-        sr.push_run(start, resolved, u32::MAX);
+        let row = sr.intern(resolved);
+        sr.push(start, row);
     });
 }
 
@@ -352,9 +378,15 @@ fn switch_runs_into<O: RoutingOracle + ?Sized>(
 /// the old column is kept wholesale except at `delta` destinations,
 /// where the row is re-resolved against the repaired oracle. Sound
 /// because such a switch's row can change only where a consulted reach
-/// set's membership changed (see `rfc_routing::RepairScope::dst_delta`);
-/// [`SwitchRuns::push_run`] re-merges equal neighbors, so the result is
-/// byte-identical to a full [`switch_runs`] re-derivation.
+/// set's membership changed (see `rfc_routing::RepairScope::dst_delta`).
+///
+/// An old row keeps its content, so it takes its new id through
+/// `old_to_new` (indexed by old row id minus the switch's first row) on
+/// first use, without a content comparison. Only a re-resolved row is
+/// compared: against the switch's old rows (it may equal one that has
+/// not appeared yet) and then against the other re-resolved rows. Equal
+/// neighbors re-merge in [`SwitchRuns::push`], so the result is
+/// byte-identical to a full [`switch_runs_into`] re-derivation.
 #[allow(clippy::too_many_arguments)]
 fn splice_runs_into<O: RoutingOracle + ?Sized>(
     net: &SimNetwork,
@@ -365,11 +397,23 @@ fn splice_runs_into<O: RoutingOracle + ?Sized>(
     dst32: u32,
     sr: &mut SwitchRuns,
     bufs: &mut RowBufs,
+    old_to_new: &mut Vec<u32>,
 ) {
     sr.clear();
     let lo = old.col_off[switch as usize] as usize;
     let hi = old.col_off[switch as usize + 1] as usize;
-    let mut di = delta.partition_point(|&d| d < old.runs_start.get(lo).copied().unwrap_or(0));
+    let base = old.first_row(lo);
+    let old_rows = base..old.first_row(hi);
+    old_to_new.clear();
+    old_to_new.resize(old_rows.len(), u32::MAX);
+    let mut kept = |sr: &mut SwitchRuns, r: usize| {
+        let slot = &mut old_to_new[r - base];
+        if *slot == u32::MAX {
+            *slot = sr.add_row(old.ports(r));
+        }
+        *slot
+    };
+    let mut di = 0usize;
     for k in lo..hi {
         let a = old.runs_start[k];
         let b = if k + 1 < hi {
@@ -377,69 +421,36 @@ fn splice_runs_into<O: RoutingOracle + ?Sized>(
         } else {
             dst32
         };
-        let old_id = old.runs_row[k] as usize;
-        let content =
-            &old.row_ports[old.row_off[old_id] as usize..old.row_off[old_id + 1] as usize];
+        let r = old.runs_row[k] as usize;
         let mut pos = a;
         while di < delta.len() && delta[di] < b {
             let d = delta[di];
             di += 1;
             if pos < d {
-                sr.push_run(pos, content, old.runs_row[k]);
+                let row = kept(sr, r);
+                sr.push(pos, row);
             }
-            sr.push_run(d, bufs.live_row(net, oracle, switch, d), u32::MAX);
+            let ports = bufs.live_row(net, oracle, switch, d);
+            let row = match old_rows.clone().find(|&o| old.ports(o) == ports) {
+                Some(o) => kept(sr, o),
+                None => sr.intern(ports),
+            };
+            sr.push(d, row);
             pos = d + 1;
         }
         if pos < b {
-            sr.push_run(pos, content, old.runs_row[k]);
+            let row = kept(sr, r);
+            sr.push(pos, row);
         }
     }
 }
 
-/// Appends one row's ports to the shared pool, returning its id.
-/// `None` on `u32` overflow (callers fall back to live queries).
-fn append_row(table: &mut RleTable, ports: &[u32]) -> Option<u32> {
-    let id = u32::try_from(table.row_off.len() - 1).ok()?;
-    table.row_ports.extend_from_slice(ports);
-    table
-        .row_off
-        .push(u32::try_from(table.row_ports.len()).ok()?);
-    Some(id)
-}
-
-/// Maps one switch's locally interned runs into the shared pool,
-/// appending its column to `table`. Returns `None` on `u32` overflow
-/// (the caller falls back to live queries).
-fn stitch_switch(table: &mut RleTable, interner: &mut RowInterner, sr: &SwitchRuns) -> Option<()> {
-    let mut global_of_local: Vec<u32> = Vec::with_capacity(sr.local_off.len() - 1);
-    for r in 0..sr.local_off.len() - 1 {
-        let ports = &sr.local_ports[sr.local_off[r] as usize..sr.local_off[r + 1] as usize];
-        let id = match interner.get(ports) {
-            Some(&id) => id,
-            None => {
-                let id = append_row(table, ports)?;
-                interner.insert(ports.to_vec(), id);
-                id
-            }
-        };
-        global_of_local.push(id);
-    }
-    for (start, local) in sr.starts.iter().zip(&sr.rows) {
-        table.runs_start.push(*start);
-        table.runs_row.push(global_of_local[*local as usize]);
-    }
-    table
-        .col_off
-        .push(u32::try_from(table.runs_start.len()).ok()?);
-    Some(())
-}
-
-/// Builds the deduplicated candidate table, or `None` when the byte
-/// budget is exceeded or an index would overflow `u32` — both fall
-/// back to live oracle queries rather than wrapping silently.
+/// Builds the candidate table, or `None` when the byte budget is
+/// exceeded or an index would overflow `u32` — both fall back to live
+/// oracle queries rather than wrapping silently.
 ///
 /// Switches are processed in fixed-size chunks: each chunk fans out
-/// over the shared worker pool (`rfc_parallel`) and is stitched
+/// over the shared worker pool (`rfc_parallel`) and is appended
 /// serially *in switch order*, so the arrays are byte-identical to a
 /// serial build at any thread count, and the budget check between
 /// switches bounds how far an over-budget build can overshoot before
@@ -449,7 +460,7 @@ fn build_table<O: RoutingOracle + Sync + ?Sized>(
     oracle: &O,
     budget: usize,
 ) -> Option<RleTable> {
-    /// Switches per parallel stitching round.
+    /// Switches per parallel round.
     const CHUNK: usize = 4096;
     let dst_space = net
         .dst_switch_of_terminal
@@ -458,18 +469,17 @@ fn build_table<O: RoutingOracle + Sync + ?Sized>(
         .max()
         .map_or(0, |m| m as usize + 1);
     let dst32 = vid(dst_space);
-    let mut table = empty_table(dst_space);
-    // Global interner: row contents → id, in first-appearance order
-    // (switch-major), so the pool layout is deterministic. BTreeMap
-    // keeps it independent of any hasher state.
-    let mut interner: RowInterner = RowInterner::new();
+    let mut table = RleTable::default();
+    table.reset(dst_space);
     let all: Vec<u32> = (0..vid(net.num_switches())).collect();
     for chunk in all.chunks(CHUNK) {
         let per_switch: Vec<SwitchRuns> = rfc_parallel::map(chunk.to_vec(), |switch| {
-            switch_runs(net, oracle, switch, dst32)
+            let mut sr = SwitchRuns::default();
+            switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut Vec::new());
+            sr
         });
-        for sr in per_switch {
-            stitch_switch(&mut table, &mut interner, &sr)?;
+        for mut sr in per_switch {
+            table.copy_switches(sr.finish(), 0, 1)?;
             if table.bytes() > budget {
                 return None;
             }
@@ -478,149 +488,88 @@ fn build_table<O: RoutingOracle + Sync + ?Sized>(
     Some(table)
 }
 
-/// Region-scoped table repair: rebuilds only the `dirty` switches'
-/// runs against the (already repaired) `oracle`, reuses every clean
-/// switch's runs from `old`, and re-canonicalizes the shared row
-/// pool in the same first-appearance order a fresh
-/// [`build_table`] would produce — so the result is
-/// byte-identical to a from-scratch build over the new oracle.
-///
-/// `index` must be the content → id map of `old`'s row pool (built
-/// by [`row_index`], then carried between patches); on success it is
-/// renumbered in place to describe the returned table.
+/// Region-scoped table repair into `table` (overwritten, allocations
+/// kept): rebuilds only the `dirty` switches' columns against the
+/// (already repaired) `oracle` and copies the clean switches between
+/// them from `old` with a constant shift. Every switch owns its rows,
+/// so the result is byte-identical to a from-scratch [`build_table`]
+/// over the new oracle.
 ///
 /// Returns `None` on budget/overflow exhaustion, the same live-query
-/// fallback as the full build (`index` is left untouched — stale,
-/// but the caller stops patching once it falls back to live).
+/// fallback as the full build.
 fn patch_table<O: RoutingOracle + ?Sized>(
     net: &SimNetwork,
     oracle: &O,
     old: &RleTable,
     scope: &PatchScope<'_>,
-    index: &mut RowInterner,
-) -> Option<RleTable> {
+    table: &mut RleTable,
+) -> Option<()> {
     let dst32 = vid(old.dst_space);
-    let old_rows = old.row_off.len() - 1;
-    let old_ports = |r: usize| &old.row_ports[old.row_off[r] as usize..old.row_off[r + 1] as usize];
-    // Old row id → id in the rebuilt pool, assigned lazily in the
-    // new scan's first-appearance order (`u32::MAX` = unseen; real
-    // ids stay far below it under any byte budget). Rows of clean
-    // switches renumber through this array alone — one indexed load
-    // per run — which is what makes a patch an order of magnitude
-    // cheaper than re-interning every row by content.
-    let mut old_to_new: Vec<u32> = vec![u32::MAX; old_rows];
-    // Contents the old pool has never held (dirty switches only).
-    let mut fresh: RowInterner = RowInterner::new();
-    let mut table = empty_table(old.dst_space);
-    // A single-event patch shifts sizes by at most a few rows; old's
-    // footprint is the right capacity to within a reallocation.
-    table.runs_start.reserve(old.runs_start.len() + 8);
-    table.runs_row.reserve(old.runs_row.len() + 8);
-    table.row_ports.reserve(old.row_ports.len() + 64);
-    table.row_off.reserve(old.row_off.len() + 8);
-    table.col_off.reserve(old.col_off.len());
-    // `scope.dirty` arrives sorted and deduplicated (`RepairScope`
-    // collects from a set), so one cursor tracks it in switch order.
+    table.reset(old.dst_space);
     // All dirty-switch work reuses one set of scratch buffers.
-    let mut scratch = SwitchRuns::empty();
+    let mut sr = SwitchRuns::default();
     let mut bufs = RowBufs::default();
-    let mut global_of_local: Vec<u32> = Vec::new();
-    let mut next_dirty = 0usize;
-    for switch in 0..net.num_switches() {
-        let is_dirty = next_dirty < scope.dirty.len() && scope.dirty[next_dirty] as usize == switch;
-        if is_dirty {
-            next_dirty += 1;
-            let sw32 = vid(switch);
-            if scope.full.contains(&sw32) {
-                switch_runs_into(net, oracle, sw32, dst32, &mut scratch, &mut bufs.ports);
-            } else {
-                splice_runs_into(
-                    net,
-                    oracle,
-                    old,
-                    sw32,
-                    scope.dst_delta,
-                    dst32,
-                    &mut scratch,
-                    &mut bufs,
-                );
-            }
-            let sr = &scratch;
-            global_of_local.clear();
-            for r in 0..sr.local_off.len() - 1 {
-                let ports = &sr.local_ports[sr.local_off[r] as usize..sr.local_off[r + 1] as usize];
-                // A spliced row remembers which old row it came from
-                // (`local_old`), skipping the content lookup; a
-                // recomputed row usually reproduces a content the
-                // old pool already holds, and `index` lets it rejoin
-                // that identity instead of forking a duplicate.
-                let known = sr.local_old[r];
-                let id = if known != u32::MAX {
-                    let slot = &mut old_to_new[known as usize];
-                    if *slot == u32::MAX {
-                        *slot = append_row(&mut table, ports)?;
-                    }
-                    *slot
-                } else if let Some(&old_id) = index.get(ports) {
-                    let slot = &mut old_to_new[old_id as usize];
-                    if *slot == u32::MAX {
-                        *slot = append_row(&mut table, ports)?;
-                    }
-                    *slot
-                } else if let Some(&id) = fresh.get(ports) {
-                    id
-                } else {
-                    let id = append_row(&mut table, ports)?;
-                    fresh.insert(ports.to_vec(), id);
-                    id
-                };
-                global_of_local.push(id);
-            }
-            for (start, local) in sr.starts.iter().zip(&sr.rows) {
-                table.runs_start.push(*start);
-                table.runs_row.push(global_of_local[*local as usize]);
-            }
+    let mut old_to_new: Vec<u32> = Vec::new();
+    // `scope.dirty` arrives sorted and deduplicated (`RepairScope`
+    // collects from a set); `clean` is the first switch not yet written.
+    let mut clean = 0usize;
+    for &switch in scope.dirty {
+        table.copy_switches(old, clean, switch as usize)?;
+        if scope.full.contains(&switch) {
+            switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut bufs.ports);
         } else {
-            // Clean switch: runs are unchanged, rows keep their old
-            // content identity and renumber at first encounter. Run
-            // order *is* local first-appearance order (push_run
-            // assigns local ids that way), so the ids land exactly
-            // where a fresh `stitch_switch` would put them.
-            let lo = old.col_off[switch] as usize;
-            let hi = old.col_off[switch + 1] as usize;
-            table.runs_start.extend_from_slice(&old.runs_start[lo..hi]);
-            for k in lo..hi {
-                let old_id = old.runs_row[k] as usize;
-                let id = if old_to_new[old_id] == u32::MAX {
-                    let id = append_row(&mut table, old_ports(old_id))?;
-                    old_to_new[old_id] = id;
-                    id
-                } else {
-                    old_to_new[old_id]
-                };
-                table.runs_row.push(id);
-            }
+            splice_runs_into(
+                net,
+                oracle,
+                old,
+                switch,
+                scope.dst_delta,
+                dst32,
+                &mut sr,
+                &mut bufs,
+                &mut old_to_new,
+            );
         }
-        table
-            .col_off
-            .push(u32::try_from(table.runs_start.len()).ok()?);
+        table.copy_switches(sr.finish(), 0, 1)?;
         if table.bytes() > TABLE_BUDGET {
             return None;
         }
+        clean = switch as usize + 1;
     }
-    // Renumber the persistent index to the rebuilt pool: dropped
-    // rows (never re-encountered) leave, survivors take their new
-    // id, and brand-new contents join. No content is re-keyed, so
-    // this is O(rows) pointer work, not O(rows) allocations.
-    index.retain(|_, id| {
-        let new_id = old_to_new[*id as usize];
-        *id = new_id;
-        new_id != u32::MAX
-    });
-    // Insert the few new contents one by one — `BTreeMap::append`
-    // would bulk-rebuild the whole tree on every patch.
-    for (ports, id) in fresh {
-        index.insert(ports, id);
+    table.copy_switches(old, clean, net.num_switches())?;
+    (table.bytes() <= TABLE_BUDGET).then_some(())
+}
+
+#[cfg(test)]
+impl RleTable {
+    /// Panics unless every switch's rows form one contiguous id range
+    /// that starts at its first run's row, right after the previous
+    /// switch's range, numbered in order of first appearance and
+    /// content-unique, with adjacent runs on different rows.
+    pub(crate) fn assert_layout(&self) {
+        let mut next = 0;
+        for s in 0..self.col_off.len() - 1 {
+            let (lo, hi) = (self.col_off[s] as usize, self.col_off[s + 1] as usize);
+            assert_eq!(self.runs_start[lo], 0, "switch {s}'s first run");
+            let base = next;
+            for k in lo..hi {
+                let r = self.runs_row[k] as usize;
+                assert!(
+                    (base..=next).contains(&r),
+                    "switch {s}: row {r} out of order"
+                );
+                assert!(
+                    k == lo || self.runs_row[k - 1] as usize != r,
+                    "switch {s}: run {k}"
+                );
+                assert!(k == lo || self.runs_start[k - 1] < self.runs_start[k]);
+                next += usize::from(r == next);
+            }
+            let mut rows: Vec<&[u32]> = (base..next).map(|r| self.ports(r)).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            assert_eq!(rows.len(), next - base, "switch {s} repeats a row");
+        }
+        assert_eq!(next, self.row_off.len() - 1, "rows outside every switch");
     }
-    Some(table)
 }

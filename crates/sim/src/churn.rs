@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::candidates::{row_index, Candidates, PatchScope, RowInterner};
+use crate::candidates::{Candidates, PatchScope, RleTable};
 use crate::engine::{RunScratch, Simulation};
 use crate::network::SimNetwork;
 use crate::{SimResult, TrafficPattern};
@@ -161,9 +161,9 @@ pub struct DynState<'a> {
     live: LiveClos,
     routing: UpDownRouting,
     candidates: Candidates,
-    /// Content → row id map of the current candidate table, renumbered
-    /// in place by every patch (see [`row_index`]).
-    index: RowInterner,
+    /// The buffers the next patch writes into: the table the last patch
+    /// replaced.
+    spare: RleTable,
 }
 
 impl<'a> DynState<'a> {
@@ -171,14 +171,12 @@ impl<'a> DynState<'a> {
     /// network and oracle were built from.
     #[must_use]
     pub fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
-        let candidates = sim.candidates().clone();
-        let index = candidates.table().map_or_else(RowInterner::new, row_index);
         DynState {
             net: sim.net(),
             live: LiveClos::new(clos),
             routing: sim.oracle().clone(),
-            candidates,
-            index,
+            candidates: sim.candidates().clone(),
+            spare: RleTable::default(),
         }
     }
 
@@ -191,7 +189,7 @@ impl<'a> DynState<'a> {
             return false;
         }
         let scope = self.routing.apply_event(self.live.current(), ev);
-        self.candidates = self.candidates.patched(
+        self.candidates.patch(
             self.net,
             &self.routing,
             &PatchScope {
@@ -199,7 +197,7 @@ impl<'a> DynState<'a> {
                 full: &scope.endpoints,
                 dst_delta: &scope.dst_delta,
             },
-            &mut self.index,
+            &mut self.spare,
         );
         true
     }
@@ -476,23 +474,34 @@ mod tests {
     fn patched_candidate_table_is_byte_identical_to_fresh_build() {
         // After every applied event, the patched table must equal what
         // a from-scratch Simulation::new would build over the repaired
-        // oracle — the same contract the routing repair itself honors.
-        let (clos, net, routing) = setup(6, 3);
+        // oracle — the same contract the routing repair itself honors —
+        // and keep the per-switch row layout. Random wirings are where a
+        // spliced `dst_delta` row can equal an old row of its switch.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2017);
+        let nets = [
+            (FoldedClos::cft(6, 3).unwrap(), 0.02, 9),
+            (FoldedClos::random(8, 32, 3, &mut rng).unwrap(), 0.02, 5),
+            (FoldedClos::random(12, 72, 3, &mut rng).unwrap(), 0.03, 6),
+        ];
         let cfg = churn_cfg();
-        let sim = Simulation::new(&net, &routing, cfg);
-        let schedule = FaultSchedule::poisson(&clos, 0.02, 200.0, 2_000, 9);
-        assert!(schedule.len() > 6);
-        let mut ds = DynState::new(&sim, &clos);
-        let mut checked = 0;
-        for (cycle, ev) in schedule.events() {
-            ds.apply(ev);
-            let fresh = Simulation::new(&net, &ds.routing, cfg);
-            let patched = ds.candidates.table().expect("the patched table fits");
-            let built = fresh.candidates().table().expect("the fresh table fits");
-            assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
-            checked += 1;
+        for (clos, rate, seed) in &nets {
+            let routing = UpDownRouting::new(clos);
+            let net = SimNetwork::from_folded_clos(clos);
+            let sim = Simulation::new(&net, &routing, cfg);
+            let schedule = FaultSchedule::poisson(clos, *rate, 200.0, 2_000, *seed);
+            assert!(schedule.len() > 6);
+            let mut ds = DynState::new(&sim, clos);
+            let mut applied = 0;
+            for (cycle, ev) in schedule.events() {
+                applied += usize::from(ds.apply(ev));
+                let fresh = Simulation::new(&net, &ds.routing, cfg);
+                let patched = ds.candidates.table().expect("the patched table fits");
+                let built = fresh.candidates().table().expect("the fresh table fits");
+                patched.assert_layout();
+                assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
+            }
+            assert!(applied > 6, "only {applied} events changed the topology");
         }
-        assert!(checked > 6);
     }
 
     #[test]

@@ -1435,7 +1435,7 @@ mod tests {
 
     #[test]
     fn deduped_table_rows_match_dense_oracle_answers() {
-        // Expanding the interned + run-length-compressed table back to
+        // Expanding the per-switch, run-length-compressed table back to
         // one row per (switch, dst) pair must reproduce exactly what the
         // old dense build stored: the oracle's answer, resolved to out
         // ports, in oracle order. Checked on a regular CFT (long runs)
@@ -1450,6 +1450,7 @@ mod tests {
             let net = SimNetwork::from_folded_clos(clos);
             let sim = Simulation::new(&net, &routing, SimConfig::quick());
             let table = sim.candidates().table().expect("table fits the budget");
+            table.assert_layout();
             let dst_space = table.dst_space;
             let mut hops = Vec::new();
             let mut bufs = RowBufs::default();
@@ -1468,7 +1469,7 @@ mod tests {
                     );
                 }
             }
-            // And the dedup must actually pay: fewer pool entries than
+            // And the dedup must actually pay: fewer rows than
             // (switch, dst) pairs.
             assert!(table.row_off.len() - 1 < net.num_switches() * dst_space);
         }
