@@ -20,8 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
-pub mod commands;
+mod args;
+mod commands;
 
 use std::fmt;
 

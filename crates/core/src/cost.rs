@@ -21,12 +21,6 @@ impl NetworkCost {
     pub fn total_ports(&self) -> usize {
         2 * (self.switch_wires + self.terminal_links)
     }
-
-    /// Ports provided by switches only (radix × switches for fully used
-    /// radix-regular networks).
-    pub fn switch_ports(&self) -> usize {
-        2 * self.switch_wires + self.terminal_links
-    }
 }
 
 /// Cost of the R-port l-tree (CFT).
@@ -208,7 +202,6 @@ mod tests {
         assert_eq!(cost.switch_wires, 32);
         assert_eq!(cost.terminals, 32);
         assert_eq!(cost.total_ports(), 2 * (32 + 32));
-        assert_eq!(cost.switch_ports(), 2 * 32 + 32);
     }
 
     #[test]
@@ -218,6 +211,9 @@ mod tests {
         let cost = cft_cost(8, 3);
         assert_eq!(cost.switches, Network::num_switches(&clos));
         assert_eq!(cost.switch_wires, clos.num_links());
-        assert_eq!(cost.switch_ports(), clos.num_switch_ports());
+        assert_eq!(
+            2 * cost.switch_wires + cost.terminal_links,
+            clos.num_switch_ports()
+        );
     }
 }

@@ -21,20 +21,6 @@ pub fn threshold_radix(n1: usize, levels: usize, x: f64) -> f64 {
     2.0 * (nl * (pairs + x)).powf(exponent)
 }
 
-/// The simplified threshold the paper uses throughout:
-/// `R = 2·(N₁ ln N₁)^(1/(2(l-1)))`.
-///
-/// # Panics
-///
-/// Panics if `n1 < 2` or `levels < 2`.
-pub fn threshold_radix_simple(n1: usize, levels: usize) -> f64 {
-    assert!(n1 >= 2, "need at least two leaves");
-    assert!(levels >= 2, "need at least two levels");
-    let n1f = n1 as f64;
-    let exponent = 1.0 / (2.0 * (levels as f64 - 1.0));
-    2.0 * (n1f * n1f.ln()).powf(exponent)
-}
-
 /// The slack `x` implied by concrete parameters: inverts
 /// [`threshold_radix`], i.e. `x = (R/2)^(2(l-1)) / N_l − ln C(N₁,2)`.
 ///
@@ -140,15 +126,6 @@ pub fn rrn_switches(radix: usize, diameter: usize) -> Option<f64> {
         }
     }
     Some(0.5 * (lo + hi))
-}
-
-/// Terminals of the balanced RRN at diameter `D` and radix `R`
-/// (Section 4.3): `Δ/D` hosts per switch on `N` switches.
-pub fn rrn_terminals(radix: usize, diameter: usize) -> Option<f64> {
-    let n = rrn_switches(radix, diameter)?;
-    let d = diameter as f64;
-    let delta = radix as f64 / (1.0 + 1.0 / d);
-    Some(n * delta / d)
 }
 
 /// Finite-size probability that a **2-level** RFC has the up/down
@@ -257,21 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_radix_forms_agree_roughly() {
-        // ln C(N1,2) ~ 2 ln N1 - ln 2, and N_l = N1/2, so the exact and
-        // simplified forms track each other within a few percent.
-        for &(n1, l) in &[(648usize, 3usize), (5556, 3), (1024, 4)] {
-            let exact = threshold_radix(n1, l, 0.0);
-            let simple = threshold_radix_simple(n1, l);
-            let ratio = exact / simple;
-            assert!(
-                (0.9..1.1).contains(&ratio),
-                "n1={n1} l={l}: {exact} vs {simple}"
-            );
-        }
-    }
-
-    #[test]
     fn slack_inverts_threshold() {
         let x = 0.7;
         let r = threshold_radix(500, 3, x);
@@ -316,10 +278,10 @@ mod tests {
 
     #[test]
     fn rrn_sizing_monotone_in_radix() {
-        let a = rrn_terminals(24, 4).unwrap();
-        let b = rrn_terminals(36, 4).unwrap();
+        let a = rrn_switches(24, 4).unwrap();
+        let b = rrn_switches(36, 4).unwrap();
         assert!(b > a);
-        assert_eq!(rrn_terminals(2, 4), None);
+        assert_eq!(rrn_switches(2, 4), None);
     }
 
     #[test]

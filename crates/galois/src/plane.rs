@@ -102,14 +102,6 @@ impl ProjectivePlane {
         &self.points_of_line[line as usize]
     }
 
-    /// Whether `point` lies on `line`.
-    pub fn incident(&self, point: u32, line: u32) -> bool {
-        self.lines_of_point[point as usize]
-            .binary_search(&line)
-            .is_ok()
-            || self.lines_of_point[point as usize].contains(&line)
-    }
-
     /// Lines through both points (exactly one when the points differ).
     pub fn common_lines(&self, a: u32, b: u32) -> Vec<u32> {
         let la = &self.lines_of_point[a as usize];
@@ -212,7 +204,7 @@ mod tests {
         let plane = ProjectivePlane::new(4).unwrap();
         for l in 0..plane.num_lines() as u32 {
             for &p in plane.points_of_line(l) {
-                assert!(plane.incident(p, l));
+                assert!(plane.lines_of_point(p).contains(&l));
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Heap-size accounting for the memory ratchet.
+//! Heap-size accounting for the routing-footprint bounds.
 
 /// Logical heap bytes held by a value, excluding the value's own
 /// `size_of::<Self>()` footprint.
@@ -6,9 +6,9 @@
 /// Implementations report **logical** size — `len × size_of::<T>()` for a
 /// `Vec<T>`, via [`slice_heap_bytes`] — not allocator capacity, so the
 /// figure is a deterministic function of the data structure's contents and
-/// can be ratcheted per scale in `xtask-ratchet.toml` (the
-/// `routing-bytes-per-terminal` keys, DESIGN.md §15) without tripping on
-/// growth-policy or allocator differences between machines.
+/// can be bounded per terminal (`crates/sim/tests/footprint.rs`, DESIGN.md
+/// §15) without tripping on growth-policy or allocator differences between
+/// machines.
 pub trait HeapBytes {
     /// Logical bytes of owned heap storage.
     fn heap_bytes(&self) -> usize;

@@ -17,8 +17,8 @@
 //!   a dense bit set, a sorted-disjoint-range set, and the density-adaptive
 //!   enum over both that the routing crate uses to store per-switch
 //!   reachability (DESIGN.md §15).
-//! * [`HeapBytes`] — logical heap-size accounting behind the per-scale
-//!   `routing-bytes-per-terminal` memory ratchet.
+//! * [`HeapBytes`] — logical heap-size accounting behind the routing
+//!   bytes per terminal bounds (DESIGN.md §15).
 //!
 //! # Examples
 //!

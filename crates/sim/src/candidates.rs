@@ -206,7 +206,7 @@ impl RleTable {
     }
 
     /// Logical bytes of the five arrays — the quantity checked against
-    /// the build budget and reported to the memory ratchet.
+    /// the build budget and reported as the table's footprint.
     pub(crate) fn bytes(&self) -> usize {
         rfc_graph::slice_heap_bytes(&self.col_off)
             + rfc_graph::slice_heap_bytes(&self.runs_start)

@@ -156,7 +156,7 @@ pub struct ChurnResult {
 /// The dynamic routing state of a churn run: the topology overlay, the
 /// repaired routing table and the patched candidate table, kept
 /// byte-identical to a from-scratch build on the current topology.
-pub struct DynState<'a> {
+pub(crate) struct DynState<'a> {
     net: &'a SimNetwork,
     live: LiveClos,
     routing: UpDownRouting,
@@ -170,7 +170,7 @@ impl<'a> DynState<'a> {
     /// The pristine state of `sim`; `clos` must be the topology its
     /// network and oracle were built from.
     #[must_use]
-    pub fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
+    pub(crate) fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
         DynState {
             net: sim.net(),
             live: LiveClos::new(clos),
@@ -184,7 +184,7 @@ impl<'a> DynState<'a> {
     /// table repairs incrementally, and the candidate table patches over
     /// the repair's dirty region. Returns whether the event changed the
     /// topology (a duplicate fail or spurious recover is a no-op).
-    pub fn apply(&mut self, ev: &LinkEvent) -> bool {
+    pub(crate) fn apply(&mut self, ev: &LinkEvent) -> bool {
         if !self.live.apply(ev) {
             return false;
         }

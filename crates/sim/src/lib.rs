@@ -50,7 +50,7 @@
 #![warn(missing_docs)]
 
 mod candidates;
-pub mod churn;
+mod churn;
 mod config;
 mod engine;
 mod network;

@@ -1,11 +1,16 @@
-//! Routing bytes per terminal (up/down routing plus candidate table)
-//! on the three CFT scales of `BENCH_sim.json`: at or below the ratchet
-//! values recorded there, which may only fall, with `large` still
-//! materializing its table.
+//! Release-only gates on three CFT scales: small cft(8,3), medium
+//! cft(16,3) and large cft(36,4).
+//!
+//! - Routing bytes per terminal (up/down routing plus candidate table)
+//!   stay at or below 135/96/109. These bounds may only fall, and the
+//!   large scale must still materialize its table.
+//! - A saturated uniform run on the small and medium scales reproduces
+//!   its recorded `accepted_load` and `delivered_packets` exactly, at 1
+//!   and 2 shards.
 
 use rfc_graph::HeapBytes;
 use rfc_routing::UpDownRouting;
-use rfc_sim::{SimConfig, SimNetwork, Simulation};
+use rfc_sim::{RunScratch, SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_topology::FoldedClos;
 
 /// `⌈(routing + table bytes) / terminals⌉` for `cft(radix, levels)`.
@@ -31,6 +36,44 @@ fn routing_bytes_per_terminal_stay_within_the_ratchet() {
         assert!(
             bytes <= bound,
             "cft({radix},{levels}): {bytes} routing bytes per terminal exceed {bound}"
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "5,000 saturated cycles on 1,024 terminals, twice; CI runs the workspace tests with --release"
+)]
+fn saturated_cft_runs_reproduce_their_recorded_results() {
+    // (radix, warmup, measure, accepted_load, delivered_packets) for
+    // cft(radix, 3) at load 1.0, seed 2017.
+    for (radix, warmup, measure, accepted, delivered) in [
+        (8, 300, 1_000, 0.83425, 6_674),
+        (16, 1_000, 4_000, 0.8628203125, 220_882),
+    ] {
+        let clos = FoldedClos::cft(radix, 3).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let mut cfg = SimConfig::paper_defaults();
+        cfg.warmup_cycles = warmup;
+        cfg.measure_cycles = measure;
+        let sim = Simulation::new(&net, &routing, cfg);
+        let run = |shards| {
+            sim.run_sharded_scratch(
+                TrafficPattern::Uniform,
+                1.0,
+                2017,
+                shards,
+                &mut RunScratch::new(),
+            )
+        };
+        let serial = run(1);
+        assert_eq!(run(2), serial, "cft({radix},3): 2 shards moved the result");
+        assert_eq!(
+            (serial.accepted_load, serial.delivered_packets),
+            (accepted, delivered),
+            "cft({radix},3): the saturated result moved"
         );
     }
 }

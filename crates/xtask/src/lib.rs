@@ -28,9 +28,8 @@
 //! * **Ratchets** ([`ratchet`]) — one `section → key → count` table in
 //!   `xtask-ratchet.toml`. Per crate: the panic surface (`.unwrap()` /
 //!   `.expect(` / panic macros), the potentially-lossy `as` casts
-//!   ([`casts`]) and the lock-type / atomic-type sync primitives; per
-//!   benchmark scale: the routing bytes per terminal from
-//!   `BENCH_sim.json` (DESIGN.md §15). Every count may only decrease.
+//!   ([`casts`]) and the lock-type / atomic-type sync primitives.
+//!   Every count may only decrease.
 //!
 //! No check scans for `unsafe`: the lint gates make the compiler reject
 //! it in every crate.

@@ -26,11 +26,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// File name of the committed ratchet baseline, at the repo root.
 pub const RATCHET_FILE: &str = "xtask-ratchet.toml";
 
-/// File name of the committed engine benchmark, at the repo root. Its
-/// per-scale `routing_bytes_per_terminal` entries feed the
-/// routing-memory ratchet (`[scale.*]` in [`RATCHET_FILE`]).
-pub const BENCH_FILE: &str = "BENCH_sim.json";
-
 /// One discovered workspace crate.
 #[derive(Debug, Clone)]
 pub struct CrateInfo {
@@ -196,11 +191,8 @@ pub struct LintReport {
     pub cast_counts: BTreeMap<String, CastCounts>,
     /// Measured non-test sync-primitive tallies per crate.
     pub sync_counts: BTreeMap<String, SyncCounts>,
-    /// The measured ratchet table: the three crate tallies plus the
-    /// per-scale `routing_bytes_per_terminal` of the committed
-    /// `BENCH_sim.json` (no scales when the tree has no benchmark file,
-    /// as in fixture workspaces). Compared against, or written as,
-    /// `xtask-ratchet.toml`.
+    /// The measured ratchet table, built from the three crate tallies.
+    /// Compared against, or written as, `xtask-ratchet.toml`.
     pub ratchet: ratchet::Table,
     /// Counts now below the committed baseline (nudges, not failures).
     pub improvements: Vec<String>,
@@ -301,10 +293,7 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
                 report.violations.push((display.clone(), v));
             }
         }
-        sites.insert(
-            (format!("crate.{}", krate.name), "lossy-cast".to_string()),
-            lossy_sites,
-        );
+        sites.insert((krate.name.clone(), "lossy-cast".to_string()), lossy_sites);
         report.counts.insert(krate.name.clone(), crate_counts);
         report.cast_counts.insert(krate.name.clone(), crate_casts);
         report.sync_counts.insert(krate.name.clone(), crate_sync);
@@ -320,12 +309,7 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         .violations
         .extend(conc::stale_entries(&allowlist, &matched));
 
-    report.ratchet = ratchet::measure(
-        &report.counts,
-        &report.cast_counts,
-        &report.sync_counts,
-        &bench_scale_bytes(root)?,
-    );
+    report.ratchet = ratchet::measure(&report.counts, &report.cast_counts, &report.sync_counts);
     let ratchet_path = root.join(RATCHET_FILE);
     if write_ratchet {
         fs::write(&ratchet_path, ratchet::render(&report.ratchet))
@@ -368,54 +352,6 @@ fn gate_violation(message: String) -> Violation {
         line: 1,
         message,
     }
-}
-
-/// Reads the per-scale `routing_bytes_per_terminal` values out of the
-/// committed [`BENCH_FILE`], keyed by scale name. A missing file yields
-/// an empty map (fixture workspaces carry no benchmark); an unreadable
-/// or structurally surprising file is an error, because a silently
-/// skipped ratchet is worse than a loud one.
-///
-/// Line-based on the benchmark's fixed rendering (one key per line),
-/// like every other parser in this crate: the scale name is the last
-/// `"name": {` object-open seen before the key line.
-fn bench_scale_bytes(root: &Path) -> Result<BTreeMap<String, usize>, String> {
-    let path = root.join(BENCH_FILE);
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let mut scales = BTreeMap::new();
-    let mut current: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(name) = line
-            .strip_suffix('{')
-            .and_then(|l| l.trim_end().strip_suffix(':'))
-        {
-            current = name
-                .trim()
-                .strip_prefix('"')
-                .and_then(|n| n.strip_suffix('"'))
-                .map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"routing_bytes_per_terminal\":") {
-            let scale = current.clone().ok_or_else(|| {
-                format!("{BENCH_FILE}: routing_bytes_per_terminal outside a scale object")
-            })?;
-            let bytes: usize = rest
-                .trim()
-                .trim_end_matches(',')
-                .parse()
-                .map_err(|e| format!("{BENCH_FILE}: scale `{scale}`: {e}"))?;
-            if scales.insert(scale.clone(), bytes).is_some() {
-                return Err(format!(
-                    "{BENCH_FILE}: duplicate routing_bytes_per_terminal for scale `{scale}`"
-                ));
-            }
-        }
-    }
-    Ok(scales)
 }
 
 fn rel_display(root: &Path, path: &Path) -> String {

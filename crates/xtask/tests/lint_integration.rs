@@ -629,26 +629,13 @@ fn a_missing_allowlist_fails_closed() {
 fn one_run_reports_a_violation_of_every_check() {
     // `upward-edge` keeps its upward edge; its `sim` crate gains a
     // HashMap (determinism rule), a lossy cast over the zero baseline
-    // and an unlisted Relaxed ordering, and a benchmark report shows
-    // routing memory above its ratchet.
+    // and an unlisted Relaxed ordering.
     let root = fixture_copy("upward-edge", "every-check");
     let lib = "//! Fixture crate.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n\n\
                /// Doc.\npub fn f(n: usize) -> u32 {\n    \
                let _m = std::collections::HashMap::<u32, u32>::new();\n    n as u32\n}\n\n\
                /// Doc.\npub fn g(c: &Counter) -> usize {\n    c.load(Ordering::Relaxed)\n}\n";
     fs::write(root.join("crates/sim/src/lib.rs"), lib).expect("fixture write");
-    fs::write(
-        root.join("BENCH_sim.json"),
-        "{\n  \"small\": {\n    \"routing_bytes_per_terminal\": 140\n  }\n}\n",
-    )
-    .expect("fixture write");
-    let ratchet = root.join("xtask-ratchet.toml");
-    let text = fs::read_to_string(&ratchet).expect("fixture ratchet");
-    fs::write(
-        &ratchet,
-        format!("{text}\n[scale.small]\nrouting-bytes-per-terminal = 135\n"),
-    )
-    .expect("fixture write");
 
     let report = run_lint(&root, false).expect("lint must run");
     let mut found: Vec<(&str, &str, &str)> = report
@@ -657,8 +644,6 @@ fn one_run_reports_a_violation_of_every_check() {
         .map(|(path, v)| {
             let what = if v.message.contains("lossy-cast count rose to 1") {
                 "lossy-cast"
-            } else if v.message.contains("routing-bytes-per-terminal rose to 140") {
-                "routing-bytes"
             } else {
                 ""
             };
@@ -672,7 +657,6 @@ fn one_run_reports_a_violation_of_every_check() {
             ("hash-collections", "crates/sim/src/lib.rs", ""),
             ("layering", "crates/graph/Cargo.toml", ""),
             ("ratchet", "xtask-ratchet.toml", "lossy-cast"),
-            ("ratchet", "xtask-ratchet.toml", "routing-bytes"),
             ("relaxed-ordering", "crates/sim/src/lib.rs", ""),
         ],
         "{:#?}",
