@@ -419,9 +419,10 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
             jobs.push((jobs.len() as u64, pattern, load));
         }
     }
-    // Wall-clock here times the sweep for the progress footer only; it
-    // never feeds a result.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times the sweep for the progress footer only; never feeds a result"
+    )]
     let start = std::time::Instant::now();
     let results = parallel::map_init(jobs, RunScratch::new, |scratch, (index, pattern, load)| {
         (

@@ -17,9 +17,6 @@
 //! The library half exists so the argument parsing and command logic
 //! are unit-testable; `main.rs` is a thin wrapper.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod args;
 mod commands;
 

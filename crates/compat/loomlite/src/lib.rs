@@ -67,9 +67,6 @@
 //! assert!(matches!(err, ModelError::Invariant { .. }));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::collections::BTreeSet;
 
 /// Sentinel pc value marking a finished thread in the `pcs` slice the

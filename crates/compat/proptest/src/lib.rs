@@ -15,9 +15,6 @@
 //! [`collection::vec`], [`sample::select`], `prop_assert!`,
 //! `prop_assert_eq!`, `prop_assume!`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::fmt;
 use std::ops::Range;
 
@@ -162,7 +159,10 @@ impl<S: Strategy, S2: Strategy, F: Fn(S::Value) -> S2> Strategy for FlatMap<S, F
 #[derive(Debug)]
 pub struct Filter<S, F> {
     inner: S,
-    #[allow(dead_code)]
+    #[expect(
+        dead_code,
+        reason = "read only by the Debug output, as in the real crate"
+    )]
     reason: &'static str,
     pred: F,
 }
@@ -198,7 +198,10 @@ macro_rules! tuple_strategy {
     ($($name:ident),+) => {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(
+                non_snake_case,
+                reason = "the tuple's type parameters double as its element bindings"
+            )]
             fn generate(&self, rng: &mut TestRng) -> Option<Self::Value> {
                 let ($($name,)+) = self;
                 Some(($($name.generate(rng)?,)+))
@@ -313,6 +316,10 @@ pub fn run_property(
                      ({rejected} rejects for {passed} passes)"
                 );
             }
+            #[expect(
+                clippy::panic,
+                reason = "a failed property fails its test, as in the real crate"
+            )]
             Err(TestCaseError::Fail(msg)) => {
                 panic!(
                     "property `{name}` failed at case seed {seed:#x}\n\

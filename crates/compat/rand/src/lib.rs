@@ -20,9 +20,6 @@
 //! reproducibility handles, so only determinism matters, not the exact
 //! byte stream.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level uniform bit source. Matches the method set of
@@ -101,17 +98,38 @@ pub trait StandardDistributed: Sized {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-macro_rules! standard_int {
+macro_rules! standard_uint {
     ($($t:ty),*) => {$(
         impl StandardDistributed for $t {
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a uniform draw keeps the low bits of the 64-bit output"
+            )]
             fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
                 rng.next_u64() as $t
             }
         }
     )*};
 }
-standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+standard_uint!(u8, u16, u32, usize);
+
+impl StandardDistributed for u64 {
+    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64()
+    }
+}
+
+/// Signed draws reinterpret the unsigned draw of the same width.
+macro_rules! standard_int {
+    ($($t:ty : $u:ty),*) => {$(
+        impl StandardDistributed for $t {
+            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+                <$u>::sample(rng).cast_signed()
+            }
+        }
+    )*};
+}
+standard_int!(i8: u8, i16: u16, i32: u32, i64: u64, isize: usize);
 
 impl StandardDistributed for u128 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
@@ -170,7 +188,6 @@ pub trait UniformSampled: Sized {
 macro_rules! uniform_uint {
     ($($t:ty),*) => {$(
         impl UniformSampled for $t {
-            #[allow(clippy::cast_possible_truncation)]
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, range: Range<Self>) -> Self {
                 assert!(range.start < range.end, "empty gen_range");
                 let span = (range.end - range.start) as u64;
@@ -181,7 +198,6 @@ macro_rules! uniform_uint {
                 range.start + hi as $t
             }
 
-            #[allow(clippy::cast_possible_truncation)]
             fn sample_range_inclusive<R: RngCore + ?Sized>(
                 rng: &mut R,
                 start: Self,
@@ -201,24 +217,22 @@ uniform_uint!(u8, u16, u32, u64, usize);
 macro_rules! uniform_int {
     ($($t:ty : $u:ty),*) => {$(
         impl UniformSampled for $t {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, range: Range<Self>) -> Self {
                 assert!(range.start < range.end, "empty gen_range");
-                let span = (range.end as $u).wrapping_sub(range.start as $u) as u64;
+                let span = range.end.cast_unsigned().wrapping_sub(range.start.cast_unsigned()) as u64;
                 let hi = ((u128::from(rng.next_u64()) * u128::from(span)) >> 64) as u64;
-                range.start.wrapping_add(hi as $t)
+                range.start.wrapping_add((hi as $u).cast_signed())
             }
 
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
             fn sample_range_inclusive<R: RngCore + ?Sized>(
                 rng: &mut R,
                 start: Self,
                 end: Self,
             ) -> Self {
                 assert!(start <= end, "empty gen_range");
-                let span = u128::from((end as $u).wrapping_sub(start as $u) as u64) + 1;
+                let span = u128::from(end.cast_unsigned().wrapping_sub(start.cast_unsigned()) as u64) + 1;
                 let hi = ((u128::from(rng.next_u64()) * span) >> 64) as u64;
-                start.wrapping_add(hi as $t)
+                start.wrapping_add((hi as $u).cast_signed())
             }
         }
     )*};
@@ -301,7 +315,9 @@ pub mod rngs {
         fn from_seed_bytes(seed: [u8; 32]) -> Self {
             let mut s = [0u64; 4];
             for (w, chunk) in s.iter_mut().zip(seed.chunks_exact(8)) {
-                *w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+                #[expect(clippy::expect_used, reason = "chunks_exact(8) yields 8-byte chunks")]
+                let bytes: [u8; 8] = chunk.try_into().expect("8-byte chunk");
+                *w = u64::from_le_bytes(bytes);
             }
             // An all-zero state is a fixed point; nudge it.
             if s == [0; 4] {
@@ -340,7 +356,6 @@ pub mod rngs {
 
             impl RngCore for $name {
                 #[inline]
-                #[allow(clippy::cast_possible_truncation)]
                 fn next_u32(&mut self) -> u32 {
                     (self.0.next() >> 32) as u32
                 }
@@ -394,7 +409,10 @@ pub mod rngs {
         }
 
         impl RngCore for StepRng {
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the low 32 bits of the step sequence"
+            )]
             fn next_u32(&mut self) -> u32 {
                 self.next_u64() as u32
             }

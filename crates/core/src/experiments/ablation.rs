@@ -111,14 +111,26 @@ pub fn correlated_stage_rfc<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> FoldedClos {
     let half = radix / 2;
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     let shared = random_bipartite(n1, half, n1, half, rng).expect("feasible stage");
     let mut stages = Vec::with_capacity(levels - 1);
     for _ in 0..levels - 2 {
         stages.push(shared.clone());
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     stages.push(random_bipartite(n1, half, n1 / 2, radix, rng).expect("feasible top stage"));
     let mut sizes = vec![n1; levels - 1];
     sizes.push(n1 / 2);
+    #[expect(
+        clippy::expect_used,
+        reason = "the stages built above have the level sizes passed alongside them"
+    )]
     FoldedClos::from_stages(CloKind::RandomFoldedClos, radix, half, &sizes, stages)
         .expect("consistent stages")
 }
@@ -148,6 +160,10 @@ pub fn stage_independence<R: Rng + ?Sized>(
             let net = if correlated {
                 correlated_stage_rfc(radix, n1, levels, rng)
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+                )]
                 FoldedClos::random(radix, n1, levels, rng).expect("feasible RFC")
             };
             let routing = UpDownRouting::new(&net);
@@ -220,6 +236,10 @@ pub fn taper(k: usize, base: SimConfig, seed: u64) -> Result<Report, ReportError
     );
     let mut w = k;
     while w >= 1 {
+        #[expect(
+            clippy::expect_used,
+            reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+        )]
         let clos = FoldedClos::xgft(&[k, 2 * k], &[w, k], k).expect("valid tapered fat-tree");
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);

@@ -125,10 +125,18 @@ pub fn run<R: Rng + ?Sized>(
     let mut out = Vec::new();
 
     // CFT: exactly full bisection (normalized 1.0 by construction).
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     let cft = FoldedClos::cft(radix, 3).expect("valid CFT");
     out.push(folded_point(&cft, trials, None, 1, rng));
 
     for levels in [2usize, 3] {
+        #[expect(
+            clippy::expect_used,
+            reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+        )]
         let rfc = FoldedClos::random(radix, n1, levels, rng).expect("feasible RFC");
         let bound = theory::rfc_bisection_lower(n1, levels, radix);
         out.push(folded_point(&rfc, trials, Some(bound), levels - 1, rng));
@@ -143,6 +151,10 @@ pub fn run<R: Rng + ?Sized>(
     if n % 2 == 1 {
         n += 1;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     let rrn = Rrn::new(n, delta, hosts, rng).expect("feasible RRN");
     let g = rrn.graph();
     let cut = best_level_balanced_cut(&g, &[(0, n)], trials, rng);

@@ -8,6 +8,7 @@
 
 use rand::Rng;
 
+use rfc_graph::vid;
 use rfc_routing::{ksp, UpDownRouting};
 use rfc_topology::{FoldedClos, Network, Rrn};
 
@@ -36,7 +37,7 @@ pub fn folded_diversity<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> DiversityPoint {
     let routing = UpDownRouting::new(clos);
-    let leaves = clos.num_leaves() as u32;
+    let leaves = vid(clos.num_leaves());
     let mut min_paths = u64::MAX;
     let mut total = 0u64;
     let mut counted = 0usize;
@@ -71,7 +72,7 @@ pub fn folded_diversity<R: Rng + ?Sized>(
 /// among the k = 8 shortest (the Jellyfish routing configuration).
 pub fn rrn_diversity<R: Rng + ?Sized>(rrn: &Rrn, pairs: usize, rng: &mut R) -> DiversityPoint {
     let g = rrn.graph();
-    let n = rrn.num_switches() as u32;
+    let n = vid(rrn.num_switches());
     let mut min_paths = u64::MAX;
     let mut total = 0u64;
     let mut dist_total = 0u64;
@@ -124,14 +125,26 @@ pub fn report<R: Rng + ?Sized>(
             f3(p.mean_distance),
         ])
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     let cft = FoldedClos::cft(radix, 3).expect("valid CFT");
     push(&mut rep, folded_diversity(&cft, pairs, rng))?;
     let n1 = cft.num_leaves();
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     let rfc = FoldedClos::random(radix, n1, 3, rng).expect("feasible RFC");
     push(&mut rep, folded_diversity(&rfc, pairs, rng))?;
     let q = radix / 2 - 1;
-    if rfc_galois::is_prime_power(q as u32) {
-        let oft = FoldedClos::oft(q as u32, 2).expect("valid OFT");
+    if rfc_galois::is_prime_power(vid(q)) {
+        #[expect(
+            clippy::expect_used,
+            reason = "q is checked to be a prime power just above"
+        )]
+        let oft = FoldedClos::oft(vid(q), 2).expect("valid OFT");
         push(&mut rep, folded_diversity(&oft, pairs, rng))?;
     }
     let (delta, hosts) = crate::experiments::fig5::rrn_split(radix);
@@ -139,6 +152,10 @@ pub fn report<R: Rng + ?Sized>(
     if n * delta % 2 == 1 {
         n += 1;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "the fixed experiment parameters are feasible; every experiment runs in the registry tests"
+    )]
     let rrn = Rrn::new(n, delta, hosts, rng).expect("feasible RRN");
     push(&mut rep, rrn_diversity(&rrn, pairs.min(40), rng))?;
     Ok(rep)

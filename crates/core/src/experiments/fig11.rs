@@ -9,6 +9,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use rfc_graph::vid;
 use rfc_routing::fault::updown_tolerance_trial;
 use rfc_topology::FoldedClos;
 
@@ -67,6 +68,11 @@ pub fn run<R: Rng + ?Sized>(
             continue;
         };
         for &frac in &SIZE_FRACTIONS {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "a fraction in (0, 1] of a leaf count"
+            )]
             let n1 = (((max_n1 as f64 * frac) as usize).max(radix) + 1) & !1;
             let Ok(net) = rfc_with_updown(radix, n1, l, 50, rng) else {
                 continue;
@@ -92,8 +98,8 @@ pub fn run<R: Rng + ?Sized>(
         // OFT point (order q = radix/2 - 1) where the construction stays
         // tractable.
         let q = radix / 2 - 1;
-        if l <= 3 && rfc_galois::is_prime_power(q as u32) {
-            if let Ok(oft) = FoldedClos::oft(q as u32, l) {
+        if l <= 3 && rfc_galois::is_prime_power(vid(q)) {
+            if let Ok(oft) = FoldedClos::oft(vid(q), l) {
                 let tolerance = parallel_mean_tolerance(&oft, trials, rng);
                 points.push(TolerancePoint {
                     topology: format!("oft(q={q})"),

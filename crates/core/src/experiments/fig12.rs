@@ -49,6 +49,11 @@ pub fn run<R: Rng + ?Sized>(
         let mut order = snet.clos.links();
         order.shuffle(rng);
         let total = order.len();
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a fraction in (0, 1] of a link count"
+        )]
         let step = ((total as f64 * step_fraction).round() as usize).max(1);
         // Each fault step rebuilds its own faulty fabric, routing, and
         // simulator from the shared removal order, so the steps are
@@ -100,7 +105,6 @@ pub fn run<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Propagates [`ReportError`] on a row/header mismatch (driver bug).
-#[allow(clippy::too_many_arguments)]
 pub fn report<R: Rng + ?Sized>(
     scenario: &Scenario,
     patterns: &[TrafficPattern],

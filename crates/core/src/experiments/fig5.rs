@@ -7,6 +7,8 @@
 //! `Δ^D ≈ 2 N ln N` (with the paper's Δ = 26 / 10-hosts split at
 //! radix 36).
 
+use rfc_graph::vid;
+
 use crate::report::{Report, ReportError};
 use crate::{cost, theory};
 
@@ -26,6 +28,11 @@ pub struct DiameterStep {
 /// The RRN degree/host split used at a given hardware radix: the paper's
 /// radix-36 example uses Δ = 26 with 10 hosts; scale that ratio.
 pub fn rrn_split(radix: usize) -> (usize, usize) {
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "26/36 of a switch radix"
+    )]
     let delta = ((radix as f64) * 26.0 / 36.0).round() as usize;
     (delta.max(3), (radix - delta).max(1))
 }
@@ -64,6 +71,10 @@ pub fn run(radix: usize, max_diameter: u32) -> Vec<DiameterStep> {
             });
         }
         // Direct random network: Δ^D = 2 N ln N.
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "d is at most max_diameter, a small diameter bound"
+        )]
         let target = (delta as f64).powi(d as i32);
         if let Some(n) = solve_2nlnn(target) {
             steps.push(DiameterStep {
@@ -106,7 +117,7 @@ fn solve_2nlnn(target: f64) -> Option<f64> {
 fn largest_prime_power_at_most(limit: usize) -> Option<usize> {
     (2..=limit)
         .rev()
-        .find(|&q| rfc_galois::is_prime_power(q as u32))
+        .find(|&q| rfc_galois::is_prime_power(vid(q)))
 }
 
 /// Renders the figure as a report.

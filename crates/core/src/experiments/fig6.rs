@@ -6,6 +6,8 @@
 //! the topology exists); RRN uses the diameter matching the level count
 //! (`D = 2(l−1)`) and the paper's degree/host split.
 
+use rfc_graph::vid;
+
 use crate::experiments::fig5::rrn_split;
 use crate::report::{Report, ReportError};
 use crate::theory;
@@ -36,7 +38,7 @@ pub fn row(radix: usize) -> ScalabilityRow {
     let mut oft = [None; 3];
     let mut rrn = [None; 3];
     let q = radix / 2 - 1;
-    let q_ok = rfc_galois::is_prime_power(q as u32);
+    let q_ok = rfc_galois::is_prime_power(vid(q));
     let (delta, hosts) = rrn_split(radix);
     let _ = delta;
     for (i, &l) in LEVELS.iter().enumerate() {
@@ -46,7 +48,13 @@ pub fn row(radix: usize) -> ScalabilityRow {
             oft[i] = Some(theory::oft_terminals(q, l) as u64);
         }
         let d = 2 * (l - 1);
-        rrn[i] = theory::rrn_switches(radix, d).map(|n| (n * hosts as f64) as u64);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a positive terminal count far below 2^64"
+        )]
+        let terminals = theory::rrn_switches(radix, d).map(|n| (n * hosts as f64) as u64);
+        rrn[i] = terminals;
     }
     ScalabilityRow {
         radix,
@@ -103,7 +111,7 @@ mod tests {
         // 15% margin below and expect a clear win as levels grow.
         for radix in [12usize, 24, 36] {
             let q = radix / 2 - 1;
-            if !rfc_galois::is_prime_power(q as u32) {
+            if !rfc_galois::is_prime_power(vid(q)) {
                 continue;
             }
             for l in [2usize, 3] {

@@ -6,6 +6,8 @@
 //! equipped fabric); RFC and RRN grow linearly, with small RFC steps when
 //! the Theorem 4.2 threshold forces an extra level.
 
+use rfc_graph::vid;
+
 use crate::experiments::fig5::rrn_split;
 use crate::report::{Report, ReportError};
 use crate::{cost, theory};
@@ -53,7 +55,7 @@ pub fn point(radix: usize, terminals: usize) -> ExpandabilityPoint {
         .map(|l| cost::cft_cost(radix, l).total_ports());
     // OFT step.
     let q = radix / 2 - 1;
-    let oft_ports = rfc_galois::is_prime_power(q as u32)
+    let oft_ports = rfc_galois::is_prime_power(vid(q))
         .then(|| {
             (2..=MAX_LEVELS)
                 .find(|&l| theory::oft_terminals(q, l) >= terminals)
@@ -101,7 +103,13 @@ pub fn default_grid() -> Vec<usize> {
     let mut t = 1_000usize;
     while t <= 200_000 {
         grid.push(t);
-        t = (t as f64 * 1.3) as usize / 100 * 100;
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "t stays below 200,000 on this grid"
+        )]
+        let grown = (t as f64 * 1.3) as usize;
+        t = grown / 100 * 100;
     }
     grid.push(202_572);
     grid

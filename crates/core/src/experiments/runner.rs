@@ -336,8 +336,11 @@ pub fn run(opts: &RunOptions, out: &mut dyn Write) -> Result<RunSummary, Experim
     let mut ctx = ExperimentContext::new(opts.scale, opts.seed, opts.sim);
     ctx.set_trials(opts.trials);
 
-    #[allow(clippy::disallowed_methods)]
-    let run_started = std::time::Instant::now(); // xtask: allow(wall-clock) — provenance metadata only, never in artifacts
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "provenance metadata only, never in artifacts"
+    )]
+    let run_started = std::time::Instant::now();
 
     let mut outcomes = Vec::new();
     for exp in &selected {
@@ -353,8 +356,11 @@ pub fn run(opts: &RunOptions, out: &mut dyn Write) -> Result<RunSummary, Experim
         }
 
         writeln!(out, "[run ] {} — {}", exp.name(), exp.description())?;
-        #[allow(clippy::disallowed_methods)]
-        let started = std::time::Instant::now(); // xtask: allow(wall-clock) — provenance metadata only, never in artifacts
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "provenance metadata only, never in artifacts"
+        )]
+        let started = std::time::Instant::now();
         let result = run_caught(*exp, &mut ctx);
         let wall_seconds = started.elapsed().as_secs_f64();
 

@@ -12,6 +12,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use rfc_graph::connectivity::disconnection_trial;
+use rfc_graph::vid;
 use rfc_topology::{FoldedClos, Network, Rrn};
 
 use crate::parallel;
@@ -41,6 +42,7 @@ pub struct Table3Row {
 }
 
 /// Smallest even CFT radix whose 3-level capacity is closest to `t`.
+#[expect(clippy::expect_used, reason = "the radix range is a nonempty constant")]
 pub fn cft_radix_for(t: usize) -> usize {
     (4..=128)
         .step_by(2)
@@ -70,6 +72,11 @@ pub fn rfc_radix_for(t: usize) -> (usize, usize) {
 /// such that `2 N ln N ≤ Δ⁴` at `N = t / hosts`.
 pub fn rrn_params_for(t: usize) -> (usize, usize, usize) {
     for delta in 3..=96usize {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a quarter of delta, at most 24"
+        )]
         let hosts = (delta as f64 / 4.0).round().max(1.0) as usize;
         let mut n = t.div_ceil(hosts);
         if n * delta % 2 == 1 {
@@ -87,7 +94,7 @@ pub fn rrn_params_for(t: usize) -> (usize, usize, usize) {
 /// terminals.
 pub fn oft_order_for(t: usize) -> Option<usize> {
     (2..=32usize)
-        .filter(|&q| rfc_galois::is_prime_power(q as u32))
+        .filter(|&q| rfc_galois::is_prime_power(vid(q)))
         .min_by_key(|&q| theory::oft_terminals(q, 3).abs_diff(t))
 }
 
@@ -100,6 +107,10 @@ pub fn run<R: Rng + ?Sized>(targets: &[usize], trials: usize, rng: &mut R) -> Ve
             let mut cells = Vec::new();
             // CFT.
             let r = cft_radix_for(t);
+            #[expect(
+                clippy::expect_used,
+                reason = "cft_radix_for returns an even radix of at least 4"
+            )]
             let cft = FoldedClos::cft(r, 3).expect("valid CFT parameters");
             cells.push(cell(
                 "cft",
@@ -112,6 +123,10 @@ pub fn run<R: Rng + ?Sized>(targets: &[usize], trials: usize, rng: &mut R) -> Ve
             ));
             // RRN.
             let (n, delta, hosts) = rrn_params_for(t);
+            #[expect(
+                clippy::expect_used,
+                reason = "rrn_params_for returns an even degree sum with delta < n"
+            )]
             let rrn = Rrn::new(n, delta, hosts, rng).expect("valid RRN parameters");
             cells.push(cell(
                 "rrn",
@@ -124,6 +139,10 @@ pub fn run<R: Rng + ?Sized>(targets: &[usize], trials: usize, rng: &mut R) -> Ve
             ));
             // RFC.
             let (r, n1) = rfc_radix_for(t);
+            #[expect(
+                clippy::expect_used,
+                reason = "rfc_radix_for returns n1 within the radix threshold"
+            )]
             let rfc = FoldedClos::random(r, n1, 3, rng).expect("valid RFC parameters");
             cells.push(cell(
                 "rfc",
@@ -136,7 +155,11 @@ pub fn run<R: Rng + ?Sized>(targets: &[usize], trials: usize, rng: &mut R) -> Ve
             ));
             // OFT.
             if let Some(q) = oft_order_for(t) {
-                let oft = FoldedClos::oft(q as u32, 3).expect("valid OFT order");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "oft_order_for returns only prime powers"
+                )]
+                let oft = FoldedClos::oft(vid(q), 3).expect("valid OFT order");
                 cells.push(cell(
                     "oft",
                     2 * (q + 1),

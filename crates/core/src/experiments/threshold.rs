@@ -44,6 +44,11 @@ pub struct ThresholdPoint {
 /// even integer.
 pub fn even_radix_near_threshold(n1: usize, levels: usize, x: f64) -> usize {
     let exact = theory::threshold_radix(n1, levels, x);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "threshold radices are positive and far below 2^64"
+    )]
     let mut r = (exact / 2.0).round() as usize * 2;
     if r < 4 {
         r = 4;
@@ -72,6 +77,10 @@ pub fn run<R: Rng + ?Sized>(
             let base: u64 = rng.gen();
             let ok = parallel::map((0..samples as u64).collect(), |i| {
                 let mut sample_rng = SmallRng::seed_from_u64(parallel::child_seed(base, i));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "radix is at least 4 and even, and n1 comes from the fixed experiment grid"
+                )]
                 let net = FoldedClos::random(radix, n1, levels, &mut sample_rng)
                     .expect("feasible RFC parameters");
                 usize::from(UpDownRouting::new(&net).has_updown_property())

@@ -51,9 +51,6 @@
 //! # Ok::<(), rfc_net::topology::TopologyError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cost;
 pub mod experiments;
 pub mod json;

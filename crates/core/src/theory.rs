@@ -2,6 +2,8 @@
 //! threshold), the Section 4.2 bisection bounds, and the Section 4.3
 //! scalability formulas.
 
+use rfc_graph::vid;
+
 /// The threshold radix of Theorem 4.2 in its exact form:
 /// `R = 2·(N_l · (ln C(N₁,2) + x))^(1/(2(l-1)))` with `N_l = N₁/2`.
 ///
@@ -88,12 +90,12 @@ pub fn rfc_max_terminals(radix: usize, levels: usize) -> Option<usize> {
 
 /// Terminals of the R-port l-tree: `T = 2 (R/2)^l`.
 pub fn cft_terminals(radix: usize, levels: usize) -> usize {
-    2 * (radix / 2).pow(levels as u32)
+    2 * (radix / 2).pow(vid(levels))
 }
 
 /// Terminals of the l-level OFT of order `q`: `T = 2(q+1)(q²+q+1)^(l-1)`.
 pub fn oft_terminals(q: usize, levels: usize) -> usize {
-    2 * (q + 1) * (q * q + q + 1).pow(levels as u32 - 1)
+    2 * (q + 1) * (q * q + q + 1).pow(vid(levels) - 1)
 }
 
 /// Number of switches `N` of the balanced-RRN sized for diameter `D` at
@@ -193,6 +195,11 @@ pub fn rrn_normalized_bisection(delta: usize, hosts: usize) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "threshold radices in these tests are small positive numbers"
+)]
 mod tests {
     use super::*;
 

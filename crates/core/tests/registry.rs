@@ -2,6 +2,11 @@
 //! runner: registry completeness against EXPERIMENTS.md, scenario-cache
 //! sharing, artifact determinism, and skip-on-rerun.
 
+#![expect(
+    clippy::expect_used,
+    reason = "artifact paths and files come from the run just made; a failure is a failed test"
+)]
+
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;

@@ -136,16 +136,25 @@ impl GaloisField {
         let mut mul_table = vec![0u16; (q * q) as usize];
         for a in 0..q {
             for b in a..q {
-                let prod = poly_mul_mod(a, b, p, k, &modulus);
-                mul_table[(a * q + b) as usize] = prod as u16;
-                mul_table[(b * q + a) as usize] = prod as u16;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a field element is below q ≤ MAX_ORDER = 4096"
+                )]
+                let prod = poly_mul_mod(a, b, p, k, &modulus) as u16;
+                mul_table[(a * q + b) as usize] = prod;
+                mul_table[(b * q + a) as usize] = prod;
             }
         }
         let mut inv_table = vec![0u16; q as usize];
         for a in 1..q {
             for b in 1..q {
                 if mul_table[(a * q + b) as usize] == 1 {
-                    inv_table[a as usize] = b as u16;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "b is below q ≤ MAX_ORDER = 4096"
+                    )]
+                    let inv = b as u16;
+                    inv_table[a as usize] = inv;
                     break;
                 }
             }
@@ -314,6 +323,10 @@ fn digits(mut a: u32, p: u32, k: u32) -> Vec<u32> {
 /// exhaustive search with trial division (coefficients lowest-first, the
 /// leading 1 omitted from the encoding but included in the returned
 /// vector).
+#[expect(
+    clippy::unreachable,
+    reason = "irreducible polynomials of every degree exist over Z_p"
+)]
 fn find_irreducible(p: u32, k: u32) -> Vec<u32> {
     let total = p.pow(k);
     for enc in 0..total {
@@ -337,9 +350,14 @@ fn is_irreducible(poly: &[u32], p: u32) -> bool {
     }
     // Trial-divide by every monic polynomial of degree 1 ..= k/2.
     for d in 1..=k / 2 {
-        let count = p.pow(d as u32);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a polynomial degree below log2(MAX_ORDER) = 12"
+        )]
+        let d = d as u32;
+        let count = p.pow(d);
         for enc in 0..count {
-            let mut div = digits(enc, p, d as u32);
+            let mut div = digits(enc, p, d);
             div.push(1);
             if poly_divides(&div, poly, p) {
                 return false;
@@ -355,6 +373,10 @@ fn poly_divides(div: &[u32], poly: &[u32], p: u32) -> bool {
     let mut rem: Vec<u32> = poly.to_vec();
     let d = div.len() - 1;
     while rem.len() > d {
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop runs while rem is longer than the divisor's degree"
+        )]
         let lead = *rem.last().expect("nonempty remainder");
         let deg = rem.len() - 1;
         if lead != 0 {

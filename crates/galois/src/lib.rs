@@ -22,9 +22,6 @@
 //! # Ok::<(), rfc_galois::FieldError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod field;
 mod plane;
 

@@ -44,7 +44,7 @@ impl ProjectivePlane {
         let f = GaloisField::new(q)?;
         let reps = normalized_triples(q);
         let m = reps.len();
-        debug_assert_eq!(m as u32, q * q + q + 1);
+        debug_assert_eq!(m, (q * q + q + 1) as usize);
         let mut lines_of_point = vec![Vec::with_capacity(q as usize + 1); m];
         let mut points_of_line = vec![Vec::with_capacity(q as usize + 1); m];
         for (line, lc) in reps.iter().enumerate() {
@@ -53,6 +53,10 @@ impl ProjectivePlane {
                     f.add(f.mul(lc[0], pc[0]), f.mul(lc[1], pc[1])),
                     f.mul(lc[2], pc[2]),
                 );
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a plane has q² + q + 1 ≤ 16,781,313 points and lines"
+                )]
                 if dot == 0 {
                     lines_of_point[point].push(line as u32);
                     points_of_line[line].push(point as u32);
@@ -127,6 +131,10 @@ fn normalized_triples(q: u32) -> Vec<[u32; 3]> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test planes have at most a few hundred points"
+)]
 mod tests {
     use super::*;
 

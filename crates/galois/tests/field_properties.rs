@@ -1,5 +1,11 @@
 //! Property-based tests for GF(p^k) and PG(2, q).
 
+#![expect(
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    reason = "orders are small prime powers, and element draws are reduced modulo q first"
+)]
+
 use proptest::prelude::*;
 
 use rfc_galois::{GaloisField, ProjectivePlane};

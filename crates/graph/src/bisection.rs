@@ -162,8 +162,8 @@ mod tests {
     fn estimate_upper_bounds_the_cycle_bisection() {
         // An even cycle has bisection width exactly 2.
         let n = 16;
-        let mut edges: Vec<_> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        edges.push((n as u32 - 1, 0));
+        let mut edges: Vec<_> = (0..vid(n) - 1).map(|i| (i, i + 1)).collect();
+        edges.push((vid(n) - 1, 0));
         let g = Csr::from_edges(n, &edges);
         let mut rng = StdRng::seed_from_u64(3);
         let width = estimate_bisection_width(&g, 10, &mut rng).unwrap();

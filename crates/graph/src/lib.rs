@@ -38,9 +38,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bisection;
 mod bitset;
 pub mod connectivity;
@@ -70,12 +67,15 @@ pub use reach::{ReachOnes, ReachSet};
 /// (100K terminals, §6) sits four orders of magnitude below the limit.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the assert above the cast checks that it fits"
+)]
 pub fn vid(i: usize) -> u32 {
     assert!(
         u32::try_from(i).is_ok(),
         "index {i} exceeds the u32 vertex space"
     );
-    // xtask: allow(lossy-cast) — asserted to fit directly above
     i as u32
 }
 

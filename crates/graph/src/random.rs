@@ -280,13 +280,13 @@ mod tests {
         let adj = random_regular(50, 6, &mut rng).unwrap();
         for (v, list) in adj.iter().enumerate() {
             assert_eq!(list.len(), 6);
-            assert!(!list.contains(&(v as u32)), "self-loop at {v}");
+            assert!(!list.contains(&vid(v)), "self-loop at {v}");
             assert!(!has_duplicates(list), "parallel edge at {v}");
         }
         // Symmetry.
         for (v, list) in adj.iter().enumerate() {
             for &u in list {
-                assert!(adj[u as usize].contains(&(v as u32)));
+                assert!(adj[u as usize].contains(&vid(v)));
             }
         }
     }
@@ -331,7 +331,7 @@ mod tests {
         // Cross-consistency of both directions.
         for (u, list) in g.adj1.iter().enumerate() {
             for &v in list {
-                assert!(g.adj2[v as usize].contains(&(u as u32)));
+                assert!(g.adj2[v as usize].contains(&vid(u)));
             }
         }
     }
@@ -377,7 +377,7 @@ mod tests {
             let adj = random_regular(n, d, &mut rng).unwrap();
             for (u, list) in adj.iter().enumerate() {
                 for &v in list {
-                    if (u as u32) < v {
+                    if vid(u) < v {
                         counts[u * n + v as usize] += 1;
                     }
                 }

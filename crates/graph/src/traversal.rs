@@ -110,13 +110,13 @@ mod tests {
     use super::*;
 
     fn path(n: usize) -> Csr {
-        let edges: Vec<_> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+        let edges: Vec<_> = (0..vid(n) - 1).map(|i| (i, i + 1)).collect();
         Csr::from_edges(n, &edges)
     }
 
     fn cycle(n: usize) -> Csr {
-        let mut edges: Vec<_> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        edges.push((n as u32 - 1, 0));
+        let mut edges: Vec<_> = (0..vid(n) - 1).map(|i| (i, i + 1)).collect();
+        edges.push((vid(n) - 1, 0));
         Csr::from_edges(n, &edges)
     }
 

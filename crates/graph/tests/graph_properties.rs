@@ -8,12 +8,12 @@ use rfc_graph::bisection::{cut_width, estimate_bisection_width, random_balanced_
 use rfc_graph::connectivity::{components, disconnection_trial, is_connected, DisjointSets};
 use rfc_graph::random::random_regular;
 use rfc_graph::traversal::{bfs_distances, diameter, UNREACHABLE};
-use rfc_graph::{BitSet, Csr};
+use rfc_graph::{vid, BitSet, Csr};
 
 /// An arbitrary simple graph as a filtered edge list.
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2usize..40).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32).prop_filter("no self loop", |(a, b)| a != b);
+        let edge = (0..vid(n), 0..vid(n)).prop_filter("no self loop", |(a, b)| a != b);
         proptest::collection::vec(edge, 0..80).prop_map(move |mut edges| {
             for e in &mut edges {
                 if e.0 > e.1 {

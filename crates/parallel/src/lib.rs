@@ -35,9 +35,6 @@
 //! [`std::thread::available_parallelism`]. A value of 1 runs jobs inline
 //! on the caller's thread with no pool at all.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -347,6 +344,10 @@ where
                             // claimant), so poisoning can only be residue
                             // of a panic elsewhere — recover the job
                             // rather than cascade the panic.
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "each slot is claimed by exactly one worker"
+                            )]
                             let job = slot
                                 .lock()
                                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -379,9 +380,15 @@ where
             out[idx] = Some(value);
         }
     }
-    out.into_iter()
+    #[expect(
+        clippy::expect_used,
+        reason = "the workers drain every claimed job, and every job is claimed"
+    )]
+    let results = out
+        .into_iter()
         .map(|v| v.expect("job produced no result"))
-        .collect()
+        .collect();
+    results
 }
 
 #[cfg(test)]

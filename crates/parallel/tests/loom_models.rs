@@ -21,6 +21,11 @@
 //! check removed) and assert the checker catches the bug — evidence the
 //! proofs above are not vacuous.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "model party counts are single digits"
+)]
+
 use loomlite::{check, Explored, ModelError, Step, Thread, DONE};
 
 /// Shared state of the barrier model: the two barrier atomics plus

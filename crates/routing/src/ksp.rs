@@ -39,6 +39,10 @@ pub fn k_shortest_paths(graph: &Csr, src: u32, dst: u32, k: usize) -> Vec<Vec<u3
     // Candidate heap keyed by path length.
     let mut candidates: BinaryHeap<Reverse<(usize, Vec<u32>)>> = BinaryHeap::new();
     while found.len() < k {
+        #[expect(
+            clippy::expect_used,
+            reason = "found starts with the first shortest path and only grows"
+        )]
         let prev = found.last().expect("at least one found path").clone();
         for spur_idx in 0..prev.len() - 1 {
             let spur_node = prev[spur_idx];

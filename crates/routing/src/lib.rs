@@ -30,9 +30,6 @@
 //! # Ok::<(), rfc_topology::TopologyError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fault;
 pub mod ksp;
 mod oracle;

@@ -58,6 +58,10 @@ impl ShortestPathOracle {
             let d = bfs_distances(graph, src);
             for (v, &dv) in d.iter().enumerate() {
                 if dv != UNREACHABLE {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "documented panic: the all-pairs matrix targets networks far below 65,535 vertices"
+                    )]
                     let short = u16::try_from(dv).expect("finite distance exceeds u16");
                     assert!(short < FAR - 1, "distance overflow");
                     dist[src as usize * n + v] = short;

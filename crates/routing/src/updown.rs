@@ -116,7 +116,7 @@ impl UpDownRouting {
         let mut down_adj: Vec<u32> = Vec::new();
         up_off.push(0);
         down_off.push(0);
-        for s in 0..n as u32 {
+        for s in 0..vid(n) {
             up_adj.extend(clos.up_neighbors(s));
             up_off.push(vid(up_adj.len()));
             down_adj.extend(clos.down_neighbors(s));
@@ -468,7 +468,7 @@ impl UpDownRouting {
     /// sampled pair was unreachable). The fewer-levels latency advantage
     /// of Figures 9–10 is this quantity times the per-hop cost.
     pub fn mean_updown_distance<R: Rng + ?Sized>(&self, pairs: usize, rng: &mut R) -> f64 {
-        let leaves = self.num_leaves as u32;
+        let leaves = vid(self.num_leaves);
         if leaves < 2 || pairs == 0 {
             return f64::NAN;
         }
@@ -771,8 +771,8 @@ mod tests {
         let r = UpDownRouting::new(&net);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let a = rng.gen_range(0..net.num_leaves()) as u32;
-            let b = rng.gen_range(0..net.num_leaves()) as u32;
+            let a = vid(rng.gen_range(0..net.num_leaves()));
+            let b = vid(rng.gen_range(0..net.num_leaves()));
             let path = r
                 .sample_path(a, b, &mut rng)
                 .expect("CFT is fully connected");
@@ -791,7 +791,7 @@ mod tests {
                 assert_eq!(w[1] + 1, w[0], "descent must drop one level per hop");
             }
             // Minimality against the oracle distance.
-            assert_eq!(path.len() as u32 - 1, r.updown_distance(a, b).unwrap());
+            assert_eq!(vid(path.len()) - 1, r.updown_distance(a, b).unwrap());
         }
     }
 
@@ -854,7 +854,7 @@ mod tests {
         // (R/2)^2 up/down paths; the first hop offers R/2 candidates.
         let net = FoldedClos::cft(8, 3).unwrap();
         let r = UpDownRouting::new(&net);
-        let hops = r.next_hops(0, (net.num_leaves() - 1) as u32);
+        let hops = r.next_hops(0, vid(net.num_leaves() - 1));
         assert_eq!(hops.len(), 4);
         // All candidates are level-1 switches.
         for h in hops {
@@ -877,8 +877,8 @@ mod tests {
         let r = UpDownRouting::new(&faulty);
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..30 {
-            let a = rng.gen_range(0..net.num_leaves()) as u32;
-            let b = rng.gen_range(0..net.num_leaves()) as u32;
+            let a = vid(rng.gen_range(0..net.num_leaves()));
+            let b = vid(rng.gen_range(0..net.num_leaves()));
             if let Some(path) = r.sample_path(a, b, &mut rng) {
                 assert_eq!(*path.last().unwrap(), b);
             }
@@ -957,8 +957,8 @@ mod tests {
         for _ in 0..5 {
             let net = FoldedClos::random(4, 12, 4, &mut rng).unwrap();
             let r = UpDownRouting::new(&net);
-            for a in 0..net.num_leaves() as u32 {
-                for b in 0..net.num_leaves() as u32 {
+            for a in 0..vid(net.num_leaves()) {
+                for b in 0..vid(net.num_leaves()) {
                     let Some(d) = r.updown_distance(a, b) else {
                         continue;
                     };
@@ -987,8 +987,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(78);
         let net = FoldedClos::random(6, 18, 3, &mut rng).unwrap();
         let r = UpDownRouting::new(&net);
-        for a in 0..net.num_leaves() as u32 {
-            for b in 0..net.num_leaves() as u32 {
+        for a in 0..vid(net.num_leaves()) {
+            for b in 0..vid(net.num_leaves()) {
                 if a == b || !r.leaves_connected(a, b) {
                     continue;
                 }
@@ -1018,7 +1018,7 @@ mod tests {
             rfc_parallel::set_threads(Some(8));
             let parallel = UpDownRouting::new(net);
             rfc_parallel::set_threads(None);
-            for s in 0..net.num_switches() as u32 {
+            for s in 0..vid(net.num_switches()) {
                 assert_eq!(serial.down_reach(s), parallel.down_reach(s), "switch {s}");
                 assert_eq!(
                     serial.updown_reach(s),
@@ -1038,7 +1038,7 @@ mod tests {
         let net = FoldedClos::cft(16, 4).unwrap();
         let r = UpDownRouting::new(&net);
         let mut set_bytes = 0usize;
-        for s in 0..net.num_switches() as u32 {
+        for s in 0..vid(net.num_switches()) {
             assert!(!r.down_reach(s).is_dense(), "switch {s}");
             assert!(!r.updown_reach(s).is_dense(), "switch {s}");
             set_bytes += r.down_reach(s).heap_bytes() + r.updown_reach(s).heap_bytes();
@@ -1064,8 +1064,8 @@ mod tests {
         ];
         for net in &nets {
             let r = UpDownRouting::new(net);
-            for dst_space in [net.num_leaves() as u32, net.num_leaves() as u32 / 2] {
-                for s in 0..net.num_switches() as u32 {
+            for dst_space in [vid(net.num_leaves()), vid(net.num_leaves()) / 2] {
+                for s in 0..vid(net.num_switches()) {
                     let mut starts: Vec<u32> = Vec::new();
                     let mut bodies: Vec<Vec<u32>> = Vec::new();
                     r.for_each_dst_run(s, dst_space, &mut |start, row| {

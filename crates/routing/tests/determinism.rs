@@ -8,9 +8,15 @@
 //! fixed behavior: two independently built tables over the same seed
 //! must agree on *every* query, not just on aggregate statistics.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test fixtures use small, known-valid parameters; a failure is a failed test"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use rfc_graph::vid;
 use rfc_routing::{RoutingOracle, UpDownRouting};
 use rfc_topology::FoldedClos;
 
@@ -28,9 +34,9 @@ fn routing_tables_are_identical_across_two_builds_of_the_same_seed() {
     let (clos_a, a) = build(2017);
     let (_clos_b, b) = build(2017);
 
-    let leaves = a.num_leaves() as u32;
-    assert_eq!(leaves, b.num_leaves() as u32);
-    let switches = clos_a.num_switches() as u32;
+    let leaves = vid(a.num_leaves());
+    assert_eq!(leaves, vid(b.num_leaves()));
+    let switches = vid(clos_a.num_switches());
 
     for dst in 0..leaves {
         for sw in 0..switches {
@@ -67,7 +73,7 @@ fn routing_tables_are_identical_across_two_builds_of_the_same_seed() {
 #[test]
 fn sampled_paths_replay_identically_for_the_same_seed() {
     let (_clos, routing) = build(7);
-    let leaves = routing.num_leaves() as u32;
+    let leaves = vid(routing.num_leaves());
     let mut walk_a = StdRng::seed_from_u64(99);
     let mut walk_b = StdRng::seed_from_u64(99);
     for src in 0..leaves.min(8) {
@@ -86,7 +92,7 @@ fn path_counts_are_stable_across_repeated_queries() {
     // BTreeMap accumulation: the same query must return the same count
     // no matter how many times (or in what order) it is asked.
     let (_clos, routing) = build(3);
-    let leaves = routing.num_leaves() as u32;
+    let leaves = vid(routing.num_leaves());
     let mut forward = Vec::new();
     for a in 0..leaves.min(12) {
         for b in 0..leaves.min(12) {

@@ -3,6 +3,11 @@
 //! build, and applying an event then its inverse must restore the exact
 //! prior state.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test fixtures use small, known-valid parameters; a failure is a failed test"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

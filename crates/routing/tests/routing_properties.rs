@@ -1,10 +1,16 @@
 //! Property-based tests for up/down routing against ground truth from
 //! plain graph search.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test fixtures use small, known-valid parameters; a failure is a failed test"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use rfc_graph::vid;
 use rfc_routing::{RoutingOracle, UpDownRouting};
 use rfc_topology::FoldedClos;
 
@@ -27,7 +33,7 @@ proptest! {
     fn updown_distance_dominates_bfs(net in arb_rfc()) {
         let routing = UpDownRouting::new(&net);
         let graph = net.switch_graph();
-        let leaves = net.num_leaves() as u32;
+        let leaves = vid(net.num_leaves());
         for a in 0..leaves.min(6) {
             let bfs = rfc_graph::traversal::bfs_distances(&graph, a);
             for b in 0..leaves {
@@ -48,7 +54,7 @@ proptest! {
     #[test]
     fn next_hops_are_neighbors_and_make_progress(net in arb_rfc()) {
         let routing = UpDownRouting::new(&net);
-        let leaves = net.num_leaves() as u32;
+        let leaves = vid(net.num_leaves());
         let mut checked = 0;
         'outer: for a in 0..leaves {
             for b in 0..leaves {
@@ -74,7 +80,7 @@ proptest! {
     #[test]
     fn property_check_matches_bruteforce(net in arb_rfc()) {
         let routing = UpDownRouting::new(&net);
-        let leaves = net.num_leaves() as u32;
+        let leaves = vid(net.num_leaves());
         let brute = (0..leaves).all(|a| {
             (0..leaves).all(|b| a == b || routing.updown_distance(a, b).is_some())
         });
@@ -86,14 +92,14 @@ proptest! {
     fn sampled_paths_are_minimal(net in arb_rfc(), seed in 0u64..1000) {
         let routing = UpDownRouting::new(&net);
         let mut rng = StdRng::seed_from_u64(seed);
-        let leaves = net.num_leaves() as u32;
+        let leaves = vid(net.num_leaves());
         use rand::Rng;
         for _ in 0..10 {
             let a = rng.gen_range(0..leaves);
             let b = rng.gen_range(0..leaves);
             if let Some(path) = routing.sample_path(a, b, &mut rng) {
                 let d = routing.updown_distance(a, b).expect("path implies distance");
-                prop_assert_eq!(path.len() as u32 - 1, d);
+                prop_assert_eq!(vid(path.len()) - 1, d);
             }
         }
     }

@@ -349,6 +349,10 @@ impl SwitchRuns {
 fn resolve_out_ports(net: &SimNetwork, switch: u32, hops: &[u32], resolved: &mut Vec<u32>) {
     resolved.clear();
     for &hop in hops {
+        #[expect(
+            clippy::expect_used,
+            reason = "a routing oracle names only neighbors; see # Panics"
+        )]
         let out = net
             .out_port_to(switch, hop)
             .expect("oracle returned a non-neighbor");
@@ -387,7 +391,10 @@ fn switch_runs_into<O: RoutingOracle + ?Sized>(
 /// not appeared yet) and then against the other re-resolved rows. Equal
 /// neighbors re-merge in [`SwitchRuns::push`], so the result is
 /// byte-identical to a full [`switch_runs_into`] re-derivation.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the old table, the dirty set and the output buffers of one patch"
+)]
 fn splice_runs_into<O: RoutingOracle + ?Sized>(
     net: &SimNetwork,
     oracle: &O,

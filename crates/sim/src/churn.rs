@@ -110,11 +110,21 @@ impl FaultSchedule {
             if !t.is_finite() || t >= horizon as f64 {
                 break;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "t is finite and in [0, horizon), checked just above"
+            )]
             let cycle = t as u64;
             let link = distinct[rng.gen_range(0..distinct.len())];
             if down_until.get(&link).is_some_and(|&until| until > cycle) {
                 continue;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "an exponential draw is non-negative; a huge one saturates to a link that never recovers"
+            )]
             let downtime = (exponential(&mut rng, mean_downtime).ceil() as u64).max(1);
             let recover_at = cycle.saturating_add(downtime);
             events.push((cycle, LinkEvent::fail(link)));
@@ -212,7 +222,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// `epochs` equal time slices alongside the usual end-of-run
     /// statistics; results are byte-identical at any shard count.
     /// Events at or after the last cycle are not applied.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors run_sharded_scratch plus the topology, schedule and epoch count"
+    )]
     pub fn run_churn_sharded_scratch(
         &self,
         clos: &FoldedClos,
@@ -228,6 +241,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let terminals = self.net().num_terminals();
         let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
         let end = ctx.end;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "this workspace is 64-bit only (DESIGN.md §12), where u64 → usize is lossless"
+        )]
         let epochs = epochs.clamp(1, (end.max(1)) as usize);
         let epoch_len = (end / epochs as u64).max(1);
 

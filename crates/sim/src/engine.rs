@@ -55,6 +55,17 @@ use crate::{RequestMode, SimConfig, SimResult, TrafficPattern};
 /// this horizon.
 pub(crate) const EVENT_WHEEL: usize = 64;
 
+/// The event-wheel slot of cycle `at`.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "this workspace is 64-bit only (DESIGN.md §12); even a 32-bit \
+              truncation keeps the low bits, and EVENT_WHEEL divides 2^32"
+)]
+pub(crate) fn wheel_slot(at: u64) -> usize {
+    (at as usize) % EVENT_WHEEL
+}
+
 /// Sentinel for "no Valiant intermediate".
 const NO_VIA: u32 = u32::MAX;
 
@@ -84,6 +95,11 @@ fn vc_range(valiant: bool, in_phase_0: bool, v: usize) -> (usize, usize) {
 /// gap). The f64 → usize cast saturates, so huge gaps simply step past
 /// the end of the terminal array.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the quotient is non-negative, and the saturating cast is the documented intent"
+)]
 fn geometric_gap(rng: &mut SmallRng, ln_q: f64) -> usize {
     let u: f64 = rng.gen();
     ((1.0 - u).ln() / ln_q) as usize
@@ -476,6 +492,11 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             if latency_samples.is_empty() {
                 return f64::NAN;
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "p is in [0, 1], so the index is within the sample vector"
+            )]
             let idx = (p * (latency_samples.len() - 1) as f64).round() as usize;
             f64::from(latency_samples[idx])
         };
@@ -507,7 +528,10 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// The candidate/oracle pair is a parameter (rather than read from
     /// `self`) so churn runs can substitute their repaired state; plain
     /// runs pass `(&self.candidates, self.oracle)`.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the per-shard view of the run, passed as borrows so shards share nothing mutable"
+    )]
     fn step_shard(
         &self,
         candidates: &Candidates,
@@ -573,7 +597,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         //    wheel. Within a slot, events commute: arrivals target
         //    distinct VC slots (one feeder per input port, one grant
         //    per output per cycle) and credit increments are sums.
-        let wslot = (now as usize) % EVENT_WHEEL;
+        let wslot = wheel_slot(now);
         for ev in wheel[wslot].drain(..) {
             match ev {
                 Event::Arrival { slot, packet } => {
@@ -750,7 +774,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 ($wake:expr) => {{
                     in_active[s] = false;
                     active.swap_remove(i);
-                    wheel[($wake as usize) % EVENT_WHEEL].push(Event::Wake { slot: vid(s) });
+                    wheel[wheel_slot($wake)].push(Event::Wake { slot: vid(s) });
                     continue 'slots;
                 }};
             }
@@ -891,13 +915,12 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             let credit_at = now + cfg.packet_length;
             let feeder = slot_feeder[s];
             if feeder == NO_PORT {
-                wheel[(credit_at as usize) % EVENT_WHEEL].push(Event::CreditIn { slot: pick.slot });
+                wheel[wheel_slot(credit_at)].push(Event::CreditIn { slot: pick.slot });
             } else {
                 let fsh = shard_of_out[feeder as usize] as usize;
                 if fsh == me {
                     let idx = local_of_out[feeder as usize] as usize * v + slot_vc[s] as usize;
-                    wheel[(credit_at as usize) % EVENT_WHEEL]
-                        .push(Event::CreditOut { idx: vid(idx) });
+                    wheel[wheel_slot(credit_at)].push(Event::CreditOut { idx: vid(idx) });
                 } else {
                     mailbox_push(
                         mailboxes,
@@ -939,7 +962,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                     let tsh = shard_of_in[tgt as usize] as usize;
                     if tsh == me {
                         let slot = local_of_in[tgt as usize] as usize * v + pick.target_vc as usize;
-                        wheel[(at as usize) % EVENT_WHEEL].push(Event::Arrival {
+                        wheel[wheel_slot(at)].push(Event::Arrival {
                             slot: vid(slot),
                             packet,
                         });

@@ -46,9 +46,6 @@
 //! # Ok::<(), rfc_topology::TopologyError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod candidates;
 mod churn;
 mod config;

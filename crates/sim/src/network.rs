@@ -246,6 +246,10 @@ impl SimNetwork {
                 out_owner.push(s32);
                 // The input port at `nb` fed by `s`.
                 let table = &in_port_from[nb as usize];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "links are symmetric, so nb has an input port fed by s"
+                )]
                 let pos = table
                     .binary_search_by_key(&s32, |&(src, _)| src)
                     .expect("symmetric adjacency");
@@ -406,12 +410,12 @@ mod tests {
             let ej = net.eject_port_of_terminal[t];
             assert_eq!(
                 net.switch_of_in_port[inj as usize],
-                clos.leaf_of_terminal(t as u32)
+                clos.leaf_of_terminal(vid(t))
             );
-            assert_eq!(net.out_owner[ej as usize], clos.leaf_of_terminal(t as u32));
+            assert_eq!(net.out_owner[ej as usize], clos.leaf_of_terminal(vid(t)));
             assert_eq!(
                 net.out_target[ej as usize],
-                OutTarget::Eject { terminal: t as u32 }
+                OutTarget::Eject { terminal: vid(t) }
             );
         }
     }

@@ -21,7 +21,7 @@ use rfc_graph::vid;
 use std::sync::Mutex;
 
 use crate::candidates::RowBufs;
-use crate::engine::{Packet, EVENT_WHEEL};
+use crate::engine::{wheel_slot, Packet, EVENT_WHEEL};
 use crate::network::SimNetwork;
 use crate::SimConfig;
 
@@ -97,17 +97,23 @@ pub(crate) fn bounded_hi(h: u64, n: usize) -> usize {
 
 /// Narrows a ring/VC index to its `u8` storage form.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "ring and VC indices are bounded by SimConfig::assert_valid (≤ 255)"
+)]
 pub(crate) fn u8_of(x: usize) -> u8 {
     debug_assert!(x <= usize::from(u8::MAX));
-    // xtask: allow(lossy-cast) — bounded by SimConfig::assert_valid (≤ 255)
     x as u8
 }
 
 /// Narrows a latency to its `u32` sample form, saturating: a latency
 /// beyond four billion cycles is off every scale the reservoir serves.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "saturated to u32::MAX before the cast"
+)]
 pub(crate) fn lat32(latency: u64) -> u32 {
-    // xtask: allow(lossy-cast) — saturated to u32::MAX just above
     latency.min(u64::from(u32::MAX)) as u32
 }
 
@@ -578,14 +584,14 @@ pub(crate) fn drain_mailboxes(
                     packet,
                 } => {
                     let slot = plan.local_of_in[in_port as usize] as usize * v + vc as usize;
-                    st.wheel[(at as usize) % EVENT_WHEEL].push(Event::Arrival {
+                    st.wheel[wheel_slot(at)].push(Event::Arrival {
                         slot: vid(slot),
                         packet,
                     });
                 }
                 ShardMsg::Credit { at, out_port, vc } => {
                     let idx = plan.local_of_out[out_port as usize] as usize * v + vc as usize;
-                    st.wheel[(at as usize) % EVENT_WHEEL].push(Event::CreditOut { idx: vid(idx) });
+                    st.wheel[wheel_slot(at)].push(Event::CreditOut { idx: vid(idx) });
                 }
             }
         }
@@ -595,6 +601,10 @@ pub(crate) fn drain_mailboxes(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "test latencies are small sample indices"
+)]
 mod tests {
     use super::*;
     use rfc_topology::FoldedClos;

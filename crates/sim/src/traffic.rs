@@ -289,6 +289,10 @@ pub(crate) fn build<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "BURST_WINDOW is a small cycle count"
+)]
 mod tests {
     use super::*;
     use rand::SeedableRng;

@@ -8,6 +8,12 @@
 //!   its recorded `accepted_load` and `delivered_packets` exactly, at 1
 //!   and 2 shards.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test fixtures use small, known-valid parameters; a failure is a failed test"
+)]
+
 use rfc_graph::HeapBytes;
 use rfc_routing::UpDownRouting;
 use rfc_sim::{RunScratch, SimConfig, SimNetwork, Simulation, TrafficPattern};

@@ -26,7 +26,14 @@
 //! result breaks — evidence the barrier placement, not luck, is what
 //! the determinism rests on.
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::unwrap_used,
+    reason = "model shard and message counts are single digits"
+)]
+
 use loomlite::{check, Explored, ModelError, Step, Thread, DONE};
+use rfc_graph::vid;
 
 /// Messages each shard sends to each other shard per cycle.
 const MSGS: u8 = 2;
@@ -76,7 +83,7 @@ fn expected(shards: usize, dst: usize) -> Vec<(u8, u8)> {
 /// `skip_barrier` is the negative control: it elides the step-phase
 /// barrier entirely.
 fn shard(me: usize, shards: usize, skip_barrier: bool) -> impl Fn(&mut Mail, &mut u32) -> Step {
-    let pushes = ((shards - 1) as u32) * u32::from(MSGS);
+    let pushes = vid(shards - 1) * u32::from(MSGS);
     move |s, pc| {
         let n = shards as u8;
         // Push phase: message k goes to the k/MSGS-th peer (ascending,
@@ -84,7 +91,6 @@ fn shard(me: usize, shards: usize, skip_barrier: bool) -> impl Fn(&mut Mail, &mu
         if *pc < pushes {
             let peer_index = (*pc / u32::from(MSGS)) as usize;
             let dst = (0..shards).filter(|&d| d != me).nth(peer_index).unwrap();
-            // xtask: allow(lossy-cast) — model sequence numbers fit u8
             let seq = (*pc % u32::from(MSGS)) as u8;
             s.boxes[me * shards + dst].push((me as u8, seq));
             *pc += 1;

@@ -1,6 +1,7 @@
 //! Commodity fat-trees (R-port l-trees) and k-ary l-trees.
 
 use rfc_graph::random::BipartiteGraph;
+use rfc_graph::vid;
 
 use crate::{CloKind, FoldedClos, TopologyError};
 
@@ -42,7 +43,7 @@ impl FoldedClos {
         let k = radix / 2;
         let l = levels;
         let inner = k
-            .checked_pow(l as u32 - 2)
+            .checked_pow(vid(l) - 2)
             .ok_or_else(|| TopologyError::invalid("network too large: k^(l-2) overflows"))?;
         let non_root = 2 * k * inner; // 2k^(l-1)
         let root = k * inner; // k^(l-1)
@@ -68,18 +69,18 @@ impl FoldedClos {
                         // Connect (t, w) to roots (w, c) for every c.
                         for c in 0..k {
                             let upper = w * k + c;
-                            adj1[lower].push(upper as u32);
-                            adj2[upper].push(lower as u32);
+                            adj1[lower].push(vid(upper));
+                            adj2[upper].push(vid(lower));
                         }
                     } else {
                         // Vary digit `stage_idx` of w over all k values.
-                        let scale = k.pow(stage_idx as u32);
+                        let scale = k.pow(vid(stage_idx));
                         let digit = w / scale % k;
                         let base = w - digit * scale;
                         for v in 0..k {
                             let upper = t * inner + base + v * scale;
-                            adj1[lower].push(upper as u32);
-                            adj2[upper].push(lower as u32);
+                            adj1[lower].push(vid(upper));
+                            adj2[upper].push(vid(lower));
                         }
                     }
                 }
@@ -123,24 +124,26 @@ impl FoldedClos {
         }
         let l = levels;
         let per_level = k
-            .checked_pow(l as u32 - 1)
+            .checked_pow(vid(l) - 1)
             .ok_or_else(|| TopologyError::invalid("network too large: k^(l-1) overflows"))?;
         let level_sizes = vec![per_level; l];
         let mut stages = Vec::with_capacity(l - 1);
         for stage_idx in 0..l - 1 {
             let mut adj1: Vec<Vec<u32>> = vec![Vec::with_capacity(k); per_level];
             let mut adj2: Vec<Vec<u32>> = vec![Vec::with_capacity(k); per_level];
-            let scale = k.pow(stage_idx as u32);
-            // Indexing both endpoint lists at computed positions; an
-            // iterator form would hide the wiring rule.
-            #[allow(clippy::needless_range_loop)]
+            let scale = k.pow(vid(stage_idx));
+            #[expect(
+                clippy::needless_range_loop,
+                reason = "indexing both endpoint lists at computed positions; \
+                          an iterator form would hide the wiring rule"
+            )]
             for w in 0..per_level {
                 let digit = w / scale % k;
                 let base = w - digit * scale;
                 for v in 0..k {
                     let upper = base + v * scale;
-                    adj1[w].push(upper as u32);
-                    adj2[upper].push(w as u32);
+                    adj1[w].push(vid(upper));
+                    adj2[upper].push(vid(w));
                 }
             }
             stages.push(BipartiteGraph { adj1, adj2 });

@@ -12,6 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use rfc_graph::random::random_bipartite;
+use rfc_graph::vid;
 
 use crate::{CloKind, FoldedClos, TopologyError};
 
@@ -164,18 +165,18 @@ fn wire_stage<R: Rng + ?Sized>(
         let hungry_upper = new2.iter().position(|&(v, rem)| v == w && rem > 0);
         if let Some(b_slot) = hungry_upper {
             // Direct newcomer-to-newcomer link.
-            if stage.adj1[a].contains(&(w as u32)) {
+            if stage.adj1[a].contains(&vid(w)) {
                 continue;
             }
-            stage.adj1[a].push(w as u32);
-            stage.adj2[w].push(a as u32);
+            stage.adj1[a].push(vid(w));
+            stage.adj2[w].push(vid(a));
             new1[a_slot].1 -= 1;
             new2[b_slot].1 -= 1;
             report.new_links += 1;
             continue;
         }
         // Steal one of w's links. Skip if w has none or a already links w.
-        if stage.adj2[w].is_empty() || stage.adj1[a].contains(&(w as u32)) {
+        if stage.adj2[w].is_empty() || stage.adj1[a].contains(&vid(w)) {
             continue;
         }
         let ui = rng.gen_range(0..stage.adj2[w].len());
@@ -186,23 +187,27 @@ fn wire_stage<R: Rng + ?Sized>(
         // Find an upper newcomer for u.
         let Some(b_slot) = new2
             .iter()
-            .position(|&(v, rem)| rem > 0 && !stage.adj1[u].contains(&(v as u32)))
+            .position(|&(v, rem)| rem > 0 && !stage.adj1[u].contains(&vid(v)))
         else {
             continue;
         };
         let b = new2[b_slot].0;
         // Remove (u, w).
         stage.adj2[w].swap_remove(ui);
+        #[expect(
+            clippy::expect_used,
+            reason = "stage edges are stored in both adjacency lists, so u lists w"
+        )]
         let pos = stage.adj1[u]
             .iter()
-            .position(|&x| x == w as u32)
+            .position(|&x| x == vid(w))
             .expect("symmetric stage adjacency");
         stage.adj1[u].swap_remove(pos);
         // Add (a, w) and (u, b).
-        stage.adj1[a].push(w as u32);
-        stage.adj2[w].push(a as u32);
-        stage.adj1[u].push(b as u32);
-        stage.adj2[b].push(u as u32);
+        stage.adj1[a].push(vid(w));
+        stage.adj2[w].push(vid(a));
+        stage.adj1[u].push(vid(b));
+        stage.adj2[b].push(vid(u));
         new1[a_slot].1 -= 1;
         new2[b_slot].1 -= 1;
         report.rewired_links += 1;
@@ -255,14 +260,18 @@ pub fn add_level<R: Rng + ?Sized>(
             stage.adj2.push(Vec::with_capacity(half));
         }
         for root in 0..old_roots {
-            let partner = (old_roots + root) as u32;
+            let partner = vid(old_roots + root);
             debug_assert_eq!(stage.adj2[root].len(), radix);
             stage.adj2[root].shuffle(rng);
             let moved: Vec<u32> = stage.adj2[root].split_off(half);
             for &lower in &moved {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "stage edges are stored in both adjacency lists, so lower lists root"
+                )]
                 let slot = stage.adj1[lower as usize]
                     .iter()
-                    .position(|&u| u == root as u32)
+                    .position(|&u| u == vid(root))
                     .expect("symmetric stage adjacency");
                 stage.adj1[lower as usize][slot] = partner;
             }
@@ -392,11 +401,11 @@ mod tests {
         let l = net.num_levels();
         let leaves = net.num_leaves();
         // Compute, for each root, the set of reachable leaves.
-        let mut reach: Vec<std::collections::HashSet<u32>> = Vec::new();
+        let mut reach: Vec<std::collections::BTreeSet<u32>> = Vec::new();
         for idx in 0..net.level_size(l - 1) {
             let root = net.switch_id(l - 1, idx);
             let mut frontier = vec![root];
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for _ in 0..l - 1 {
                 let mut next = Vec::new();
                 for s in frontier {

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use rfc_graph::random::BipartiteGraph;
-use rfc_graph::Csr;
+use rfc_graph::{vid, Csr};
 
 use crate::TopologyError;
 
@@ -143,10 +143,9 @@ impl FoldedClos {
         level_offsets.push(0u32);
         for &s in level_sizes {
             acc += s as u64;
-            if acc > u64::from(u32::MAX) {
-                return Err(TopologyError::invalid("too many switches for u32 ids"));
-            }
-            level_offsets.push(acc as u32);
+            let offset = u32::try_from(acc)
+                .map_err(|_| TopologyError::invalid("too many switches for u32 ids"))?;
+            level_offsets.push(offset);
         }
         let clos = Self {
             kind,
@@ -231,8 +230,8 @@ impl FoldedClos {
                     "link ({lo}, {hi}) does not connect adjacent levels ({ll} vs {lh})"
                 )));
             }
-            let lo_local = lo - offsets[ll] as u32;
-            let hi_local = hi - offsets[lh] as u32;
+            let lo_local = lo - vid(offsets[ll]);
+            let hi_local = hi - vid(offsets[lh]);
             stages[ll].adj1[lo_local as usize].push(hi_local);
             stages[ll].adj2[hi_local as usize].push(lo_local);
         }
@@ -269,7 +268,7 @@ impl FoldedClos {
                             "stage {i}: upper neighbor {up} out of range"
                         )));
                     }
-                    if !stage.adj2[up as usize].contains(&(lo as u32)) {
+                    if !stage.adj2[up as usize].contains(&vid(lo)) {
                         return Err(TopologyError::invalid(format!(
                             "stage {i}: asymmetric link ({lo}, {up})"
                         )));
@@ -326,6 +325,10 @@ impl FoldedClos {
 
     /// Total number of switches over all levels.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "from_stages always pushes the leading 0 offset"
+    )]
     pub fn num_switches(&self) -> usize {
         *self.level_offsets.last().expect("nonempty offsets") as usize
     }
@@ -383,7 +386,7 @@ impl FoldedClos {
             index < self.level_size(level),
             "index {index} out of range at level {level}"
         );
-        self.level_offsets[level] + index as u32
+        self.level_offsets[level] + vid(index)
     }
 
     /// The bipartite link graph between `level` and `level + 1`.
@@ -403,18 +406,21 @@ impl FoldedClos {
     }
 
     /// Appends a new top level (used by weak expansion).
-    #[allow(dead_code)]
     pub(crate) fn push_level(&mut self, size: usize, stage: BipartiteGraph) {
+        #[expect(
+            clippy::expect_used,
+            reason = "from_stages always pushes the leading 0 offset"
+        )]
         let last = *self.level_offsets.last().expect("nonempty offsets");
-        self.level_offsets.push(last + size as u32);
+        self.level_offsets.push(last + vid(size));
         self.stages.push(stage);
     }
 
     pub(crate) fn set_level_size(&mut self, level: usize, size: usize) {
         let old = self.level_size(level);
-        let delta = size as i64 - old as i64;
+        // Every later offset is at least `offsets[level + 1] ≥ old`.
         for off in self.level_offsets.iter_mut().skip(level + 1) {
-            *off = (*off as i64 + delta) as u32;
+            *off = vid(*off as usize - old + size);
         }
     }
 
@@ -456,7 +462,7 @@ impl FoldedClos {
             for (lo, ups) in stage.adj1.iter().enumerate() {
                 for &up in ups {
                     out.push(Link {
-                        lower: lo_base + lo as u32,
+                        lower: lo_base + vid(lo),
                         upper: hi_base + up,
                     });
                 }
@@ -493,7 +499,7 @@ impl FoldedClos {
             (t as usize) < self.num_terminals(),
             "terminal {t} out of range"
         );
-        t / self.terminals_per_leaf as u32
+        t / vid(self.terminals_per_leaf)
     }
 
     /// The leaf-to-leaf diameter: the maximum switch-graph distance
@@ -504,7 +510,7 @@ impl FoldedClos {
     pub fn leaf_diameter(&self) -> Option<u32> {
         let g = self.switch_graph();
         let mut best = 0;
-        for leaf in 0..self.num_leaves() as u32 {
+        for leaf in 0..vid(self.num_leaves()) {
             let dist = rfc_graph::traversal::bfs_distances(&g, leaf);
             for &d in dist.iter().take(self.num_leaves()) {
                 if d == rfc_graph::traversal::UNREACHABLE {
@@ -560,10 +566,10 @@ impl FoldedClos {
                 continue;
             }
             for (lo, ups) in stage.adj1.iter_mut().enumerate() {
-                ups.retain(|&up| !removed.contains(&(lo as u32, up)));
+                ups.retain(|&up| !removed.contains(&(vid(lo), up)));
             }
             for (up, los) in stage.adj2.iter_mut().enumerate() {
-                los.retain(|&lo| !removed.contains(&(lo, up as u32)));
+                los.retain(|&lo| !removed.contains(&(lo, vid(up))));
             }
         }
         clone

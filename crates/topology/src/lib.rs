@@ -41,9 +41,6 @@
 //! # Ok::<(), rfc_topology::TopologyError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod cft;
 mod error;
 pub mod expansion;

@@ -2,6 +2,7 @@
 
 use rfc_galois::ProjectivePlane;
 use rfc_graph::random::BipartiteGraph;
+use rfc_graph::vid;
 
 use crate::{CloKind, FoldedClos, TopologyError};
 
@@ -50,7 +51,7 @@ impl FoldedClos {
         let l = levels;
         let digits = l - 1;
         let inner = m
-            .checked_pow(digits as u32)
+            .checked_pow(vid(digits))
             .ok_or_else(|| TopologyError::invalid("network too large: m^(l-1) overflows"))?;
         if 2 * inner > u32::MAX as usize {
             return Err(TopologyError::invalid("too many switches for u32 ids"));
@@ -71,21 +72,21 @@ impl FoldedClos {
             let mut adj1: Vec<Vec<u32>> = vec![Vec::with_capacity(deg); non_root];
             let mut adj2: Vec<Vec<u32>> =
                 vec![Vec::with_capacity(if upper_is_root { 2 * deg } else { deg }); upper_size];
-            let scale = m.pow(stage_idx as u32);
+            let scale = m.pow(vid(stage_idx));
             for h in 0..2 {
                 for x in 0..inner {
                     let lower = h * inner + x;
                     let digit = x / scale % m; // a point of PG(2, q)
                     let base = x - digit * scale;
-                    for &line in plane.lines_of_point(digit as u32) {
+                    for &line in plane.lines_of_point(vid(digit)) {
                         let upper_x = base + line as usize * scale;
                         let upper = if upper_is_root {
                             upper_x
                         } else {
                             h * inner + upper_x
                         };
-                        adj1[lower].push(upper as u32);
-                        adj2[upper].push(lower as u32);
+                        adj1[lower].push(vid(upper));
+                        adj2[upper].push(vid(lower));
                     }
                 }
             }

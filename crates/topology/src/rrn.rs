@@ -5,7 +5,7 @@ use std::fmt;
 use rand::Rng;
 
 use rfc_graph::random::random_regular;
-use rfc_graph::Csr;
+use rfc_graph::{vid, Csr};
 
 use crate::TopologyError;
 
@@ -109,7 +109,7 @@ impl Rrn {
             (t as usize) < self.num_terminals(),
             "terminal {t} out of range"
         );
-        t / self.hosts_per_switch as u32
+        t / vid(self.hosts_per_switch)
     }
 
     /// Neighbor switches of `s`.
@@ -128,8 +128,8 @@ impl Rrn {
         let mut out = Vec::new();
         for (u, list) in self.adj.iter().enumerate() {
             for &v in list {
-                if (u as u32) < v {
-                    out.push((u as u32, v));
+                if vid(u) < v {
+                    out.push((vid(u), v));
                 }
             }
         }
@@ -164,7 +164,7 @@ impl Rrn {
         }
         let mut rewired = 0;
         for _ in 0..additional {
-            let new = self.adj.len() as u32;
+            let new = vid(self.adj.len());
             self.adj.push(Vec::with_capacity(self.degree));
             for _ in 0..self.degree / 2 {
                 let mut attempts = 0;
@@ -191,6 +191,10 @@ impl Rrn {
                     }
                     // Remove (u, v); add (u, new), (v, new).
                     self.adj[u as usize].swap_remove(vi);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "edges are stored in both adjacency lists, so v lists u"
+                    )]
                     let pos = self.adj[v as usize]
                         .iter()
                         .position(|&x| x == u)

@@ -10,6 +10,7 @@
 //! datacenter cost knob.
 
 use rfc_graph::random::BipartiteGraph;
+use rfc_graph::vid;
 
 use crate::{CloKind, FoldedClos, TopologyError};
 
@@ -95,8 +96,8 @@ impl FoldedClos {
                         let child = (hi_digit * ml + a) * lo + lo_digit;
                         for b in 0..wl {
                             let parent = (hi_digit * wl + b) * lo + lo_digit;
-                            adj1[child].push(parent as u32);
-                            adj2[parent].push(child as u32);
+                            adj1[child].push(vid(parent));
+                            adj2[parent].push(vid(child));
                         }
                     }
                 }

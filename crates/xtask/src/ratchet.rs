@@ -2,10 +2,11 @@
 //!
 //! The baseline is one `crate → key → count` table, written as one
 //! `[crate.<name>]` section per crate. A section records the crate's
-//! non-test panic surface (`unwrap` / `expect` / `panic`), its
-//! potentially-lossy `as` casts (`lossy-cast`, see [`crate::casts`])
-//! and its lock-type / atomic-type sync primitives (`sync-lock` /
-//! `sync-atomic`, see [`crate::conc`]). [`compare`] fails when any count
+//! non-test `#[expect]` attributes of clippy's panic-surface lints
+//! (`unwrap` / `expect` / `panic`) and lossy-cast lints (`lossy-cast`,
+//! see [`crate::rules::RATCHETED_LINTS`]), and its lock-type /
+//! atomic-type sync primitives (`sync-lock` / `sync-atomic`, see
+//! [`crate::conc`]). [`compare`] fails when any count
 //! *rises* above the baseline and notes (without failing) a count that
 //! dropped, so the baseline can be tightened with
 //! `cargo xtask lint --write-ratchet`. The file is read with a
@@ -14,9 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::casts::CastCounts;
-use crate::conc::SyncCounts;
-use crate::rules::PanicCounts;
 use crate::workspace::RATCHET_FILE;
 
 /// `crate → key → count`, keyed by the crate's short name.
@@ -26,80 +24,24 @@ pub type Table = BTreeMap<String, BTreeMap<String, usize>>;
 /// `path:line: ...` strings; a rise of that count lists them.
 pub type Sites = BTreeMap<(String, String), Vec<String>>;
 
-/// One ratcheted key.
-struct Key {
-    name: &'static str,
-    /// How a diagnostic names the count.
-    noun: &'static str,
-    /// What to do when it rises.
-    hint: &'static str,
-}
-
 const PANIC_HINT: &str = "the panic-surface ratchet only turns downward";
 const SYNC_HINT: &str = "new concurrency surface must be deliberate — justify the growth and \
                          re-baseline with `cargo xtask lint --write-ratchet`";
 
-/// Every key of a crate section, in rendering order.
-const KEYS: &[Key] = &[
-    Key {
-        name: "unwrap",
-        noun: "unwrap count",
-        hint: PANIC_HINT,
-    },
-    Key {
-        name: "expect",
-        noun: "expect count",
-        hint: PANIC_HINT,
-    },
-    Key {
-        name: "panic",
-        noun: "panic count",
-        hint: PANIC_HINT,
-    },
-    Key {
-        name: "lossy-cast",
-        noun: "lossy-cast count",
-        hint: "convert the new casts to `try_from` or justify them with \
-               `// xtask: allow(lossy-cast) — <invariant>`",
-    },
-    Key {
-        name: "sync-lock",
-        noun: "sync-lock count",
-        hint: SYNC_HINT,
-    },
-    Key {
-        name: "sync-atomic",
-        noun: "sync-atomic count",
-        hint: SYNC_HINT,
-    },
+/// Every key of a crate section, in rendering order, with what to do
+/// when its count rises. A diagnostic names the count `<key> count`.
+const KEYS: &[(&str, &str)] = &[
+    ("unwrap", PANIC_HINT),
+    ("expect", PANIC_HINT),
+    ("panic", PANIC_HINT),
+    (
+        "lossy-cast",
+        "route ids through `rfc_graph::vid` or convert with `try_from`; the ratchet \
+         only turns downward",
+    ),
+    ("sync-lock", SYNC_HINT),
+    ("sync-atomic", SYNC_HINT),
 ];
-
-/// The measured table: one entry per crate of the three crate tallies
-/// (which cover the same crates).
-pub fn measure(
-    panic: &BTreeMap<String, PanicCounts>,
-    casts: &BTreeMap<String, CastCounts>,
-    sync: &BTreeMap<String, SyncCounts>,
-) -> Table {
-    let mut table = Table::new();
-    for (name, p) in panic {
-        let lossy = casts.get(name).map_or(0, |c| c.lossy);
-        let s = sync.get(name).copied().unwrap_or_default();
-        let counts = [
-            ("unwrap", p.unwrap),
-            ("expect", p.expect),
-            ("panic", p.panic),
-            ("lossy-cast", lossy),
-            ("sync-lock", s.lock),
-            ("sync-atomic", s.atomic),
-        ];
-        table.insert(
-            name.clone(),
-            counts.iter().map(|&(k, n)| (k.to_string(), n)).collect(),
-        );
-    }
-    table
-}
 
 /// Parses the ratchet file, or describes its first malformed line.
 pub fn parse(text: &str) -> Result<Table, String> {
@@ -128,7 +70,7 @@ pub fn parse(text: &str) -> Result<Table, String> {
             .as_ref()
             .ok_or_else(|| format!("line {lineno}: key outside a section"))?;
         let key = key.trim();
-        if !KEYS.iter().any(|k| k.name == key) {
+        if !KEYS.iter().any(|&(k, _)| k == key) {
             return Err(format!(
                 "line {lineno}: unknown key `{key}` in [crate.{name}]"
             ));
@@ -150,18 +92,19 @@ pub fn render(table: &Table) -> String {
     let mut out = String::from(
         "# Ratchet baselines, checked by `cargo xtask lint` (DESIGN.md §9).\n\
          #\n\
-         # Per crate, over NON-TEST code: unwrap/expect/panic count `.unwrap()`,\n\
-         # `.expect(` and panic!-family macros; lossy-cast counts\n\
-         # potentially-lossy `as` casts (DESIGN.md §12); sync-lock/sync-atomic\n\
-         # count lock-type and atomic-type mentions (DESIGN.md §14).\n\
+         # Per crate, over NON-TEST code: unwrap/expect/panic/lossy-cast count\n\
+         # the `#[expect]` attributes naming clippy::unwrap_used, expect_used,\n\
+         # panic or unreachable, and the three cast lints (DESIGN.md §12);\n\
+         # sync-lock/sync-atomic count lock-type and atomic-type mentions\n\
+         # (DESIGN.md §14).\n\
          # Each ratchet only turns one way: a count may drop (tighten with\n\
          # `cargo xtask lint --write-ratchet`) but any increase fails.\n",
     );
     for (name, counts) in table {
         out.push_str(&format!("\n[crate.{name}]\n"));
-        for key in KEYS {
-            let n = counts.get(key.name).copied().unwrap_or(0);
-            out.push_str(&format!("{} = {n}\n", key.name));
+        for &(key, _) in KEYS {
+            let n = counts.get(key).copied().unwrap_or(0);
+            out.push_str(&format!("{key} = {n}\n"));
         }
     }
     out
@@ -187,16 +130,14 @@ pub fn compare(baseline: &Table, measured: &Table, sites: &Sites) -> (Vec<String
             ));
             continue;
         };
-        for key in KEYS {
-            let h = have.get(key.name).copied().unwrap_or(0);
-            let w = want.get(key.name).copied().unwrap_or(0);
+        for &(key, hint) in KEYS {
+            let h = have.get(key).copied().unwrap_or(0);
+            let w = want.get(key).copied().unwrap_or(0);
             if h > w {
-                let mut msg = format!(
-                    "crate `{name}`: {} rose to {h} (baseline {w}); {}",
-                    key.noun, key.hint
-                );
-                if let Some(list) = sites.get(&(name.clone(), key.name.to_string())) {
-                    msg.push_str("; unsuppressed sites:");
+                let mut msg =
+                    format!("crate `{name}`: {key} count rose to {h} (baseline {w}); {hint}");
+                if let Some(list) = sites.get(&(name.clone(), key.to_string())) {
+                    msg.push_str("; sites:");
                     for site in list {
                         msg.push_str("\n  ");
                         msg.push_str(site);
@@ -205,9 +146,8 @@ pub fn compare(baseline: &Table, measured: &Table, sites: &Sites) -> (Vec<String
                 failures.push(msg);
             } else if h < w {
                 improvements.push(format!(
-                    "crate `{name}`: {} is {h}, below baseline {w} — \
-                     tighten with `cargo xtask lint --write-ratchet`",
-                    key.noun
+                    "crate `{name}`: {key} count is {h}, below baseline {w} — \
+                     tighten with `cargo xtask lint --write-ratchet`"
                 ));
             }
         }
@@ -233,40 +173,32 @@ mod tests {
 
     #[test]
     fn parse_render_round_trips() {
-        let panic = BTreeMap::from([
+        let table = Table::from([
             (
                 "core".to_string(),
-                PanicCounts {
-                    unwrap: 3,
-                    expect: 5,
-                    panic: 1,
-                },
+                section(&[
+                    ("unwrap", 3),
+                    ("expect", 5),
+                    ("panic", 1),
+                    ("lossy-cast", 7),
+                    ("sync-lock", 0),
+                    ("sync-atomic", 0),
+                ]),
             ),
-            ("sim".to_string(), PanicCounts::default()),
+            (
+                "sim".to_string(),
+                section(&[
+                    ("unwrap", 0),
+                    ("expect", 0),
+                    ("panic", 0),
+                    ("lossy-cast", 0),
+                    ("sync-lock", 2),
+                    ("sync-atomic", 3),
+                ]),
+            ),
         ]);
-        let casts = BTreeMap::from([(
-            "core".to_string(),
-            CastCounts {
-                lossy: 7,
-                ..CastCounts::default()
-            },
-        )]);
-        let sync = BTreeMap::from([("sim".to_string(), SyncCounts { lock: 2, atomic: 3 })]);
-        let table = measure(&panic, &casts, &sync);
         let parsed = parse(&render(&table)).expect("rendered file must parse");
         assert_eq!(parsed, table);
-        assert_eq!(
-            parsed["core"],
-            section(&[
-                ("unwrap", 3),
-                ("expect", 5),
-                ("panic", 1),
-                ("lossy-cast", 7),
-                ("sync-lock", 0),
-                ("sync-atomic", 0),
-            ])
-        );
-        assert_eq!(parsed["sim"]["sync-atomic"], 3);
     }
 
     #[test]
@@ -293,23 +225,26 @@ mod tests {
 
     #[test]
     fn compare_fails_rises_and_unmatched_crates_and_notes_drops() {
-        for key in KEYS {
-            let base = Table::from([("x".to_string(), section(&[(key.name, 5)]))]);
-            let measured = |n: usize| Table::from([("x".to_string(), section(&[(key.name, n)]))]);
+        for &(key, _) in KEYS {
+            let base = Table::from([("x".to_string(), section(&[(key, 5)]))]);
+            let measured = |n: usize| Table::from([("x".to_string(), section(&[(key, n)]))]);
             let sites = Sites::from([(
-                ("x".to_string(), key.name.to_string()),
-                vec!["src/a.rs:3: as u32".to_string()],
+                ("x".to_string(), key.to_string()),
+                vec!["src/a.rs:3: #[expect(clippy::cast_sign_loss)]".to_string()],
             )]);
 
             // A rise fails and names the key, the value and the baseline.
             let (failures, improvements) = compare(&base, &measured(6), &sites);
-            assert_eq!(failures.len(), 1, "{}: {failures:?}", key.name);
+            assert_eq!(failures.len(), 1, "{key}: {failures:?}");
             let f = &failures[0];
             assert!(
-                f.contains(key.name) && f.contains("rose to 6 (baseline 5)"),
+                f.contains(key) && f.contains("rose to 6 (baseline 5)"),
                 "{f}"
             );
-            assert!(f.ends_with("sites:\n  src/a.rs:3: as u32"), "{f}");
+            assert!(
+                f.ends_with("sites:\n  src/a.rs:3: #[expect(clippy::cast_sign_loss)]"),
+                "{f}"
+            );
             assert!(improvements.is_empty());
 
             // A drop is a note, not a failure.
@@ -317,7 +252,7 @@ mod tests {
             assert!(failures.is_empty(), "{failures:?}");
             assert_eq!(improvements.len(), 1);
             assert!(
-                improvements[0].contains(&format!("{} is 4, below baseline 5", key.noun)),
+                improvements[0].contains(&format!("{key} count is 4, below baseline 5")),
                 "{}",
                 improvements[0]
             );

@@ -10,18 +10,11 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::casts::{analyze_casts, CastCounts};
-use crate::conc::{self, SyncCounts};
+use crate::conc;
 use crate::layers::{self, LayerCrate};
 use crate::ratchet::{self, Sites};
-use crate::rules::{analyze_lines, PanicCounts, Violation};
+use crate::rules::{analyze_lines, Violation, RATCHETED_LINTS};
 use crate::scan::scan;
-
-/// Short names of the crates whose output must be byte-identical for a
-/// given seed; the determinism rules apply only to these.
-pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "graph", "galois", "parallel", "topology", "routing", "sim", "core",
-];
 
 /// File name of the committed ratchet baseline, at the repo root.
 pub const RATCHET_FILE: &str = "xtask-ratchet.toml";
@@ -34,10 +27,6 @@ pub struct CrateInfo {
     pub name: String,
     /// Crate directory.
     pub root: PathBuf,
-    /// The crate's library root, whose header block is checked.
-    pub lib_path: PathBuf,
-    /// Whether the determinism rules apply.
-    pub deterministic: bool,
 }
 
 /// Discovers every workspace crate under `root`.
@@ -53,43 +42,25 @@ pub fn discover(root: &Path) -> Result<Vec<CrateInfo>, String> {
         if dir_name == "compat" {
             for shim in read_dir_sorted(&dir)? {
                 if shim.join("Cargo.toml").is_file() {
-                    crates.push(crate_info(format!("compat-{}", file_name(&shim)), shim)?);
+                    crates.push(CrateInfo {
+                        name: format!("compat-{}", file_name(&shim)),
+                        root: shim,
+                    });
                 }
             }
         } else if dir.join("Cargo.toml").is_file() {
-            crates.push(crate_info(dir_name, dir)?);
+            crates.push(CrateInfo {
+                name: dir_name,
+                root: dir,
+            });
         }
     }
     // The root package (integration suite).
-    crates.push(crate_info("suite".to_string(), root.to_path_buf())?);
+    crates.push(CrateInfo {
+        name: "suite".to_string(),
+        root: root.to_path_buf(),
+    });
     Ok(crates)
-}
-
-fn crate_info(name: String, dir: PathBuf) -> Result<CrateInfo, String> {
-    let manifest = fs::read_to_string(dir.join("Cargo.toml"))
-        .map_err(|e| format!("{}: {e}", dir.join("Cargo.toml").display()))?;
-    // Honor an explicit `[lib] path = "..."`; default to src/lib.rs.
-    let mut in_lib = false;
-    let mut lib_rel = "src/lib.rs".to_string();
-    for line in manifest.lines().map(str::trim) {
-        if line.starts_with('[') {
-            in_lib = line == "[lib]";
-        } else if in_lib {
-            if let Some(p) = line
-                .strip_prefix("path = \"")
-                .and_then(|r| r.strip_suffix('"'))
-            {
-                lib_rel = p.to_string();
-            }
-        }
-    }
-    let deterministic = DETERMINISTIC_CRATES.contains(&name.as_str());
-    Ok(CrateInfo {
-        lib_path: dir.join(lib_rel),
-        name,
-        root: dir,
-        deterministic,
-    })
 }
 
 /// The non-test `.rs` files of a crate, sorted: everything under its
@@ -146,26 +117,9 @@ fn file_name(p: &Path) -> String {
         .unwrap_or_default()
 }
 
-/// The standard lint-gate header every library root must keep.
-const REQUIRED_GATES: &[&[&str]] = &[
-    &["#![forbid(unsafe_code)]"],
-    &["#![warn(missing_docs)]", "#![deny(missing_docs)]"],
-];
-
-/// Checks the `#![forbid(unsafe_code)]` / `#![warn(missing_docs)]`
-/// header block of one library root.
-pub fn check_lib_header(source: &str) -> Vec<String> {
-    let mut missing = Vec::new();
-    for alternatives in REQUIRED_GATES {
-        if !alternatives.iter().any(|gate| source.contains(gate)) {
-            missing.push(format!("missing lint gate {}", alternatives[0]));
-        }
-    }
-    missing
-}
-
 /// Checks that a crate manifest inherits the workspace lint table
-/// (`[lints] workspace = true`).
+/// (`[lints] workspace = true`), which forbids `unsafe_code` and sets
+/// every clippy lint the workspace relies on.
 pub fn check_manifest_lints(manifest: &str) -> bool {
     let mut in_lints = false;
     for line in manifest.lines() {
@@ -185,14 +139,9 @@ pub struct LintReport {
     /// Hard failures: `(display path, violation)`, sorted by path and
     /// line.
     pub violations: Vec<(String, Violation)>,
-    /// Measured non-test panic surface per crate.
-    pub counts: BTreeMap<String, PanicCounts>,
-    /// Measured non-test cast tallies per crate.
-    pub cast_counts: BTreeMap<String, CastCounts>,
-    /// Measured non-test sync-primitive tallies per crate.
-    pub sync_counts: BTreeMap<String, SyncCounts>,
-    /// The measured ratchet table, built from the three crate tallies.
-    /// Compared against, or written as, `xtask-ratchet.toml`.
+    /// The measured ratchet table: per crate, the non-test `#[expect]`
+    /// counts and sync-primitive tallies. Compared against, or written
+    /// as, `xtask-ratchet.toml`.
     pub ratchet: ratchet::Table,
     /// Counts now below the committed baseline (nudges, not failures).
     pub improvements: Vec<String>,
@@ -207,10 +156,10 @@ impl LintReport {
 
 /// Runs every check over the workspace at `root` in one pass: each
 /// non-test file is read and scanned once, and its lines feed the
-/// determinism and panic rules, the cast and sync tallies, and the
-/// atomic-ordering and lockstep checks. The manifests read for the
-/// lint gates feed the layering check; the measured ratchet table is
-/// compared against `xtask-ratchet.toml`.
+/// `#[expect]` ledger, the expect-message and hot-loop rules, the sync
+/// tallies, and the atomic-ordering and lockstep checks. The manifests
+/// read for the lint-inheritance check feed the layering check; the
+/// measured ratchet table is compared against `xtask-ratchet.toml`.
 ///
 /// With `write_ratchet`, the measured table replaces
 /// `xtask-ratchet.toml` instead of being compared against it.
@@ -226,16 +175,6 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
     let mut ws_paths = BTreeMap::new();
     let mut sites = Sites::new();
     for krate in &crates {
-        // Lint-gate header block.
-        let lib_src = fs::read_to_string(&krate.lib_path)
-            .map_err(|e| format!("{}: {e}", krate.lib_path.display()))?;
-        let lib_display = rel_display(root, &krate.lib_path);
-        for miss in check_lib_header(&lib_src) {
-            report
-                .violations
-                .push((lib_display.clone(), gate_violation(miss)));
-        }
-
         // Workspace lint inheritance, and the dependency edges the
         // layering check reads.
         let manifest_path = krate.root.join("Cargo.toml");
@@ -244,11 +183,13 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         if !check_manifest_lints(&manifest) {
             report.violations.push((
                 rel_display(root, &manifest_path),
-                gate_violation(
-                    "manifest does not inherit [workspace.lints] \
-                     (add `[lints]\\nworkspace = true`)"
+                Violation {
+                    rule: "lint-gates".to_string(),
+                    line: 1,
+                    message: "manifest does not inherit [workspace.lints] \
+                              (add `[lints]\\nworkspace = true`)"
                         .to_string(),
-                ),
+                },
             ));
         }
         let dir = krate.root.strip_prefix(root).unwrap_or(&krate.root);
@@ -264,22 +205,27 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
 
         // Every line-level rule and tally, over one scan per file.
         let compat = krate.name.starts_with("compat-");
-        let mut crate_counts = PanicCounts::default();
-        let mut crate_casts = CastCounts::default();
-        let mut crate_sync = SyncCounts::default();
-        let mut lossy_sites = Vec::new();
+        let mut row: BTreeMap<String, usize> = RATCHETED_LINTS
+            .iter()
+            .map(|&(_, key)| (key.to_string(), 0))
+            .collect();
+        let mut sync = conc::SyncCounts::default();
         for path in source_files(krate)? {
             let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             let lines = scan(&src);
             let display = rel_display(root, &path);
-            let analysis = analyze_lines(&lines, krate.deterministic);
-            crate_counts.add(analysis.counts);
-            let casts = analyze_casts(&lines);
-            crate_casts.add(casts.counts);
-            for site in casts.lossy_sites {
-                lossy_sites.push(format!("{display}:{}: as {}", site.line, site.target));
+            let analysis = analyze_lines(&lines);
+            for site in analysis.expects {
+                *row.entry(site.key.to_string()).or_default() += 1;
+                sites
+                    .entry((krate.name.clone(), site.key.to_string()))
+                    .or_default()
+                    .push(format!(
+                        "{display}:{}: #[expect({})]",
+                        site.line, site.lints
+                    ));
             }
-            crate_sync.add(conc::sync_counts(&lines));
+            sync.add(conc::sync_counts(&lines));
             let mut file_violations = analysis.violations;
             if !compat {
                 file_violations.extend(conc::conc_violations(
@@ -293,10 +239,9 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
                 report.violations.push((display.clone(), v));
             }
         }
-        sites.insert((krate.name.clone(), "lossy-cast".to_string()), lossy_sites);
-        report.counts.insert(krate.name.clone(), crate_counts);
-        report.cast_counts.insert(krate.name.clone(), crate_casts);
-        report.sync_counts.insert(krate.name.clone(), crate_sync);
+        row.insert("sync-lock".to_string(), sync.lock);
+        row.insert("sync-atomic".to_string(), sync.atomic);
+        report.ratchet.insert(krate.name.clone(), row);
     }
 
     match layers::read_layers(root) {
@@ -309,7 +254,6 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         .violations
         .extend(conc::stale_entries(&allowlist, &matched));
 
-    report.ratchet = ratchet::measure(&report.counts, &report.cast_counts, &report.sync_counts);
     let ratchet_path = root.join(RATCHET_FILE);
     if write_ratchet {
         fs::write(&ratchet_path, ratchet::render(&report.ratchet))
@@ -345,15 +289,6 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
     Ok(report)
 }
 
-/// A `lint-gates` violation on line 1 of a library root or manifest.
-fn gate_violation(message: String) -> Violation {
-    Violation {
-        rule: "lint-gates".to_string(),
-        line: 1,
-        message,
-    }
-}
-
 fn rel_display(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -364,18 +299,6 @@ fn rel_display(root: &Path, path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn header_check_accepts_warn_or_deny_docs() {
-        let ok_warn = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
-        let ok_deny = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
-        assert!(check_lib_header(ok_warn).is_empty());
-        assert!(check_lib_header(ok_deny).is_empty());
-        let missing = check_lib_header("#![forbid(unsafe_code)]\n");
-        assert_eq!(missing.len(), 1);
-        assert!(missing[0].contains("missing_docs"));
-        assert_eq!(check_lib_header("").len(), 2);
-    }
 
     #[test]
     fn test_files_are_exempt_wholesale() {

@@ -5,9 +5,6 @@
 //! sync-primitive tally.
 //! Never compiled; parsed only by the xtask lint integration tests.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

@@ -1,3 +1,1 @@
 //! Fixture crate: empty body; only the manifest matters.
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]

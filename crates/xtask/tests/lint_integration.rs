@@ -1,19 +1,26 @@
 //! Integration tests for `cargo xtask lint`.
 //!
-//! Every test drives the one analyzer pass, [`run_lint`]. Three groups:
-//! (1) the real workspace must lint clean, and the committed ratchet
-//! file must be exactly what `--write-ratchet` would produce — the same
-//! invariant CI enforces, so a change that introduces a violation fails
-//! here first; (2) fixture workspaces — one built in code, two committed
-//! under `tests/fixtures/` — seeded with one violation per rule must
-//! fail with exactly that rule, at its `path:line`; (3) one fixture
-//! holding a violation of every kind must report all of them from a
-//! single run.
+//! Four groups: (1) the real workspace must lint clean, and the
+//! committed ratchet file must be exactly what `--write-ratchet` would
+//! produce — the same invariant CI enforces, so a change that
+//! introduces a violation fails here first; (2) fixture workspaces —
+//! one built in code, two committed under `tests/fixtures/` — seeded
+//! with one violation per rule must fail with exactly that rule, at its
+//! `path:line`; (3) one fixture holding a violation of every kind must
+//! report all of them from a single run; (4) clippy, run on a fixture
+//! crate under the workspace's own lint configuration, must report
+//! every rule moved to it at its line.
+
+#![expect(
+    clippy::expect_used,
+    reason = "fixture files are written by the test itself; an I/O failure is a failed test"
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use xtask::rules::{PanicCounts, Violation};
+use xtask::rules::Violation;
 use xtask::{run_lint, LintReport};
 
 /// The real repository root (two levels above this crate).
@@ -78,43 +85,15 @@ fn the_real_tree_lints_clean() {
         "the committed tree must pass its own lint; violations: {:#?}",
         report.violations
     );
-    // The deterministic crates are all present in the measured table.
-    for name in xtask::workspace::DETERMINISTIC_CRATES {
-        assert!(
-            report.counts.contains_key(*name),
-            "crate {name} missing from the panic-surface table"
-        );
-    }
-}
-
-#[test]
-fn the_real_tree_audits_clean() {
-    let report = lint(&repo_root());
-    assert!(
-        report.is_clean(),
-        "the committed tree must pass its own lint; violations: {:#?}",
-        report.violations
-    );
-    // The burned-down crates hold their gains: rfc-graph carries no
-    // unsuppressed lossy cast (everything funnels through `vid`).
-    let graph = &report.cast_counts["graph"];
-    assert_eq!(graph.lossy, 0, "rfc-graph regressed: {graph:?}");
-    assert!(graph.allowed >= 1, "the vid() allow should be counted");
-}
-
-#[test]
-fn the_real_tree_passes_conc_clean() {
-    let report = lint(&repo_root());
-    assert!(
-        report.is_clean(),
-        "the committed tree must pass its own lint; violations: {:#?}",
-        report.violations
-    );
+    // rfc-graph's one lossy cast is `vid`'s own: every other id cast in
+    // the workspace funnels through it.
+    let graph = &report.ratchet["graph"];
+    assert_eq!(graph["lossy-cast"], 1, "rfc-graph regressed: {graph:?}");
     // The barrier/override machinery keeps rfc-parallel the workspace's
     // atomic hot spot; if this count hits zero the tally went blind.
-    let parallel = &report.sync_counts["parallel"];
+    let parallel = &report.ratchet["parallel"];
     assert!(
-        parallel.atomic >= 4,
+        parallel["sync-atomic"] >= 4,
         "rfc-parallel's atomics vanished from the tally: {parallel:?}"
     );
 }
@@ -133,200 +112,8 @@ fn committed_ratchet_matches_write_ratchet_output() {
 }
 
 // ---------------------------------------------------------------------
-// Line-level rules, on a fixture built in code.
-// ---------------------------------------------------------------------
-
-/// Builds a minimal fixture workspace under `CARGO_TARGET_TMPDIR`. The
-/// single member is named `sim` so the determinism rules apply to it.
-struct Fixture {
-    root: PathBuf,
-}
-
-impl Fixture {
-    fn new(tag: &str) -> Self {
-        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("lint-fixture-{tag}"));
-        if root.exists() {
-            fs::remove_dir_all(&root).expect("stale fixture must be removable");
-        }
-        let clean_header = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
-        let manifest = "[package]\nname = \"fixture\"\n\n[lints]\nworkspace = true\n";
-        fs::create_dir_all(root.join("src")).expect("fixture mkdir");
-        fs::create_dir_all(root.join("crates/sim/src")).expect("fixture mkdir");
-        fs::write(root.join("Cargo.toml"), manifest).expect("fixture write");
-        fs::write(
-            root.join("src/lib.rs"),
-            format!("//! Fixture root.\n{clean_header}"),
-        )
-        .expect("fixture write");
-        fs::write(root.join("crates/sim/Cargo.toml"), manifest).expect("fixture write");
-        fs::write(
-            root.join("xtask-layers.toml"),
-            "[layer.sim]\nrank = 50\n\n[layer.app]\nrank = 70\n\n\
-             [crates]\nsim = \"sim\"\nsuite = \"app\"\n",
-        )
-        .expect("fixture write");
-        fs::write(root.join("xtask-conc.toml"), "# No Relaxed sites.\n").expect("fixture write");
-        Self { root }.with_sim_source("//! Fixture crate.\n")
-    }
-
-    /// Replaces the `sim` member's lib.rs body (header block prepended).
-    fn with_sim_source(self, body: &str) -> Self {
-        let src = format!(
-            "//! Fixture crate.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n\n{body}"
-        );
-        fs::write(self.root.join("crates/sim/src/lib.rs"), src).expect("fixture write");
-        self
-    }
-
-    /// Runs the lint with a ratchet baseline matching `counts` for both
-    /// crates (fixture root is always clean).
-    fn lint_with_baseline(&self, sim: PanicCounts) -> LintReport {
-        let ratchet = format!(
-            "[crate.sim]\nunwrap = {}\nexpect = {}\npanic = {}\n\
-             [crate.suite]\nunwrap = 0\nexpect = 0\npanic = 0\n",
-            sim.unwrap, sim.expect, sim.panic
-        );
-        fs::write(self.root.join("xtask-ratchet.toml"), ratchet).expect("fixture write");
-        lint(&self.root)
-    }
-
-    fn rules_hit(&self, sim_baseline: PanicCounts) -> Vec<String> {
-        let report = self.lint_with_baseline(sim_baseline);
-        let mut rules: Vec<String> = report.violations.into_iter().map(|(_, v)| v.rule).collect();
-        rules.sort();
-        rules.dedup();
-        rules
-    }
-}
-
-fn zero() -> PanicCounts {
-    PanicCounts::default()
-}
-
-#[test]
-fn clean_fixture_passes() {
-    let fx = Fixture::new("clean");
-    assert!(fx.lint_with_baseline(zero()).is_clean());
-}
-
-#[test]
-fn hash_collection_violation_fails() {
-    let fx = Fixture::new("hash").with_sim_source(
-        "/// Doc.\npub fn f() { let _m = std::collections::HashMap::<u32, u32>::new(); }\n",
-    );
-    assert_eq!(fx.rules_hit(zero()), vec!["hash-collections"]);
-}
-
-#[test]
-fn wall_clock_violation_fails() {
-    let fx = Fixture::new("clock").with_sim_source(
-        "/// Doc.\npub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
-    );
-    assert_eq!(fx.rules_hit(zero()), vec!["wall-clock"]);
-}
-
-#[test]
-fn ambient_rng_violation_fails() {
-    let fx =
-        Fixture::new("rng").with_sim_source("/// Doc.\npub fn f() { let _r = thread_rng(); }\n");
-    assert_eq!(fx.rules_hit(zero()), vec!["ambient-rng"]);
-}
-
-#[test]
-fn allow_comment_with_reason_suppresses_the_rule() {
-    let fx = Fixture::new("allow").with_sim_source(
-        "/// Doc.\npub fn f() { let _m = std::collections::HashMap::<u32, u32>::new(); } \
-         // xtask: allow(hash-collections) — fixture demonstrating the escape hatch\n",
-    );
-    assert!(fx.lint_with_baseline(zero()).is_clean());
-}
-
-#[test]
-fn test_module_code_is_exempt() {
-    let fx = Fixture::new("testmod").with_sim_source(
-        "/// Doc.\npub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    \
-         fn t() { let _m = std::collections::HashMap::<u32, u32>::new(); }\n}\n",
-    );
-    assert!(fx.lint_with_baseline(zero()).is_clean());
-}
-
-#[test]
-fn ratchet_regression_fails_and_improvement_notes() {
-    let fx = Fixture::new("ratchet")
-        .with_sim_source("/// Doc.\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n");
-    // Baseline says zero unwraps: the new site is a regression.
-    let report = fx.lint_with_baseline(zero());
-    assert!(!report.is_clean());
-    assert!(report.violations.iter().any(|(_, v)| v.rule == "ratchet"));
-    // Baseline of 2 unwraps: one measured is an improvement, not a failure.
-    let report = fx.lint_with_baseline(PanicCounts {
-        unwrap: 2,
-        expect: 0,
-        panic: 0,
-    });
-    assert!(report.is_clean());
-    assert_eq!(report.improvements.len(), 1);
-}
-
-#[test]
-fn unmessaged_expect_fails() {
-    let fx = Fixture::new("expectmsg")
-        .with_sim_source("/// Doc.\npub fn f(x: Option<u32>) -> u32 { x.expect(\"\") }\n");
-    let report = fx.lint_with_baseline(PanicCounts {
-        unwrap: 0,
-        expect: 1,
-        panic: 0,
-    });
-    assert!(report
-        .violations
-        .iter()
-        .any(|(_, v)| v.rule == "expect-message"));
-}
-
-#[test]
-fn hot_loop_allocation_fails() {
-    let fx = Fixture::new("hotloop").with_sim_source(
-        "/// Doc.\npub fn f() -> Vec<u32> {\n    // xtask: hot-loop-begin\n    \
-         let v = Vec::new();\n    // xtask: hot-loop-end\n    v\n}\n",
-    );
-    assert_eq!(fx.rules_hit(zero()), vec!["hot-loop-alloc"]);
-}
-
-#[test]
-fn hot_loop_allow_comment_suppresses() {
-    let fx = Fixture::new("hotloop-allow").with_sim_source(
-        "/// Doc.\npub fn f() -> Vec<u32> {\n    // xtask: hot-loop-begin\n    \
-         // xtask: allow(hot-loop-alloc) — fixture demonstrating the escape hatch\n    \
-         let v = Vec::new();\n    // xtask: hot-loop-end\n    v\n}\n",
-    );
-    assert!(fx.lint_with_baseline(zero()).is_clean());
-}
-
-#[test]
-fn missing_lint_gates_fail() {
-    let fx = Fixture::new("gates");
-    // Overwrite the sim lib with one that lacks the header block.
-    fs::write(
-        fx.root.join("crates/sim/src/lib.rs"),
-        "//! Fixture crate.\npub fn f() {}\n",
-    )
-    .expect("fixture write");
-    assert_eq!(fx.rules_hit(zero()), vec!["lint-gates"]);
-}
-
-#[test]
-fn manifest_without_lints_inheritance_fails() {
-    let fx = Fixture::new("manifest");
-    fs::write(
-        fx.root.join("crates/sim/Cargo.toml"),
-        "[package]\nname = \"fixture\"\n",
-    )
-    .expect("fixture write");
-    assert_eq!(fx.rules_hit(zero()), vec!["lint-gates"]);
-}
-
-// ---------------------------------------------------------------------
-// Layering and the lossy-cast ratchet, on `tests/fixtures/upward-edge`.
+// Layering, the `#[expect]` ledger and the line-level rules, on
+// `tests/fixtures/upward-edge`.
 // ---------------------------------------------------------------------
 
 /// The `upward-edge` fixture with its intentional upward edge removed.
@@ -340,6 +127,36 @@ fn upward_edge_without_the_edge(tag: &str) -> PathBuf {
     )
     .expect("fixture write");
     root
+}
+
+/// The clean `upward-edge` fixture whose `sim` member's lib.rs is a
+/// crate doc followed by `body`, linted with the `sim` ratchet baseline
+/// `sim_baseline` (`key = count` lines; unlisted keys count as 0).
+fn lint_sim(tag: &str, body: &str, sim_baseline: &str) -> LintReport {
+    let root = upward_edge_without_the_edge(tag);
+    fs::write(
+        root.join("crates/sim/src/lib.rs"),
+        format!("//! Fixture crate.\n\n{body}"),
+    )
+    .expect("fixture write");
+    fs::write(
+        root.join("xtask-ratchet.toml"),
+        format!("[crate.graph]\n[crate.sim]\n{sim_baseline}\n[crate.suite]\n"),
+    )
+    .expect("fixture write");
+    lint(&root)
+}
+
+/// The distinct rules a report hit, sorted.
+fn rules_hit(report: &LintReport) -> Vec<&str> {
+    let mut rules: Vec<&str> = report
+        .violations
+        .iter()
+        .map(|(_, v)| v.rule.as_str())
+        .collect();
+    rules.sort_unstable();
+    rules.dedup();
+    rules
 }
 
 /// The 1-based number of the first line of `text` containing `needle`.
@@ -394,42 +211,85 @@ fn a_crate_missing_from_the_layer_map_fails_closed() {
 }
 
 #[test]
-fn a_lossy_cast_above_the_ratchet_fails_and_an_allow_suppresses_it() {
-    // Without the fixture's upward edge the cast is the only finding.
-    let root = upward_edge_without_the_edge("cast");
-    let lib = root.join("crates/sim/src/lib.rs");
-    let header = "//! Fixture crate.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n\n";
-    let src = format!("{header}/// Doc.\npub fn f(n: usize) -> u32 {{\n    n as u32\n}}\n");
-    fs::write(&lib, &src).expect("fixture write");
-    let report = lint(&root);
+fn a_cast_expect_above_the_ratchet_fails_and_names_its_site() {
+    let body = "/// Doc.\npub fn f(n: usize) -> u32 {\n    \
+                #[expect(clippy::cast_possible_truncation, reason = \"fixture\")]\n    \
+                let id = n as u32;\n    id\n}\n";
+    let report = lint_sim("cast", body, "");
     let hits = of_rule(&report, "ratchet");
     assert_eq!(hits.len(), 1, "{:#?}", report.violations);
     let message = &hits[0].1.message;
     assert!(
-        message.contains("`sim`") && message.contains("rose to 1"),
+        message.contains("`sim`") && message.contains("lossy-cast count rose to 1"),
         "{message}"
     );
-    assert_eq!(report.cast_counts["sim"].lossy, 1);
-    // The failure names the site.
+    assert_eq!(report.ratchet["sim"]["lossy-cast"], 1);
+    // The failure names the site (two lines of crate doc precede `body`).
     let site = format!(
-        "crates/sim/src/lib.rs:{}: as u32",
-        line_of(&src, "n as u32")
+        "crates/sim/src/lib.rs:{}: #[expect(clippy::cast_possible_truncation)]",
+        line_of(body, "#[expect(") + 2
     );
     assert!(message.contains(&site), "{message}");
+    // At a baseline of 2 the count is an improvement, not a failure.
+    let report = lint_sim("cast-2", body, "lossy-cast = 2");
+    assert!(report.is_clean(), "{:#?}", report.violations);
+    assert_eq!(report.improvements.len(), 1);
+}
 
-    // An allow directive with a reason moves the site out of the count.
+#[test]
+fn test_module_expects_are_not_counted() {
+    let body = "/// Doc.\npub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    \
+                #[expect(clippy::unwrap_used, reason = \"fixture\")]\n    \
+                fn t(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
+    let report = lint_sim("testmod", body, "");
+    assert!(report.is_clean(), "{:#?}", report.violations);
+}
+
+#[test]
+fn a_crate_wide_expect_of_a_ratcheted_lint_fails() {
+    let body = "#![expect(clippy::cast_possible_truncation, reason = \"wholesale\")]\n";
+    let report = lint_sim("scope", body, "");
+    let hits = of_rule(&report, "expect-scope");
+    assert_eq!(hits.len(), 1, "{:#?}", report.violations);
+    assert_eq!(hits[0].0.as_str(), "crates/sim/src/lib.rs");
+    assert_eq!(hits[0].1.line, 3);
+    // It is rejected, not counted: nothing else fires.
+    assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+}
+
+#[test]
+fn unmessaged_expect_fails() {
+    let body = "/// Doc.\npub fn f(x: Option<u32>) -> u32 { x.expect(\"\") }\n";
+    assert_eq!(
+        rules_hit(&lint_sim("expectmsg", body, "")),
+        vec!["expect-message"]
+    );
+}
+
+#[test]
+fn hot_loop_allocation_fails_unless_allowed() {
+    let body = "/// Doc.\npub fn f() -> Vec<u32> {\n    // xtask: hot-loop-begin\n    \
+                let v = Vec::new();\n    // xtask: hot-loop-end\n    v\n}\n";
+    assert_eq!(
+        rules_hit(&lint_sim("hotloop", body, "")),
+        vec!["hot-loop-alloc"]
+    );
+    let allowed = body.replace(
+        "    let v",
+        "    // xtask: allow(hot-loop-alloc) — fixture demonstrating the escape hatch\n    let v",
+    );
+    assert!(lint_sim("hotloop-allow", &allowed, "").is_clean());
+}
+
+#[test]
+fn manifest_without_lints_inheritance_fails() {
+    let root = upward_edge_without_the_edge("manifest");
     fs::write(
-        &lib,
-        format!(
-            "{header}/// Doc.\npub fn f(n: usize) -> u32 {{\n    \
-             // xtask: allow(lossy-cast) — fixture invariant\n    n as u32\n}}\n"
-        ),
+        root.join("crates/sim/Cargo.toml"),
+        "[package]\nname = \"rfc-sim\"\n",
     )
     .expect("fixture write");
-    let report = lint(&root);
-    assert!(report.is_clean(), "{:#?}", report.violations);
-    assert_eq!(report.cast_counts["sim"].lossy, 0);
-    assert_eq!(report.cast_counts["sim"].allowed, 1);
+    assert_eq!(rules_hit(&lint(&root)), vec!["lint-gates"]);
 }
 
 // ---------------------------------------------------------------------
@@ -451,8 +311,12 @@ fn the_committed_fixture_is_conc_clean() {
     let root = fixture_copy("conc-clean", "clean");
     let report = lint(&root);
     assert!(report.is_clean(), "{:#?}", report.violations);
-    let engine = &report.sync_counts["engine"];
-    assert_eq!((engine.lock, engine.atomic), (2, 3), "tally drifted");
+    let engine = &report.ratchet["engine"];
+    assert_eq!(
+        (engine["sync-lock"], engine["sync-atomic"]),
+        (2, 3),
+        "tally drifted"
+    );
 }
 
 #[test]
@@ -627,39 +491,179 @@ fn a_missing_allowlist_fails_closed() {
 
 #[test]
 fn one_run_reports_a_violation_of_every_check() {
-    // `upward-edge` keeps its upward edge; its `sim` crate gains a
-    // HashMap (determinism rule), a lossy cast over the zero baseline
-    // and an unlisted Relaxed ordering.
+    // `upward-edge` keeps its upward edge; its `sim` crate gains an
+    // unlisted Relaxed ordering.
     let root = fixture_copy("upward-edge", "every-check");
-    let lib = "//! Fixture crate.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n\n\
-               /// Doc.\npub fn f(n: usize) -> u32 {\n    \
-               let _m = std::collections::HashMap::<u32, u32>::new();\n    n as u32\n}\n\n\
+    let lib = "//! Fixture crate.\n\n\
                /// Doc.\npub fn g(c: &Counter) -> usize {\n    c.load(Ordering::Relaxed)\n}\n";
     fs::write(root.join("crates/sim/src/lib.rs"), lib).expect("fixture write");
 
-    let report = run_lint(&root, false).expect("lint must run");
-    let mut found: Vec<(&str, &str, &str)> = report
+    let report = lint(&root);
+    let mut found: Vec<(&str, &str)> = report
         .violations
         .iter()
-        .map(|(path, v)| {
-            let what = if v.message.contains("lossy-cast count rose to 1") {
-                "lossy-cast"
-            } else {
-                ""
-            };
-            (v.rule.as_str(), path.as_str(), what)
-        })
+        .map(|(path, v)| (v.rule.as_str(), path.as_str()))
         .collect();
     found.sort();
     assert_eq!(
         found,
         vec![
-            ("hash-collections", "crates/sim/src/lib.rs", ""),
-            ("layering", "crates/graph/Cargo.toml", ""),
-            ("ratchet", "xtask-ratchet.toml", "lossy-cast"),
-            ("relaxed-ordering", "crates/sim/src/lib.rs", ""),
+            ("layering", "crates/graph/Cargo.toml"),
+            ("relaxed-ordering", "crates/sim/src/lib.rs"),
         ],
         "{:#?}",
         report.violations
+    );
+}
+
+// ---------------------------------------------------------------------
+// The rules clippy enforces, on a fixture crate under the real
+// workspace's lint configuration.
+// ---------------------------------------------------------------------
+
+/// One planted violation of every rule clippy enforces, one item per
+/// line: a `HashMap` behind an alias, a `HashSet`, a wall-clock read,
+/// usize → u32, u64 → usize and f64 → usize casts, `unwrap`, `expect`,
+/// `panic!`, `unreachable!`, a reason-less `#[expect]`, an `#[allow]`
+/// and an unfulfilled `#[expect]`.
+const PLANTED: &str = "\
+pub fn a() -> usize { use std::collections::HashMap as M; M::<u8, u8>::new().len() }
+pub fn b() -> usize { std::collections::HashSet::<u8>::new().len() }
+pub fn c() -> std::time::Instant { std::time::Instant::now() }
+pub fn d(n: usize) -> u32 { n as u32 }
+pub fn e(n: u64) -> usize { n as usize }
+pub fn f(x: f64) -> usize { x as usize }
+pub fn g(x: Option<u8>) -> u8 { x.unwrap() }
+pub fn h(x: Option<u8>) -> u8 { x.expect(\"m\") }
+pub fn i() { panic!(\"p\") }
+pub fn j() { unreachable!() }
+#[expect(clippy::cast_possible_truncation)] pub fn k(n: u64) -> u32 { n as u32 }
+#[allow(clippy::cast_possible_truncation, reason = \"r\")] pub fn l(n: u64) -> u32 { n as u32 }
+#[expect(clippy::cast_possible_truncation, reason = \"r\")] pub fn m(n: u32) -> u64 { u64::from(n) }";
+
+/// A fragment of clippy's diagnostic for each line of [`PLANTED`].
+const DIAGNOSTICS: [&str; 13] = [
+    "disallowed type `std::collections::HashMap`",
+    "disallowed type `std::collections::HashSet`",
+    "disallowed method `std::time::Instant::now`",
+    "casting `usize` to `u32` may truncate",
+    "casting `u64` to `usize` may truncate",
+    "casting `f64` to `usize` may lose the sign",
+    "used `unwrap()`",
+    "used `expect()`",
+    "`panic` should not be present",
+    "usage of the `unreachable!` macro",
+    "`expect` attribute without specifying a reason",
+    "#[allow] attribute found",
+    "this lint expectation is unfulfilled",
+];
+
+/// [`PLANTED`] with every site under a reasoned `#[expect]`.
+const REASONED: &str = "\
+#[expect(clippy::disallowed_types, reason = \"r\")] pub fn a() -> usize { use std::collections::HashMap as M; M::<u8, u8>::new().len() }
+#[expect(clippy::disallowed_types, reason = \"r\")] pub fn b() -> usize { std::collections::HashSet::<u8>::new().len() }
+#[expect(clippy::disallowed_methods, reason = \"r\")] pub fn c() -> std::time::Instant { std::time::Instant::now() }
+#[expect(clippy::cast_possible_truncation, reason = \"r\")] pub fn d(n: usize) -> u32 { n as u32 }
+#[expect(clippy::cast_possible_truncation, reason = \"r\")] pub fn e(n: u64) -> usize { n as usize }
+#[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = \"r\")] pub fn f(x: f64) -> usize { x as usize }
+#[expect(clippy::unwrap_used, reason = \"r\")] pub fn g(x: Option<u8>) -> u8 { x.unwrap() }
+#[expect(clippy::expect_used, reason = \"r\")] pub fn h(x: Option<u8>) -> u8 { x.expect(\"m\") }
+#[expect(clippy::panic, reason = \"r\")] pub fn i() { panic!(\"p\") }
+#[expect(clippy::unreachable, reason = \"r\")] pub fn j() { unreachable!() }
+#[expect(clippy::cast_possible_truncation, reason = \"r\")] pub fn k(n: u64) -> u32 { n as u32 }
+#[expect(clippy::cast_possible_truncation, reason = \"r\")] pub fn l(n: u64) -> u32 { n as u32 }
+pub fn m(n: u32) -> u64 { u64::from(n) }";
+
+/// The workspace lint tables of the root manifest, verbatim.
+fn workspace_lint_tables() -> String {
+    let manifest = fs::read_to_string(repo_root().join("Cargo.toml")).expect("root manifest");
+    let mut tables = String::new();
+    let mut inside = false;
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            inside = line.starts_with("[workspace.lints");
+        }
+        if inside {
+            tables.push_str(line);
+            tables.push('\n');
+        }
+    }
+    assert!(
+        tables.contains("[workspace.lints.clippy]"),
+        "the root manifest lost its clippy lint table"
+    );
+    tables
+}
+
+/// Runs `cargo clippy -- -D warnings` on a one-file crate, each line of
+/// `items` under its own doc line, whose lint table and `clippy.toml`
+/// are the real workspace's. Returns whether it passed and each
+/// `(line, message)` clippy reported in `src/lib.rs`.
+fn clippy_on(tag: &str, items: &str) -> (bool, Vec<(usize, String)>) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("clippy-fixture-{tag}"));
+    fs::create_dir_all(root.join("src")).expect("fixture mkdir");
+    fs::write(
+        root.join("Cargo.toml"),
+        format!(
+            "[package]\nname = \"clippy-fixture\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\
+             publish = false\n\n[lints]\nworkspace = true\n\n[workspace]\n\n{}",
+            workspace_lint_tables()
+        ),
+    )
+    .expect("fixture write");
+    fs::copy(repo_root().join("clippy.toml"), root.join("clippy.toml")).expect("clippy.toml");
+    let mut lib = String::from("//! Clippy fixture.\n");
+    for item in items.lines() {
+        lib.push_str("/// Plant.\n");
+        lib.push_str(item);
+        lib.push('\n');
+    }
+    fs::write(root.join("src/lib.rs"), lib).expect("fixture write");
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--quiet", "--message-format=short"])
+        .arg("--target-dir")
+        .arg(root.join("target"))
+        .args(["--", "-D", "warnings"])
+        .current_dir(&root)
+        .output()
+        .expect("cargo runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("no such command"),
+        "clippy is not installed; this test needs it:\n{stderr}"
+    );
+    let reported = stderr
+        .lines()
+        .filter_map(|l| {
+            let (line, message) = l.strip_prefix("src/lib.rs:")?.split_once(':')?;
+            Some((line.parse().ok()?, message.to_string()))
+        })
+        .collect();
+    (out.status.success(), reported)
+}
+
+#[test]
+fn clippy_reports_every_moved_rule_at_its_line() {
+    let (passed, reported) = clippy_on("planted", PLANTED);
+    assert!(!passed, "the planted fixture must fail clippy");
+    for (i, diagnostic) in DIAGNOSTICS.iter().enumerate() {
+        // Line 1 is the crate doc; each plant follows its own doc line.
+        let line = 3 + 2 * i;
+        assert!(
+            reported
+                .iter()
+                .any(|(l, m)| *l == line && m.contains(diagnostic)),
+            "`{diagnostic}` not reported at line {line}; clippy said: {reported:#?}"
+        );
+    }
+    assert!(
+        reported.iter().all(|(l, _)| *l >= 3 && (*l - 3) % 2 == 0),
+        "clippy flagged a line outside the plants: {reported:#?}"
+    );
+
+    let (passed, reported) = clippy_on("reasoned", REASONED);
+    assert!(
+        passed,
+        "the reasoned fixture must pass clippy: {reported:#?}"
     );
 }

@@ -6,6 +6,12 @@
 //! cargo run --release --example fault_drill
 //! ```
 
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "a fraction in [0, 1] of a link count"
+)]
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

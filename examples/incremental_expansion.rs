@@ -7,6 +7,11 @@
 //! cargo run --release --example incremental_expansion
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "the example's fixed radix and level count are feasible"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

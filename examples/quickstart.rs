@@ -5,9 +5,16 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the example's fixed network is feasible and connected"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use rfc_net::graph::vid;
 use rfc_net::routing::RoutingOracle;
 use rfc_net::scenarios::rfc_with_updown;
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
@@ -40,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Routing: ECMP candidates and one sampled up/down path.
     let routing = UpDownRouting::new(&net);
     assert!(routing.has_updown_property());
-    let (a, b) = (0u32, (net.num_leaves() - 1) as u32);
+    let (a, b) = (0u32, vid(net.num_leaves() - 1));
     let hops = routing.next_hops(a, b);
     let path = routing.sample_path(a, b, &mut rng).expect("connected");
     println!(

@@ -7,19 +7,21 @@
 //! cargo run --release --example topology_explorer > /tmp/rfc.dot
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "the example's fixed radix and level count are feasible"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rfc_net::graph::traversal;
+use rfc_net::graph::{traversal, vid};
 use rfc_net::theory;
 use rfc_net::topology::{FoldedClos, Network, Rrn};
 
 fn scorecard(label: &str, net: &dyn Network, leaf_diameter: Option<u32>) {
     let graph = net.switch_graph();
-    let sources: Vec<u32> = (0..graph.num_vertices() as u32)
-        .step_by(7)
-        .take(16)
-        .collect();
+    let sources: Vec<u32> = (0..vid(graph.num_vertices())).step_by(7).take(16).collect();
     let mean = traversal::mean_distance_sampled(&graph, &sources)
         .map_or_else(|| "-".into(), |d| format!("{d:.2}"));
     println!(

@@ -4,7 +4,4 @@
 //! (`tests/`) and runnable examples (`examples/`); all functionality
 //! lives in [`rfc_net`] and the crates it re-exports.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use rfc_net;

@@ -1,6 +1,12 @@
 //! End-to-end tests of the `rfcgen` command-line tool through its
 //! library interface.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a failed expectation about the CLI is a failed test"
+)]
+
 fn run(args: &[&str]) -> Result<String, String> {
     let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     let mut buf = Vec::new();

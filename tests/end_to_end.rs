@@ -1,9 +1,15 @@
 //! End-to-end integration: every topology family is built, routed, and
 //! simulated through the public API.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test fixtures use small, known-valid parameters; a failure is a failed test"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use rfc_net::graph::vid;
 use rfc_net::routing::{ksp, RoutingOracle, ShortestPathOracle};
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_net::topology::{FoldedClos, Network, Rrn};
@@ -141,8 +147,8 @@ fn oracle_progress_terminates_for_random_walks() {
     let routing = UpDownRouting::new(&clos);
     use rand::Rng;
     for _ in 0..200 {
-        let a = rng.gen_range(0..clos.num_leaves()) as u32;
-        let b = rng.gen_range(0..clos.num_leaves()) as u32;
+        let a = vid(rng.gen_range(0..clos.num_leaves()));
+        let b = vid(rng.gen_range(0..clos.num_leaves()));
         let mut current = a;
         let mut hops = 0;
         while current != b {

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rfc_net::graph::random::{random_bipartite, random_regular};
-use rfc_net::graph::Csr;
+use rfc_net::graph::{vid, Csr};
 use rfc_net::routing::RoutingOracle;
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_net::topology::FoldedClos;
@@ -27,7 +27,7 @@ proptest! {
         let adj = random_regular(n, d, &mut rng).unwrap();
         let g = Csr::from_adjacency(&adj);
         prop_assert!(g.is_regular(d));
-        for v in 0..n as u32 {
+        for v in 0..vid(n) {
             prop_assert!(!g.has_edge(v, v), "self loop at {v}");
             let nb = g.neighbors(v);
             for w in nb.windows(2) {
@@ -90,8 +90,8 @@ proptest! {
         prop_assume!(routing.has_updown_property());
         use rand::Rng;
         for _ in 0..20 {
-            let a = rng.gen_range(0..n1) as u32;
-            let b = rng.gen_range(0..n1) as u32;
+            let a = vid(rng.gen_range(0..n1));
+            let b = vid(rng.gen_range(0..n1));
             let mut cur = a;
             let mut hops = 0usize;
             while cur != b {
@@ -141,7 +141,7 @@ proptest! {
         let faulty = net.with_links_removed(&victims);
         let before = UpDownRouting::new(&net);
         let after = UpDownRouting::new(&faulty);
-        for leaf in 0..net.num_leaves() as u32 {
+        for leaf in 0..vid(net.num_leaves()) {
             prop_assert!(
                 before.updown_reach(leaf).is_superset(after.updown_reach(leaf)),
                 "faults must not create reachability"
