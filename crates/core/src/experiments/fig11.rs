@@ -35,9 +35,9 @@ pub struct TolerancePoint {
 /// maximum.
 pub const SIZE_FRACTIONS: [f64; 3] = [0.3, 0.6, 0.9];
 
-/// [`mean_updown_tolerance`](rfc_routing::fault::mean_updown_tolerance)
-/// with the independent removal orders fanned out over the worker pool,
-/// one child RNG per trial.
+/// Mean tolerated fraction over `trials` independent removal orders
+/// ([`updown_tolerance_trial`]), fanned out over the worker pool with one
+/// child RNG per trial.
 fn parallel_mean_tolerance<R: Rng + ?Sized>(net: &FoldedClos, trials: usize, rng: &mut R) -> f64 {
     if trials == 0 {
         return 0.0;

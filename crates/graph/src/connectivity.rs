@@ -153,43 +153,30 @@ impl DisconnectionTrial {
 /// removals first disconnect the graph (the methodology of the paper's
 /// Table 3, following the Slim Fly resiliency study).
 ///
-/// Uses binary search over removal prefixes with a union-find rebuild per
-/// probe, so a trial costs `O(E α(V) log E)`.
+/// One reverse pass: adding the shuffled links back from the last one, the
+/// first link `order[k]` that connects the graph is the removal that first
+/// disconnected it, so a trial costs `O(E α(V))`.
 ///
-/// Returns `None` if the intact graph is already disconnected or has no
-/// edges.
+/// Returns `None` if the intact graph is already disconnected, has no
+/// edges, or has at most one vertex (it cannot disconnect).
 pub fn disconnection_trial<R: Rng + ?Sized>(
     n: usize,
     edges: &[(u32, u32)],
     rng: &mut R,
 ) -> Option<DisconnectionTrial> {
-    if edges.is_empty() || !is_connected_edges(n, edges) {
+    if n <= 1 || edges.is_empty() || !is_connected_edges(n, edges) {
         return None;
     }
     let mut order: Vec<(u32, u32)> = edges.to_vec();
     order.shuffle(rng);
-    // connected(k) = graph with the first k links removed is connected.
-    // Monotone: more removals can only disconnect further. Find the smallest
-    // k with !connected(k).
-    let (mut lo, mut hi) = (0usize, order.len()); // connected(lo), !connected(hi)
-    if is_connected_edges(n, &[]) {
-        // Single-vertex graphs never disconnect; guarded by edges.is_empty()
-        // above for n <= 1, but keep the invariant explicit.
-        if n <= 1 {
-            return None;
-        }
-    }
-    debug_assert!(!is_connected_edges(n, &order[order.len()..]));
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if is_connected_edges(n, &order[mid..]) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
+    let mut ds = DisjointSets::new(n);
+    let k = (0..order.len()).rev().find(|&k| {
+        let (u, v) = order[k];
+        ds.union(u, v);
+        ds.num_sets() == 1
+    })?;
     Some(DisconnectionTrial {
-        removals: hi,
+        removals: k + 1,
         total_links: order.len(),
     })
 }
@@ -256,5 +243,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(disconnection_trial(3, &[(0, 1)], &mut rng).is_none());
         assert!(disconnection_trial(2, &[], &mut rng).is_none());
+        assert!(disconnection_trial(1, &[(0, 0)], &mut rng).is_none());
     }
 }

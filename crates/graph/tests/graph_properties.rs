@@ -2,10 +2,14 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use rfc_graph::bisection::{cut_width, estimate_bisection_width, random_balanced_partition};
-use rfc_graph::connectivity::{components, disconnection_trial, is_connected, DisjointSets};
+use rfc_graph::connectivity::{
+    components, disconnection_trial, is_connected, is_connected_edges, DisconnectionTrial,
+    DisjointSets,
+};
 use rfc_graph::random::random_regular;
 use rfc_graph::traversal::{bfs_distances, diameter, UNREACHABLE};
 use rfc_graph::{vid, BitSet, Csr};
@@ -24,6 +28,33 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
             edges.dedup();
             (n, edges)
         })
+    })
+}
+
+/// The bisection `disconnection_trial` used to run: a union-find rebuild
+/// per probed suffix, same shuffle, `O(E α(V) log E)`.
+fn bisection_disconnection_reference(
+    n: usize,
+    edges: &[(u32, u32)],
+    rng: &mut StdRng,
+) -> Option<DisconnectionTrial> {
+    if n <= 1 || edges.is_empty() || !is_connected_edges(n, edges) {
+        return None;
+    }
+    let mut order: Vec<(u32, u32)> = edges.to_vec();
+    order.shuffle(rng);
+    let (mut lo, mut hi) = (0usize, order.len()); // connected(lo), !connected(hi)
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if is_connected_edges(n, &order[mid..]) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(DisconnectionTrial {
+        removals: hi,
+        total_links: order.len(),
     })
 }
 
@@ -78,6 +109,18 @@ proptest! {
             prop_assert!(t.fraction() > 0.0 && t.fraction() <= 1.0);
         } else {
             prop_assert!(edges.is_empty() || !rfc_graph::connectivity::is_connected_edges(n, &edges));
+        }
+    }
+
+    #[test]
+    fn disconnection_trial_matches_bisection_reference((n, edges) in arb_graph(), seed in 0u64..500) {
+        let mut rng_a = StdRng::seed_from_u64(seed);
+        let mut rng_b = StdRng::seed_from_u64(seed);
+        for _ in 0..3 {
+            prop_assert_eq!(
+                disconnection_trial(n, &edges, &mut rng_a),
+                bisection_disconnection_reference(n, &edges, &mut rng_b)
+            );
         }
     }
 

@@ -8,20 +8,18 @@
 //! (positive `x`) buys tolerance — scalability traded for
 //! fault-tolerance.
 //!
-//! The binary search runs on the incremental repair path: a
-//! [`LiveClos`] overlay and one [`UpDownRouting`] table are *seeked*
-//! through the shuffled removal prefix by applying/reverting link
-//! events ([`UpDownRouting::apply_event`]), instead of cloning the
-//! topology and rebuilding the table from scratch at every probe. The
-//! repaired table is byte-identical to a fresh build at every prefix,
-//! so trial results are unchanged.
-
-use std::collections::BTreeMap;
+//! The property only weakens as the removal prefix grows, so a trial
+//! gallops over prefixes (k = 1, 2, 4, … until the property fails) and
+//! bisects the last gap: at most 2·⌊log₂ t⌋ + 2 probes for tolerance
+//! `t`, each one fresh [`UpDownRouting`] build on
+//! [`FoldedClos::with_links_removed`]. Most trials tolerate few links, so
+//! this beats walking one table through the removals by incremental
+//! repair: about 2·`total` repairs per trial, whatever the answer.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
+use rfc_topology::{FoldedClos, Link};
 
 use crate::UpDownRouting;
 
@@ -46,123 +44,51 @@ impl ToleranceTrial {
     }
 }
 
-/// A live network plus routing table positioned at some removal prefix
-/// of a shuffled link list, moved by incremental link events.
-///
-/// `down_count` tracks multiplicity: the link list enumerates parallel
-/// copies individually, but a single fail event removes them all
-/// (matching [`FoldedClos::with_links_removed`] on the prefix), so the
-/// fail fires when the first copy enters the prefix and the recover
-/// when the last copy leaves it.
-struct PrefixSeeker {
-    live: LiveClos,
-    routing: UpDownRouting,
-    down_count: BTreeMap<Link, usize>,
-    applied: usize,
-}
-
-impl PrefixSeeker {
-    fn new(clos: &FoldedClos, routing: UpDownRouting) -> Self {
-        PrefixSeeker {
-            live: LiveClos::new(clos),
-            routing,
-            down_count: BTreeMap::new(),
-            applied: 0,
+/// Largest `k` in `0..=total` with `holds(k)`, for a predicate that holds
+/// at 0 and, once false, stays false. Gallops up through k = 1, 2, 4, …
+/// (capped at `total`) until `holds` fails, then bisects the last gap,
+/// so tolerance `t` costs at most 2·⌊log₂ t⌋ + 2 calls (one when t = 0).
+fn largest_holding_prefix(total: usize, mut holds: impl FnMut(usize) -> bool) -> usize {
+    let mut lo = 0; // holds(lo)
+    let mut hi = loop {
+        if lo == total {
+            return total;
         }
-    }
-
-    /// Moves the removal prefix to `links[..target]`, applying fail
-    /// events forward or recover events backward (in reverse order).
-    fn seek(&mut self, links: &[Link], target: usize) {
-        while self.applied < target {
-            let l = links[self.applied];
-            let c = self.down_count.entry(l).or_insert(0);
-            *c += 1;
-            if *c == 1 {
-                let ev = LinkEvent::fail(l);
-                if self.live.apply(&ev) {
-                    self.routing.apply_event(self.live.current(), &ev);
-                }
-            }
-            self.applied += 1;
+        let k = (2 * lo).clamp(1, total);
+        if !holds(k) {
+            break k;
         }
-        while self.applied > target {
-            self.applied -= 1;
-            let l = links[self.applied];
-            let mut gone = false;
-            if let Some(c) = self.down_count.get_mut(&l) {
-                *c -= 1;
-                gone = *c == 0;
-            }
-            if gone {
-                self.down_count.remove(&l);
-                let ev = LinkEvent::recover(l);
-                if self.live.apply(&ev) {
-                    self.routing.apply_event(self.live.current(), &ev);
-                }
-            }
-        }
-    }
-
-    /// Whether the up/down property holds with `links[..k]` removed.
-    fn holds(&mut self, links: &[Link], k: usize) -> bool {
-        self.seek(links, k);
-        self.routing.has_updown_property()
-    }
-}
-
-/// Runs one tolerance trial: shuffles the link list and binary-searches
-/// the largest removal prefix preserving the up/down property (which is
-/// monotone in the removal prefix).
-pub fn updown_tolerance_trial<R: Rng + ?Sized>(clos: &FoldedClos, rng: &mut R) -> ToleranceTrial {
-    let mut links: Vec<Link> = clos.links();
-    let total = links.len();
-    links.shuffle(rng);
-    let routing = UpDownRouting::new(clos);
-    if !routing.has_updown_property() {
-        return ToleranceTrial {
-            tolerated: 0,
-            total_links: total,
-        };
-    }
-    let mut seeker = PrefixSeeker::new(clos, routing);
-    // property(k) = up/down holds with the first k links removed.
-    // property(0) = true; find the largest k with property(k).
-    if seeker.holds(&links, total) {
-        return ToleranceTrial {
-            tolerated: total,
-            total_links: total,
-        };
-    }
-    let (mut lo, mut hi) = (0usize, total); // holds(lo), !holds(hi)
+        lo = k;
+    };
     while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if seeker.holds(&links, mid) {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    ToleranceTrial {
-        tolerated: lo,
-        total_links: total,
-    }
+    lo
 }
 
-/// Mean tolerated fraction over `trials` random removal orders.
-pub fn mean_updown_tolerance<R: Rng + ?Sized>(
-    clos: &FoldedClos,
-    trials: usize,
-    rng: &mut R,
-) -> f64 {
-    if trials == 0 {
-        return 0.0;
+/// Runs one tolerance trial: shuffles the link list and searches for the
+/// largest removal prefix preserving the up/down property (which is
+/// monotone in the removal prefix).
+pub fn updown_tolerance_trial<R: Rng + ?Sized>(clos: &FoldedClos, rng: &mut R) -> ToleranceTrial {
+    let mut links: Vec<Link> = clos.links();
+    let total = links.len();
+    links.shuffle(rng);
+    let tolerated = if UpDownRouting::new(clos).has_updown_property() {
+        largest_holding_prefix(total, |k| {
+            UpDownRouting::new(&clos.with_links_removed(&links[..k])).has_updown_property()
+        })
+    } else {
+        0
+    };
+    ToleranceTrial {
+        tolerated,
+        total_links: total,
     }
-    let mut acc = 0.0;
-    for _ in 0..trials {
-        acc += updown_tolerance_trial(clos, rng).fraction();
-    }
-    acc / trials as f64
 }
 
 #[cfg(test)]
@@ -170,6 +96,14 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Mean tolerated fraction over `trials` removal orders drawn from `rng`.
+    fn mean_fraction(net: &FoldedClos, trials: usize, rng: &mut StdRng) -> f64 {
+        let sum: f64 = (0..trials)
+            .map(|_| updown_tolerance_trial(net, rng).fraction())
+            .sum();
+        sum / trials as f64
+    }
 
     #[test]
     fn cft_tolerates_some_faults() {
@@ -200,8 +134,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let generous = FoldedClos::random(16, 32, 2, &mut rng).unwrap();
         let tight = FoldedClos::random(6, 32, 2, &mut rng).unwrap();
-        let g = mean_updown_tolerance(&generous, 5, &mut rng);
-        let t = mean_updown_tolerance(&tight, 5, &mut rng);
+        let g = mean_fraction(&generous, 5, &mut rng);
+        let t = mean_fraction(&tight, 5, &mut rng);
         assert!(g > t, "generous {g} vs tight {t}");
     }
 
@@ -214,13 +148,76 @@ mod tests {
             t.tolerated, 0,
             "below-threshold RFC lacks the property outright"
         );
-        assert_eq!(mean_updown_tolerance(&net, 3, &mut rng), 0.0);
+        assert_eq!(mean_fraction(&net, 3, &mut rng), 0.0);
     }
 
     #[test]
-    fn incremental_search_matches_full_rebuild_reference() {
-        // The seeked trial must agree with the original clone-and-rebuild
-        // formulation probe for probe (same shuffle, same midpoints).
+    fn gallop_probes_logarithmically_many_prefixes() {
+        // The exact work count behind a trial's cost: tolerance t takes
+        // 2·⌊log₂ t⌋ + 2 probes (1 for t = 0), and exactly that many
+        // whenever the gallop overshoots t without hitting `total`.
+        let bound = |t: usize| t.checked_ilog2().map_or(1, |m| 2 * m as usize + 2);
+        for total in 0..=300 {
+            for t in 0..=total {
+                let mut calls = 0;
+                let found = largest_holding_prefix(total, |k| {
+                    assert!((1..=total).contains(&k), "probe {k} of {total}");
+                    calls += 1;
+                    k <= t
+                });
+                assert_eq!(found, t, "total {total}");
+                assert!(calls <= bound(t), "t {t} of {total}: {calls} calls");
+                assert!(total > 0 || calls == 0);
+                if total >= (t + 1).next_power_of_two() {
+                    assert_eq!(calls, bound(t), "t {t} of {total}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trial_matches_linear_scan_oracle() {
+        // Independent of any search order: rebuild at k = 0, 1, 2, … and
+        // stop at the first prefix that breaks the property.
+        let linear_scan = |clos: &FoldedClos, rng: &mut StdRng| -> ToleranceTrial {
+            let mut links: Vec<Link> = clos.links();
+            let total_links = links.len();
+            links.shuffle(rng);
+            let holding = (0..=total_links)
+                .take_while(|&k| {
+                    UpDownRouting::new(&clos.with_links_removed(&links[..k])).has_updown_property()
+                })
+                .count();
+            ToleranceTrial {
+                tolerated: holding.saturating_sub(1),
+                total_links,
+            }
+        };
+        let mut rng_a = StdRng::seed_from_u64(91);
+        let mut rng_b = StdRng::seed_from_u64(91);
+        let broken = FoldedClos::random(4, 64, 2, &mut StdRng::seed_from_u64(4)).unwrap();
+        assert!(!UpDownRouting::new(&broken).has_updown_property());
+        let nets = [
+            FoldedClos::cft(6, 3).unwrap(),
+            FoldedClos::oft(3, 2).unwrap(),
+            broken,
+            FoldedClos::random(8, 24, 3, &mut StdRng::seed_from_u64(5)).unwrap(),
+            FoldedClos::random(8, 24, 3, &mut StdRng::seed_from_u64(6)).unwrap(),
+        ];
+        for net in &nets {
+            for _ in 0..2 {
+                assert_eq!(
+                    updown_tolerance_trial(net, &mut rng_a),
+                    linear_scan(net, &mut rng_b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_search_matches_bisection_reference() {
+        // The galloping trial must agree with the original clone-and-rebuild
+        // bisection from `total` (same shuffle, a different probe order).
         let reference = |clos: &FoldedClos, rng: &mut StdRng| -> ToleranceTrial {
             let mut links: Vec<Link> = clos.links();
             let total = links.len();
