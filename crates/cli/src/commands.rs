@@ -296,15 +296,12 @@ pub fn analyze(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
+/// The pattern whose [`TrafficPattern::as_str`] name is `name`.
 fn parse_traffic(name: &str) -> Result<TrafficPattern, CliError> {
-    match name {
-        "uniform" => Ok(TrafficPattern::Uniform),
-        "random-pairing" => Ok(TrafficPattern::RandomPairing),
-        "fixed-random" => Ok(TrafficPattern::FixedRandom),
-        "shuffle" => Ok(TrafficPattern::Shuffle),
-        "all-to-one" => Ok(TrafficPattern::AllToOne),
-        other => Err(CliError::Usage(format!("unknown --traffic `{other}`"))),
-    }
+    TrafficPattern::EVERY
+        .into_iter()
+        .find(|p| p.as_str() == name)
+        .ok_or_else(|| CliError::Usage(format!("unknown --traffic `{name}`")))
 }
 
 /// Applies `--cycles`, `--warmup`, `--router-latency` and `--valiant`
@@ -336,6 +333,25 @@ pub(crate) fn sim_config(parsed: &Parsed, base: SimConfig) -> Result<SimConfig, 
     Ok(config)
 }
 
+/// Writes a warning line, after `prefix`, when `routing` lacks the full
+/// up/down property: the simulator then refuses unroutable packets.
+fn warn_if_not_updown(
+    routing: &UpDownRouting,
+    prefix: &str,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    if routing.has_updown_property() {
+        return Ok(());
+    }
+    writeln!(
+        out,
+        "{prefix}warning: topology lacks the full up/down property \
+         ({:.4} of leaf pairs connected); unroutable packets are refused",
+        routing.connected_pair_fraction()
+    )
+    .map_err(io_err)
+}
+
 /// `rfcgen simulate`: one simulator run on the topology.
 ///
 /// # Errors
@@ -349,15 +365,7 @@ pub fn simulate(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
     let clos = require_clos(build(parsed)?, "simulate")?;
     let routing = UpDownRouting::new(&clos);
-    if !routing.has_updown_property() {
-        writeln!(
-            out,
-            "warning: topology lacks the full up/down property \
-             ({:.4} of leaf pairs connected); unroutable packets are refused",
-            routing.connected_pair_fraction()
-        )
-        .map_err(io_err)?;
-    }
+    warn_if_not_updown(&routing, "", out)?;
     let sim_net = SimNetwork::from_folded_clos(&clos);
     let sim = Simulation::new(&sim_net, &routing, config);
     let r = sim.run(pattern, load, seed);
@@ -410,6 +418,7 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
     let clos = require_clos(build(parsed)?, "sweep")?;
     let routing = UpDownRouting::new(&clos);
+    warn_if_not_updown(&routing, "# ", out)?;
     let sim_net = SimNetwork::from_folded_clos(&clos);
     let sim = Simulation::new(&sim_net, &routing, config);
 

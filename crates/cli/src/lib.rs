@@ -122,8 +122,9 @@ TOPOLOGY FLAGS (generate/analyze/simulate/expand):
     --seed      RNG seed                            (default 2017)
 
 SIMULATION FLAGS (simulate/sweep):
-    --traffic   uniform | random-pairing | fixed-random | shuffle | all-to-one
-                (sweep: comma-separated list accepted)
+    --traffic   uniform | random-pairing | fixed-random | shuffle |
+                all-to-one | bursty | hotspot       (default uniform;
+                sweep: comma-separated list accepted)
     --load      offered phits/node/cycle            (default 0.5; simulate only)
     --loads     comma-separated offered loads       (default 0.1,0.2,…,1.0;
                 sweep only)

@@ -71,7 +71,7 @@ pub fn report(
     );
     for (label, clos, routing) in nets {
         let net = SimNetwork::from_folded_clos(clos);
-        let sim = Simulation::new(&net, *routing, cfg);
+        let sim = Simulation::new(&net, routing, cfg);
         let schedule = FaultSchedule::poisson(
             clos,
             params.rate,

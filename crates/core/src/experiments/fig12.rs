@@ -64,11 +64,7 @@ pub fn run<R: Rng + ?Sized>(
                 let faults = (s * step).min(total);
                 let faulty = snet.clos.with_links_removed(&order[..faults]);
                 let routing = UpDownRouting::new(&faulty);
-                let sim_net = if snet.terminals == faulty.num_terminals() {
-                    SimNetwork::from_folded_clos(&faulty)
-                } else {
-                    SimNetwork::from_folded_clos_populated(&faulty, snet.terminals)
-                };
+                let sim_net = SimNetwork::from_folded_clos_populated(&faulty, snet.terminals);
                 let sim = Simulation::new(&sim_net, &routing, config);
                 patterns
                     .iter()

@@ -74,13 +74,7 @@ pub fn run_prepared(
     let sim_nets: Vec<SimNetwork> = scenario
         .nets
         .iter()
-        .map(|snet| {
-            if snet.terminals == snet.clos.num_terminals() {
-                SimNetwork::from_folded_clos(&snet.clos)
-            } else {
-                SimNetwork::from_folded_clos_populated(&snet.clos, snet.terminals)
-            }
-        })
+        .map(|snet| SimNetwork::from_folded_clos_populated(&snet.clos, snet.terminals))
         .collect();
     let sims: Vec<Simulation<'_, UpDownRouting>> = sim_nets
         .iter()

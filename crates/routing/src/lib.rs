@@ -4,9 +4,7 @@
 //!   routing of folded Clos networks (Section 4.1): per-switch bitsets of
 //!   leaves reachable *downward* and *up-then-down* drive both the
 //!   common-ancestor existence check of Theorem 4.2 and the ECMP next-hop
-//!   queries used by the simulator.
-//! * [`ShortestPathOracle`] — all-minimal-paths next hops on an arbitrary
-//!   switch graph (used for the RRN/Jellyfish baseline).
+//!   queries used by the simulator, its only router.
 //! * [`ksp`] — Yen's k-shortest paths, the routing the Jellyfish paper
 //!   requires (used here for path-diversity analysis).
 //! * [`fault`] — how many random link failures up/down routing survives
@@ -16,7 +14,7 @@
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use rfc_routing::{RoutingOracle, UpDownRouting};
+//! use rfc_routing::UpDownRouting;
 //! use rfc_topology::FoldedClos;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -32,10 +30,6 @@
 
 pub mod fault;
 pub mod ksp;
-mod oracle;
-mod shortest;
 mod updown;
 
-pub use oracle::RoutingOracle;
-pub use shortest::ShortestPathOracle;
 pub use updown::{RepairScope, UpDownRouting};

@@ -8,8 +8,6 @@ use rand::Rng;
 use rfc_graph::{vid, HeapBytes, ReachSet};
 use rfc_topology::{FoldedClos, LinkEvent};
 
-use crate::RoutingOracle;
-
 /// What an incremental repair ([`UpDownRouting::apply_event`]) touched.
 ///
 /// `changed` drives correctness (which reach sets differ from before);
@@ -65,7 +63,7 @@ pub struct RepairScope {
 /// few bytes per switch instead of `leaves / 8`; random folded Clos and
 /// RRN fragment them and the affected sets fall back to dense bitsets.
 /// The adjacency is CSR-flattened (one offsets + one flat array per
-/// direction), so the live-oracle hot path does one slice index per
+/// direction), so the live-query hot path does one slice index per
 /// neighbor list instead of chasing a `Vec<Vec<_>>`.
 ///
 /// The table is self-contained (it copies the adjacency out of the
@@ -415,7 +413,7 @@ impl UpDownRouting {
     /// Exact minimal ECMP candidates: next hops lying on a *shortest*
     /// up/down path from `current` to leaf `dst`.
     ///
-    /// The [`RoutingOracle`] implementation is a fast greedy that may
+    /// [`UpDownRouting::next_hops_into`] is a fast greedy that may
     /// overshoot the optimal turn level by preferring any feasible
     /// up-neighbor (one-step lookahead — the behavior of a practical
     /// "up/down random" router). This method instead pays for an upward
@@ -609,10 +607,19 @@ impl UpDownRouting {
             frontier = next;
         }
     }
-}
 
-impl RoutingOracle for UpDownRouting {
-    fn next_hops_into(&self, current: u32, dst: u32, out: &mut Vec<u32>) {
+    /// Appends every candidate next-hop switch for a packet at switch
+    /// `current` destined to leaf `dst`; appends nothing when
+    /// `current == dst` or no up/down route exists. Following any
+    /// candidate reaches `dst`, and every route goes up then down, so
+    /// the flow-controlled simulator is deadlock-free.
+    ///
+    /// A fast greedy: in the up phase it prefers up-neighbors that can
+    /// turn around immediately, and otherwise takes any up-neighbor that
+    /// still reaches `dst` (one-step lookahead — the behavior of a
+    /// practical "up/down random" router). See
+    /// [`UpDownRouting::minimal_next_hops`] for the exact minimal set.
+    pub fn next_hops_into(&self, current: u32, dst: u32, out: &mut Vec<u32>) {
         let s = current as usize;
         let d = dst as usize;
         if current == dst {
@@ -644,8 +651,25 @@ impl RoutingOracle for UpDownRouting {
         }
     }
 
-    /// Run enumeration in time proportional to the *runs* of the
-    /// neighbors' reach sets rather than to `dst_space`.
+    /// [`UpDownRouting::next_hops_into`] into a fresh vector.
+    pub fn next_hops(&self, current: u32, dst: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.next_hops_into(current, dst, &mut out);
+        out
+    }
+
+    /// Enumerates the candidate rows of `current` as destination *runs*:
+    /// calls `emit(start, row)` for consecutive ranges of destinations,
+    /// ascending, whose runs exactly partition `0..dst_space` (each run
+    /// ends where the next begins, the last at `dst_space`). Every
+    /// destination `d` in a run has exactly the candidates `row` that
+    /// [`UpDownRouting::next_hops_into`] would append for it. Adjacent
+    /// runs *may* carry equal rows — consumers needing maximal runs must
+    /// merge. This is how the simulator's candidate-table build
+    /// enumerates rows without querying every `(switch, dst)` pair.
+    ///
+    /// Runs in time proportional to the *runs* of the neighbors' reach
+    /// sets rather than to `dst_space`.
     ///
     /// The candidate row of `current` changes only where membership of
     /// `d` in one of the consulted sets changes: `down_reach(current)`,
@@ -653,10 +677,15 @@ impl RoutingOracle for UpDownRouting {
     /// `updown_reach(u)` for each up-neighbor, plus the `d == current`
     /// singleton. Collecting every run boundary of those sets splits
     /// `0..dst_space` into segments on which the row is constant; the
-    /// greedy oracle is then evaluated once per segment. On a CFT this is
+    /// greedy query is then evaluated once per segment. On a CFT this is
     /// a few dozen segments per switch against tens of thousands of
     /// destinations.
-    fn for_each_dst_run(&self, current: u32, dst_space: u32, emit: &mut dyn FnMut(u32, &[u32])) {
+    pub fn for_each_dst_run(
+        &self,
+        current: u32,
+        dst_space: u32,
+        emit: &mut dyn FnMut(u32, &[u32]),
+    ) {
         if dst_space == 0 {
             return;
         }

@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rfc_graph::vid;
-use rfc_routing::{RoutingOracle, UpDownRouting};
+use rfc_routing::UpDownRouting;
 use rfc_topology::FoldedClos;
 
 /// Builds the paper's random folded Clos plus its routing table from a

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rfc_routing::{RoutingOracle, UpDownRouting};
+use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, LinkEvent, LiveClos, Network};
 
 fn arb_rfc() -> impl Strategy<Value = FoldedClos> {

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rfc_graph::vid;
-use rfc_routing::{RoutingOracle, UpDownRouting};
+use rfc_routing::UpDownRouting;
 use rfc_topology::FoldedClos;
 
 fn arb_rfc() -> impl Strategy<Value = FoldedClos> {

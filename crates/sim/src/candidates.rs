@@ -1,12 +1,12 @@
 //! The candidate source of the request stage: for every `(switch,
 //! destination)` pair, the out-ports a head packet may request.
 //!
-//! Routing oracles are deterministic per pair, and the request stage
+//! Up/down routing is deterministic per pair, and the request stage
 //! asks for every head packet every cycle — so whenever it fits the byte
 //! budget the answers are materialized once, fully *resolved to output
 //! ports*, into a run-length table with per-switch rows ([`RleTable`]).
 //! Networks whose table would not fit (the paper's 100K- and
-//! 200K-terminal RFCs) query the oracle live instead.
+//! 200K-terminal RFCs) query the routing live instead.
 //! [`Candidates::row`] hides which source is in use: both return the
 //! same out-ports in the same order, so results are byte-identical
 //! either way (DESIGN.md §15).
@@ -16,12 +16,12 @@
 //! runs and rows with a constant id and offset shift (DESIGN.md §16).
 
 use rfc_graph::vid;
-use rfc_routing::RoutingOracle;
+use rfc_routing::UpDownRouting;
 
 use crate::network::SimNetwork;
 
 /// Above this many *bytes* of table arrays the build (or a churn patch)
-/// aborts and the simulation queries the oracle live. The run-length
+/// aborts and the simulation queries the routing live. The run-length
 /// encoding keeps even the paper's Table 3 scale (cft(36,4), 209,952
 /// terminals) around a dozen MB, so this is headroom, not a target.
 const TABLE_BUDGET: usize = 64 << 20;
@@ -32,11 +32,11 @@ pub(crate) enum Candidates {
     /// Materialized, run-length-compressed table.
     Table(RleTable),
     /// Table would exceed the byte budget (or its offsets would overflow
-    /// `u32`); query the oracle live.
+    /// `u32`); query the routing live.
     Live,
 }
 
-/// Scratch for one live row: the oracle's next hops and their resolved
+/// Scratch for one live row: the routing's next hops and their resolved
 /// out-ports. One per shard, reused every query.
 #[derive(Debug, Default)]
 pub(crate) struct RowBufs {
@@ -45,17 +45,17 @@ pub(crate) struct RowBufs {
 }
 
 impl RowBufs {
-    /// Asks `oracle` for `(switch, dst)` and resolves the answer to
-    /// out-ports, in oracle order.
-    fn live_row<O: RoutingOracle + ?Sized>(
+    /// Asks `routing` for `(switch, dst)` and resolves the answer to
+    /// out-ports, in routing order.
+    fn live_row(
         &mut self,
         net: &SimNetwork,
-        oracle: &O,
+        routing: &UpDownRouting,
         switch: u32,
         dst: u32,
     ) -> &[u32] {
         self.hops.clear();
-        oracle.next_hops_into(switch, dst, &mut self.hops);
+        routing.next_hops_into(switch, dst, &mut self.hops);
         resolve_out_ports(net, switch, &self.hops, &mut self.ports);
         &self.ports
     }
@@ -64,59 +64,55 @@ impl RowBufs {
 impl Candidates {
     /// Materializes the table under [`TABLE_BUDGET`], or falls back to
     /// live queries when it does not fit.
-    pub(crate) fn build<O: RoutingOracle + Sync + ?Sized>(net: &SimNetwork, oracle: &O) -> Self {
-        Self::build_within(net, oracle, TABLE_BUDGET)
+    pub(crate) fn build(net: &SimNetwork, routing: &UpDownRouting) -> Self {
+        Self::build_within(net, routing, TABLE_BUDGET)
     }
 
     /// [`Candidates::build`] under an explicit byte budget; tests pass a
     /// small one to force the mid-construction abort to live queries.
-    pub(crate) fn build_within<O: RoutingOracle + Sync + ?Sized>(
-        net: &SimNetwork,
-        oracle: &O,
-        budget: usize,
-    ) -> Self {
-        build_table(net, oracle, budget).map_or(Candidates::Live, Candidates::Table)
+    pub(crate) fn build_within(net: &SimNetwork, routing: &UpDownRouting, budget: usize) -> Self {
+        build_table(net, routing, budget).map_or(Candidates::Live, Candidates::Table)
     }
 
-    /// The resolved out-ports for `(switch, dst)`, in oracle order;
+    /// The resolved out-ports for `(switch, dst)`, in routing order;
     /// empty when unroutable. A table row is a slice of the table; a
     /// live row is computed into `bufs`.
     ///
     /// # Panics
     ///
-    /// Panics if the oracle returns a non-neighbor of `switch` (see
+    /// Panics if the routing returns a non-neighbor of `switch` (see
     /// [`resolve_out_ports`]).
     #[inline]
-    pub(crate) fn row<'s, O: RoutingOracle + ?Sized>(
+    pub(crate) fn row<'s>(
         &'s self,
         net: &SimNetwork,
-        oracle: &O,
+        routing: &UpDownRouting,
         switch: u32,
         dst: u32,
         bufs: &'s mut RowBufs,
     ) -> &'s [u32] {
         match self {
             Candidates::Table(table) => table.row(switch, dst),
-            Candidates::Live => bufs.live_row(net, oracle, switch, dst),
+            Candidates::Live => bufs.live_row(net, routing, switch, dst),
         }
     }
 
     /// Brings the candidates past a routing repair: a table is patched
-    /// over `scope` against the repaired `oracle` (falling back to live
+    /// over `scope` against the repaired `routing` (falling back to live
     /// when the result exceeds the budget), and a live source stays
     /// live. The patch is written into `spare`, which then swaps in, so
     /// the replaced table's buffers are the next patch's `spare`.
-    pub(crate) fn patch<O: RoutingOracle + ?Sized>(
+    pub(crate) fn patch(
         &mut self,
         net: &SimNetwork,
-        oracle: &O,
+        routing: &UpDownRouting,
         scope: &PatchScope<'_>,
         spare: &mut RleTable,
     ) {
         let Candidates::Table(table) = self else {
             return;
         };
-        if patch_table(net, oracle, table, scope, spare).is_some() {
+        if patch_table(net, routing, table, scope, spare).is_some() {
             std::mem::swap(table, spare);
         } else {
             *self = Candidates::Live;
@@ -143,7 +139,7 @@ impl rfc_graph::HeapBytes for Candidates {
 /// Three compressions stack on the old `switches × dst_space` matrix:
 ///
 /// 1. **Rows resolve once** — a row is the out-port list one `(switch,
-///    dst)` query yields, in oracle order (the cached-vs-live agreement
+///    dst)` query yields, in routing order (the cached-vs-live agreement
 ///    contract depends on that order).
 /// 2. **Rows are per switch** — a switch stores each distinct row once,
 ///    and its rows take one contiguous id range, numbered in the order
@@ -270,7 +266,7 @@ pub(crate) struct PatchScope<'a> {
     /// Switches whose columns must be re-derived (sorted, deduplicated).
     pub dirty: &'a [u32],
     /// The switches whose *adjacency* changed — their columns are
-    /// recomputed from the oracle in full. Every other dirty switch keeps
+    /// recomputed from the routing in full. Every other dirty switch keeps
     /// its neighbor lists and can differ only at `dst_delta`
     /// destinations, so its column is spliced from the old table.
     pub full: &'a [u32],
@@ -344,34 +340,34 @@ impl SwitchRuns {
 ///
 /// # Panics
 ///
-/// Panics if a hop is not a neighbor of `switch` — the oracle and the
+/// Panics if a hop is not a neighbor of `switch` — the routing and the
 /// network disagree about adjacency, which no repair can make sound.
 fn resolve_out_ports(net: &SimNetwork, switch: u32, hops: &[u32], resolved: &mut Vec<u32>) {
     resolved.clear();
     for &hop in hops {
         #[expect(
             clippy::expect_used,
-            reason = "a routing oracle names only neighbors; see # Panics"
+            reason = "up/down routing names only neighbors; see # Panics"
         )]
         let out = net
             .out_port_to(switch, hop)
-            .expect("oracle returned a non-neighbor");
+            .expect("routing returned a non-neighbor");
         resolved.push(out);
     }
 }
 
-/// Resolves one switch's oracle answers to out-port runs in `sr`,
+/// Resolves one switch's routing answers to out-port runs in `sr`,
 /// using `resolved` as scratch.
-fn switch_runs_into<O: RoutingOracle + ?Sized>(
+fn switch_runs_into(
     net: &SimNetwork,
-    oracle: &O,
+    routing: &UpDownRouting,
     switch: u32,
     dst32: u32,
     sr: &mut SwitchRuns,
     resolved: &mut Vec<u32>,
 ) {
     sr.clear();
-    oracle.for_each_dst_run(switch, dst32, &mut |start, hops| {
+    routing.for_each_dst_run(switch, dst32, &mut |start, hops| {
         resolve_out_ports(net, switch, hops, resolved);
         let row = sr.intern(resolved);
         sr.push(start, row);
@@ -380,7 +376,7 @@ fn switch_runs_into<O: RoutingOracle + ?Sized>(
 
 /// Rebuilds one *dirty but adjacency-stable* switch's runs by splicing:
 /// the old column is kept wholesale except at `delta` destinations,
-/// where the row is re-resolved against the repaired oracle. Sound
+/// where the row is re-resolved against the repaired routing. Sound
 /// because such a switch's row can change only where a consulted reach
 /// set's membership changed (see `rfc_routing::RepairScope::dst_delta`).
 ///
@@ -395,9 +391,9 @@ fn switch_runs_into<O: RoutingOracle + ?Sized>(
     clippy::too_many_arguments,
     reason = "the old table, the dirty set and the output buffers of one patch"
 )]
-fn splice_runs_into<O: RoutingOracle + ?Sized>(
+fn splice_runs_into(
     net: &SimNetwork,
-    oracle: &O,
+    routing: &UpDownRouting,
     old: &RleTable,
     switch: u32,
     delta: &[u32],
@@ -437,7 +433,7 @@ fn splice_runs_into<O: RoutingOracle + ?Sized>(
                 let row = kept(sr, r);
                 sr.push(pos, row);
             }
-            let ports = bufs.live_row(net, oracle, switch, d);
+            let ports = bufs.live_row(net, routing, switch, d);
             let row = match old_rows.clone().find(|&o| old.ports(o) == ports) {
                 Some(o) => kept(sr, o),
                 None => sr.intern(ports),
@@ -454,7 +450,7 @@ fn splice_runs_into<O: RoutingOracle + ?Sized>(
 
 /// Builds the candidate table, or `None` when the byte budget is
 /// exceeded or an index would overflow `u32` — both fall back to live
-/// oracle queries rather than wrapping silently.
+/// routing queries rather than wrapping silently.
 ///
 /// Switches are processed in fixed-size chunks: each chunk fans out
 /// over the shared worker pool (`rfc_parallel`) and is appended
@@ -462,11 +458,7 @@ fn splice_runs_into<O: RoutingOracle + ?Sized>(
 /// serial build at any thread count, and the budget check between
 /// switches bounds how far an over-budget build can overshoot before
 /// bailing.
-fn build_table<O: RoutingOracle + Sync + ?Sized>(
-    net: &SimNetwork,
-    oracle: &O,
-    budget: usize,
-) -> Option<RleTable> {
+fn build_table(net: &SimNetwork, routing: &UpDownRouting, budget: usize) -> Option<RleTable> {
     /// Switches per parallel round.
     const CHUNK: usize = 4096;
     let dst_space = net
@@ -482,7 +474,7 @@ fn build_table<O: RoutingOracle + Sync + ?Sized>(
     for chunk in all.chunks(CHUNK) {
         let per_switch: Vec<SwitchRuns> = rfc_parallel::map(chunk.to_vec(), |switch| {
             let mut sr = SwitchRuns::default();
-            switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut Vec::new());
+            switch_runs_into(net, routing, switch, dst32, &mut sr, &mut Vec::new());
             sr
         });
         for mut sr in per_switch {
@@ -497,16 +489,16 @@ fn build_table<O: RoutingOracle + Sync + ?Sized>(
 
 /// Region-scoped table repair into `table` (overwritten, allocations
 /// kept): rebuilds only the `dirty` switches' columns against the
-/// (already repaired) `oracle` and copies the clean switches between
+/// (already repaired) `routing` and copies the clean switches between
 /// them from `old` with a constant shift. Every switch owns its rows,
 /// so the result is byte-identical to a from-scratch [`build_table`]
-/// over the new oracle.
+/// over the new routing.
 ///
 /// Returns `None` on budget/overflow exhaustion, the same live-query
 /// fallback as the full build.
-fn patch_table<O: RoutingOracle + ?Sized>(
+fn patch_table(
     net: &SimNetwork,
-    oracle: &O,
+    routing: &UpDownRouting,
     old: &RleTable,
     scope: &PatchScope<'_>,
     table: &mut RleTable,
@@ -523,11 +515,11 @@ fn patch_table<O: RoutingOracle + ?Sized>(
     for &switch in scope.dirty {
         table.copy_switches(old, clean, switch as usize)?;
         if scope.full.contains(&switch) {
-            switch_runs_into(net, oracle, switch, dst32, &mut sr, &mut bufs.ports);
+            switch_runs_into(net, routing, switch, dst32, &mut sr, &mut bufs.ports);
         } else {
             splice_runs_into(
                 net,
-                oracle,
+                routing,
                 old,
                 switch,
                 scope.dst_delta,

@@ -1,8 +1,9 @@
 //! Failure churn: running a simulation while the network changes.
 //!
 //! A [`FaultSchedule`] is a deterministic, pre-generated list of link
-//! events (fail/recover) pinned to simulated cycles. The churn runner
-//! replays it *during* a simulation. It cuts the run into segments at
+//! events (fail/recover) pinned to simulated cycles. The churn runner,
+//! [`Simulation::run_churn_sharded_scratch`], replays it *during* a
+//! simulation. It cuts the run into segments at
 //! every distinct event cycle and epoch boundary; between segments the
 //! calling thread applies the due events to one [`DynState`] — a
 //! [`LiveClos`] overlay, an incrementally repaired [`UpDownRouting`]
@@ -30,9 +31,9 @@ use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
 use crate::candidates::{Candidates, PatchScope, RleTable};
-use crate::engine::{RunScratch, Simulation};
+use crate::engine::Simulation;
 use crate::network::SimNetwork;
-use crate::{SimResult, TrafficPattern};
+use crate::SimResult;
 
 /// A deterministic, cycle-stamped sequence of link events, applied at
 /// cycle boundaries by [`Simulation::run_churn_sharded_scratch`].
@@ -169,8 +170,8 @@ pub struct ChurnResult {
 pub(crate) struct DynState<'a> {
     net: &'a SimNetwork,
     live: LiveClos,
-    routing: UpDownRouting,
-    candidates: Candidates,
+    pub(crate) routing: UpDownRouting,
+    pub(crate) candidates: Candidates,
     /// The buffers the next patch writes into: the table the last patch
     /// replaced.
     spare: RleTable,
@@ -178,13 +179,13 @@ pub(crate) struct DynState<'a> {
 
 impl<'a> DynState<'a> {
     /// The pristine state of `sim`; `clos` must be the topology its
-    /// network and oracle were built from.
+    /// network and routing were built from.
     #[must_use]
     pub(crate) fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
         DynState {
             net: sim.net(),
             live: LiveClos::new(clos),
-            routing: sim.oracle().clone(),
+            routing: sim.routing().clone(),
             candidates: sim.candidates().clone(),
             spare: RleTable::default(),
         }
@@ -213,125 +214,11 @@ impl<'a> DynState<'a> {
     }
 }
 
-impl<'a> Simulation<'a, UpDownRouting> {
-    /// Runs one experiment under failure churn on `shards` shards
-    /// (clamped to the switch count) over caller-owned buffers:
-    /// `schedule` events apply at cycle boundaries while traffic flows.
-    /// `clos` must be the pristine topology this simulation's network
-    /// and oracle were built from. The measurement is reported in
-    /// `epochs` equal time slices alongside the usual end-of-run
-    /// statistics; results are byte-identical at any shard count.
-    /// Events at or after the last cycle are not applied.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "mirrors run_sharded_scratch plus the topology, schedule and epoch count"
-    )]
-    pub fn run_churn_sharded_scratch(
-        &self,
-        clos: &FoldedClos,
-        schedule: &FaultSchedule,
-        pattern: TrafficPattern,
-        offered_load: f64,
-        seed: u64,
-        epochs: usize,
-        shards: usize,
-        scratch: &mut RunScratch,
-    ) -> ChurnResult {
-        let cfg = *self.config();
-        let terminals = self.net().num_terminals();
-        let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
-        let end = ctx.end;
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "this workspace is 64-bit only (DESIGN.md §12), where u64 → usize is lossless"
-        )]
-        let epochs = epochs.clamp(1, (end.max(1)) as usize);
-        let epoch_len = (end / epochs as u64).max(1);
-
-        // Segment ends: every epoch boundary and distinct event cycle
-        // inside the run, then the end itself.
-        let mut cuts: Vec<u64> = (1..epochs as u64)
-            .map(|e| e * epoch_len)
-            .chain(schedule.events.iter().map(|&(cycle, _)| cycle))
-            .filter(|&cycle| 0 < cycle && cycle < end)
-            .chain([end])
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        let delivered = |scratch: &RunScratch| -> u64 {
-            scratch.shard_states.iter().map(|st| st.delivered).sum()
-        };
-        let mut ds = DynState::new(self, clos);
-        let mut ok = ds.routing.has_updown_property();
-        let mut ok_cycles = 0u64;
-        let mut events_applied = 0usize;
-        let mut next_event = 0usize;
-        // `delivered` totals at epoch boundaries and at the end.
-        let mut marks: Vec<u64> = Vec::with_capacity(epochs);
-        let mut from = 0u64;
-        for to in cuts {
-            // Events due at `from` apply before its cycle is stepped.
-            let mut changed = false;
-            while let Some((cycle, ev)) = schedule.events.get(next_event) {
-                if *cycle > from || *cycle >= end {
-                    break;
-                }
-                next_event += 1;
-                if ds.apply(ev) {
-                    events_applied += 1;
-                    changed = true;
-                }
-            }
-            if changed {
-                ok = ds.routing.has_updown_property();
-            }
-            if ok {
-                ok_cycles += to - from;
-            }
-            if from > 0 && from.is_multiple_of(epoch_len) && from / epoch_len < epochs as u64 {
-                marks.push(delivered(scratch));
-            }
-            self.lockstep(&ds.candidates, &ds.routing, scratch, &ctx, from..to);
-            from = to;
-        }
-        marks.push(delivered(scratch));
-
-        let result = self.merge_stats(offered_load, scratch);
-
-        // Per-epoch accepted load from the delivery marks.
-        let mut epoch_accepted = Vec::with_capacity(marks.len());
-        let mut prev_total = 0u64;
-        for (e, &total) in marks.iter().enumerate() {
-            let cycles = if e + 1 == marks.len() {
-                end - epoch_len * e as u64
-            } else {
-                epoch_len
-            };
-            epoch_accepted.push(
-                (total - prev_total) as f64 * cfg.packet_length as f64
-                    / (cycles.max(1) as f64 * terminals.max(1) as f64),
-            );
-            prev_total = total;
-        }
-
-        ChurnResult {
-            result,
-            epoch_accepted,
-            availability: if end == 0 {
-                1.0
-            } else {
-                ok_cycles as f64 / end as f64
-            },
-            events_applied,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimConfig;
+    use crate::engine::RunScratch;
+    use crate::{SimConfig, TrafficPattern};
 
     /// Independent reference for the runner's `availability` and
     /// `events_applied`: replays `schedule` against a standalone overlay
@@ -454,7 +341,7 @@ mod tests {
     #[test]
     fn live_candidate_churn_matches_the_table() {
         // Networks too large for the table budget run churn on live
-        // oracle queries: repairs must leave them byte-identical to the
+        // routing queries: repairs must leave them byte-identical to the
         // patched table at any shard count.
         let (clos, net, routing) = setup(6, 3);
         let cfg = churn_cfg();
@@ -491,7 +378,7 @@ mod tests {
     fn patched_candidate_table_is_byte_identical_to_fresh_build() {
         // After every applied event, the patched table must equal what
         // a from-scratch Simulation::new would build over the repaired
-        // oracle — the same contract the routing repair itself honors —
+        // routing — the same contract the routing repair itself honors —
         // and keep the per-switch row layout. Random wirings are where a
         // spliced `dst_delta` row can equal an old row of its switch.
         let mut rng = rand::rngs::StdRng::seed_from_u64(2017);

@@ -39,9 +39,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use rfc_graph::vid;
-use rfc_routing::RoutingOracle;
+use rfc_routing::UpDownRouting;
+use rfc_topology::FoldedClos;
 
 use crate::candidates::{Candidates, RleTable};
+use crate::churn::{ChurnResult, DynState, FaultSchedule};
 use crate::network::{OutTarget, SimNetwork};
 use crate::shard::{
     bounded_hi, bounded_lo, drain_mailboxes, draw, lat32, mailbox_push, new_mailboxes,
@@ -229,16 +231,22 @@ impl RunScratch {
 /// each run builds fresh per-run state and is fully determined by its
 /// `(pattern, offered_load, seed)` triple — the shard count does not
 /// enter the results.
+///
+/// Packets route by up/down routing, which makes the flow-controlled
+/// engine deadlock-free; it is the only router. The type parameter is
+/// vestigial: only `Simulation<'a, UpDownRouting>` is implemented. It
+/// stays until the benchmark harness, which names that type, drops it
+/// too (ROADMAP item 1).
 #[derive(Debug)]
-pub struct Simulation<'a, O> {
+pub struct Simulation<'a, R> {
     net: &'a SimNetwork,
-    oracle: &'a O,
+    routing: &'a R,
     config: SimConfig,
     candidates: Candidates,
 }
 
-impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
-    /// Creates a simulation over `net` using `oracle` for next hops.
+impl<'a> Simulation<'a, UpDownRouting> {
+    /// Creates a simulation over `net` routed by `routing`.
     ///
     /// The candidate table is built over the shared worker pool
     /// (`rfc_parallel`), chunked by switch; the result is byte-identical
@@ -248,29 +256,29 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     ///
     /// Panics if the configuration is invalid (see
     /// [`SimConfig::assert_valid`]).
-    pub fn new(net: &'a SimNetwork, oracle: &'a O, config: SimConfig) -> Self {
+    pub fn new(net: &'a SimNetwork, routing: &'a UpDownRouting, config: SimConfig) -> Self {
         config.assert_valid();
         Self {
             net,
-            oracle,
+            routing,
             config,
-            candidates: Candidates::build(net, oracle),
+            candidates: Candidates::build(net, routing),
         }
     }
 
     /// A simulation over an already built candidate source — how tests
-    /// force the live-oracle path.
+    /// force the live-query path.
     #[cfg(test)]
     pub(crate) fn with_candidates(
         net: &'a SimNetwork,
-        oracle: &'a O,
+        routing: &'a UpDownRouting,
         config: SimConfig,
         candidates: Candidates,
     ) -> Self {
         config.assert_valid();
         Self {
             net,
-            oracle,
+            routing,
             config,
             candidates,
         }
@@ -287,13 +295,13 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         self.net
     }
 
-    /// The routing oracle next hops come from.
-    pub(crate) fn oracle(&self) -> &'a O {
-        self.oracle
+    /// The routing next hops come from.
+    pub(crate) fn routing(&self) -> &'a UpDownRouting {
+        self.routing
     }
 
     /// Logical bytes of the materialized candidate table, or `None` when
-    /// the simulation runs on live oracle queries — the table half of
+    /// the simulation runs on live routing queries — the table half of
     /// the `routing_bytes_per_terminal` figure (DESIGN.md §15).
     pub fn candidate_table_bytes(&self) -> Option<usize> {
         self.candidates.table().map(RleTable::bytes)
@@ -340,8 +348,127 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         scratch: &mut RunScratch,
     ) -> SimResult {
         let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
-        self.lockstep(&self.candidates, self.oracle, scratch, &ctx, 0..ctx.end);
+        self.lockstep(&self.candidates, self.routing, scratch, &ctx, 0..ctx.end);
         self.merge_stats(offered_load, scratch)
+    }
+
+    /// Runs one experiment under failure churn on `shards` shards
+    /// (clamped to the switch count) over caller-owned buffers:
+    /// `schedule` events apply at cycle boundaries while traffic flows.
+    /// `clos` must be the pristine topology this simulation's network
+    /// and routing were built from. The measurement is reported in
+    /// `epochs` equal time slices alongside the usual end-of-run
+    /// statistics; results are byte-identical at any shard count.
+    /// Events at or after the last cycle are not applied.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors run_sharded_scratch plus the topology, schedule and epoch count"
+    )]
+    pub fn run_churn_sharded_scratch(
+        &self,
+        clos: &FoldedClos,
+        schedule: &FaultSchedule,
+        pattern: TrafficPattern,
+        offered_load: f64,
+        seed: u64,
+        epochs: usize,
+        shards: usize,
+        scratch: &mut RunScratch,
+    ) -> ChurnResult {
+        let cfg = self.config;
+        let terminals = self.net.num_terminals();
+        let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
+        let end = ctx.end;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "this workspace is 64-bit only (DESIGN.md §12), where u64 → usize is lossless"
+        )]
+        let epochs = epochs.clamp(1, (end.max(1)) as usize);
+        let epoch_len = (end / epochs as u64).max(1);
+
+        // Segment ends: every epoch boundary and distinct event cycle
+        // inside the run, then the end itself.
+        let mut cuts: Vec<u64> = (1..epochs as u64)
+            .map(|e| e * epoch_len)
+            .chain(schedule.events().iter().map(|&(cycle, _)| cycle))
+            .filter(|&cycle| 0 < cycle && cycle < end)
+            .chain([end])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let delivered = |scratch: &RunScratch| -> u64 {
+            scratch.shard_states.iter().map(|st| st.delivered).sum()
+        };
+        let mut ds = DynState::new(self, clos);
+        let mut ok = ds.routing.has_updown_property();
+        let mut ok_cycles = 0u64;
+        let mut events_applied = 0usize;
+        let mut next_event = 0usize;
+        // `delivered` totals at epoch boundaries and at the end.
+        let mut marks: Vec<u64> = Vec::with_capacity(epochs);
+        let mut from = 0u64;
+        for to in cuts {
+            // Events due at `from` apply before its cycle is stepped.
+            let mut changed = false;
+            while let Some((cycle, ev)) = schedule.events().get(next_event) {
+                if *cycle > from || *cycle >= end {
+                    break;
+                }
+                next_event += 1;
+                if ds.apply(ev) {
+                    events_applied += 1;
+                    changed = true;
+                }
+            }
+            if changed {
+                ok = ds.routing.has_updown_property();
+            }
+            if ok {
+                ok_cycles += to - from;
+            }
+            if from > 0 && from.is_multiple_of(epoch_len) && from / epoch_len < epochs as u64 {
+                marks.push(delivered(scratch));
+            }
+            self.lockstep(&ds.candidates, &ds.routing, scratch, &ctx, from..to);
+            from = to;
+        }
+        marks.push(delivered(scratch));
+
+        let result = self.merge_stats(offered_load, scratch);
+
+        // Per-epoch accepted load from the delivery marks.
+        let mut epoch_accepted = Vec::with_capacity(marks.len());
+        let mut prev_total = 0u64;
+        for (e, &total) in marks.iter().enumerate() {
+            let cycles = if e + 1 == marks.len() {
+                end - epoch_len * e as u64
+            } else {
+                epoch_len
+            };
+            epoch_accepted.push(
+                (total - prev_total) as f64 * cfg.packet_length as f64
+                    / (cycles.max(1) as f64 * terminals.max(1) as f64),
+            );
+            prev_total = total;
+        }
+
+        ChurnResult {
+            result,
+            epoch_accepted,
+            availability: if end == 0 {
+                1.0
+            } else {
+                ok_cycles as f64 / end as f64
+            },
+            events_applied,
+        }
+    }
+
+    /// Saturation throughput: accepted load when every node offers one
+    /// phit per cycle.
+    pub fn max_throughput(&self, pattern: TrafficPattern, seed: u64) -> f64 {
+        self.run(pattern, 1.0, seed).accepted_load
     }
 
     /// Per-port serialization utilization over the measurement window of
@@ -406,7 +533,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     }
 
     /// Advances every shard of `scratch` through `cycles` in lockstep,
-    /// routing over `candidates`/`oracle`. The one cycle loop of the
+    /// routing over `candidates`/`routing`. The one cycle loop of the
     /// engine: a plain run is the single segment `0..end`, a churn run
     /// one segment per stretch between routing changes.
     ///
@@ -417,7 +544,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     pub(crate) fn lockstep(
         &self,
         candidates: &Candidates,
-        oracle: &O,
+        routing: &UpDownRouting,
         scratch: &mut RunScratch,
         ctx: &StepCtx,
         cycles: std::ops::Range<u64>,
@@ -437,7 +564,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
             // of spinning on a generation that never comes.
             let _poison = barrier.guard();
             for now in cycles.clone() {
-                self.step_shard(candidates, oracle, plan, me, st, mailboxes, ctx, now);
+                self.step_shard(candidates, routing, plan, me, st, mailboxes, ctx, now);
                 // All sends for this cycle are in the mailboxes…
                 barrier.wait();
                 drain_mailboxes(plan, me, st, mailboxes, v);
@@ -525,9 +652,9 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     /// elsewhere, credits for buffers fed from elsewhere) go to the
     /// mailboxes; everything else stays in `st`.
     ///
-    /// The candidate/oracle pair is a parameter (rather than read from
+    /// The candidate/routing pair is a parameter (rather than read from
     /// `self`) so churn runs can substitute their repaired state; plain
-    /// runs pass `(&self.candidates, self.oracle)`.
+    /// runs pass `(&self.candidates, self.routing)`.
     #[expect(
         clippy::too_many_arguments,
         reason = "the per-shard view of the run, passed as borrows so shards share nothing mutable"
@@ -535,7 +662,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
     fn step_shard(
         &self,
         candidates: &Candidates,
-        oracle: &O,
+        routing: &UpDownRouting,
         plan: &ShardPlan,
         me: usize,
         st: &mut ShardState,
@@ -671,7 +798,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         };
                         if src_switch != first_target
                             && candidates
-                                .row(net, oracle, src_switch, first_target, row_bufs)
+                                .row(net, routing, src_switch, first_target, row_bufs)
                                 .is_empty()
                         {
                             if in_window {
@@ -682,7 +809,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                         if via_switch != NO_VIA
                             && via_switch != dst_switch
                             && candidates
-                                .row(net, oracle, via_switch, dst_switch, row_bufs)
+                                .row(net, routing, via_switch, dst_switch, row_bufs)
                                 .is_empty()
                         {
                             if in_window {
@@ -793,7 +920,7 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
                 // One draw serves both decisions: low half picks the
                 // candidate, high half starts the target-VC rotation.
                 let h = draw(ctx.streams.dec, now, u64::from(gid));
-                let ports = candidates.row(net, oracle, switch, routing_target, row_bufs);
+                let ports = candidates.row(net, routing, switch, routing_target, row_bufs);
                 if ports.is_empty() {
                     // Statically faulted networks never strand a packet
                     // mid-route (injection pre-checks), but stay safe:
@@ -985,12 +1112,6 @@ impl<'a, O: RoutingOracle + Sync> Simulation<'a, O> {
         reqs.clear();
         // xtask: lockstep-end
         // xtask: hot-loop-end
-    }
-
-    /// Saturation throughput: accepted load when every node offers one
-    /// phit per cycle.
-    pub fn max_throughput(&self, pattern: TrafficPattern, seed: u64) -> f64 {
-        self.run(pattern, 1.0, seed).accepted_load
     }
 }
 
@@ -1460,8 +1581,8 @@ mod tests {
     fn deduped_table_rows_match_dense_oracle_answers() {
         // Expanding the per-switch, run-length-compressed table back to
         // one row per (switch, dst) pair must reproduce exactly what the
-        // old dense build stored: the oracle's answer, resolved to out
-        // ports, in oracle order. Checked on a regular CFT (long runs)
+        // old dense build stored: the routing's answer, resolved to out
+        // ports, in routing order. Checked on a regular CFT (long runs)
         // and a random folded Clos (worst-case fragmentation).
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let nets = [
@@ -1648,7 +1769,7 @@ mod tests {
     fn candidate_table_and_live_oracle_agree_exactly() {
         // The materialized table must be a pure cache. A build whose
         // byte budget cannot hold the table aborts mid-construction (the
-        // same path a u32 offset overflow takes) and queries the oracle
+        // same path a u32 offset overflow takes) and queries the routing
         // live, with results identical for the same seeds.
         let clos = FoldedClos::cft(6, 3).unwrap();
         let routing = UpDownRouting::new(&clos);
@@ -1669,7 +1790,7 @@ mod tests {
         ] {
             let a = cached.run(pattern, load, 99);
             let b = live.run(pattern, load, 99);
-            assert_eq!(a, b, "{pattern}: deduped table diverged from oracle");
+            assert_eq!(a, b, "{pattern}: deduped table diverged from live routing");
         }
     }
 

@@ -11,6 +11,12 @@
 //!   uniformly random candidate among its equal-cost next hops per cycle,
 //! * 10,000 measured cycles after a warmup.
 //!
+//! Packets route over folded Clos networks by up/down routing
+//! ([`rfc_routing::UpDownRouting`]), the simulator's only router: every
+//! route climbs and then descends (Valiant routing chains two such
+//! routes on disjoint virtual-channel classes), so no cyclic buffer
+//! dependency can form and the flow-controlled engine is deadlock-free.
+//!
 //! The simulator is packet-granular: a packet reserves a whole-packet
 //! buffer slot downstream before advancing (virtual cut-through) and each
 //! traversed output port is busy for `packet_length` cycles (the

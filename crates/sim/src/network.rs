@@ -3,7 +3,7 @@
 use std::fmt;
 
 use rfc_graph::vid;
-use rfc_topology::{FoldedClos, Rrn};
+use rfc_topology::FoldedClos;
 
 /// Where an output port sends packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +30,9 @@ pub(crate) enum OutTarget {
 /// * Every terminal contributes one *injection* input port and one
 ///   *ejection* output port at its switch.
 ///
-/// Build one with [`SimNetwork::from_folded_clos`] (indirect networks;
-/// routing destinations are leaf switches) or [`SimNetwork::from_rrn`]
-/// (direct networks).
+/// Build one from a folded Clos network with
+/// [`SimNetwork::from_folded_clos`] or one of its partially populated
+/// variants; routing destinations are leaf switches.
 pub struct SimNetwork {
     pub(crate) num_switches: usize,
     pub(crate) num_terminals: usize,
@@ -129,21 +129,10 @@ impl SimNetwork {
             + slice_heap_bytes(&self.dst_switch_of_terminal)
     }
 
-    /// Builds the port-level view of a folded Clos network. Routing
-    /// destinations are leaf switches.
+    /// Builds the port-level view of a folded Clos network with every
+    /// terminal attached. Routing destinations are leaf switches.
     pub fn from_folded_clos(clos: &FoldedClos) -> Self {
-        let n = clos.num_switches();
-        let adjacency: Vec<Vec<u32>> = (0..vid(n))
-            .map(|s| {
-                let mut nb = clos.down_neighbors(s);
-                nb.extend(clos.up_neighbors(s));
-                nb
-            })
-            .collect();
-        let terminals: Vec<u32> = (0..vid(clos.num_terminals()))
-            .map(|t| clos.leaf_of_terminal(t))
-            .collect();
-        Self::build(n, &adjacency, &terminals)
+        Self::from_folded_clos_populated(clos, clos.num_terminals())
     }
 
     /// Like [`SimNetwork::from_folded_clos`], but attaches only
@@ -195,17 +184,6 @@ impl SimNetwork {
             .collect();
         let map: Vec<u32> = (0..vid(terminals)).map(leaf_of).collect();
         Self::build(n, &adjacency, &map)
-    }
-
-    /// Builds the port-level view of a random regular network. Routing
-    /// destinations are the switches hosting the terminals.
-    pub fn from_rrn(rrn: &Rrn) -> Self {
-        let n = rrn.num_switches();
-        let adjacency: Vec<Vec<u32>> = (0..vid(n)).map(|s| rrn.neighbors(s).to_vec()).collect();
-        let terminals: Vec<u32> = (0..vid(rrn.num_terminals()))
-            .map(|t| rrn.switch_of_terminal(t))
-            .collect();
-        Self::build(n, &adjacency, &terminals)
     }
 
     /// Assembles the flat port arrays from per-switch adjacency and the
@@ -329,18 +307,6 @@ mod tests {
             }
         }
         assert!(net.out_port_to(0, 1).is_none(), "leaves are not adjacent");
-    }
-
-    #[test]
-    fn rrn_view_uses_host_switches_as_destinations() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let rrn = Rrn::new(8, 3, 2, &mut rng).unwrap();
-        let net = SimNetwork::from_rrn(&rrn);
-        assert_eq!(net.num_terminals(), 16);
-        assert_eq!(net.dst_switch_of_terminal[15], 7);
-        assert_eq!(net.num_out_ports(), 8 * 3 + 16);
-        assert!(format!("{net:?}").contains("out_ports"));
     }
 
     #[test]

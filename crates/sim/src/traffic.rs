@@ -61,6 +61,17 @@ impl TrafficPattern {
         TrafficPattern::RandomPairing,
         TrafficPattern::FixedRandom,
     ];
+
+    /// Every pattern: the paper's three, then the extensions.
+    pub const EVERY: [TrafficPattern; 7] = [
+        TrafficPattern::Uniform,
+        TrafficPattern::RandomPairing,
+        TrafficPattern::FixedRandom,
+        TrafficPattern::Shuffle,
+        TrafficPattern::AllToOne,
+        TrafficPattern::Bursty,
+        TrafficPattern::Hotspot,
+    ];
 }
 
 impl fmt::Display for TrafficPattern {
@@ -497,12 +508,22 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(TrafficPattern::Uniform.to_string(), "uniform");
-        assert_eq!(TrafficPattern::RandomPairing.to_string(), "random-pairing");
-        assert_eq!(TrafficPattern::FixedRandom.to_string(), "fixed-random");
-        assert_eq!(TrafficPattern::Shuffle.to_string(), "shuffle");
-        assert_eq!(TrafficPattern::AllToOne.to_string(), "all-to-one");
-        assert_eq!(TrafficPattern::Bursty.to_string(), "bursty");
-        assert_eq!(TrafficPattern::Hotspot.to_string(), "hotspot");
+        let names: Vec<String> = TrafficPattern::EVERY
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "uniform",
+                "random-pairing",
+                "fixed-random",
+                "shuffle",
+                "all-to-one",
+                "bursty",
+                "hotspot"
+            ]
+        );
+        assert_eq!(TrafficPattern::ALL, TrafficPattern::EVERY[..3]);
     }
 }

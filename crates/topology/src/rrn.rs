@@ -98,20 +98,6 @@ impl Rrn {
         self.degree + self.hosts_per_switch
     }
 
-    /// The switch hosting terminal `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range.
-    #[inline]
-    pub fn switch_of_terminal(&self, t: u32) -> u32 {
-        assert!(
-            (t as usize) < self.num_terminals(),
-            "terminal {t} out of range"
-        );
-        t / vid(self.hosts_per_switch)
-    }
-
     /// Neighbor switches of `s`.
     #[inline]
     pub fn neighbors(&self, s: u32) -> &[u32] {
@@ -226,7 +212,6 @@ mod tests {
         let net = Rrn::new(16, 4, 2, &mut rng).unwrap();
         assert_eq!(net.num_switches(), 16);
         assert_eq!(net.num_terminals(), 32);
-        assert_eq!(net.switch_of_terminal(31), 15);
         assert!(net.graph().is_regular(4));
         assert_eq!(net.links().len(), 32);
     }

@@ -15,7 +15,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rfc_net::graph::vid;
-use rfc_net::routing::RoutingOracle;
 use rfc_net::scenarios::rfc_with_updown;
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_net::theory;

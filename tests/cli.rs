@@ -88,6 +88,88 @@ fn simulate_all_to_one_saturates_the_hotspot() {
 }
 
 #[test]
+fn every_traffic_pattern_is_a_cli_name() {
+    use rfc_net::sim::TrafficPattern;
+    let names = TrafficPattern::EVERY.map(TrafficPattern::as_str);
+    for name in &names {
+        assert!(rfcgen::USAGE.contains(name), "USAGE omits `{name}`");
+    }
+    // One sweep over every pattern, `bursty` and `hotspot` included:
+    // each name parses and runs.
+    let text = run(&[
+        "sweep",
+        "--kind",
+        "cft",
+        "--radix",
+        "4",
+        "--levels",
+        "2",
+        "--traffic",
+        &names.join(","),
+        "--loads",
+        "0.3",
+        "--cycles",
+        "200",
+        "--warmup",
+        "50",
+    ])
+    .unwrap();
+    for name in &names {
+        assert!(
+            text.lines().any(|l| l.starts_with(&format!("{name} "))),
+            "no `{name}` row: {text}"
+        );
+    }
+    assert!(run(&["simulate", "--traffic", "banana"]).is_err());
+}
+
+#[test]
+fn sub_threshold_warning_is_printed_by_simulate_and_sweep() {
+    // The analyzed network above: an RFC well past its up/down threshold.
+    let topology = [
+        "--kind", "rfc", "--radix", "4", "--leaves", "64", "--levels", "2", "--seed", "3",
+        "--cycles", "200", "--warmup", "50",
+    ];
+    let warning = "warning: topology lacks the full up/down property";
+    let mut simulate = vec!["simulate", "--load", "0.3"];
+    simulate.extend_from_slice(&topology);
+    let text = run(&simulate).unwrap();
+    assert!(
+        text.lines().next().is_some_and(|l| l.starts_with(warning)),
+        "{text}"
+    );
+    let mut sweep = vec![
+        "sweep",
+        "--traffic",
+        "uniform,shuffle",
+        "--loads",
+        "0.2,0.4",
+    ];
+    sweep.extend_from_slice(&topology);
+    let text = run(&sweep).unwrap();
+    assert!(
+        text.lines().any(|l| l.starts_with(&format!("# {warning}"))),
+        "{text}"
+    );
+    // The warning is a comment: the data rows parse as before.
+    let rows: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.starts_with("traffic"))
+        .collect();
+    assert_eq!(rows.len(), 4, "2 patterns x 2 loads: {text}");
+    for row in rows {
+        assert_eq!(row.split_whitespace().count(), 5, "{row}");
+    }
+    // Networks with the property print no warning.
+    let text = run(&[
+        "sweep", "--kind", "cft", "--radix", "4", "--levels", "2", "--loads", "0.2", "--cycles",
+        "200", "--warmup", "50",
+    ])
+    .unwrap();
+    assert!(!text.contains("warning"), "{text}");
+}
+
+#[test]
 fn expand_then_analyze_round_trip() {
     let text = run(&[
         "expand", "--kind", "rfc", "--radix", "8", "--leaves", "24", "--levels", "2", "--steps",
@@ -121,7 +203,7 @@ fn usage_errors_are_reported() {
     assert!(run(&["generate", "--kind", "banana"]).is_err());
     assert!(
         run(&["simulate", "--kind", "rrn"]).is_err(),
-        "direct nets need SP oracle"
+        "the simulator routes folded Clos networks only"
     );
 }
 

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rfc_net::graph::vid;
-use rfc_net::routing::{ksp, RoutingOracle, ShortestPathOracle};
+use rfc_net::routing::ksp;
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_net::topology::{FoldedClos, Network, Rrn};
 use rfc_net::UpDownRouting;
@@ -63,21 +63,6 @@ fn rfc_end_to_end() {
     let r = pipeline(&clos, 0.4, 4);
     assert!(r.delivered_packets > 0);
     assert!((r.accepted_load - 0.4).abs() < 0.08);
-}
-
-#[test]
-fn rrn_end_to_end_with_minimal_routing() {
-    // The Jellyfish baseline, simulated with all-minimal-paths routing.
-    let mut rng = StdRng::seed_from_u64(5);
-    let rrn = Rrn::new(24, 5, 2, &mut rng).unwrap();
-    let oracle = ShortestPathOracle::new(&rrn.graph());
-    let net = SimNetwork::from_rrn(&rrn);
-    let sim = Simulation::new(&net, &oracle, SimConfig::quick());
-    let r = sim.run(TrafficPattern::Uniform, 0.2, 5);
-    assert!(
-        r.delivered_packets > 0,
-        "direct network must deliver under light load"
-    );
 }
 
 #[test]

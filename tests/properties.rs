@@ -7,7 +7,6 @@ use rand::SeedableRng;
 
 use rfc_net::graph::random::{random_bipartite, random_regular};
 use rfc_net::graph::{vid, Csr};
-use rfc_net::routing::RoutingOracle;
 use rfc_net::sim::{SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_net::topology::FoldedClos;
 use rfc_net::UpDownRouting;
