@@ -50,7 +50,7 @@ use crate::shard::{
     reservoir_offer, u8_of, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan, ShardState,
     Streams, NO_PORT, NO_REQ,
 };
-use crate::traffic::TrafficModel;
+use crate::traffic::Traffic;
 use crate::{RequestMode, SimConfig, SimResult, TrafficPattern};
 
 /// Size of the event wheel; link latency + packet length must stay below
@@ -154,7 +154,7 @@ impl Default for Packet {
 /// The per-run read-only context shared by every shard worker.
 #[derive(Debug)]
 pub(crate) struct StepCtx {
-    traffic: Box<dyn TrafficModel>,
+    traffic: Traffic,
     streams: Streams,
     p_gen: f64,
     /// Precomputed `ln(1 - p_gen)`; see [`geometric_gap`].
@@ -189,10 +189,6 @@ pub struct RunScratch {
     pub(crate) merge_buf: Vec<Sample>,
     /// The merged, sorted latency values percentiles are read from.
     pub(crate) latency_samples: Vec<u32>,
-    /// Address of the network the last run simulated, and that run's
-    /// measurement window: what [`Simulation::port_utilization`] checks
-    /// before reading the per-shard busy counters.
-    last_run: Option<(usize, u64)>,
 }
 
 impl RunScratch {
@@ -221,7 +217,6 @@ impl RunScratch {
         }
         self.merge_buf.clear();
         self.latency_samples.clear();
-        self.last_run = Some((std::ptr::from_ref(net).addr(), cfg.measure_cycles));
     }
 }
 
@@ -329,9 +324,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// Like [`Simulation::run`] with an explicit shard count (clamped to
     /// the switch count) and caller-owned buffers — the entry point for
     /// load sweeps, parallel drivers and benchmarks. Results are
-    /// identical to [`Simulation::run`] at any shard count; afterwards
-    /// [`Simulation::port_utilization`] reads the run's port probes out
-    /// of `scratch`.
+    /// identical to [`Simulation::run`] at any shard count.
     ///
     /// Randomness is organized as independent streams derived from
     /// `seed` (see [`Streams`]): the traffic-state build, per-switch
@@ -379,11 +372,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let terminals = self.net.num_terminals();
         let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
         let end = ctx.end;
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "this workspace is 64-bit only (DESIGN.md §12), where u64 → usize is lossless"
-        )]
-        let epochs = epochs.clamp(1, (end.max(1)) as usize);
+        let epochs = epochs.clamp(1, usize::try_from(end.max(1)).unwrap_or(usize::MAX));
         let epoch_len = (end / epochs as u64).max(1);
 
         // Segment ends: every epoch boundary and distinct event cycle
@@ -471,33 +460,6 @@ impl<'a> Simulation<'a, UpDownRouting> {
         self.run(pattern, 1.0, seed).accepted_load
     }
 
-    /// Per-port serialization utilization over the measurement window of
-    /// the last run made through `scratch`, or `None` when that run was
-    /// not on this simulation's network (compared by address) or
-    /// `scratch` has not run yet.
-    pub fn port_utilization(&self, scratch: &RunScratch) -> Option<crate::stats::PortUtilization> {
-        let (net, window) = scratch.last_run?;
-        if net != std::ptr::from_ref(self.net).addr() {
-            return None;
-        }
-        let mut busy = vec![0u64; self.net.num_out_ports()];
-        for (st, gids) in scratch.shard_states.iter().zip(&scratch.plan.out_gids) {
-            for (&b, &gid) in st.busy_cycles.iter().zip(gids) {
-                busy[gid as usize] = b;
-            }
-        }
-        let mut link = Vec::new();
-        let mut eject = Vec::new();
-        for (out, &b) in busy.iter().enumerate() {
-            let utilization = b as f64 / window as f64;
-            match self.net.out_target[out] {
-                OutTarget::Link { .. } => link.push(utilization),
-                OutTarget::Eject { .. } => eject.push(utilization),
-            }
-        }
-        Some(crate::stats::PortUtilization { link, eject })
-    }
-
     /// Starts a run: builds the traffic state, resets `scratch` for
     /// `shards` shards (clamped to the switch count) and returns the
     /// context every shard reads while stepping.
@@ -514,7 +476,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let terminals = net.num_terminals();
         let end = cfg.total_cycles();
         let mut traffic_rng = SmallRng::seed_from_u64(rfc_parallel::child_seed(seed, 1));
-        let traffic = crate::traffic::build(pattern, terminals, end, &mut traffic_rng);
+        let traffic = Traffic::new(pattern, terminals, end, &mut traffic_rng);
         let streams = Streams::derive(seed);
         let shard_count = shards.clamp(1, net.num_switches().max(1));
         scratch.reset(net, &cfg, shard_count, streams.inj);
@@ -684,7 +646,6 @@ impl<'a> Simulation<'a, UpDownRouting> {
             active,
             in_active,
             busy_until,
-            busy_cycles,
             wheel,
             reqs,
             req_head,
@@ -767,11 +728,13 @@ impl<'a> Simulation<'a, UpDownRouting> {
         if ctx.p_gen > 0.0 {
             for (sw, rng) in inj_switches.iter().zip(inj_rngs.iter_mut()) {
                 let sw_us = *sw as usize;
-                let group = &plan.terms
-                    [plan.term_offsets[sw_us] as usize..plan.term_offsets[sw_us + 1] as usize];
+                // Dense packing: the switch's terminals are one
+                // contiguous id range starting at its offset.
+                let first = plan.term_offsets[sw_us];
+                let count = (plan.term_offsets[sw_us + 1] - first) as usize;
                 let mut t = geometric_gap(rng, ctx.ln_q);
-                while t < group.len() {
-                    let src = group[t];
+                while t < count {
+                    let src = first + vid(t);
                     'inject: {
                         let Some(dst) = ctx.traffic.dest(src, now, rng) else {
                             break 'inject;
@@ -1033,9 +996,6 @@ impl<'a> Simulation<'a, UpDownRouting> {
             q_len[s] -= 1;
             debug_assert!(busy_until[out_gid as usize] <= now);
             busy_until[out_gid as usize] = now + cfg.packet_length;
-            if in_window {
-                busy_cycles[o] += cfg.packet_length.min(ctx.end - now);
-            }
             // Return the freed buffer slot: to the local injection
             // credit for terminal-fed ports, else to the credit mirror
             // at the feeding output port's shard.
@@ -1248,9 +1208,9 @@ mod tests {
 
     #[test]
     fn sharded_runs_are_byte_identical_to_serial() {
-        // The tentpole contract: every statistic — counters, latency
-        // percentiles from the merged reservoir, and per-port probes —
-        // is invariant in the shard count.
+        // The sharding contract: every statistic — counters and latency
+        // percentiles from the merged reservoir — is invariant in the
+        // shard count.
         let clos = FoldedClos::cft(6, 3).unwrap();
         let routing = UpDownRouting::new(&clos);
         let net = SimNetwork::from_folded_clos(&clos);
@@ -1261,13 +1221,9 @@ mod tests {
             (TrafficPattern::RandomPairing, 0.9),
         ] {
             let base = sim.run_sharded_scratch(pattern, load, 77, 1, &mut scratch);
-            let base_probes = sim.port_utilization(&scratch).unwrap();
             for shards in [2usize, 3, 8] {
                 let r = sim.run_sharded_scratch(pattern, load, 77, shards, &mut scratch);
-                let probes = sim.port_utilization(&scratch).unwrap();
                 assert_eq!(base, r, "{pattern} diverged at {shards} shards");
-                assert_eq!(base_probes.link, probes.link, "{pattern} link probes");
-                assert_eq!(base_probes.eject, probes.eject, "{pattern} eject probes");
             }
         }
     }
@@ -1673,73 +1629,6 @@ mod tests {
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
         let t = sim.max_throughput(TrafficPattern::Uniform, 7);
         assert!(t > 0.3 && t <= 1.05, "throughput {t} out of range");
-    }
-
-    #[test]
-    fn probes_locate_the_incast_bottleneck() {
-        // All-to-one traffic: terminal 0's ejector saturates while the
-        // mean link sits far below it.
-        let clos = FoldedClos::cft(8, 2).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let mut scratch = RunScratch::new();
-        let r = sim.run_sharded_scratch(TrafficPattern::AllToOne, 1.0, 41, 1, &mut scratch);
-        let probes = sim.port_utilization(&scratch).unwrap();
-        assert!(r.delivered_packets > 0);
-        assert!(probes.eject[0] > 0.9, "hot ejector {}", probes.eject[0]);
-        assert!(
-            probes.eject[1..].iter().all(|&u| u == 0.0),
-            "only terminal 0 receives"
-        );
-        assert!(probes.mean_link() < probes.eject[0]);
-    }
-
-    #[test]
-    fn probes_match_accepted_load_under_uniform() {
-        // For a fully populated network, mean ejection utilization IS
-        // the accepted load.
-        let clos = FoldedClos::cft(6, 2).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let sim = Simulation::new(&net, &routing, SimConfig::quick());
-        let mut scratch = RunScratch::new();
-        let r = sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 42, 1, &mut scratch);
-        let probes = sim.port_utilization(&scratch).unwrap();
-        assert!(
-            (probes.mean_eject() - r.accepted_load).abs() < 0.02,
-            "eject {} vs accepted {}",
-            probes.mean_eject(),
-            r.accepted_load
-        );
-        assert!(probes.max_link() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn port_utilization_reads_only_this_networks_last_run() {
-        let big = FoldedClos::cft(6, 3).unwrap();
-        let big_routing = UpDownRouting::new(&big);
-        let big_net = SimNetwork::from_folded_clos(&big);
-        let big_sim = Simulation::new(&big_net, &big_routing, SimConfig::quick());
-        let (small_net, small_routing) = tiny_sim();
-        let small_sim = Simulation::new(&small_net, &small_routing, SimConfig::quick());
-        let mut scratch = RunScratch::new();
-        assert_eq!(
-            small_sim.port_utilization(&scratch),
-            None,
-            "nothing ran yet"
-        );
-        small_sim.run_sharded_scratch(TrafficPattern::Uniform, 0.5, 3, 2, &mut scratch);
-        let probes = small_sim.port_utilization(&scratch).unwrap();
-        assert_eq!(
-            probes.link.len() + probes.eject.len(),
-            small_net.num_out_ports()
-        );
-        assert_eq!(
-            big_sim.port_utilization(&scratch),
-            None,
-            "the last run was on another network"
-        );
     }
 
     #[test]

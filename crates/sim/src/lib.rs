@@ -28,9 +28,8 @@
 //! default): a per-hop router pipeline delay
 //! ([`SimConfig::router_latency`]), Valiant randomized routing
 //! ([`SimConfig::valiant_routing`]), hash-based ECMP
-//! ([`RequestMode::UpDownHash`]), two extra adversarial traffic
-//! patterns, latency percentiles, and per-port utilization probes
-//! ([`Simulation::port_utilization`]).
+//! ([`RequestMode::UpDownHash`]), extra adversarial traffic patterns
+//! and latency percentiles.
 //!
 //! # Examples
 //!
@@ -65,5 +64,5 @@ pub use churn::{ChurnResult, FaultSchedule};
 pub use config::{RequestMode, SimConfig};
 pub use engine::{RunScratch, Simulation};
 pub use network::SimNetwork;
-pub use stats::{PortUtilization, SimResult};
-pub use traffic::{TrafficModel, TrafficPattern};
+pub use stats::SimResult;
+pub use traffic::TrafficPattern;

@@ -31,8 +31,9 @@ pub(crate) enum OutTarget {
 ///   *ejection* output port at its switch.
 ///
 /// Build one from a folded Clos network with
-/// [`SimNetwork::from_folded_clos`] or one of its partially populated
-/// variants; routing destinations are leaf switches.
+/// [`SimNetwork::from_folded_clos`] or its partially populated variant
+/// [`SimNetwork::from_folded_clos_populated`]; routing destinations are
+/// leaf switches.
 pub struct SimNetwork {
     pub(crate) num_switches: usize,
     pub(crate) num_terminals: usize,
@@ -143,32 +144,13 @@ impl SimNetwork {
     /// await future servers. Dense packing keeps each *populated* leaf
     /// at its designed 1:1 terminal-to-uplink ratio; spreading the same
     /// population round-robin would overprovision every leaf and
-    /// inflate saturation throughput (use
-    /// [`SimNetwork::from_folded_clos_spread`] to study that variant).
+    /// inflate saturation throughput. The engine relies on the packing:
+    /// every switch's terminals form one contiguous id range.
     ///
     /// # Panics
     ///
     /// Panics if `terminals` exceeds the topology's terminal capacity.
     pub fn from_folded_clos_populated(clos: &FoldedClos, terminals: usize) -> Self {
-        let tpl = vid(clos.terminals_per_leaf());
-        Self::populated_by(clos, terminals, |t| t / tpl)
-    }
-
-    /// Partial population spread round-robin over the leaves (terminal
-    /// `t` on leaf `t % num_leaves`): every leaf underfilled equally,
-    /// which overprovisions the leaf level — an idealized-expansion
-    /// variant kept for comparison with the dense packing the paper's
-    /// scenarios imply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `terminals` exceeds the topology's terminal capacity.
-    pub fn from_folded_clos_spread(clos: &FoldedClos, terminals: usize) -> Self {
-        let leaves = vid(clos.num_leaves());
-        Self::populated_by(clos, terminals, |t| t % leaves)
-    }
-
-    fn populated_by(clos: &FoldedClos, terminals: usize, leaf_of: impl Fn(u32) -> u32) -> Self {
         assert!(
             terminals <= clos.num_terminals(),
             "cannot attach {terminals} terminals: capacity is {}",
@@ -182,7 +164,8 @@ impl SimNetwork {
                 nb
             })
             .collect();
-        let map: Vec<u32> = (0..vid(terminals)).map(leaf_of).collect();
+        let tpl = vid(clos.terminals_per_leaf());
+        let map: Vec<u32> = (0..vid(terminals)).map(|t| t / tpl).collect();
         Self::build(n, &adjacency, &map)
     }
 
@@ -326,17 +309,6 @@ mod tests {
         }
         assert!(per_leaf[..20].iter().all(|&c| c == 4));
         assert!(per_leaf[20..].iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn spread_population_balances_leaves() {
-        let clos = FoldedClos::cft(8, 3).unwrap();
-        let net = SimNetwork::from_folded_clos_spread(&clos, 80);
-        let mut per_leaf = vec![0usize; 32];
-        for &s in &net.dst_switch_of_terminal {
-            per_leaf[s as usize] += 1;
-        }
-        assert!(per_leaf.iter().all(|&c| c == 2 || c == 3));
     }
 
     #[test]

@@ -109,12 +109,8 @@ pub(crate) fn u8_of(x: usize) -> u8 {
 /// Narrows a latency to its `u32` sample form, saturating: a latency
 /// beyond four billion cycles is off every scale the reservoir serves.
 #[inline]
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "saturated to u32::MAX before the cast"
-)]
 pub(crate) fn lat32(latency: u64) -> u32 {
-    latency.min(u64::from(u32::MAX)) as u32
+    u32::try_from(latency).unwrap_or(u32::MAX)
 }
 
 /// One latency observation competing for a reservoir slot.
@@ -280,12 +276,10 @@ pub(crate) struct ShardPlan {
     pub switch_starts: Vec<u32>,
     /// Shard owning each switch.
     pub shard_of_switch: Vec<u32>,
-    /// Terminals grouped by host switch:
-    /// `terms[term_offsets[s]..term_offsets[s+1]]` live on switch `s`,
-    /// ascending. (Population maps like `from_folded_clos_spread` are
-    /// round-robin, so the grouping cannot assume contiguity.)
+    /// Terminals `term_offsets[s]..term_offsets[s+1]` live on switch
+    /// `s`: population is densely packed, so each switch's terminals
+    /// form one contiguous id range.
     pub term_offsets: Vec<u32>,
-    pub terms: Vec<u32>,
     /// Shard owning each global input port, and its local index there.
     pub shard_of_in: Vec<u32>,
     pub local_of_in: Vec<u32>,
@@ -342,9 +336,13 @@ impl ShardPlan {
             }
         }
 
-        // Terminals grouped by host switch (stable counting sort, so
-        // within a switch the terminal order is ascending).
-        let terminals = net.num_terminals();
+        // Terminal ranges per host switch: prefix sums of the per-switch
+        // counts, which are the ranges only because the terminal-to-switch
+        // map ascends (the inject loop walks them as `offset + t`).
+        debug_assert!(
+            net.dst_switch_of_terminal.is_sorted(),
+            "terminals must be densely packed onto switches"
+        );
         self.term_offsets.clear();
         self.term_offsets.resize(n + 1, 0);
         for &sw in &net.dst_switch_of_terminal {
@@ -352,14 +350,6 @@ impl ShardPlan {
         }
         for i in 0..n {
             self.term_offsets[i + 1] += self.term_offsets[i];
-        }
-        self.terms.clear();
-        self.terms.resize(terminals, 0);
-        let mut cursor: Vec<u32> = self.term_offsets[..n].to_vec();
-        for (t, &sw) in net.dst_switch_of_terminal.iter().enumerate() {
-            let at = cursor[sw as usize];
-            self.terms[at as usize] = vid(t);
-            cursor[sw as usize] += 1;
         }
 
         // Global↔local port maps, ascending per shard.
@@ -424,9 +414,6 @@ pub(crate) struct ShardState {
     /// busy/park scans walk candidate lists of global ids, and global
     /// indexing spares them a local-id translation on the hottest path.
     pub busy_until: Vec<u64>,
-    /// Busy cycles within the measurement window, local out index
-    /// (grant-time only, so the translation is off the hot path).
-    pub busy_cycles: Vec<u64>,
     pub wheel: Vec<Vec<Event>>,
     /// Flat per-cycle request array; entries chain per output port.
     pub reqs: Vec<Request>,
@@ -495,8 +482,6 @@ impl ShardState {
         self.in_active.resize(slots, false);
         self.busy_until.clear();
         self.busy_until.resize(net.num_out_ports(), 0);
-        self.busy_cycles.clear();
-        self.busy_cycles.resize(n_out, 0);
         self.wheel.iter_mut().for_each(Vec::clear);
         self.wheel.resize_with(EVENT_WHEEL, Vec::new);
         self.reqs.clear();
@@ -641,26 +626,23 @@ mod tests {
     }
 
     #[test]
-    fn terminals_group_by_switch_in_ascending_order() {
+    fn terminal_ranges_are_exactly_each_switchs_terminals() {
         let clos = FoldedClos::cft(8, 3).unwrap();
-        // Round-robin population: terminal t on leaf t % 32.
-        let net = SimNetwork::from_folded_clos_spread(&clos, 80);
+        // Capacity 128 at 4 per leaf; 78 leaves the 20th leaf partly
+        // filled and the last 12 leaves empty.
+        let net = SimNetwork::from_folded_clos_populated(&clos, 78);
         let mut plan = ShardPlan::default();
         plan.build(&net, 4);
-        let mut seen = 0usize;
+        assert_eq!(plan.term_offsets.len(), net.num_switches() + 1);
         for sw in 0..net.num_switches() {
-            let group =
-                &plan.terms[plan.term_offsets[sw] as usize..plan.term_offsets[sw + 1] as usize];
-            for &t in group {
-                assert_eq!(net.dst_switch_of_terminal[t as usize] as usize, sw);
-            }
-            assert!(
-                group.windows(2).all(|w| w[0] < w[1]),
-                "ascending per switch"
-            );
-            seen += group.len();
+            let range = plan.term_offsets[sw] as usize..plan.term_offsets[sw + 1] as usize;
+            let hosted: Vec<usize> = (0..net.num_terminals())
+                .filter(|&t| net.dst_switch_of_terminal[t] as usize == sw)
+                .collect();
+            assert_eq!(range.collect::<Vec<_>>(), hosted, "switch {sw}");
         }
-        assert_eq!(seen, 80, "every terminal grouped exactly once");
+        assert_eq!(plan.term_offsets[19 + 1] - plan.term_offsets[19], 2);
+        assert_eq!(plan.term_offsets[net.num_switches()], 78);
     }
 
     #[test]

@@ -45,67 +45,9 @@ impl SimResult {
     }
 }
 
-/// Per-port serialization utilization over the measurement window
-/// (fraction of cycles each output port spent transmitting), split into
-/// inter-switch links and terminal ejection ports.
-///
-/// Read by [`crate::Simulation::port_utilization`] after a run; useful for
-/// locating the saturated stage (e.g. the top-level links of a tapered
-/// tree, or the single ejector under incast).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortUtilization {
-    /// Utilization of each inter-switch link driver, in `[0, 1]`.
-    pub link: Vec<f64>,
-    /// Utilization of each terminal ejection port, in `[0, 1]`.
-    pub eject: Vec<f64>,
-}
-
-impl PortUtilization {
-    /// Mean link utilization (0 when there are no links).
-    pub fn mean_link(&self) -> f64 {
-        mean(&self.link)
-    }
-
-    /// Busiest link utilization.
-    pub fn max_link(&self) -> f64 {
-        self.link.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean ejection utilization — equals the accepted load for
-    /// fully-populated networks.
-    pub fn mean_eject(&self) -> f64 {
-        mean(&self.eject)
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn utilization_summaries() {
-        let u = PortUtilization {
-            link: vec![0.2, 0.6],
-            eject: vec![0.5],
-        };
-        assert!((u.mean_link() - 0.4).abs() < 1e-12);
-        assert_eq!(u.max_link(), 0.6);
-        assert_eq!(u.mean_eject(), 0.5);
-        let empty = PortUtilization {
-            link: vec![],
-            eject: vec![],
-        };
-        assert_eq!(empty.mean_link(), 0.0);
-        assert_eq!(empty.max_link(), 0.0);
-    }
 
     #[test]
     fn acceptance_ratio_handles_edges() {

@@ -1,5 +1,5 @@
 //! Synthetic datacenter traffic patterns (Section 6 of the paper) and
-//! the pluggable [`TrafficModel`] abstraction the engine consumes.
+//! the per-run destination rule ([`Traffic`]) the engine draws from.
 
 use std::fmt;
 
@@ -80,22 +80,6 @@ impl fmt::Display for TrafficPattern {
     }
 }
 
-/// A destination generator the engine can drive.
-///
-/// Implementations must be pure functions of `(self, src, now)` and the
-/// draws they consume from `rng` — the engine hands every call the
-/// *per-switch* injection generator (DESIGN.md §13), so any draws taken
-/// here are part of that switch's private sequence and destinations are
-/// independent of how switches are partitioned into shards. A model that
-/// declines to transmit (returns `None`) **without consuming draws**
-/// keeps the remaining sequence aligned, which is how the OFF regime of
-/// [`TrafficPattern::Bursty`] stays shard-invariant.
-pub trait TrafficModel: fmt::Debug + Send + Sync {
-    /// Destination for a packet generated at `src` in cycle `now`, or
-    /// `None` if `src` does not transmit.
-    fn dest(&self, src: u32, now: u64, rng: &mut SmallRng) -> Option<u32>;
-}
-
 /// Uniform destination over `0..terminals` excluding `src`, consuming
 /// exactly one draw: draw from the `terminals - 1` non-self values and
 /// shift past `src`. Same distribution as the historical rejection loop
@@ -109,32 +93,6 @@ fn uniform_non_self(terminals: u32, src: u32, rng: &mut SmallRng) -> Option<u32>
     Some(if d >= src { d + 1 } else { d })
 }
 
-/// Stateless uniform traffic ([`TrafficPattern::Uniform`]).
-#[derive(Debug, Clone)]
-struct UniformTraffic {
-    terminals: u32,
-}
-
-impl TrafficModel for UniformTraffic {
-    fn dest(&self, src: u32, _now: u64, rng: &mut SmallRng) -> Option<u32> {
-        uniform_non_self(self.terminals, src, rng)
-    }
-}
-
-/// Any pattern with a fixed per-source destination map
-/// ([`TrafficPattern::RandomPairing`], [`TrafficPattern::FixedRandom`],
-/// [`TrafficPattern::Shuffle`], [`TrafficPattern::AllToOne`]).
-#[derive(Debug, Clone)]
-struct FixedTraffic {
-    dest: Vec<Option<u32>>,
-}
-
-impl TrafficModel for FixedTraffic {
-    fn dest(&self, src: u32, _now: u64, _rng: &mut SmallRng) -> Option<u32> {
-        self.dest[src as usize]
-    }
-}
-
 /// Terminals per on/off regime group of [`TrafficPattern::Bursty`].
 const BURST_GROUP: u32 = 32;
 /// Cycles per regime window of [`TrafficPattern::Bursty`].
@@ -146,156 +104,166 @@ const BURST_P_OFF: f64 = 1.0 / 8.0;
 /// 24 windows — a 25% duty cycle).
 const BURST_P_ON: f64 = 1.0 / 24.0;
 
-/// Markov-modulated bursty traffic ([`TrafficPattern::Bursty`]): each
-/// group of [`BURST_GROUP`] consecutive terminals follows a two-state
-/// on/off chain over [`BURST_WINDOW`]-cycle windows, precomputed at
-/// start-up from the traffic seed (so regime flips are identical at any
-/// shard count). ON groups emit uniform non-self destinations; OFF
-/// groups are silent without consuming injection draws.
-#[derive(Debug, Clone)]
-struct BurstyTraffic {
-    terminals: u32,
-    windows: usize,
-    /// Bit `(group * windows + window)`: group is ON in that window.
-    on: Vec<u64>,
-}
-
-impl BurstyTraffic {
-    fn new<R: Rng + ?Sized>(terminals: u32, horizon: u64, rng: &mut R) -> Self {
-        let windows = usize::try_from(horizon.div_ceil(BURST_WINDOW))
-            .unwrap_or(0)
-            .max(1);
-        let groups = (terminals.div_ceil(BURST_GROUP)) as usize;
-        let bits = groups * windows;
-        let mut on = vec![0u64; bits.div_ceil(64)];
-        for g in 0..groups {
-            let mut state_on = true;
-            for w in 0..windows {
-                if state_on {
-                    let bit = g * windows + w;
-                    on[bit / 64] |= 1u64 << (bit % 64);
-                    state_on = !rng.gen_bool(BURST_P_OFF);
-                } else {
-                    state_on = rng.gen_bool(BURST_P_ON);
-                }
-            }
-        }
-        BurstyTraffic {
-            terminals,
-            windows,
-            on,
-        }
-    }
-
-    fn is_on(&self, src: u32, now: u64) -> bool {
-        let Ok(w) = usize::try_from(now / BURST_WINDOW) else {
-            return false;
-        };
-        if w >= self.windows {
-            return false;
-        }
-        let bit = (src / BURST_GROUP) as usize * self.windows + w;
-        self.on[bit / 64] & (1u64 << (bit % 64)) != 0
-    }
-}
-
-impl TrafficModel for BurstyTraffic {
-    fn dest(&self, src: u32, now: u64, rng: &mut SmallRng) -> Option<u32> {
-        if !self.is_on(src, now) {
-            return None;
-        }
-        uniform_non_self(self.terminals, src, rng)
-    }
-}
-
 /// One in [`HOTSPOT_ONE_IN`] packets targets the hot terminal.
 const HOTSPOT_ONE_IN: u32 = 8;
 /// The hot terminal of [`TrafficPattern::Hotspot`].
 const HOTSPOT_TARGET: u32 = 0;
 
-/// Partial-incast hotspot traffic ([`TrafficPattern::Hotspot`]): each
-/// packet goes to [`HOTSPOT_TARGET`] with probability
-/// `1 / HOTSPOT_ONE_IN`, otherwise to a uniform non-self destination.
-/// The hot terminal itself (and hot draws made *by* it) fall back to
-/// uniform.
-#[derive(Debug, Clone)]
-struct HotspotTraffic {
-    terminals: u32,
+/// The per-run destination rule of one [`TrafficPattern`], built by
+/// [`Traffic::new`] and read by the engine's injection stage.
+///
+/// [`Traffic::dest`] is a pure function of `(self, src, now)` and the
+/// draws it takes from `rng`, which is the *per-switch* injection
+/// generator (DESIGN.md §13): a uniform pick takes exactly one bounded
+/// draw, and a silent source takes none, so every switch's sequence —
+/// and thus every destination — is independent of how switches are
+/// partitioned into shards.
+#[derive(Debug)]
+pub(crate) enum Traffic {
+    /// Uniform over the non-self terminals ([`TrafficPattern::Uniform`]).
+    Uniform { terminals: u32 },
+    /// A fixed per-source destination, `None` for a silent source
+    /// ([`TrafficPattern::RandomPairing`], [`TrafficPattern::FixedRandom`],
+    /// [`TrafficPattern::Shuffle`], [`TrafficPattern::AllToOne`]).
+    Fixed(Vec<Option<u32>>),
+    /// Markov-modulated on/off uniform traffic
+    /// ([`TrafficPattern::Bursty`]): each group of [`BURST_GROUP`]
+    /// consecutive terminals follows a two-state chain over
+    /// [`BURST_WINDOW`]-cycle windows, precomputed from the traffic
+    /// seed. Bit `group * windows + window` of `on` is set when the
+    /// group is ON in that window.
+    Bursty {
+        terminals: u32,
+        windows: usize,
+        on: Vec<u64>,
+    },
+    /// Partial-incast hotspot traffic ([`TrafficPattern::Hotspot`]):
+    /// each packet goes to [`HOTSPOT_TARGET`] with probability
+    /// `1 / HOTSPOT_ONE_IN`, otherwise to a uniform non-self
+    /// destination. The hot terminal itself (and hot draws made *by*
+    /// it) fall back to uniform.
+    Hotspot { terminals: u32 },
 }
 
-impl TrafficModel for HotspotTraffic {
-    fn dest(&self, src: u32, _now: u64, rng: &mut SmallRng) -> Option<u32> {
-        if self.terminals < 2 {
-            return None;
-        }
-        if rng.gen_range(0..HOTSPOT_ONE_IN) == 0 && src != HOTSPOT_TARGET {
-            return Some(HOTSPOT_TARGET);
-        }
-        uniform_non_self(self.terminals, src, rng)
-    }
-}
-
-/// Builds the per-run model for `pattern`. `RandomPairing` draws a
-/// random perfect matching (the odd terminal out, if any, stays
-/// silent); `FixedRandom` draws one destination per source; `Bursty`
-/// precomputes its regime chains over `horizon` cycles. All start-up
-/// draws come from `rng` (the run's traffic stream).
-pub(crate) fn build<R: Rng + ?Sized>(
-    pattern: TrafficPattern,
-    terminals: usize,
-    horizon: u64,
-    rng: &mut R,
-) -> Box<dyn TrafficModel> {
-    let t32 = vid(terminals);
-    match pattern {
-        TrafficPattern::Uniform => Box::new(UniformTraffic { terminals: t32 }),
-        TrafficPattern::RandomPairing => {
-            let mut ids: Vec<u32> = (0..t32).collect();
-            // Fisher-Yates, then pair consecutive entries.
-            for i in (1..ids.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                ids.swap(i, j);
+impl Traffic {
+    /// Builds the per-run rule for `pattern`. `RandomPairing` draws a
+    /// random perfect matching (the odd terminal out, if any, stays
+    /// silent); `FixedRandom` draws one destination per source; `Bursty`
+    /// precomputes its regime chains over `horizon` cycles. All start-up
+    /// draws come from `rng` (the run's traffic stream).
+    pub(crate) fn new<R: Rng + ?Sized>(
+        pattern: TrafficPattern,
+        terminals: usize,
+        horizon: u64,
+        rng: &mut R,
+    ) -> Self {
+        let t32 = vid(terminals);
+        match pattern {
+            TrafficPattern::Uniform => Traffic::Uniform { terminals: t32 },
+            TrafficPattern::RandomPairing => {
+                let mut ids: Vec<u32> = (0..t32).collect();
+                // Fisher-Yates, then pair consecutive entries.
+                for i in (1..ids.len()).rev() {
+                    let j = rng.gen_range(0..=i);
+                    ids.swap(i, j);
+                }
+                let mut dest = vec![None; terminals];
+                for chunk in ids.chunks_exact(2) {
+                    dest[chunk[0] as usize] = Some(chunk[1]);
+                    dest[chunk[1] as usize] = Some(chunk[0]);
+                }
+                Traffic::Fixed(dest)
             }
-            let mut dest = vec![None; terminals];
-            for chunk in ids.chunks_exact(2) {
-                dest[chunk[0] as usize] = Some(chunk[1]);
-                dest[chunk[1] as usize] = Some(chunk[0]);
+            TrafficPattern::FixedRandom => Traffic::Fixed(
+                (0..t32)
+                    .map(|src| {
+                        if terminals < 2 {
+                            return None;
+                        }
+                        // One draw from the non-self values, shifted past src.
+                        let d = rng.gen_range(0..t32 - 1);
+                        Some(if d >= src { d + 1 } else { d })
+                    })
+                    .collect(),
+            ),
+            TrafficPattern::Shuffle => {
+                // Perfect shuffle over ceil(log2(T)) bits; destinations
+                // that fall outside 0..T or map to the source stay
+                // silent, so the pattern degrades gracefully for
+                // non-power-of-two populations.
+                let bits = vid(terminals.max(2)).next_power_of_two().trailing_zeros();
+                Traffic::Fixed(
+                    (0..t32)
+                        .map(|src| {
+                            let rotated = ((src << 1) | (src >> (bits - 1))) & ((1u32 << bits) - 1);
+                            (rotated != src && (rotated as usize) < terminals).then_some(rotated)
+                        })
+                        .collect(),
+                )
             }
-            Box::new(FixedTraffic { dest })
-        }
-        TrafficPattern::FixedRandom => {
-            let dest = (0..t32)
-                .map(|src| {
-                    if terminals < 2 {
-                        return None;
+            TrafficPattern::AllToOne => {
+                Traffic::Fixed((0..t32).map(|src| (src != 0).then_some(0)).collect())
+            }
+            TrafficPattern::Bursty => {
+                let windows = usize::try_from(horizon.div_ceil(BURST_WINDOW))
+                    .unwrap_or(0)
+                    .max(1);
+                let groups = (t32.div_ceil(BURST_GROUP)) as usize;
+                let bits = groups * windows;
+                let mut on = vec![0u64; bits.div_ceil(64)];
+                for g in 0..groups {
+                    let mut state_on = true;
+                    for w in 0..windows {
+                        if state_on {
+                            let bit = g * windows + w;
+                            on[bit / 64] |= 1u64 << (bit % 64);
+                            state_on = !rng.gen_bool(BURST_P_OFF);
+                        } else {
+                            state_on = rng.gen_bool(BURST_P_ON);
+                        }
                     }
-                    // One draw from the non-self values, shifted past src.
-                    let d = rng.gen_range(0..t32 - 1);
-                    Some(if d >= src { d + 1 } else { d })
-                })
-                .collect();
-            Box::new(FixedTraffic { dest })
+                }
+                Traffic::Bursty {
+                    terminals: t32,
+                    windows,
+                    on,
+                }
+            }
+            TrafficPattern::Hotspot => Traffic::Hotspot { terminals: t32 },
         }
-        TrafficPattern::Shuffle => {
-            // Perfect shuffle over ceil(log2(T)) bits; destinations
-            // that fall outside 0..T or map to the source stay
-            // silent, so the pattern degrades gracefully for
-            // non-power-of-two populations.
-            let bits = vid(terminals.max(2)).next_power_of_two().trailing_zeros();
-            let dest = (0..t32)
-                .map(|src| {
-                    let rotated = ((src << 1) | (src >> (bits - 1))) & ((1u32 << bits) - 1);
-                    (rotated != src && (rotated as usize) < terminals).then_some(rotated)
-                })
-                .collect();
-            Box::new(FixedTraffic { dest })
+    }
+
+    /// Destination for a packet generated at `src` in cycle `now`, or
+    /// `None` if `src` does not transmit.
+    pub(crate) fn dest(&self, src: u32, now: u64, rng: &mut SmallRng) -> Option<u32> {
+        match self {
+            Traffic::Uniform { terminals } => uniform_non_self(*terminals, src, rng),
+            Traffic::Fixed(dest) => dest[src as usize],
+            Traffic::Bursty {
+                terminals,
+                windows,
+                on,
+            } => {
+                let w = usize::try_from(now / BURST_WINDOW).ok()?;
+                if w >= *windows {
+                    return None;
+                }
+                let bit = (src / BURST_GROUP) as usize * windows + w;
+                if on[bit / 64] & (1u64 << (bit % 64)) == 0 {
+                    return None;
+                }
+                uniform_non_self(*terminals, src, rng)
+            }
+            Traffic::Hotspot { terminals } => {
+                if *terminals < 2 {
+                    return None;
+                }
+                if rng.gen_range(0..HOTSPOT_ONE_IN) == 0 && src != HOTSPOT_TARGET {
+                    return Some(HOTSPOT_TARGET);
+                }
+                uniform_non_self(*terminals, src, rng)
+            }
         }
-        TrafficPattern::AllToOne => {
-            let dest = (0..t32).map(|src| (src != 0).then_some(0)).collect();
-            Box::new(FixedTraffic { dest })
-        }
-        TrafficPattern::Bursty => Box::new(BurstyTraffic::new(t32, horizon, rng)),
-        TrafficPattern::Hotspot => Box::new(HotspotTraffic { terminals: t32 }),
     }
 }
 
@@ -310,9 +278,9 @@ mod tests {
 
     const HORIZON: u64 = 1024;
 
-    fn model(pattern: TrafficPattern, terminals: usize, seed: u64) -> Box<dyn TrafficModel> {
+    fn model(pattern: TrafficPattern, terminals: usize, seed: u64) -> Traffic {
         let mut rng = SmallRng::seed_from_u64(seed);
-        build(pattern, terminals, HORIZON, &mut rng)
+        Traffic::new(pattern, terminals, HORIZON, &mut rng)
     }
 
     #[test]
@@ -354,6 +322,36 @@ mod tests {
         let mut any = SmallRng::seed_from_u64(0);
         let fixed: Vec<u32> = (0..8).map(|s| f.dest(s, 0, &mut any).unwrap()).collect();
         assert_eq!(fixed, vec![6, 3, 7, 5, 6, 4, 0, 4]);
+        // Hotspot: one hot-or-not draw, then one uniform draw unless hot.
+        let h = model(TrafficPattern::Hotspot, 8, 0);
+        let mut rng = SmallRng::seed_from_u64(42);
+        let hot: Vec<u32> = (0..12).map(|_| h.dest(3, 0, &mut rng).unwrap()).collect();
+        assert_eq!(hot, vec![2, 5, 5, 5, 7, 6, 0, 4, 0, 4, 7, 4]);
+        // Bursty: source 3's group is ON in windows 0-7 and 29-31 and
+        // OFF in 8-28 and past the horizon. An ON cycle takes one
+        // uniform draw; an OFF cycle takes none, so the ON values after
+        // it continue the same generator sequence.
+        let b = model(TrafficPattern::Bursty, 64, 11);
+        let mut rng = SmallRng::seed_from_u64(42);
+        let bursty: Vec<Option<u32>> = [0, 40, 300, 31, 500, 255, 256, 960, 1023, HORIZON]
+            .iter()
+            .map(|&now| b.dest(3, now, &mut rng))
+            .collect();
+        assert_eq!(
+            bursty,
+            [
+                Some(52),
+                Some(21),
+                None,
+                Some(62),
+                None,
+                Some(45),
+                None,
+                Some(50),
+                Some(38),
+                None
+            ]
+        );
     }
 
     #[test]

@@ -98,10 +98,13 @@ impl FoldedClos {
     /// root level) is the variant deployed in practice and the one the
     /// paper compares against.
     ///
+    /// The tree is `XGFT(l-1; k…k; k…k)` and is wired by the same
+    /// builder as [`FoldedClos::xgft`], labelled [`CloKind::KaryTree`].
+    ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::InvalidParameter`] when `k < 1` or
-    /// `levels < 2`.
+    /// Returns [`TopologyError::InvalidParameter`] when `k < 1`,
+    /// `levels < 2`, or `k^(l-1)` overflows.
     ///
     /// # Examples
     ///
@@ -122,33 +125,17 @@ impl FoldedClos {
                 "levels must be >= 2, got {levels}"
             )));
         }
-        let l = levels;
-        let per_level = k
-            .checked_pow(vid(l) - 1)
-            .ok_or_else(|| TopologyError::invalid("network too large: k^(l-1) overflows"))?;
-        let level_sizes = vec![per_level; l];
-        let mut stages = Vec::with_capacity(l - 1);
-        for stage_idx in 0..l - 1 {
-            let mut adj1: Vec<Vec<u32>> = vec![Vec::with_capacity(k); per_level];
-            let mut adj2: Vec<Vec<u32>> = vec![Vec::with_capacity(k); per_level];
-            let scale = k.pow(vid(stage_idx));
-            #[expect(
-                clippy::needless_range_loop,
-                reason = "indexing both endpoint lists at computed positions; \
-                          an iterator form would hide the wiring rule"
-            )]
-            for w in 0..per_level {
-                let digit = w / scale % k;
-                let base = w - digit * scale;
-                for v in 0..k {
-                    let upper = base + v * scale;
-                    adj1[w].push(vid(upper));
-                    adj2[upper].push(vid(w));
-                }
-            }
-            stages.push(BipartiteGraph { adj1, adj2 });
+        if u32::try_from(levels - 1)
+            .ok()
+            .and_then(|e| k.checked_pow(e))
+            .is_none()
+        {
+            return Err(TopologyError::invalid(
+                "network too large: k^(l-1) overflows",
+            ));
         }
-        FoldedClos::from_stages(CloKind::KaryTree, 2 * k, k, &level_sizes, stages)
+        let arities = vec![k; levels - 1];
+        FoldedClos::xgft_of_kind(CloKind::KaryTree, &arities, &arities, k)
     }
 }
 

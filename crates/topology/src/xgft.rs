@@ -48,6 +48,17 @@ impl FoldedClos {
         w: &[usize],
         terminals_per_leaf: usize,
     ) -> Result<FoldedClos, TopologyError> {
+        Self::xgft_of_kind(CloKind::Xgft, m, w, terminals_per_leaf)
+    }
+
+    /// [`FoldedClos::xgft`] labelled as `kind`: the k-ary l-tree is
+    /// `XGFT(l-1; k…k; k…k)` and builds through here too.
+    pub(crate) fn xgft_of_kind(
+        kind: CloKind,
+        m: &[usize],
+        w: &[usize],
+        terminals_per_leaf: usize,
+    ) -> Result<FoldedClos, TopologyError> {
         if m.is_empty() || m.len() != w.len() {
             return Err(TopologyError::invalid(format!(
                 "m and w must be equal-length and nonempty (got {} and {})",
@@ -111,7 +122,7 @@ impl FoldedClos {
             let ports = m[level - 1] + if level < h { w[level] } else { 0 };
             radix = radix.max(ports);
         }
-        FoldedClos::from_stages(CloKind::Xgft, radix, terminals_per_leaf, &sizes, stages)
+        FoldedClos::from_stages(kind, radix, terminals_per_leaf, &sizes, stages)
     }
 }
 
@@ -122,13 +133,36 @@ mod tests {
 
     #[test]
     fn xgft_reproduces_the_kary_tree() {
-        let x = FoldedClos::xgft(&[3, 3], &[3, 3], 3).unwrap();
-        let k = FoldedClos::kary_tree(3, 3).unwrap();
-        assert_eq!(x.num_terminals(), k.num_terminals());
-        assert_eq!(x.num_switches(), k.num_switches());
-        assert_eq!(x.num_links(), k.num_links());
-        for level in 0..3 {
-            assert_eq!(x.level_size(level), k.level_size(level), "level {level}");
+        // The k-ary l-tree is XGFT(l-1; k…k; k…k), wired switch for
+        // switch by the Petrini–Vanneschi rule: a level-i switch and its
+        // parents differ only in base-k digit i of their local index,
+        // and every up and down row lists them in digit order.
+        for k in 2..=4 {
+            for levels in 2..=4 {
+                let arities = vec![k; levels - 1];
+                let x = FoldedClos::xgft(&arities, &arities, k).unwrap();
+                let t = FoldedClos::kary_tree(k, levels).unwrap();
+                assert_eq!(t.kind(), CloKind::KaryTree);
+                assert_eq!(x.radix(), t.radix(), "k {k}, levels {levels}");
+                assert_eq!(x.num_terminals(), t.num_terminals());
+                assert_eq!(x.num_switches(), t.num_switches());
+                for level in 0..levels - 1 {
+                    let scale = k.pow(vid(level));
+                    for idx in 0..t.level_size(level) {
+                        let base = idx - idx / scale % k * scale;
+                        let at = |l: usize| -> Vec<u32> {
+                            (0..k).map(|v| x.switch_id(l, base + v * scale)).collect()
+                        };
+                        let (lower, upper) = (x.switch_id(level, idx), x.switch_id(level + 1, idx));
+                        assert_eq!(x.up_neighbors(lower), at(level + 1), "k {k}, up of {lower}");
+                        assert_eq!(x.down_neighbors(upper), at(level), "k {k}, down of {upper}");
+                    }
+                }
+                for s in 0..vid(t.num_switches()) {
+                    assert_eq!(x.up_neighbors(s), t.up_neighbors(s));
+                    assert_eq!(x.down_neighbors(s), t.down_neighbors(s));
+                }
+            }
         }
     }
 
