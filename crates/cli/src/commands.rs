@@ -333,6 +333,22 @@ pub(crate) fn sim_config(parsed: &Parsed, base: SimConfig) -> Result<SimConfig, 
     Ok(config)
 }
 
+/// `load` from `--{flag}` when it is a usable offered load: finite and
+/// not negative.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming the flag otherwise.
+fn offered_load(flag: &str, load: f64) -> Result<f64, CliError> {
+    if load.is_finite() && load >= 0.0 {
+        Ok(load)
+    } else {
+        Err(CliError::Usage(format!(
+            "--{flag}: an offered load must be finite and not negative, got `{load}`"
+        )))
+    }
+}
+
 /// Writes a warning line, after `prefix`, when `routing` lacks the full
 /// up/down property: the simulator then refuses unroutable packets.
 fn warn_if_not_updown(
@@ -359,7 +375,7 @@ fn warn_if_not_updown(
 /// [`CliError`] on build, routing or output failure.
 pub fn simulate(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let pattern = parse_traffic(&parsed.str("traffic", "uniform"))?;
-    let load: f64 = parsed.num("load", 0.5)?;
+    let load = offered_load("load", parsed.num("load", 0.5)?)?;
     let seed: u64 = parsed.num("seed", 2017)?;
     let config = sim_config(parsed, SimConfig::paper_defaults())?;
 
@@ -401,9 +417,11 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         Some(raw) => raw
             .split(',')
             .map(|tok| {
-                tok.trim()
+                let load = tok
+                    .trim()
                     .parse::<f64>()
-                    .map_err(|_| CliError::Usage(format!("--loads: cannot parse `{tok}`")))
+                    .map_err(|_| CliError::Usage(format!("--loads: cannot parse `{tok}`")))?;
+                offered_load("loads", load)
             })
             .collect::<Result<_, _>>()?,
         None => (1..=10).map(|i| f64::from(i) / 10.0).collect(),

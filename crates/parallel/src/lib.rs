@@ -52,6 +52,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// `Some(0)` is treated as unset. This is what `rfcgen --threads` and
 /// the `rfcbench` benchmark call; it takes precedence over `RFC_THREADS`.
 pub fn set_threads(n: Option<usize>) {
+    // xtask: allow(relaxed-ordering) — config cell: a lone flag read at pool startup; no data is published through it
     THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }
 
@@ -61,6 +62,7 @@ pub fn set_threads(n: Option<usize>) {
 /// environment variable, [`std::thread::available_parallelism`] (1 when
 /// even that is unavailable).
 pub fn current_threads() -> usize {
+    // xtask: allow(relaxed-ordering) — config cell read; the value is a standalone count, not a guard for other data
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
@@ -85,6 +87,7 @@ static SHARD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// `Some(0)` is treated as unset. This is what `rfcgen --shards` and the
 /// `rfcbench` benchmark call; it takes precedence over `RFC_SHARDS`.
 pub fn set_shards(n: Option<usize>) {
+    // xtask: allow(relaxed-ordering) — config cell: a lone flag read at run startup; no data is published through it
     SHARD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }
 
@@ -97,6 +100,7 @@ pub fn set_shards(n: Option<usize>) {
 /// to all cores would oversubscribe every sweep. Results are identical
 /// at any shard count, so this is purely a performance knob.
 pub fn current_shards() -> usize {
+    // xtask: allow(relaxed-ordering) — config cell read; the value is a standalone count, not a guard for other data
     let forced = SHARD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
@@ -176,6 +180,7 @@ impl SpinBarrier {
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
             // Last arrival: reset the count for the next generation,
             // then release everyone by bumping the generation.
+            // xtask: allow(relaxed-ordering) — barrier reset ordered by the generation Release store / Acquire loads around it
             self.arrived.store(0, Ordering::Relaxed);
             self.generation.fetch_add(1, Ordering::Release);
             return;
@@ -334,6 +339,7 @@ where
                     let mut state = init();
                     let mut done: Vec<(usize, U)> = Vec::new();
                     loop {
+                        // xtask: allow(relaxed-ordering) — work-stealing cursor hands out disjoint indices; job data moves via the slot Mutex
                         let start = next.fetch_add(CHUNK, Ordering::Relaxed);
                         if start >= n_jobs {
                             break;

@@ -120,59 +120,67 @@ impl UpDownRouting {
             down_adj.extend(clos.down_neighbors(s));
             down_off.push(vid(down_adj.len()));
         }
-        let up = |s: usize| &up_adj[up_off[s] as usize..up_off[s + 1] as usize];
-        let down = |s: usize| &down_adj[down_off[s] as usize..down_off[s + 1] as usize];
         let level_ids = |level: usize| -> Vec<u32> {
             (0..clos.level_size(level))
                 .map(|idx| clos.switch_id(level, idx))
                 .collect()
         };
-
-        // Downward reachability, bottom-up.
-        let mut down_reach: Vec<ReachSet> = (0..n).map(|_| ReachSet::new(leaves)).collect();
-        for (leaf, reach) in down_reach.iter_mut().enumerate().take(leaves) {
-            reach.insert(leaf);
-        }
-        for level in 1..levels {
-            let ids = level_ids(level);
-            let computed = rfc_parallel::map(ids.clone(), |s| {
-                let mut acc = ReachSet::new(leaves);
-                for &d in down(s as usize) {
-                    acc.union_with(&down_reach[d as usize]);
-                }
-                acc
-            });
-            for (s, acc) in ids.into_iter().zip(computed) {
-                down_reach[s as usize] = acc;
-            }
-        }
-
-        // Up-then-down reachability, top-down.
-        let mut updown_reach: Vec<ReachSet> = (0..n).map(|_| ReachSet::new(leaves)).collect();
-        for level in (0..levels - 1).rev() {
-            let ids = level_ids(level);
-            let computed = rfc_parallel::map(ids.clone(), |s| {
-                let mut acc = ReachSet::new(leaves);
-                for &u in up(s as usize) {
-                    acc.union_with(&down_reach[u as usize]);
-                    acc.union_with(&updown_reach[u as usize]);
-                }
-                acc
-            });
-            for (s, acc) in ids.into_iter().zip(computed) {
-                updown_reach[s as usize] = acc;
-            }
-        }
-
-        Self {
+        let mut table = Self {
             num_leaves: leaves,
             up_off,
             up_adj,
             down_off,
             down_adj,
-            down_reach,
-            updown_reach,
+            down_reach: (0..n).map(|_| ReachSet::new(leaves)).collect(),
+            updown_reach: (0..n).map(|_| ReachSet::new(leaves)).collect(),
+        };
+
+        // Downward reachability, bottom-up.
+        for (leaf, reach) in table.down_reach.iter_mut().enumerate().take(leaves) {
+            reach.insert(leaf);
         }
+        for level in 1..levels {
+            let ids = level_ids(level);
+            let computed = rfc_parallel::map(ids.clone(), |s| table.derive_down(s));
+            for (s, acc) in ids.into_iter().zip(computed) {
+                table.down_reach[s as usize] = acc;
+            }
+        }
+
+        // Up-then-down reachability, top-down.
+        for level in (0..levels - 1).rev() {
+            let ids = level_ids(level);
+            let computed = rfc_parallel::map(ids.clone(), |s| table.derive_updown(s));
+            for (s, acc) in ids.into_iter().zip(computed) {
+                table.updown_reach[s as usize] = acc;
+            }
+        }
+        table
+    }
+
+    /// `down_reach(s)` derived from `s`'s down-neighbors: the union of
+    /// their down-reach sets, from an empty set in adjacency order.
+    /// [`UpDownRouting::new`] and [`UpDownRouting::apply_event`] both
+    /// derive through it, so a repaired set is byte-identical to a fresh
+    /// one by construction.
+    fn derive_down(&self, s: u32) -> ReachSet {
+        let mut acc = ReachSet::new(self.num_leaves);
+        for &d in self.down(s as usize) {
+            acc.union_with(&self.down_reach[d as usize]);
+        }
+        acc
+    }
+
+    /// `updown_reach(s)` derived from `s`'s up-neighbors: the union of
+    /// their down- and updown-reach sets, from an empty set in adjacency
+    /// order (see [`UpDownRouting::derive_down`]).
+    fn derive_updown(&self, s: u32) -> ReachSet {
+        let mut acc = ReachSet::new(self.num_leaves);
+        for &u in self.up(s as usize) {
+            acc.union_with(&self.down_reach[u as usize]);
+            acc.union_with(&self.updown_reach[u as usize]);
+        }
+        acc
     }
 
     /// Up-neighbors of `s` (CSR slice).
@@ -221,10 +229,11 @@ impl UpDownRouting {
     /// `down_reach` pass ascends from the upper endpoint, the
     /// `updown_reach` pass descends from the lower endpoint and from the
     /// down-neighbors of every down-changed switch. Each re-derivation
-    /// starts from an empty set and unions neighbors in adjacency order —
-    /// the exact operation sequence of [`UpDownRouting::new`] — so
-    /// representation choices (interval vs dense) reproduce and the table
-    /// ends **byte-identical** to a from-scratch build on `clos`: dirty
+    /// goes through the same `derive_down` / `derive_updown` as
+    /// [`UpDownRouting::new`] — from an empty set, neighbors in
+    /// adjacency order — so representation choices (interval vs dense)
+    /// reproduce and the table ends **byte-identical** to a
+    /// from-scratch build on `clos`: dirty
     /// sets are recomputed identically, and clean sets equal the fresh
     /// values by induction (pure functions of unchanged inputs).
     ///
@@ -272,10 +281,7 @@ impl UpDownRouting {
         for level in 1..levels {
             let ids: Vec<u32> = std::mem::take(&mut dirty[level]).into_iter().collect();
             for s in ids {
-                let mut acc = ReachSet::new(leaves);
-                for &d in self.down(s as usize) {
-                    acc.union_with(&self.down_reach[d as usize]);
-                }
+                let acc = self.derive_down(s);
                 down_recomputed += 1;
                 if acc != self.down_reach[s as usize] {
                     acc.for_each_diff(&self.down_reach[s as usize], |d| delta_mark[d] = true);
@@ -304,11 +310,7 @@ impl UpDownRouting {
         for level in (0..levels.saturating_sub(1)).rev() {
             let ids: Vec<u32> = std::mem::take(&mut dirty_ud[level]).into_iter().collect();
             for s in ids {
-                let mut acc = ReachSet::new(leaves);
-                for &u in self.up(s as usize) {
-                    acc.union_with(&self.down_reach[u as usize]);
-                    acc.union_with(&self.updown_reach[u as usize]);
-                }
+                let acc = self.derive_updown(s);
                 updown_recomputed += 1;
                 if acc != self.updown_reach[s as usize] {
                     acc.for_each_diff(&self.updown_reach[s as usize], |d| delta_mark[d] = true);

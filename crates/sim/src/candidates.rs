@@ -16,7 +16,7 @@
 //! runs and rows with a constant id and offset shift (DESIGN.md §16).
 
 use rfc_graph::vid;
-use rfc_routing::UpDownRouting;
+use rfc_routing::{RepairScope, UpDownRouting};
 
 use crate::network::SimNetwork;
 
@@ -106,7 +106,7 @@ impl Candidates {
         &mut self,
         net: &SimNetwork,
         routing: &UpDownRouting,
-        scope: &PatchScope<'_>,
+        scope: &RepairScope,
         spare: &mut RleTable,
     ) {
         let Candidates::Table(table) = self else {
@@ -258,21 +258,6 @@ impl RleTable {
             .max(self.row_ports.len());
         u32::try_from(longest).ok().map(|_| ())
     }
-}
-
-/// Dirty-region description for [`patch_table`], distilled
-/// from a routing repair (`rfc_routing::RepairScope`).
-pub(crate) struct PatchScope<'a> {
-    /// Switches whose columns must be re-derived (sorted, deduplicated).
-    pub dirty: &'a [u32],
-    /// The switches whose *adjacency* changed — their columns are
-    /// recomputed from the routing in full. Every other dirty switch keeps
-    /// its neighbor lists and can differ only at `dst_delta`
-    /// destinations, so its column is spliced from the old table.
-    pub full: &'a [u32],
-    /// Sorted destinations at which a non-`full` dirty switch's row may
-    /// differ from its pre-event value.
-    pub dst_delta: &'a [u32],
 }
 
 /// One switch's column while it is derived: a one-switch [`RleTable`]
@@ -488,7 +473,7 @@ fn build_table(net: &SimNetwork, routing: &UpDownRouting, budget: usize) -> Opti
 }
 
 /// Region-scoped table repair into `table` (overwritten, allocations
-/// kept): rebuilds only the `dirty` switches' columns against the
+/// kept): rebuilds only the `table_dirty` switches' columns against the
 /// (already repaired) `routing` and copies the clean switches between
 /// them from `old` with a constant shift. Every switch owns its rows,
 /// so the result is byte-identical to a from-scratch [`build_table`]
@@ -500,7 +485,7 @@ fn patch_table(
     net: &SimNetwork,
     routing: &UpDownRouting,
     old: &RleTable,
-    scope: &PatchScope<'_>,
+    scope: &RepairScope,
     table: &mut RleTable,
 ) -> Option<()> {
     let dst32 = vid(old.dst_space);
@@ -509,12 +494,14 @@ fn patch_table(
     let mut sr = SwitchRuns::default();
     let mut bufs = RowBufs::default();
     let mut old_to_new: Vec<u32> = Vec::new();
-    // `scope.dirty` arrives sorted and deduplicated (`RepairScope`
-    // collects from a set); `clean` is the first switch not yet written.
+    // `scope.table_dirty` arrives sorted and deduplicated; `clean` is
+    // the first switch not yet written. Only the event endpoints changed
+    // adjacency, so only their columns are re-derived in full; every
+    // other dirty column can differ only at `dst_delta`, and is spliced.
     let mut clean = 0usize;
-    for &switch in scope.dirty {
+    for &switch in &scope.table_dirty {
         table.copy_switches(old, clean, switch as usize)?;
-        if scope.full.contains(&switch) {
+        if scope.endpoints.contains(&switch) {
             switch_runs_into(net, routing, switch, dst32, &mut sr, &mut bufs.ports);
         } else {
             splice_runs_into(
@@ -522,7 +509,7 @@ fn patch_table(
                 routing,
                 old,
                 switch,
-                scope.dst_delta,
+                &scope.dst_delta,
                 dst32,
                 &mut sr,
                 &mut bufs,

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
 
-use crate::candidates::{Candidates, PatchScope, RleTable};
+use crate::candidates::{Candidates, RleTable};
 use crate::engine::Simulation;
 use crate::network::SimNetwork;
 use crate::SimResult;
@@ -200,16 +200,8 @@ impl<'a> DynState<'a> {
             return false;
         }
         let scope = self.routing.apply_event(self.live.current(), ev);
-        self.candidates.patch(
-            self.net,
-            &self.routing,
-            &PatchScope {
-                dirty: &scope.table_dirty,
-                full: &scope.endpoints,
-                dst_delta: &scope.dst_delta,
-            },
-            &mut self.spare,
-        );
+        self.candidates
+            .patch(self.net, &self.routing, &scope, &mut self.spare);
         true
     }
 }

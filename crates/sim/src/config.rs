@@ -18,7 +18,7 @@ pub enum RequestMode {
 /// Simulator configuration.
 ///
 /// [`SimConfig::paper_defaults`] reproduces Table 2 of the paper; fields
-/// are public so experiments (and the ablation benches) can vary them.
+/// are public so experiments and the CLI can vary them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Virtual channels per input port (Table 2: 4).
@@ -119,6 +119,12 @@ impl SimConfig {
             (self.packet_length >= 1, "packets need at least one phit"),
             (self.measure_cycles >= 1, "nothing to measure"),
             (
+                self.warmup_cycles
+                    .checked_add(self.measure_cycles)
+                    .is_some(),
+                "warmup_cycles + measure_cycles overflows u64",
+            ),
+            (
                 self.latency_reservoir >= 1,
                 "percentiles need at least one latency sample slot",
             ),
@@ -200,6 +206,16 @@ mod tests {
             ..SimConfig::paper_defaults()
         };
         assert_eq!(nothing.validate().unwrap_err(), "nothing to measure");
+        let endless = SimConfig {
+            warmup_cycles: u64::MAX,
+            measure_cycles: 1,
+            ..SimConfig::paper_defaults()
+        };
+        let err = endless.validate().unwrap_err();
+        assert!(
+            err.contains("warmup_cycles") && err.contains("measure_cycles"),
+            "{err}"
+        );
         assert_eq!(SimConfig::quick().validate(), Ok(()));
     }
 

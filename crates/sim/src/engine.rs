@@ -1043,7 +1043,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         );
                     }
                 }
-                OutTarget::Link { in_port: tgt, .. } => {
+                OutTarget::Link { in_port: tgt } => {
                     out_credits[o * v + pick.target_vc as usize] -= 1;
                     let at = now + cfg.link_latency + cfg.router_latency;
                     let tsh = shard_of_in[tgt as usize] as usize;

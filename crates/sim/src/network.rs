@@ -11,8 +11,6 @@ pub(crate) enum OutTarget {
     /// To a neighbor switch: the global id of the *input port* at that
     /// switch which this output feeds.
     Link {
-        /// Destination switch.
-        switch: u32,
         /// Global input-port id at the destination switch.
         in_port: u32,
     },
@@ -103,7 +101,7 @@ impl SimNetwork {
         out.clear();
         out.resize(self.num_in_ports(), u32::MAX);
         for (o, target) in self.out_target.iter().enumerate() {
-            if let OutTarget::Link { in_port, .. } = *target {
+            if let OutTarget::Link { in_port } = *target {
                 debug_assert_eq!(out[in_port as usize], u32::MAX, "one feeder per in port");
                 out[in_port as usize] = vid(o);
             }
@@ -111,8 +109,7 @@ impl SimNetwork {
     }
 
     /// Logical heap bytes of the port maps (see
-    /// [`rfc_graph::HeapBytes`]); part of the per-terminal memory
-    /// figure the engine baseline reports.
+    /// [`rfc_graph::HeapBytes`]).
     fn heap_bytes_impl(&self) -> usize {
         use rfc_graph::slice_heap_bytes;
         let nested: usize = self
@@ -215,7 +212,6 @@ impl SimNetwork {
                     .binary_search_by_key(&s32, |&(src, _)| src)
                     .expect("symmetric adjacency");
                 out_target.push(OutTarget::Link {
-                    switch: nb,
                     in_port: table[pos].1,
                 });
                 out_port_of_neighbor[s].push((nb, id));
@@ -272,9 +268,10 @@ mod tests {
         let clos = FoldedClos::cft(4, 3).unwrap();
         let net = SimNetwork::from_folded_clos(&clos);
         for (o, target) in net.out_target.iter().enumerate() {
-            if let OutTarget::Link { switch, in_port } = *target {
-                assert_eq!(net.switch_of_in_port[in_port as usize], switch);
-                assert_ne!(net.out_owner[o], switch, "no self links");
+            if let OutTarget::Link { in_port } = *target {
+                let (owner, nb) = (net.out_owner[o], net.switch_of_in_port[in_port as usize]);
+                assert_ne!(owner, nb, "no self links");
+                assert_eq!(net.out_port_to(owner, nb), Some(vid(o)), "port {o}");
             }
         }
     }
@@ -326,7 +323,7 @@ mod tests {
         net.feeder_out_of_in_ports(&mut feeder);
         assert_eq!(feeder.len(), net.num_in_ports());
         for (o, target) in net.out_target.iter().enumerate() {
-            if let OutTarget::Link { in_port, .. } = *target {
+            if let OutTarget::Link { in_port } = *target {
                 assert_eq!(feeder[in_port as usize] as usize, o);
             }
         }

@@ -7,12 +7,12 @@
 //!    the call site (`Ordering::Acquire`, not a bare imported variant),
 //!    so a reviewer never has to chase a `use` to see what a barrier
 //!    load synchronizes with.
-//! 2. **Relaxed allowlist** — `Ordering::Relaxed` is only legal at
-//!    sites enumerated in the committed `xtask-conc.toml` (config
-//!    cells, the work-stealing cursor) or carrying an
-//!    `// xtask: allow(relaxed-ordering) — <reason>` directive. Stale
-//!    allowlist entries that no longer match any site fail the check, so
-//!    the file cannot drift from the tree.
+//! 2. **Reasoned `Relaxed`** — `Ordering::Relaxed` is only legal under
+//!    an `// xtask: allow(relaxed-ordering) — <reason>` directive that
+//!    says why no data is published through the atomic (config cells,
+//!    the work-stealing cursor, the barrier's reset). A
+//!    `relaxed-ordering` allow that covers no `Relaxed` fails at its own
+//!    line, so the allows cannot drift from the tree.
 //! 3. **Lockstep-region rule** — `lockstep-begin` / `lockstep-end`
 //!    raw-comment markers (same mechanism as `hot-loop-alloc`)
 //!    delimit the per-cycle shard path; inside them, lock types,
@@ -28,18 +28,11 @@
 //! `.store(` on a non-atomic receiver would false-positive (none exist
 //! in the tree today) and would be suppressed with the allow directive.
 
-use std::fs;
-use std::path::Path;
-
 use crate::rules::{
-    contains_token, count_token, Violation, LOCKSTEP_BEGIN, LOCKSTEP_END, RULE_ATOMIC_ORDERING,
-    RULE_LOCKSTEP_REGION, RULE_RELAXED_ORDERING,
+    contains_token, count_token, Region, Violation, LOCKSTEP_BEGIN, LOCKSTEP_END,
+    RULE_ATOMIC_ORDERING, RULE_LOCKSTEP_REGION, RULE_RELAXED_ORDERING,
 };
-use crate::scan::{allow_covers, ScannedLine};
-
-/// File name of the committed Relaxed-ordering allowlist, at the repo
-/// root.
-pub const CONC_FILE: &str = "xtask-conc.toml";
+use crate::scan::{allow_covers, allow_directive, window, ScannedLine};
 
 /// Atomic methods that take a memory ordering: each call must mention
 /// `Ordering::` within the same statement (this line joined with the
@@ -60,29 +53,37 @@ const ATOMIC_METHODS: &[&str] = &[
     ".compare_exchange_weak(",
 ];
 
-/// Tokens banned inside a lockstep region: locks and channels
-/// (over-synchronization in the per-cycle path), sleeps, `SeqCst`, and
-/// blocking I/O.
-const LOCKSTEP_FORBIDDEN: &[&str] = &[
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "mpsc",
-    "thread::sleep",
-    "SeqCst",
-    "File",
-    "OpenOptions",
-    "TcpStream",
-    "UdpSocket",
-    "stdin",
-    "stdout",
-    "stderr",
-    "read_to_string",
-    "println!",
-    "eprintln!",
-    "print!",
-    "eprint!",
-];
+/// Lockstep regions, the per-cycle shard path between two barrier
+/// waits: locks and channels (over-synchronization), sleeps, `SeqCst`
+/// and blocking I/O are banned there.
+const LOCKSTEP: Region = Region {
+    name: "lockstep",
+    begin: LOCKSTEP_BEGIN,
+    end: LOCKSTEP_END,
+    rule: RULE_LOCKSTEP_REGION,
+    banned: &[
+        "Mutex",
+        "RwLock",
+        "Condvar",
+        "mpsc",
+        "thread::sleep",
+        "SeqCst",
+        "File",
+        "OpenOptions",
+        "TcpStream",
+        "UdpSocket",
+        "stdin",
+        "stdout",
+        "stderr",
+        "read_to_string",
+        "println!",
+        "eprintln!",
+        "print!",
+        "eprint!",
+    ],
+    why: "the per-cycle shard path runs between barrier waits and must not block, lock, or \
+          over-synchronize",
+};
 
 /// Lock-side tokens of the sync-primitive ratchet: blocking
 /// synchronization types (and the `mpsc` channel module).
@@ -105,293 +106,91 @@ const ATOMIC_TOKENS: &[&str] = &[
     "AtomicPtr",
 ];
 
-/// Non-test sync-primitive tally of one file (or one crate, summed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyncCounts {
-    /// Lock-type mentions (`Mutex`, `RwLock`, `Condvar`, `Barrier`,
-    /// `mpsc`).
-    pub lock: usize,
-    /// Atomic-type mentions (`AtomicUsize`, `AtomicBool`, ...).
-    pub atomic: usize,
-}
-
-impl SyncCounts {
-    /// Component-wise sum.
-    pub fn add(&mut self, other: SyncCounts) {
-        self.lock += other.lock;
-        self.atomic += other.atomic;
-    }
-
-    /// Total sync-primitive mentions.
-    pub fn total(&self) -> usize {
-        self.lock + self.atomic
-    }
-}
-
-/// One `[[relaxed]]` allowlist entry from `xtask-conc.toml`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelaxedAllow {
-    /// 1-based line of the `[[relaxed]]` header, for diagnostics.
-    pub line: usize,
-    /// Workspace-relative path the entry applies to.
-    pub file: String,
-    /// Substring of the raw source line that identifies the site.
-    pub contains: String,
-    /// Why Relaxed is sound there.
-    pub reason: String,
-}
-
-impl RelaxedAllow {
-    /// Whether this entry covers the raw source line `raw` of the file
-    /// displayed as `display`.
-    fn covers(&self, display: &str, raw: &str) -> bool {
-        self.file == display && raw.contains(&self.contains)
-    }
-}
-
-/// Parses the allowlist file. Returns the entries, or a description of
-/// the first malformed line. The format is a fixed list of `[[relaxed]]`
-/// tables with quoted-string `file` / `contains` / `reason` keys, read
-/// by a purpose-built parser rather than a TOML dependency.
-pub fn parse_allowlist(text: &str) -> Result<Vec<RelaxedAllow>, String> {
-    let mut out: Vec<RelaxedAllow> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "[[relaxed]]" {
-            out.push(RelaxedAllow {
-                line: idx + 1,
-                file: String::new(),
-                contains: String::new(),
-                reason: String::new(),
-            });
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = \"value\"`", idx + 1))?;
-        let entry = out
-            .last_mut()
-            .ok_or_else(|| format!("line {}: key outside a [[relaxed]] table", idx + 1))?;
-        let value = value
-            .trim()
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| format!("line {}: value is not a quoted string", idx + 1))?;
-        match key.trim() {
-            "file" => entry.file = value.to_string(),
-            "contains" => entry.contains = value.to_string(),
-            "reason" => entry.reason = value.to_string(),
-            other => return Err(format!("line {}: unknown key `{other}`", idx + 1)),
-        }
-    }
-    for entry in &out {
-        if entry.file.is_empty() || entry.contains.is_empty() || entry.reason.is_empty() {
-            return Err(format!(
-                "line {}: [[relaxed]] entry needs non-empty `file`, `contains`, and `reason`",
-                entry.line
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Reads the committed allowlist at `root`. It fails closed: a missing
-/// or malformed file is itself a violation, and the caller proceeds
-/// with no allowances.
-pub fn read_allowlist(root: &Path) -> Result<Vec<RelaxedAllow>, (String, Violation)> {
-    let message = match fs::read_to_string(root.join(CONC_FILE)) {
-        Ok(text) => match parse_allowlist(&text) {
-            Ok(entries) => return Ok(entries),
-            Err(e) => format!("malformed allowlist: {e}"),
-        },
-        Err(e) => format!(
-            "cannot read the Relaxed-ordering allowlist: {e}; every \
-             `Ordering::Relaxed` site must be enumerated in {CONC_FILE}"
-        ),
+/// The sync-primitive tally over one scanned file's non-test lines, as
+/// `(ratchet key, count)`: lock-type mentions (`sync-lock`) and
+/// atomic-type mentions (`sync-atomic`).
+pub fn sync_counts(lines: &[ScannedLine]) -> [(&'static str, usize); 2] {
+    let count = |tokens: &[&str]| -> usize {
+        lines
+            .iter()
+            .filter(|line| !line.in_test)
+            .flat_map(|line| tokens.iter().map(|tok| count_token(&line.code, tok)))
+            .sum()
     };
-    Err((
-        CONC_FILE.to_string(),
-        Violation {
-            rule: RULE_RELAXED_ORDERING.to_string(),
-            line: 1,
-            message,
-        },
-    ))
-}
-
-/// The drift check: an allowlist entry that covered no site (per the
-/// `matched` flags [`conc_violations`] set) is stale and must be
-/// deleted, so the file always mirrors the tree.
-pub fn stale_entries(allowlist: &[RelaxedAllow], matched: &[bool]) -> Vec<(String, Violation)> {
-    allowlist
-        .iter()
-        .zip(matched)
-        .filter(|(_, &hit)| !hit)
-        .map(|(entry, _)| {
-            (
-                CONC_FILE.to_string(),
-                Violation {
-                    rule: RULE_RELAXED_ORDERING.to_string(),
-                    line: entry.line,
-                    message: format!(
-                        "stale allowlist entry: no line of `{}` contains `{}`; \
-                         remove the entry (the allowlist must match the tree)",
-                        entry.file, entry.contains
-                    ),
-                },
-            )
-        })
-        .collect()
-}
-
-/// The sync-primitive tally over one scanned file's non-test lines.
-pub fn sync_counts(lines: &[ScannedLine]) -> SyncCounts {
-    let mut counts = SyncCounts::default();
-    for line in lines {
-        if line.in_test {
-            continue;
-        }
-        for tok in LOCK_TOKENS {
-            counts.lock += count_token(&line.code, tok);
-        }
-        for tok in ATOMIC_TOKENS {
-            counts.atomic += count_token(&line.code, tok);
-        }
-    }
-    counts
+    [
+        ("sync-lock", count(LOCK_TOKENS)),
+        ("sync-atomic", count(ATOMIC_TOKENS)),
+    ]
 }
 
 /// The three line-local conc rules over one scanned file.
-///
-/// `display` is the workspace-relative path (matched against allowlist
-/// `file` keys); `matched` marks which allowlist entries covered at
-/// least one site, for the drift check.
-pub fn conc_violations(
-    lines: &[ScannedLine],
-    display: &str,
-    allowlist: &[RelaxedAllow],
-    matched: &mut [bool],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut lockstep_since: Option<usize> = None;
+pub fn conc_violations(lines: &[ScannedLine]) -> Vec<Violation> {
+    let mut out = LOCKSTEP.violations(lines);
     for (idx, line) in lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
         let lineno = idx + 1;
-        if line.raw.contains(LOCKSTEP_BEGIN) {
-            lockstep_since = Some(lineno);
-        } else if line.raw.contains(LOCKSTEP_END) {
-            lockstep_since = None;
-        }
 
         // Rule 1a: orderings are spelled at call sites, never imported
         // as bare variants.
         if line.code.trim_start().starts_with("use ") && line.code.contains("Ordering::") {
-            out.push(Violation {
-                rule: RULE_ATOMIC_ORDERING.to_string(),
-                line: lineno,
-                message: "importing an `Ordering` variant hides the ordering at call sites; \
-                          import the enum and write `Ordering::<variant>` at each operation"
-                    .to_string(),
-            });
+            out.push(Violation::new(
+                RULE_ATOMIC_ORDERING,
+                lineno,
+                "importing an `Ordering` variant hides the ordering at call sites; \
+                 import the enum and write `Ordering::<variant>` at each operation",
+            ));
         }
 
         // Rule 1b: every atomic operation names an ordering within the
-        // same (possibly wrapped) statement.
+        // same statement (this line joined with the next two, for
+        // rustfmt-wrapped arguments).
         for method in ATOMIC_METHODS {
             let mut from = 0;
             while let Some(at) = line.code[from..].find(method) {
-                let col = from + at + method.len();
-                from = col;
-                if !statement_window(lines, idx, col).contains("Ordering::")
+                from += at + method.len();
+                let statement = window(lines[idx..].iter().map(|l| l.code.as_str()), from);
+                if !statement.contains("Ordering::")
                     && !allow_covers(lines, idx, RULE_ATOMIC_ORDERING)
                 {
-                    out.push(Violation {
-                        rule: RULE_ATOMIC_ORDERING.to_string(),
-                        line: lineno,
-                        message: format!(
+                    out.push(Violation::new(
+                        RULE_ATOMIC_ORDERING,
+                        lineno,
+                        format!(
                             "`{method}...)` without an explicit `Ordering::`; atomic \
                              operations must spell their memory ordering at the call site"
                         ),
-                    });
+                    ));
                 }
             }
         }
 
-        // Rule 2: Relaxed only at enumerated or annotated sites.
-        if contains_token(&line.code, "Relaxed") {
-            let mut covered = allow_covers(lines, idx, RULE_RELAXED_ORDERING);
-            for (i, entry) in allowlist.iter().enumerate() {
-                if entry.covers(display, &line.raw) {
-                    matched[i] = true;
-                    covered = true;
-                }
-            }
-            if !covered {
-                out.push(Violation {
-                    rule: RULE_RELAXED_ORDERING.to_string(),
-                    line: lineno,
-                    message: format!(
-                        "`Ordering::Relaxed` outside the {CONC_FILE} allowlist; enumerate \
-                         the site there or justify it with \
-                         `// xtask: allow(relaxed-ordering) — <reason>`"
-                    ),
-                });
-            }
+        // Rule 2: Relaxed only under a reasoned allow, and every such
+        // allow covers a Relaxed (it sits on one, or on a comment-only
+        // line directly above one).
+        let relaxed = |l: &ScannedLine| contains_token(&l.code, "Relaxed");
+        if relaxed(line) && !allow_covers(lines, idx, RULE_RELAXED_ORDERING) {
+            out.push(Violation::new(
+                RULE_RELAXED_ORDERING,
+                lineno,
+                "`Ordering::Relaxed` without a reason; say why no data is published \
+                 through the atomic with `// xtask: allow(relaxed-ordering) — <reason>`",
+            ));
         }
-
-        // Rule 3: nothing blocking or over-synchronizing between the
-        // barrier waits.
-        if lockstep_since.is_some() {
-            for needle in LOCKSTEP_FORBIDDEN {
-                if !contains_token(&line.code, needle) {
-                    continue;
-                }
-                if allow_covers(lines, idx, RULE_LOCKSTEP_REGION) {
-                    continue;
-                }
-                out.push(Violation {
-                    rule: RULE_LOCKSTEP_REGION.to_string(),
-                    line: lineno,
-                    message: format!(
-                        "`{needle}` inside a lockstep region; the per-cycle shard path \
-                         runs between barrier waits and must not block, lock, or \
-                         over-synchronize"
-                    ),
-                });
-            }
+        let allows_relaxed =
+            allow_directive(line).is_some_and(|rules| rules.contains(&RULE_RELAXED_ORDERING));
+        let covers_relaxed = relaxed(line)
+            || (line.code.trim().is_empty() && lines.get(idx + 1).is_some_and(relaxed));
+        if allows_relaxed && !covers_relaxed {
+            out.push(Violation::new(
+                RULE_RELAXED_ORDERING,
+                lineno,
+                "stale `allow(relaxed-ordering)`: it covers no `Ordering::Relaxed`; remove it",
+            ));
         }
-    }
-    if let Some(opened) = lockstep_since {
-        out.push(Violation {
-            rule: RULE_LOCKSTEP_REGION.to_string(),
-            line: opened,
-            message: format!("`{LOCKSTEP_BEGIN}` marker is never closed with `{LOCKSTEP_END}`"),
-        });
     }
     out
-}
-
-/// The remainder of line `idx` starting at `col`, joined with the next
-/// two lines' code text — the window in which a wrapped atomic call's
-/// `Ordering::` argument must appear.
-fn statement_window(lines: &[ScannedLine], idx: usize, col: usize) -> String {
-    let mut window = String::new();
-    if let Some((_, rest)) = lines[idx]
-        .code
-        .split_at_checked(col.min(lines[idx].code.len()))
-    {
-        window.push_str(rest);
-    }
-    for follow in lines.iter().skip(idx + 1).take(2) {
-        window.push(' ');
-        window.push_str(follow.code.trim());
-    }
-    window
 }
 
 #[cfg(test)]
@@ -400,22 +199,7 @@ mod tests {
     use crate::scan::scan;
 
     fn check(src: &str) -> Vec<Violation> {
-        conc_violations(&scan(src), "crates/x/src/lib.rs", &[], &mut [])
-    }
-
-    fn check_with(src: &str, allow: &[RelaxedAllow]) -> (Vec<Violation>, Vec<bool>) {
-        let mut matched = vec![false; allow.len()];
-        let v = conc_violations(&scan(src), "crates/x/src/lib.rs", allow, &mut matched);
-        (v, matched)
-    }
-
-    fn entry(file: &str, contains: &str) -> RelaxedAllow {
-        RelaxedAllow {
-            line: 1,
-            file: file.to_string(),
-            contains: contains.to_string(),
-            reason: "test".to_string(),
-        }
+        conc_violations(&scan(src))
     }
 
     #[test]
@@ -441,29 +225,47 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_needs_an_allowlist_entry_or_directive() {
+    fn relaxed_needs_a_reasoned_allow() {
         let src = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }";
         let v = check(src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, RULE_RELAXED_ORDERING);
 
-        let allow = [entry("crates/x/src/lib.rs", "a.load(Ordering::Relaxed)")];
-        let (v, matched) = check_with(src, &allow);
-        assert!(v.is_empty(), "{v:?}");
-        assert_eq!(matched, vec![true]);
+        // A trailing allow, or one on the comment line above, covers it.
+        let trailing = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); \
+                        // xtask: allow(relaxed-ordering) — monotonic counter, no ordering needed\n}";
+        assert!(check(trailing).is_empty());
+        let above =
+            "fn f(a: &AtomicUsize) {\n    // xtask: allow(relaxed-ordering) — config cell\n    \
+                     a.load(Ordering::Relaxed);\n}";
+        assert!(check(above).is_empty(), "{:?}", check(above));
 
-        // Wrong file: the entry does not cover the site.
-        let allow = [entry("crates/y/src/lib.rs", "a.load(Ordering::Relaxed)")];
-        let (v, matched) = check_with(src, &allow);
-        assert_eq!(v.len(), 1);
-        assert_eq!(matched, vec![false]);
+        // An allow without a reason is no allow.
+        let bare = "// xtask: allow(relaxed-ordering)\na.load(Ordering::Relaxed);";
+        assert_eq!(check(bare).len(), 1);
     }
 
     #[test]
-    fn relaxed_allow_directive_is_an_escape_hatch() {
-        let src = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); \
-                   // xtask: allow(relaxed-ordering) — monotonic counter, no ordering needed\n}";
-        assert!(check(src).is_empty());
+    fn a_relaxed_allow_covering_no_relaxed_is_stale() {
+        // The allow sits above a line with no Relaxed: it fails at its
+        // own line, and so does one trailing a Relaxed-free line.
+        let src =
+            "fn f(a: &AtomicUsize) {\n    // xtask: allow(relaxed-ordering) — was a counter\n    \
+                   a.load(Ordering::Acquire);\n    \
+                   let x = 1; // xtask: allow(relaxed-ordering, lockstep-region) — shared\n}";
+        let v = check(src);
+        assert_eq!(
+            v.iter()
+                .map(|v| (v.rule.as_str(), v.line))
+                .collect::<Vec<_>>(),
+            vec![(RULE_RELAXED_ORDERING, 2), (RULE_RELAXED_ORDERING, 4)],
+            "{v:?}"
+        );
+        assert!(v[0].message.contains("stale"), "{}", v[0].message);
+        // An allow two lines above, past a code line, covers nothing.
+        let gap = "// xtask: allow(relaxed-ordering) — r\nlet x = 1;\na.load(Ordering::Relaxed);";
+        let v = check(gap);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]
@@ -511,37 +313,15 @@ mod tests {
                    struct S { m: Mutex<u32>, a: AtomicUsize }\n\
                    fn f(s: &S) { s.m.lock(); }\n\
                    #[cfg(test)]\nmod tests { use std::sync::RwLock; }";
-        let c = sync_counts(&scan(src));
-        assert_eq!(c.lock, 2, "two Mutex mentions, test RwLock exempt");
-        assert_eq!(c.atomic, 1);
+        // Two Mutex mentions; the test RwLock is exempt.
+        assert_eq!(
+            sync_counts(&scan(src)),
+            [("sync-lock", 2), ("sync-atomic", 1)]
+        );
         // SpinBarrier must not count as `Barrier`.
-        assert_eq!(sync_counts(&scan("struct SpinBarrier;")).total(), 0);
-    }
-
-    #[test]
-    fn allowlist_parses_and_validates() {
-        let text = "# comment\n\n[[relaxed]]\nfile = \"crates/p/src/lib.rs\"\n\
-                    contains = \"X.load\"\nreason = \"config cell\"\n";
-        let entries = parse_allowlist(text).expect("well-formed allowlist must parse");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].line, 3);
-        assert_eq!(entries[0].file, "crates/p/src/lib.rs");
-
-        assert!(
-            parse_allowlist("file = \"x\"\n").is_err(),
-            "key before table"
-        );
-        assert!(
-            parse_allowlist("[[relaxed]]\nfile = \"x\"\ncontains = \"y\"\n").is_err(),
-            "missing reason"
-        );
-        assert!(
-            parse_allowlist("[[relaxed]]\nfile = x\n").is_err(),
-            "unquoted value"
-        );
-        assert!(
-            parse_allowlist("[[relaxed]]\nwibble = \"x\"\n").is_err(),
-            "unknown key"
+        assert_eq!(
+            sync_counts(&scan("struct SpinBarrier;")),
+            [("sync-lock", 0), ("sync-atomic", 0)]
         );
     }
 }

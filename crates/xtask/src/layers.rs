@@ -19,15 +19,16 @@
 //!   workspace crate missing from `[crates]` and a `[crates]` entry
 //!   naming no workspace crate are each diagnostics.
 //!
-//! Like the rest of the analyzer this is registry-free: manifests are
-//! read with a purpose-built line parser (inline dependency tables
-//! only, which is all the workspace uses), not `cargo metadata`.
+//! Like the rest of the analyzer this is registry-free: manifests and
+//! the layers file are read with xtask's one TOML line reader
+//! (`toml.rs`; inline dependency tables only, which is all the
+//! workspace uses), not `cargo metadata`.
 
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Component, Path, PathBuf};
 
 use crate::rules::{Violation, RULE_LAYERING};
+use crate::toml::{self, unquote, Line};
 
 /// File name of the committed layer declarations, at the repo root.
 pub const LAYERS_FILE: &str = "xtask-layers.toml";
@@ -51,62 +52,61 @@ pub struct LayersConfig {
     pub crates: BTreeMap<String, String>,
 }
 
-/// Parses the layers file. Returns the config or a description of the
-/// first malformed line.
-pub fn parse_layers(text: &str) -> Result<LayersConfig, String> {
+/// Parses the layers file, or names its first malformed line (line 1
+/// for a whole-file inconsistency) and what is wrong with it.
+pub fn parse_layers(text: &str) -> Result<LayersConfig, (usize, String)> {
     let mut config = LayersConfig::default();
-    let mut section = Section::None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        let lineno = idx + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = if let Some(name) = header.strip_prefix("layer.") {
-                if config.layers.contains_key(name) {
-                    return Err(format!("line {lineno}: duplicate layer `{name}`"));
-                }
-                config.layers.insert(
-                    name.to_string(),
-                    LayerSpec {
+    for (lineno, line) in toml::lines(text) {
+        let err = |msg: String| (lineno, msg);
+        match line {
+            Line::Section(header) => {
+                if let Some(name) = header.strip_prefix("layer.") {
+                    let spec = LayerSpec {
                         rank: u32::MAX,
                         deps: None,
-                    },
-                );
-                Section::Layer(name.to_string())
-            } else if header == "crates" {
-                Section::Crates
-            } else {
-                return Err(format!(
-                    "line {lineno}: expected [layer.<name>] or [crates], got [{header}]"
-                ));
-            };
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-        let (key, value) = (key.trim(), value.trim());
-        match &section {
-            Section::None => {
-                return Err(format!("line {lineno}: key outside any section"));
+                    };
+                    if config.layers.insert(name.to_string(), spec).is_some() {
+                        return Err(err(format!("duplicate layer `{name}`")));
+                    }
+                } else if header != "crates" {
+                    return Err(err(format!(
+                        "expected [layer.<name>] or [crates], got [{header}]"
+                    )));
+                }
             }
-            Section::Layer(name) => {
-                // The section open inserted the entry; a miss is
-                // impossible but simply skipping keeps this panic-free.
-                let Some(spec) = config.layers.get_mut(name) else {
-                    continue;
-                };
+            Line::Entry {
+                section: "crates",
+                key,
+                value,
+            } => {
+                let layer =
+                    unquote(value).ok_or_else(|| err("layer name must be quoted".to_string()))?;
+                if config
+                    .crates
+                    .insert(key.to_string(), layer.to_string())
+                    .is_some()
+                {
+                    return Err(err(format!("duplicate crate `{key}`")));
+                }
+            }
+            Line::Entry {
+                section,
+                key,
+                value,
+            } => {
+                let spec = section
+                    .strip_prefix("layer.")
+                    .and_then(|name| config.layers.get_mut(name))
+                    .ok_or_else(|| err("key outside any section".to_string()))?;
                 match key {
                     "rank" => {
                         spec.rank = value
                             .parse()
-                            .map_err(|_| format!("line {lineno}: rank is not an integer"))?;
+                            .map_err(|_| err("rank is not an integer".to_string()))?;
                     }
                     "deps" => {
                         let list = unquote(value).ok_or_else(|| {
-                            format!("line {lineno}: deps must be a quoted comma-separated string")
+                            err("deps must be a quoted comma-separated string".to_string())
                         })?;
                         spec.deps = Some(
                             list.split(',')
@@ -116,36 +116,28 @@ pub fn parse_layers(text: &str) -> Result<LayersConfig, String> {
                                 .collect(),
                         );
                     }
-                    other => {
-                        return Err(format!("line {lineno}: unknown layer key `{other}`"));
-                    }
+                    other => return Err(err(format!("unknown layer key `{other}`"))),
                 }
             }
-            Section::Crates => {
-                let layer = unquote(value)
-                    .ok_or_else(|| format!("line {lineno}: layer name must be quoted"))?;
-                if config.crates.contains_key(key) {
-                    return Err(format!("line {lineno}: duplicate crate `{key}`"));
-                }
-                config.crates.insert(key.to_string(), layer.to_string());
-            }
+            Line::Other => return Err(err("expected `key = value`".to_string())),
         }
     }
     // Cross-validate: every layer has a rank, every crate a known layer,
     // allow-lists name known layers.
+    let whole_file = |msg: String| Err((1, msg));
     for (name, spec) in &config.layers {
         if spec.rank == u32::MAX {
-            return Err(format!("layer `{name}` has no rank"));
+            return whole_file(format!("layer `{name}` has no rank"));
         }
         for dep in spec.deps.iter().flatten() {
             if !config.layers.contains_key(dep) {
-                return Err(format!("layer `{name}` allows unknown layer `{dep}`"));
+                return whole_file(format!("layer `{name}` allows unknown layer `{dep}`"));
             }
         }
     }
     for (krate, layer) in &config.crates {
         if !config.layers.contains_key(layer) {
-            return Err(format!(
+            return whole_file(format!(
                 "crate `{krate}` assigned to unknown layer `{layer}`"
             ));
         }
@@ -156,27 +148,13 @@ pub fn parse_layers(text: &str) -> Result<LayersConfig, String> {
 /// Reads and parses the committed layer declarations at `root`. It
 /// fails closed: a missing or malformed file is itself a violation.
 pub fn read_layers(root: &Path) -> Result<LayersConfig, (String, Violation)> {
-    let message = match fs::read_to_string(root.join(LAYERS_FILE)) {
-        Ok(text) => match parse_layers(&text) {
-            Ok(config) => return Ok(config),
-            Err(e) => format!("malformed layer declarations: {e}"),
-        },
-        Err(e) => format!(
-            "cannot read the layer declarations: {e}; every workspace crate must be \
-             assigned to a layer in {LAYERS_FILE}"
-        ),
-    };
-    Err((LAYERS_FILE.to_string(), layering(1, message)))
-}
-
-enum Section {
-    None,
-    Layer(String),
-    Crates,
-}
-
-fn unquote(value: &str) -> Option<&str> {
-    value.strip_prefix('"')?.strip_suffix('"')
+    toml::read_committed(
+        root,
+        LAYERS_FILE,
+        RULE_LAYERING,
+        "every workspace crate must be assigned to a layer there",
+        parse_layers,
+    )
 }
 
 /// One dependency entry read out of a member manifest.
@@ -198,81 +176,52 @@ pub struct DepEntry {
 /// `[dependencies]` / `[dev-dependencies]` / `[build-dependencies]`
 /// tables (inline entries, the only style the workspace uses).
 pub fn manifest_deps(manifest: &str) -> Vec<DepEntry> {
-    let mut out = Vec::new();
-    let mut dep_section: Option<bool> = None; // Some(dev?)
-    for (idx, raw) in manifest.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            dep_section = match header {
-                "dependencies" | "build-dependencies" => Some(false),
-                "dev-dependencies" => Some(true),
-                _ => None,
+    toml::lines(manifest)
+        .filter_map(|(line, item)| {
+            let Line::Entry {
+                section,
+                key,
+                value,
+            } = item
+            else {
+                return None;
             };
-            continue;
-        }
-        let Some(dev) = dep_section else { continue };
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        let name = key.trim().trim_matches('"').to_string();
-        let value = value.trim();
-        let path = value.find("path").and_then(|at| {
-            let rest = &value[at..];
-            let open = rest.find('"')?;
-            let rest = &rest[open + 1..];
-            Some(rest[..rest.find('"')?].to_string())
-        });
-        let workspace = value
-            .find("workspace")
-            .is_some_and(|at| value[at..].replace(' ', "").starts_with("workspace=true"));
-        out.push(DepEntry {
-            name,
-            line: idx + 1,
-            dev,
-            path,
-            workspace,
-        });
-    }
-    out
+            let dev = match section {
+                "dependencies" | "build-dependencies" => false,
+                "dev-dependencies" => true,
+                _ => return None,
+            };
+            Some(DepEntry {
+                name: key.trim_matches('"').to_string(),
+                line,
+                dev,
+                path: dep_path(value),
+                workspace: toml::inline_value(value, "workspace") == Some("true"),
+            })
+        })
+        .collect()
 }
 
 /// Extracts `name → path` from the root manifest's
 /// `[workspace.dependencies]` table.
 pub fn workspace_dep_paths(root_manifest: &str) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    let mut in_table = false;
-    for raw in root_manifest.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            in_table = header == "workspace.dependencies";
-            continue;
-        }
-        if !in_table {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            continue;
-        };
-        if let Some(at) = value.find("path") {
-            let rest = &value[at..];
-            if let Some(open) = rest.find('"') {
-                let rest = &rest[open + 1..];
-                if let Some(close) = rest.find('"') {
-                    out.insert(
-                        key.trim().trim_matches('"').to_string(),
-                        rest[..close].to_string(),
-                    );
-                }
-            }
-        }
-    }
-    out
+    toml::lines(root_manifest)
+        .filter_map(|(_, item)| match item {
+            Line::Entry {
+                section: "workspace.dependencies",
+                key,
+                value,
+            } => Some((key.trim_matches('"').to_string(), dep_path(value)?)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The `path = "..."` of an inline dependency table.
+fn dep_path(value: &str) -> Option<String> {
+    toml::inline_value(value, "path")
+        .and_then(unquote)
+        .map(str::to_string)
 }
 
 /// Normalizes `path` (resolving `.` and `..` lexically) so member
@@ -319,36 +268,25 @@ pub fn check(
         .iter()
         .map(|c| (normalize(&c.dir), c.name.as_str()))
         .collect();
-    let names: Vec<&str> = crates.iter().map(|c| c.name.as_str()).collect();
 
     // Fail closed in both directions.
     for krate in crates {
         if !config.crates.contains_key(&krate.name) {
-            violations.push((
-                manifest_display(&krate.dir),
-                layering(
-                    1,
-                    format!(
-                    "crate `{}` is not declared in {LAYERS_FILE}; every workspace crate must be \
-                     assigned to a layer",
-                    krate.name
-                ),
-                ),
-            ));
+            let message = format!(
+                "crate `{}` is not declared in {LAYERS_FILE}; every workspace crate must be \
+                 assigned to a layer",
+                krate.name
+            );
+            violations.push((manifest_display(&krate.dir), layering(1, message)));
         }
     }
     for declared in config.crates.keys() {
-        if !names.contains(&declared.as_str()) {
-            violations.push((
-                LAYERS_FILE.to_string(),
-                layering(
-                    1,
-                    format!(
-                        "{LAYERS_FILE} declares crate `{declared}` which is not in the workspace; \
-                     remove the stale entry"
-                    ),
-                ),
-            ));
+        if !crates.iter().any(|c| &c.name == declared) {
+            let message = format!(
+                "{LAYERS_FILE} declares crate `{declared}` which is not in the workspace; \
+                 remove the stale entry"
+            );
+            violations.push((LAYERS_FILE.to_string(), layering(1, message)));
         }
     }
 
@@ -357,6 +295,7 @@ pub fn check(
             continue; // already reported above
         };
         let my_spec = &config.layers[my_layer];
+        let my_rank = my_spec.rank;
         for dep in &krate.deps {
             // Resolve the entry to a workspace crate (external registry
             // deps do not exist in this hermetic workspace, but skip
@@ -366,8 +305,7 @@ pub fn check(
             } else {
                 dep.path.as_ref().map(|p| normalize(&krate.dir.join(p)))
             };
-            let Some(dep_dir) = dep_dir else { continue };
-            let Some(&dep_name) = by_dir.get(&normalize(&dep_dir)) else {
+            let Some(&dep_name) = dep_dir.and_then(|dir| by_dir.get(&normalize(&dir))) else {
                 continue;
             };
             let Some(dep_layer) = config.crates.get(dep_name) else {
@@ -379,68 +317,43 @@ pub fn check(
             } else {
                 "dependency"
             };
-            if dep.dev {
-                if dep_rank > my_spec.rank {
-                    violations.push((
-                        manifest_display(&krate.dir),
-                        layering(
-                            dep.line,
-                            format!(
-                            "{kind} `{}` (crate `{dep_name}`, layer `{dep_layer}` rank {dep_rank}) \
-                             points above layer `{my_layer}` (rank {}); the layer graph only \
-                             points downward",
-                            dep.name, my_spec.rank
-                        ),
-                        ),
-                    ));
-                }
-                continue;
-            }
-            if dep_rank >= my_spec.rank {
-                let direction = if dep_rank == my_spec.rank {
+            let edge = format!(
+                "{kind} `{}` (crate `{dep_name}`, layer `{dep_layer}`",
+                dep.name
+            );
+            // A dev-dependency may point laterally; a normal one may not,
+            // and must also land in its layer's allow-list.
+            let message = if dep_rank > my_rank || (!dep.dev && dep_rank == my_rank) {
+                let direction = if dep_rank == my_rank {
                     "laterally within"
                 } else {
                     "above"
                 };
-                violations.push((
-                    manifest_display(&krate.dir),
-                    layering(
-                        dep.line,
-                        format!(
-                        "{kind} `{}` (crate `{dep_name}`, layer `{dep_layer}` rank {dep_rank}) \
-                         points {direction} layer `{my_layer}` (rank {}); the layer graph only \
-                         points downward",
-                        dep.name, my_spec.rank
-                    ),
-                    ),
-                ));
-            } else if let Some(allowed) = &my_spec.deps {
-                if !allowed.iter().any(|l| l == dep_layer) {
-                    violations.push((
-                        manifest_display(&krate.dir),
-                        layering(
-                            dep.line,
-                            format!(
-                                "{kind} `{}` (crate `{dep_name}`, layer `{dep_layer}`) skips the \
-                             layering contract: layer `{my_layer}` may only depend on [{}]",
-                                dep.name,
-                                allowed.join(", ")
-                            ),
-                        ),
-                    ));
-                }
-            }
+                format!(
+                    "{edge} rank {dep_rank}) points {direction} layer `{my_layer}` (rank \
+                     {my_rank}); the layer graph only points downward"
+                )
+            } else if let Some(allowed) = my_spec
+                .deps
+                .as_ref()
+                .filter(|allowed| !dep.dev && !allowed.contains(dep_layer))
+            {
+                format!(
+                    "{edge}) skips the layering contract: layer `{my_layer}` may only depend \
+                     on [{}]",
+                    allowed.join(", ")
+                )
+            } else {
+                continue;
+            };
+            violations.push((manifest_display(&krate.dir), layering(dep.line, message)));
         }
     }
     violations
 }
 
 fn layering(line: usize, message: String) -> Violation {
-    Violation {
-        rule: RULE_LAYERING.to_string(),
-        line,
-        message,
-    }
+    Violation::new(RULE_LAYERING, line, message)
 }
 
 fn manifest_display(dir: &Path) -> String {

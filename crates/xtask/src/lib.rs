@@ -23,11 +23,11 @@
 //!   undeclared crates fail closed (DESIGN.md §12).
 //! * **Atomic orderings and lockstep regions** ([`conc`]) — every
 //!   atomic operation outside `crates/compat` spells its `Ordering::`
-//!   at the call site, `Ordering::Relaxed` is legal only at sites
-//!   enumerated in the committed `xtask-conc.toml` allowlist (which may
-//!   not drift from the tree), and `lockstep-begin` / `lockstep-end`
-//!   markers ban locks, channels, sleeps, blocking I/O, and `SeqCst`
-//!   from the per-cycle shard path (DESIGN.md §14).
+//!   at the call site, `Ordering::Relaxed` is legal only under a
+//!   reasoned `// xtask: allow(relaxed-ordering) — <reason>` (and such
+//!   an allow must cover a `Relaxed`), and `lockstep-begin` /
+//!   `lockstep-end` markers ban locks, channels, sleeps, blocking I/O,
+//!   and `SeqCst` from the per-cycle shard path (DESIGN.md §14).
 //! * **Ratchets** ([`ratchet`]) — one `section → key → count` table in
 //!   `xtask-ratchet.toml`. Per crate: the `#[expect]` counts of the
 //!   panic surface and of lossy casts, and the lock-type / atomic-type
@@ -35,13 +35,16 @@
 //!
 //! Everything is plain lexical analysis over the source tree (no `syn`,
 //! no registry dependencies), so the tool builds in the same hermetic
-//! environment as the rest of the workspace.
+//! environment as the rest of the workspace. The committed TOML files
+//! and the manifests are all read by one line reader (`toml.rs`), and
+//! a missing or malformed committed file fails closed at its line.
 
 pub mod conc;
 pub mod layers;
 pub mod ratchet;
 pub mod rules;
 pub mod scan;
+mod toml;
 pub mod workspace;
 
 pub use workspace::{run_lint, LintReport};

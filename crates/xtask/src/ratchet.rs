@@ -9,12 +9,13 @@
 //! [`crate::conc`]). [`compare`] fails when any count
 //! *rises* above the baseline and notes (without failing) a count that
 //! dropped, so the baseline can be tightened with
-//! `cargo xtask lint --write-ratchet`. The file is read with a
-//! purpose-built parser rather than a TOML dependency; a key missing
-//! from a section counts as 0.
+//! `cargo xtask lint --write-ratchet`. The file is read with xtask's
+//! one TOML line reader (`toml.rs`); a key missing from a section
+//! counts as 0.
 
 use std::collections::BTreeMap;
 
+use crate::toml::{self, Line};
 use crate::workspace::RATCHET_FILE;
 
 /// `crate → key → count`, keyed by the crate's short name.
@@ -30,7 +31,7 @@ const SYNC_HINT: &str = "new concurrency surface must be deliberate — justify 
 
 /// Every key of a crate section, in rendering order, with what to do
 /// when its count rises. A diagnostic names the count `<key> count`.
-const KEYS: &[(&str, &str)] = &[
+pub(crate) const KEYS: &[(&str, &str)] = &[
     ("unwrap", PANIC_HINT),
     ("expect", PANIC_HINT),
     ("panic", PANIC_HINT),
@@ -43,45 +44,40 @@ const KEYS: &[(&str, &str)] = &[
     ("sync-atomic", SYNC_HINT),
 ];
 
-/// Parses the ratchet file, or describes its first malformed line.
-pub fn parse(text: &str) -> Result<Table, String> {
+/// Parses the ratchet file, or names its first malformed line and what
+/// is wrong with it.
+pub fn parse(text: &str) -> Result<Table, (usize, String)> {
     let mut out = Table::new();
-    let mut current: Option<String> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            let name = section
-                .strip_prefix("crate.")
-                .ok_or_else(|| format!("line {lineno}: expected [crate.<name>]"))?;
-            if out.insert(name.to_string(), BTreeMap::new()).is_some() {
-                return Err(format!("line {lineno}: duplicate section [{section}]"));
+    for (lineno, line) in toml::lines(text) {
+        let err = |msg: String| (lineno, msg);
+        match line {
+            Line::Section(section) => {
+                let name = section
+                    .strip_prefix("crate.")
+                    .ok_or_else(|| err("expected [crate.<name>]".to_string()))?;
+                if out.insert(name.to_string(), BTreeMap::new()).is_some() {
+                    return Err(err(format!("duplicate section [{section}]")));
+                }
             }
-            current = Some(name.to_string());
-            continue;
+            Line::Entry {
+                section,
+                key,
+                value,
+            } => {
+                let row = section
+                    .strip_prefix("crate.")
+                    .and_then(|name| out.get_mut(name))
+                    .ok_or_else(|| err("key outside a section".to_string()))?;
+                if !KEYS.iter().any(|&(k, _)| k == key) {
+                    return Err(err(format!("unknown key `{key}` in [{section}]")));
+                }
+                let n = value
+                    .parse()
+                    .map_err(|_| err("value is not an integer".to_string()))?;
+                row.insert(key.to_string(), n);
+            }
+            Line::Other => return Err(err("expected `key = value`".to_string())),
         }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {lineno}: expected `key = value`"))?;
-        let name = current
-            .as_ref()
-            .ok_or_else(|| format!("line {lineno}: key outside a section"))?;
-        let key = key.trim();
-        if !KEYS.iter().any(|&(k, _)| k == key) {
-            return Err(format!(
-                "line {lineno}: unknown key `{key}` in [crate.{name}]"
-            ));
-        }
-        let n: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("line {lineno}: value is not an integer"))?;
-        out.entry(name.clone())
-            .or_default()
-            .insert(key.to_string(), n);
     }
     Ok(out)
 }

@@ -13,7 +13,7 @@
 //! items as well as whole `tests/`, `benches/`, `examples/` trees) is
 //! exempt from all of them.
 
-use crate::scan::{allow_covers, ScannedLine};
+use crate::scan::{allow_covers, window, ScannedLine};
 
 /// Rule name for `expect` calls without a literal message.
 pub const RULE_EXPECT_MESSAGE: &str = "expect-message";
@@ -28,16 +28,15 @@ pub const RULE_LAYERING: &str = "layering";
 /// Rule name for atomic operations that do not spell an ordering at the
 /// call site (see [`crate::conc`]).
 pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
-/// Rule name for `Ordering::Relaxed` sites outside the committed
-/// `xtask-conc.toml` allowlist (see [`crate::conc`]).
+/// Rule name for `Ordering::Relaxed` sites without a reasoned allow, and
+/// for such allows that cover no `Relaxed` (see [`crate::conc`]).
 pub const RULE_RELAXED_ORDERING: &str = "relaxed-ordering";
 /// Rule name for blocking/over-synchronizing constructs inside a
 /// marked lockstep region (see [`crate::conc`]).
 pub const RULE_LOCKSTEP_REGION: &str = "lockstep-region";
 
 /// Raw-comment marker opening a hot-loop region (e.g. the simulator's
-/// cycle loop): until the matching end marker, allocating calls are
-/// banned so steady-state iterations stay allocation-free.
+/// cycle loop), which bans allocation until the matching end marker.
 pub const HOT_LOOP_BEGIN: &str = "xtask: hot-loop-begin";
 /// Raw-comment marker closing a hot-loop region.
 pub const HOT_LOOP_END: &str = "xtask: hot-loop-end";
@@ -73,6 +72,77 @@ pub struct Violation {
     pub message: String,
 }
 
+impl Violation {
+    /// A violation of `rule` at 1-based `line`.
+    pub fn new(rule: &str, line: usize, message: impl Into<String>) -> Self {
+        Violation {
+            rule: rule.to_string(),
+            line,
+            message: message.into(),
+        }
+    }
+}
+
+/// One kind of marked region: between a line holding `begin` and one
+/// holding `end`, the `banned` tokens fail as `rule`, for the reason
+/// `why`. Hot-loop and lockstep regions share this one check.
+pub(crate) struct Region {
+    pub name: &'static str,
+    pub begin: &'static str,
+    pub end: &'static str,
+    pub rule: &'static str,
+    pub banned: &'static [&'static str],
+    pub why: &'static str,
+}
+
+/// Hot-loop regions (e.g. the simulator's cycle loop) stay
+/// allocation-free in their steady-state iterations.
+const HOT_LOOP: Region = Region {
+    name: "hot-loop",
+    begin: HOT_LOOP_BEGIN,
+    end: HOT_LOOP_END,
+    rule: RULE_HOT_LOOP_ALLOC,
+    banned: &["Vec::new", "vec!", "Box::new", "String::new", "to_vec"],
+    why: "it allocates; preallocate in the scratch buffers or move it outside the markers",
+};
+
+impl Region {
+    /// The region's violations over one scanned file: each banned token
+    /// on a non-test line inside the region that no allow covers, and a
+    /// region left open, at its `begin` line.
+    pub(crate) fn violations(&self, lines: &[ScannedLine]) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let mut since: Option<usize> = None;
+        for (idx, line) in lines.iter().enumerate() {
+            if line.in_test {
+                continue;
+            }
+            if line.raw.contains(self.begin) {
+                since = Some(idx + 1);
+            } else if line.raw.contains(self.end) {
+                since = None;
+            }
+            if since.is_none() || allow_covers(lines, idx, self.rule) {
+                continue;
+            }
+            for needle in self.banned {
+                if contains_token(&line.code, needle) {
+                    let message = format!("`{needle}` inside a {} region; {}", self.name, self.why);
+                    out.push(Violation::new(self.rule, idx + 1, message));
+                }
+            }
+        }
+        if let Some(opened) = since {
+            let message = format!(
+                "`{}` marker is never closed with `{}`",
+                self.begin, self.end
+            );
+            out.push(Violation::new(self.rule, opened, message));
+        }
+        out
+    }
+}
+
 /// One non-test `#[expect]` of a ratcheted lint, counted by the ratchet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpectSite {
@@ -99,35 +169,10 @@ pub struct FileAnalysis {
 pub fn analyze_lines(lines: &[ScannedLine]) -> FileAnalysis {
     let mut analysis = FileAnalysis::default();
     expect_attributes(lines, &mut analysis);
-    // Hot-loop regions are delimited by raw-comment markers; track the
-    // opening line for the unterminated-region diagnostic.
-    let mut hot_since: Option<usize> = None;
+    analysis.violations.extend(HOT_LOOP.violations(lines));
     for (idx, line) in lines.iter().enumerate() {
         if line.in_test {
             continue;
-        }
-        let lineno = idx + 1;
-        if line.raw.contains(HOT_LOOP_BEGIN) {
-            hot_since = Some(lineno);
-        } else if line.raw.contains(HOT_LOOP_END) {
-            hot_since = None;
-        }
-        if hot_since.is_some() {
-            for needle in ["Vec::new", "vec!", "Box::new", "String::new", "to_vec"] {
-                if !contains_token(&line.code, needle)
-                    || allow_covers(lines, idx, RULE_HOT_LOOP_ALLOC)
-                {
-                    continue;
-                }
-                analysis.violations.push(Violation {
-                    rule: RULE_HOT_LOOP_ALLOC.to_string(),
-                    line: lineno,
-                    message: format!(
-                        "`{needle}` allocates inside a hot-loop region; preallocate in the \
-                         scratch buffers or move it outside the markers"
-                    ),
-                });
-            }
         }
         // Every `.expect(` must carry a literal (or formatted) message;
         // inspect the raw text so the string contents are visible.
@@ -137,22 +182,14 @@ pub fn analyze_lines(lines: &[ScannedLine]) -> FileAnalysis {
             if !expect_has_message(lines, idx, col)
                 && !allow_covers(lines, idx, RULE_EXPECT_MESSAGE)
             {
-                analysis.violations.push(Violation {
-                    rule: RULE_EXPECT_MESSAGE.to_string(),
-                    line: lineno,
-                    message: "`.expect()` without a descriptive message; say what invariant failed"
-                        .to_string(),
-                });
+                analysis.violations.push(Violation::new(
+                    RULE_EXPECT_MESSAGE,
+                    idx + 1,
+                    "`.expect()` without a descriptive message; say what invariant failed",
+                ));
             }
             search = col;
         }
-    }
-    if let Some(opened) = hot_since {
-        analysis.violations.push(Violation {
-            rule: RULE_HOT_LOOP_ALLOC.to_string(),
-            line: opened,
-            message: format!("`{HOT_LOOP_BEGIN}` marker is never closed with `{HOT_LOOP_END}`"),
-        });
     }
     analysis
 }
@@ -198,14 +235,14 @@ fn expect_attributes(lines: &[ScannedLine], analysis: &mut FileAnalysis) {
             }
             let lints = lints.join(", ");
             if opener.starts_with("#!") {
-                analysis.violations.push(Violation {
-                    rule: RULE_EXPECT_SCOPE.to_string(),
-                    line: idx + 1,
-                    message: format!(
+                analysis.violations.push(Violation::new(
+                    RULE_EXPECT_SCOPE,
+                    idx + 1,
+                    format!(
                         "`{lints}` is suppressed for a whole crate or module; put a reasoned \
                          `#[expect]` on the statement, field, arm or fn that holds each site"
                     ),
-                });
+                ));
                 continue;
             }
             for key in keys {
@@ -239,19 +276,7 @@ fn group_end(text: &str, open: usize) -> Option<usize> {
 /// `.expect(`) is a non-empty message: a string literal with content, a
 /// `format!` invocation, or a borrowed/owned message expression.
 fn expect_has_message(lines: &[ScannedLine], idx: usize, col: usize) -> bool {
-    // Join the remainder of this raw line with the next couple of lines
-    // so rustfmt-wrapped arguments are still visible.
-    let mut arg = String::new();
-    if let Some((_, rest)) = lines[idx]
-        .raw
-        .split_at_checked(col.min(lines[idx].raw.len()))
-    {
-        arg.push_str(rest);
-    }
-    for follow in lines.iter().skip(idx + 1).take(2) {
-        arg.push(' ');
-        arg.push_str(follow.raw.trim());
-    }
+    let arg = window(lines[idx..].iter().map(|l| l.raw.as_str()), col);
     let arg = arg.trim_start();
     if let Some(rest) = arg.strip_prefix('"') {
         // Non-empty string literal.

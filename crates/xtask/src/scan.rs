@@ -14,7 +14,8 @@
 //! 3. **Where the escape hatches are.** An
 //!    `// xtask: allow(<rule>) — <reason>` comment on the flagged line
 //!    or the line directly above suppresses a rule, but only with a
-//!    non-empty reason (see [`allow_directive`]).
+//!    non-empty reason, and only as the line's own `//` comment (see
+//!    [`allow_directive`]).
 
 /// One source line after the lexical pass.
 #[derive(Debug, Clone)]
@@ -237,25 +238,40 @@ fn is_test_attribute_line(code: &str) -> bool {
         || compact.contains("#[cfg(any(test")
 }
 
-/// Parses an `xtask: allow(<rule>[, <rule>...]) — <reason>` escape
-/// hatch out of a raw source line. Returns the rule names when the line
-/// carries a well-formed allow, together with its reason; the caller
-/// matches against the list. A directive may suppress several rules at
-/// once (`allow(relaxed-ordering, lockstep-region)`). A missing or empty
-/// reason, or an empty rule entry, makes the allow invalid (returns
-/// `None`) — every suppression must say *why*.
-pub fn allow_directive(raw: &str) -> Option<(Vec<&str>, &str)> {
-    let at = raw.find("xtask: allow(")?;
-    let rest = &raw[at + "xtask: allow(".len()..];
-    let close = rest.find(')')?;
-    let rules: Vec<&str> = rest[..close].split(',').map(str::trim).collect();
-    let reason = rest[close + 1..]
-        .trim_start_matches([' ', '\t', '-', '—', ':', '–'])
-        .trim();
-    if rules.iter().any(|r| r.is_empty()) || !reason.chars().any(|c| c.is_alphanumeric()) {
-        return None;
+/// The first of `texts` (line texts from the line in question on) from
+/// byte `col`, joined with the next two lines trimmed: the window in
+/// which a rustfmt-wrapped call's argument appears.
+pub(crate) fn window<'a>(mut texts: impl Iterator<Item = &'a str>, col: usize) -> String {
+    let mut out = texts
+        .next()
+        .and_then(|t| t.get(col..))
+        .unwrap_or_default()
+        .to_string();
+    for follow in texts.take(2) {
+        out.push(' ');
+        out.push_str(follow.trim());
     }
-    Some((rules, reason))
+    out
+}
+
+/// The rules named by the `xtask: allow(<rule>[, <rule>...]) — <reason>`
+/// escape hatch that is `line`'s own `//` comment; one directive may
+/// suppress several rules (`allow(relaxed-ordering, lockstep-region)`).
+/// A directive quoted in a doc comment or a string is not one, and a
+/// missing or empty reason, or an empty rule entry, makes the allow
+/// invalid (`None`) — every suppression must say *why*.
+pub fn allow_directive(line: &ScannedLine) -> Option<Vec<&str>> {
+    // The scanned code stops where the line comment starts.
+    let (start, _) = line.raw.char_indices().nth(line.code.chars().count())?;
+    let rest = line.raw[start..]
+        .strip_prefix("//")?
+        .trim_start()
+        .strip_prefix("xtask: allow(")?;
+    let (rules, reason) = rest.split_once(')')?;
+    let rules: Vec<&str> = rules.split(',').map(str::trim).collect();
+    let reason = reason.trim_start_matches([' ', '\t', '-', '—', ':', '–']);
+    (!rules.iter().any(|r| r.is_empty()) && reason.chars().any(char::is_alphanumeric))
+        .then_some(rules)
 }
 
 /// Whether line `idx` (or a comment-only line directly above) carries a
@@ -263,8 +279,7 @@ pub fn allow_directive(raw: &str) -> Option<(Vec<&str>, &str)> {
 /// covers its own line, so one allow never silently blankets the
 /// statement below.
 pub fn allow_covers(lines: &[ScannedLine], idx: usize, rule: &str) -> bool {
-    let hit =
-        |l: &ScannedLine| allow_directive(&l.raw).is_some_and(|(rules, _)| rules.contains(&rule));
+    let hit = |l: &ScannedLine| allow_directive(l).is_some_and(|rules| rules.contains(&rule));
     if hit(&lines[idx]) {
         return true;
     }
@@ -333,34 +348,34 @@ mod tests {
         assert!(!lines[2].in_test, "`;` must clear the pending attribute");
     }
 
+    fn directive(src: &str) -> Option<Vec<String>> {
+        let lines = scan(src);
+        allow_directive(&lines[0]).map(|rules| rules.iter().map(|r| r.to_string()).collect())
+    }
+
     #[test]
     fn allow_directive_requires_a_reason() {
         assert_eq!(
-            allow_directive("x // xtask: allow(hot-loop-alloc) — cold path"),
-            Some((vec!["hot-loop-alloc"], "cold path"))
+            directive("x // xtask: allow(hot-loop-alloc) — cold path"),
+            Some(vec!["hot-loop-alloc".to_string()])
         );
-        assert_eq!(allow_directive("x // xtask: allow(hot-loop-alloc)"), None);
-        assert_eq!(
-            allow_directive("x // xtask: allow(hot-loop-alloc) — "),
-            None
-        );
-        assert_eq!(allow_directive("plain line"), None);
+        assert_eq!(directive("x // xtask: allow(hot-loop-alloc)"), None);
+        assert_eq!(directive("x // xtask: allow(hot-loop-alloc) — "), None);
+        assert_eq!(directive("plain line"), None);
     }
 
     #[test]
     fn allow_directive_parses_multiple_rules() {
         assert_eq!(
-            allow_directive(
-                "x // xtask: allow(relaxed-ordering, lockstep-region) — both justified"
-            ),
-            Some((
-                vec!["relaxed-ordering", "lockstep-region"],
-                "both justified"
-            ))
+            directive("x // xtask: allow(relaxed-ordering, lockstep-region) — both justified"),
+            Some(vec![
+                "relaxed-ordering".to_string(),
+                "lockstep-region".to_string()
+            ])
         );
         // An empty entry in the list invalidates the whole directive.
         assert_eq!(
-            allow_directive("x // xtask: allow(relaxed-ordering,) — reason"),
+            directive("x // xtask: allow(relaxed-ordering,) — reason"),
             None
         );
     }
@@ -375,5 +390,18 @@ mod tests {
         assert!(!allow_covers(&lines, 0, "hot-loop-alloc"));
         // A trailing allow covers only its own line.
         assert!(!allow_covers(&lines, 1, "relaxed-ordering"));
+    }
+
+    #[test]
+    fn quoted_directives_are_not_allows() {
+        for src in [
+            "/// Use `// xtask: allow(relaxed-ordering) — <reason>`.\nf();",
+            "//! xtask: allow(relaxed-ordering) — crate doc\nf();",
+            "let s = \"// xtask: allow(relaxed-ordering) — string\";\nf();",
+        ] {
+            let lines = scan(src);
+            assert_eq!(allow_directive(&lines[0]), None, "{src}");
+            assert!(!allow_covers(&lines, 1, "relaxed-ordering"), "{src}");
+        }
     }
 }

@@ -13,8 +13,9 @@ use std::path::{Path, PathBuf};
 use crate::conc;
 use crate::layers::{self, LayerCrate};
 use crate::ratchet::{self, Sites};
-use crate::rules::{analyze_lines, Violation, RATCHETED_LINTS};
+use crate::rules::{analyze_lines, Violation};
 use crate::scan::scan;
+use crate::toml::{self, Line};
 
 /// File name of the committed ratchet baseline, at the repo root.
 pub const RATCHET_FILE: &str = "xtask-ratchet.toml";
@@ -121,16 +122,13 @@ fn file_name(p: &Path) -> String {
 /// (`[lints] workspace = true`), which forbids `unsafe_code` and sets
 /// every clippy lint the workspace relies on.
 pub fn check_manifest_lints(manifest: &str) -> bool {
-    let mut in_lints = false;
-    for line in manifest.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_lints = line == "[lints]";
-        } else if in_lints && line.replace(' ', "") == "workspace=true" {
-            return true;
+    toml::lines(manifest).any(|(_, line)| {
+        line == Line::Entry {
+            section: "lints",
+            key: "workspace",
+            value: "true",
         }
-    }
-    false
+    })
 }
 
 /// Everything `cargo xtask lint` found.
@@ -166,11 +164,6 @@ impl LintReport {
 pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> {
     let mut report = LintReport::default();
     let crates = discover(root)?;
-    let allowlist = conc::read_allowlist(root).unwrap_or_else(|v| {
-        report.violations.push(v);
-        Vec::new()
-    });
-    let mut matched = vec![false; allowlist.len()];
     let mut layer_crates = Vec::new();
     let mut ws_paths = BTreeMap::new();
     let mut sites = Sites::new();
@@ -183,13 +176,12 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
         if !check_manifest_lints(&manifest) {
             report.violations.push((
                 rel_display(root, &manifest_path),
-                Violation {
-                    rule: "lint-gates".to_string(),
-                    line: 1,
-                    message: "manifest does not inherit [workspace.lints] \
-                              (add `[lints]\\nworkspace = true`)"
-                        .to_string(),
-                },
+                Violation::new(
+                    "lint-gates",
+                    1,
+                    "manifest does not inherit [workspace.lints] \
+                     (add `[lints]\\nworkspace = true`)",
+                ),
             ));
         }
         let dir = krate.root.strip_prefix(root).unwrap_or(&krate.root);
@@ -205,11 +197,10 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
 
         // Every line-level rule and tally, over one scan per file.
         let compat = krate.name.starts_with("compat-");
-        let mut row: BTreeMap<String, usize> = RATCHETED_LINTS
+        let mut row: BTreeMap<String, usize> = ratchet::KEYS
             .iter()
-            .map(|&(_, key)| (key.to_string(), 0))
+            .map(|&(key, _)| (key.to_string(), 0))
             .collect();
-        let mut sync = conc::SyncCounts::default();
         for path in source_files(krate)? {
             let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             let lines = scan(&src);
@@ -225,22 +216,17 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
                         site.line, site.lints
                     ));
             }
-            sync.add(conc::sync_counts(&lines));
+            for (key, n) in conc::sync_counts(&lines) {
+                *row.entry(key.to_string()).or_default() += n;
+            }
             let mut file_violations = analysis.violations;
             if !compat {
-                file_violations.extend(conc::conc_violations(
-                    &lines,
-                    &display,
-                    &allowlist,
-                    &mut matched,
-                ));
+                file_violations.extend(conc::conc_violations(&lines));
             }
             for v in file_violations {
                 report.violations.push((display.clone(), v));
             }
         }
-        row.insert("sync-lock".to_string(), sync.lock);
-        row.insert("sync-atomic".to_string(), sync.atomic);
         report.ratchet.insert(krate.name.clone(), row);
     }
 
@@ -250,36 +236,30 @@ pub fn run_lint(root: &Path, write_ratchet: bool) -> Result<LintReport, String> 
             .extend(layers::check(&config, &layer_crates, &ws_paths)),
         Err(v) => report.violations.push(v),
     }
-    report
-        .violations
-        .extend(conc::stale_entries(&allowlist, &matched));
 
-    let ratchet_path = root.join(RATCHET_FILE);
     if write_ratchet {
-        fs::write(&ratchet_path, ratchet::render(&report.ratchet))
-            .map_err(|e| format!("{}: {e}", ratchet_path.display()))?;
+        let path = root.join(RATCHET_FILE);
+        fs::write(&path, ratchet::render(&report.ratchet))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
     } else {
-        let failures = match fs::read_to_string(&ratchet_path) {
-            Ok(text) => {
-                let baseline = ratchet::parse(&text)?;
+        match toml::read_committed(
+            root,
+            RATCHET_FILE,
+            "ratchet",
+            "create it with `cargo xtask lint --write-ratchet`",
+            ratchet::parse,
+        ) {
+            Ok(baseline) => {
                 let (failures, improvements) = ratchet::compare(&baseline, &report.ratchet, &sites);
                 report.improvements = improvements;
-                failures
+                report
+                    .violations
+                    .extend(failures.into_iter().map(|message| {
+                        let v = Violation::new("ratchet", 1, message);
+                        (RATCHET_FILE.to_string(), v)
+                    }));
             }
-            Err(e) => vec![format!(
-                "cannot read the ratchet baseline: {e}; \
-                 create it with `cargo xtask lint --write-ratchet`"
-            )],
-        };
-        for message in failures {
-            report.violations.push((
-                RATCHET_FILE.to_string(),
-                Violation {
-                    rule: "ratchet".to_string(),
-                    line: 1,
-                    message,
-                },
-            ));
+            Err(v) => report.violations.push(v),
         }
     }
 

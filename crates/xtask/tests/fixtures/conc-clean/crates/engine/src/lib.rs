@@ -1,8 +1,8 @@
 //! Fixture engine: a miniature lockstep shard path touching every
-//! concurrency rule of `cargo xtask lint` — an allowlisted Relaxed
-//! read, explicit orderings everywhere, a lockstep region whose only
-//! lock activity is an uncontended `.lock()` call, and a known
-//! sync-primitive tally.
+//! concurrency rule of `cargo xtask lint` — a Relaxed read under a
+//! reasoned allow, explicit orderings everywhere, a lockstep region
+//! whose only lock activity is an uncontended `.lock()` call, and a
+//! known sync-primitive tally.
 //! Never compiled; parsed only by the xtask lint integration tests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,11 +15,12 @@ pub struct Mailbox {
     pub msgs: Mutex<Vec<u64>>,
 }
 
-/// Cycles completed; the monitoring read below is allowlisted Relaxed.
+/// Cycles completed; the monitoring read below is a reasoned Relaxed.
 pub static CYCLE: AtomicUsize = AtomicUsize::new(0);
 
 /// One shard's cycle step.
 pub fn step(mb: &Mailbox) -> usize {
+    // xtask: allow(relaxed-ordering) — fixture: monotonic cycle counter read, no synchronization carried
     let seen = CYCLE.load(Ordering::Relaxed);
     // xtask: lockstep-begin — fixture per-cycle path
     let drained = mb.msgs.lock().map(|m| m.len()).unwrap_or(0);

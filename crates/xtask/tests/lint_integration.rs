@@ -320,11 +320,11 @@ fn the_committed_fixture_is_conc_clean() {
 }
 
 #[test]
-fn relaxed_outside_the_allowlist_fails_with_its_line() {
+fn relaxed_without_an_allow_fails_with_its_line() {
     let root = fixture_copy("conc-clean", "relaxed");
     let at = append_to_engine(
         &root,
-        "\n/// Extra: an unenumerated Relaxed site.\npub fn reset() {\n    CYCLE.store(0, Ordering::Relaxed);\n}\n",
+        "\n/// Extra: an unreasoned Relaxed site.\npub fn reset() {\n    CYCLE.store(0, Ordering::Relaxed);\n}\n",
     ) + 3;
     let report = lint(&root);
     let hits = of_rule(&report, "relaxed-ordering");
@@ -333,8 +333,8 @@ fn relaxed_outside_the_allowlist_fails_with_its_line() {
     assert_eq!(path.as_str(), "crates/engine/src/lib.rs");
     assert_eq!(v.line, at);
     assert!(
-        v.message.contains("xtask-conc.toml") && v.message.contains("allow(relaxed-ordering)"),
-        "the diagnostic must name both escape hatches: {}",
+        v.message.contains("allow(relaxed-ordering)"),
+        "the diagnostic must name the escape hatch: {}",
         v.message
     );
 
@@ -437,16 +437,17 @@ fn new_sync_primitives_above_the_baseline_fail_the_ratchet() {
 }
 
 #[test]
-fn a_stale_allowlist_entry_fails_the_drift_check() {
+fn a_relaxed_allow_covering_no_relaxed_fails_at_its_line() {
     let root = fixture_copy("conc-clean", "drift");
-    let conc = root.join("xtask-conc.toml");
-    let text = fs::read_to_string(&conc).expect("fixture allowlist");
-    let entry_line = text.lines().count() + 2;
+    let lib = root.join("crates/engine/src/lib.rs");
+    let text = fs::read_to_string(&lib).expect("fixture lib.rs");
+    let allow_line = line_of(&text, "allow(relaxed-ordering)");
+    // The read turns Acquire; its allow stays behind, covering nothing.
     fs::write(
-        &conc,
-        format!(
-            "{text}\n[[relaxed]]\nfile = \"crates/engine/src/lib.rs\"\n\
-             contains = \"NO_SUCH_SITE.load(Ordering::Relaxed)\"\nreason = \"stale\"\n"
+        &lib,
+        text.replace(
+            "CYCLE.load(Ordering::Relaxed)",
+            "CYCLE.load(Ordering::Acquire)",
         ),
     )
     .expect("fixture write");
@@ -454,35 +455,52 @@ fn a_stale_allowlist_entry_fails_the_drift_check() {
     let hits = of_rule(&report, "relaxed-ordering");
     assert_eq!(hits.len(), 1, "{:#?}", report.violations);
     let (path, v) = hits[0];
-    assert_eq!(path.as_str(), "xtask-conc.toml");
-    assert_eq!(v.line, entry_line);
-    assert!(
-        v.message.contains("stale allowlist entry") && v.message.contains("NO_SUCH_SITE"),
-        "{}",
-        v.message
-    );
+    assert_eq!(path.as_str(), "crates/engine/src/lib.rs");
+    assert_eq!(v.line, allow_line);
+    assert!(v.message.contains("stale"), "{}", v.message);
+    assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+}
+
+// ---------------------------------------------------------------------
+// The committed TOML files fail closed, at their malformed line.
+// ---------------------------------------------------------------------
+
+#[test]
+fn missing_layers_or_ratchet_files_fail_closed() {
+    for (file, rule) in [
+        ("xtask-layers.toml", "layering"),
+        ("xtask-ratchet.toml", "ratchet"),
+    ] {
+        let root = upward_edge_without_the_edge(&format!("missing-{rule}"));
+        fs::remove_file(root.join(file)).expect("fixture rm");
+        let report = lint(&root);
+        let hits = of_rule(&report, rule);
+        assert_eq!(hits.len(), 1, "{file}: {:#?}", report.violations);
+        let (path, v) = hits[0];
+        assert_eq!((path.as_str(), v.line), (file, 1));
+        assert!(v.message.contains("cannot read"), "{}", v.message);
+        assert_eq!(report.violations.len(), 1, "{:#?}", report.violations);
+    }
 }
 
 #[test]
-fn a_missing_allowlist_fails_closed() {
-    let root = fixture_copy("conc-clean", "missing");
-    fs::remove_file(root.join("xtask-conc.toml")).expect("fixture rm");
-    let report = lint(&root);
-    // The file's absence is a violation in itself, and the fixture's
-    // Relaxed site loses its only cover.
-    let hits = of_rule(&report, "relaxed-ordering");
-    assert!(
-        hits.iter()
-            .any(|(p, v)| p.as_str() == "xtask-conc.toml" && v.message.contains("cannot read")),
-        "{:#?}",
-        report.violations
-    );
-    assert!(
-        hits.iter()
-            .any(|(p, _)| p.as_str() == "crates/engine/src/lib.rs"),
-        "{:#?}",
-        report.violations
-    );
+fn malformed_layers_or_ratchet_files_fail_at_their_line() {
+    for (file, rule, good, bad) in [
+        ("xtask-layers.toml", "layering", "rank = 50", "rank = fifty"),
+        ("xtask-ratchet.toml", "ratchet", "[crate.sim]", "[sim]"),
+    ] {
+        let root = upward_edge_without_the_edge(&format!("malformed-{rule}"));
+        let path = root.join(file);
+        let text = fs::read_to_string(&path).expect("fixture file");
+        let at = line_of(&text, good);
+        fs::write(&path, text.replace(good, bad)).expect("fixture write");
+        let report = lint(&root);
+        let hits = of_rule(&report, rule);
+        assert_eq!(hits.len(), 1, "{file}: {:#?}", report.violations);
+        let (shown, v) = hits[0];
+        assert_eq!((shown.as_str(), v.line), (file, at));
+        assert!(v.message.starts_with("malformed"), "{}", v.message);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -492,7 +510,7 @@ fn a_missing_allowlist_fails_closed() {
 #[test]
 fn one_run_reports_a_violation_of_every_check() {
     // `upward-edge` keeps its upward edge; its `sim` crate gains an
-    // unlisted Relaxed ordering.
+    // unreasoned Relaxed ordering.
     let root = fixture_copy("upward-edge", "every-check");
     let lib = "//! Fixture crate.\n\n\
                /// Doc.\npub fn g(c: &Counter) -> usize {\n    c.load(Ordering::Relaxed)\n}\n";

@@ -219,15 +219,32 @@ fn usage_error(args: &[&str]) -> String {
 
 #[test]
 fn invalid_simulator_flags_are_usage_errors() {
-    let base = ["simulate", "--kind", "cft", "--radix", "4", "--levels", "2"];
-    let with = |extra: [&'static str; 2]| {
-        let mut argv = base.to_vec();
+    let with = |command: &'static str, extra: &[&'static str]| {
+        let mut argv = vec![command, "--kind", "cft", "--radix", "4", "--levels", "2"];
         argv.extend(extra);
         usage_error(&argv)
     };
-    assert!(with(["--cycles", "0"]).contains("nothing to measure"));
-    assert!(with(["--router-latency", "60"]).contains("event wheel"));
-    assert!(with(["--valiant", "yes"]).contains("on|off"));
+    assert!(with("simulate", &["--cycles", "0"]).contains("nothing to measure"));
+    assert!(with("simulate", &["--router-latency", "60"]).contains("event wheel"));
+    assert!(with("simulate", &["--valiant", "yes"]).contains("on|off"));
+    // A run length that overflows u64 names both fields.
+    let err = with(
+        "simulate",
+        &["--warmup", "18446744073709551615", "--cycles", "1"],
+    );
+    assert!(
+        err.contains("warmup_cycles") && err.contains("measure_cycles"),
+        "{err}"
+    );
+    // An offered load must be finite and not negative.
+    for load in ["nan", "-1", "inf"] {
+        let err = with("simulate", &["--load", load]);
+        assert!(err.contains("--load") && err.contains("finite"), "{err}");
+    }
+    for loads in ["nan,-1", "0.3,-1", "0.3,NaN"] {
+        let err = with("sweep", &["--loads", loads]);
+        assert!(err.contains("--loads") && err.contains("finite"), "{err}");
+    }
 }
 
 #[test]
