@@ -45,6 +45,11 @@ pub(crate) struct RowBufs {
 }
 
 impl RowBufs {
+    /// Logical heap bytes of both buffers (see [`rfc_graph::HeapBytes`]).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        rfc_graph::slice_heap_bytes(&self.hops) + rfc_graph::slice_heap_bytes(&self.ports)
+    }
+
     /// Asks `routing` for `(switch, dst)` and resolves the answer to
     /// out-ports, in routing order.
     fn live_row(

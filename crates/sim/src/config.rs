@@ -96,7 +96,8 @@ impl SimConfig {
 
     /// Checks the configuration, naming the first field that is zero
     /// where that makes no sense or that overflows the engine's fixed
-    /// structures (u8 VC indices and credit counters, the event wheel).
+    /// structures (u8 VC indices and credit counters, u32 generation
+    /// times, the event wheel).
     ///
     /// # Errors
     ///
@@ -123,6 +124,14 @@ impl SimConfig {
                     .checked_add(self.measure_cycles)
                     .is_some(),
                 "warmup_cycles + measure_cycles overflows u64",
+            ),
+            (
+                self.warmup_cycles
+                    .saturating_add(self.measure_cycles)
+                    .saturating_add(self.packet_length)
+                    <= u64::from(u32::MAX),
+                "packets store u32 generation times: warmup_cycles + measure_cycles \
+                 + packet_length must not exceed u32::MAX",
             ),
             (
                 self.latency_reservoir >= 1,
@@ -216,6 +225,17 @@ mod tests {
             err.contains("warmup_cycles") && err.contains("measure_cycles"),
             "{err}"
         );
+        let too_long = SimConfig {
+            measure_cycles: u64::from(u32::MAX) - 5_000 - 15,
+            ..SimConfig::paper_defaults()
+        };
+        let err = too_long.validate().unwrap_err();
+        assert!(err.contains("u32 generation times"), "{err}");
+        let longest = SimConfig {
+            measure_cycles: u64::from(u32::MAX) - 5_000 - 16,
+            ..SimConfig::paper_defaults()
+        };
+        assert_eq!(longest.validate(), Ok(()));
         assert_eq!(SimConfig::quick().validate(), Ok(()));
     }
 

@@ -8,9 +8,9 @@
 //! * **Injection** draws the *gap* to the next injecting terminal from a
 //!   geometric distribution ([`geometric_gap`]) instead of one Bernoulli
 //!   draw per terminal — O(injections), not O(terminals), per cycle.
-//! * **Packet queues** are fixed-capacity ring buffers in one flat
-//!   array (`buffer_packets` slots per virtual channel) — no per-VC
-//!   `VecDeque` headers or heap indirection.
+//! * **Packet queues** are fixed-capacity ring buffers of 8-byte
+//!   packets in one flat array (`buffer_packets` slots per virtual
+//!   channel) — no per-VC `VecDeque` headers or heap indirection.
 //! * An **active-VC worklist** drives the request stage: only slots
 //!   that hold packets are visited, with lazy removal when a slot is
 //!   observed empty.
@@ -38,7 +38,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rfc_graph::vid;
+use rfc_graph::{slice_heap_bytes, vid};
 use rfc_routing::UpDownRouting;
 use rfc_topology::FoldedClos;
 
@@ -46,9 +46,9 @@ use crate::candidates::{Candidates, RleTable};
 use crate::churn::{ChurnResult, DynState, FaultSchedule};
 use crate::network::{OutTarget, SimNetwork};
 use crate::shard::{
-    bounded_hi, bounded_lo, drain_mailboxes, draw, lat32, mailbox_push, new_mailboxes,
-    reservoir_offer, u8_of, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan, ShardState,
-    Streams, NO_PORT, NO_REQ,
+    bounded_hi, bounded_lo, cycle32, drain_mailboxes, draw, lat32, mailbox_push, new_mailboxes,
+    reservoir_offer, u8_of, Arrival, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan,
+    ShardState, Streams, NO_PORT, NO_REQ,
 };
 use crate::traffic::Traffic;
 use crate::{RequestMode, SimConfig, SimResult, TrafficPattern};
@@ -69,7 +69,7 @@ pub(crate) fn wheel_slot(at: u64) -> usize {
 }
 
 /// Sentinel for "no Valiant intermediate".
-const NO_VIA: u32 = u32::MAX;
+pub(crate) const NO_VIA: u32 = u32::MAX;
 
 /// The virtual-channel class a packet may occupy: with Valiant routing,
 /// phase-0 packets (heading to the intermediate) use `[0, v/2)` and
@@ -129,27 +129,18 @@ fn pick_candidate(mode: RequestMode, h: u64, len: usize, switch: u32, target: u3
 }
 
 /// A packet in flight. Payload is irrelevant to the performance study;
-/// only identity, destination, and timing are tracked.
-#[derive(Debug, Clone, Copy)]
+/// only destination and timing are tracked, in 8 bytes (DESIGN.md §10
+/// "Compact packets"): the destination switch is read from
+/// `SimNetwork::dst_switch_of_terminal`, and a Valiant intermediate
+/// travels beside the packet (`ShardState::vias`, [`Arrival`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Packet {
     dst_terminal: u32,
-    dst_switch: u32,
-    /// Valiant intermediate switch, or [`NO_VIA`] once passed (or when
-    /// Valiant routing is off).
-    via_switch: u32,
-    gen_time: u64,
+    /// Generation cycle, narrowed by [`cycle32`].
+    gen_time: u32,
 }
 
-impl Default for Packet {
-    fn default() -> Self {
-        Self {
-            dst_terminal: 0,
-            dst_switch: 0,
-            via_switch: NO_VIA,
-            gen_time: 0,
-        }
-    }
-}
+const _: () = assert!(std::mem::size_of::<Packet>() == 8);
 
 /// The per-run read-only context shared by every shard worker.
 #[derive(Debug)]
@@ -217,6 +208,22 @@ impl RunScratch {
         }
         self.merge_buf.clear();
         self.latency_samples.clear();
+    }
+}
+
+/// Logical bytes of every per-run buffer: the engine half of the
+/// footprint test (DESIGN.md §15).
+impl rfc_graph::HeapBytes for RunScratch {
+    fn heap_bytes(&self) -> usize {
+        self.plan.heap_bytes()
+            + slice_heap_bytes(&self.shard_states)
+            + self
+                .shard_states
+                .iter()
+                .map(ShardState::heap_bytes)
+                .sum::<usize>()
+            + slice_heap_bytes(&self.merge_buf)
+            + slice_heap_bytes(&self.latency_samples)
     }
 }
 
@@ -639,6 +646,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let in_window = now >= ctx.warmup;
         let ShardState {
             pkts,
+            vias,
             q_head,
             q_len,
             in_credits,
@@ -646,6 +654,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
             active,
             in_active,
             busy_until,
+            arrivals,
             wheel,
             reqs,
             req_head,
@@ -654,8 +663,6 @@ impl<'a> Simulation<'a, UpDownRouting> {
             row_bufs,
             slot_switch,
             slot_gid,
-            slot_vc,
-            slot_feeder,
             inj_switches,
             inj_rngs,
             reservoir,
@@ -672,6 +679,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let shard_of_in = plan.shard_of_in.as_slice();
         let shard_of_out = plan.shard_of_out.as_slice();
         let out_gids_me = plan.out_gids[me].as_slice();
+        let feeder_of_in = plan.feeder_of_in.as_slice();
         let out_target = net.out_target.as_slice();
         let eject_port_of_terminal = net.eject_port_of_terminal.as_slice();
         let dst_switch_of_terminal = net.dst_switch_of_terminal.as_slice();
@@ -681,27 +689,31 @@ impl<'a> Simulation<'a, UpDownRouting> {
         // xtask: lockstep-begin — runs between barrier waits every cycle;
         // no locks, channels, sleeps, blocking I/O, or SeqCst here
         // 1. Deliver scheduled events. Drain (rather than take) the
-        //    slot so its capacity survives to the next lap of the
-        //    wheel. Within a slot, events commute: arrivals target
+        //    slots so their capacity survives to the next lap of the
+        //    wheels. Within a slot, events commute: arrivals target
         //    distinct VC slots (one feeder per input port, one grant
-        //    per output per cycle) and credit increments are sums.
+        //    per output per cycle), credit increments are sums, and a
+        //    wake only re-lists a slot, so arrivals may go first.
         let wslot = wheel_slot(now);
+        for Arrival { slot, via, packet } in arrivals[wslot].drain(..) {
+            let s = slot as usize;
+            // Ring tail; the wrap-if avoids a runtime modulo.
+            let mut pos = q_head[s] as usize + q_len[s] as usize;
+            if pos >= cap {
+                pos -= cap;
+            }
+            pkts[s * cap + pos] = packet;
+            if cfg.valiant_routing {
+                vias[s * cap + pos] = via;
+            }
+            q_len[s] += 1;
+            if !in_active[s] {
+                in_active[s] = true;
+                active.push(slot);
+            }
+        }
         for ev in wheel[wslot].drain(..) {
             match ev {
-                Event::Arrival { slot, packet } => {
-                    let s = slot as usize;
-                    // Ring tail; the wrap-if avoids a runtime modulo.
-                    let mut pos = q_head[s] as usize + q_len[s] as usize;
-                    if pos >= cap {
-                        pos -= cap;
-                    }
-                    pkts[s * cap + pos] = packet;
-                    q_len[s] += 1;
-                    if !in_active[s] {
-                        in_active[s] = true;
-                        active.push(slot);
-                    }
-                }
                 Event::CreditIn { slot } => {
                     in_credits[slot as usize] += 1;
                 }
@@ -808,10 +820,11 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         }
                         pkts[s * cap + pos] = Packet {
                             dst_terminal: dst,
-                            dst_switch,
-                            via_switch,
-                            gen_time: now,
+                            gen_time: cycle32(now),
                         };
+                        if cfg.valiant_routing {
+                            vias[s * cap + pos] = via_switch;
+                        }
                         q_len[s] += 1;
                         if !in_active[s] {
                             in_active[s] = true;
@@ -846,18 +859,23 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 continue;
             }
             let switch = slot_switch[s];
-            let head = &mut pkts[s * cap + q_head[s] as usize];
-            // Valiant phase transition: the intermediate has been
-            // reached, continue toward the real target.
-            if head.via_switch == switch {
-                head.via_switch = NO_VIA;
-            }
-            let routing_target = if head.via_switch != NO_VIA {
-                head.via_switch
+            let ring = s * cap + q_head[s] as usize;
+            let head = pkts[ring];
+            let via = if cfg.valiant_routing {
+                // Valiant phase transition: the intermediate has been
+                // reached, continue toward the real target.
+                if vias[ring] == switch {
+                    vias[ring] = NO_VIA;
+                }
+                vias[ring]
             } else {
-                head.dst_switch
+                NO_VIA
             };
-            let head = *head;
+            let routing_target = if via != NO_VIA {
+                via
+            } else {
+                dst_switch_of_terminal[head.dst_terminal as usize]
+            };
             // Parks the current slot until `wake` (at most
             // packet_length cycles out, within the wheel horizon).
             macro_rules! park_until {
@@ -912,7 +930,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 // buffers this output feeds), restricted to the packet's
                 // Valiant phase class. Wrap-if rotation instead of a
                 // per-step modulo.
-                let (vc_lo, vc_hi) = vc_range(cfg.valiant_routing, head.via_switch != NO_VIA, v);
+                let (vc_lo, vc_hi) = vc_range(cfg.valiant_routing, via != NO_VIA, v);
                 let span = vc_hi - vc_lo;
                 let start = if span == 1 { 0 } else { bounded_hi(h, span) };
                 let ob = o * v;
@@ -986,7 +1004,13 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 debug_assert!(false, "granted VC slot {s} is empty");
                 continue;
             }
-            let packet = pkts[s * cap + q_head[s] as usize];
+            let ring = s * cap + q_head[s] as usize;
+            let packet = pkts[ring];
+            let via = if cfg.valiant_routing {
+                vias[ring]
+            } else {
+                NO_VIA
+            };
             let next_head = q_head[s] as usize + 1;
             q_head[s] = if next_head == cap {
                 0
@@ -998,24 +1022,27 @@ impl<'a> Simulation<'a, UpDownRouting> {
             busy_until[out_gid as usize] = now + cfg.packet_length;
             // Return the freed buffer slot: to the local injection
             // credit for terminal-fed ports, else to the credit mirror
-            // at the feeding output port's shard.
+            // at the feeding output port's shard. The global slot id
+            // is `global_in_port · v + vc`.
             let credit_at = now + cfg.packet_length;
-            let feeder = slot_feeder[s];
+            let gid = pick.gid as usize;
+            let feeder = feeder_of_in[gid / v];
             if feeder == NO_PORT {
                 wheel[wheel_slot(credit_at)].push(Event::CreditIn { slot: pick.slot });
             } else {
+                let vc = gid % v;
                 let fsh = shard_of_out[feeder as usize] as usize;
                 if fsh == me {
-                    let idx = local_of_out[feeder as usize] as usize * v + slot_vc[s] as usize;
+                    let idx = local_of_out[feeder as usize] as usize * v + vc;
                     wheel[wheel_slot(credit_at)].push(Event::CreditOut { idx: vid(idx) });
                 } else {
                     mailbox_push(
                         mailboxes,
                         me * plan.shards + fsh,
                         ShardMsg::Credit {
-                            at: credit_at,
+                            wslot: u8_of(wheel_slot(credit_at)),
                             out_port: feeder,
-                            vc: slot_vc[s],
+                            vc: u8_of(vc),
                         },
                     );
                 }
@@ -1025,7 +1052,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
                     debug_assert_eq!(terminal, packet.dst_terminal);
                     if in_window {
                         *delivered += 1;
-                        let latency = now + cfg.packet_length - packet.gen_time;
+                        let latency = now + cfg.packet_length - u64::from(packet.gen_time);
                         *latency_sum += latency;
                         // Order sampling keeps memory bounded at paper
                         // scale while staying mergeable across shards:
@@ -1049,8 +1076,9 @@ impl<'a> Simulation<'a, UpDownRouting> {
                     let tsh = shard_of_in[tgt as usize] as usize;
                     if tsh == me {
                         let slot = local_of_in[tgt as usize] as usize * v + pick.target_vc as usize;
-                        wheel[wheel_slot(at)].push(Event::Arrival {
+                        arrivals[wheel_slot(at)].push(Arrival {
                             slot: vid(slot),
+                            via,
                             packet,
                         });
                     } else {
@@ -1058,9 +1086,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
                             mailboxes,
                             me * plan.shards + tsh,
                             ShardMsg::Arrival {
-                                at,
+                                wslot: u8_of(wheel_slot(at)),
                                 in_port: tgt,
                                 vc: pick.target_vc,
+                                via,
                                 packet,
                             },
                         );
@@ -1296,6 +1325,67 @@ mod tests {
             base,
             sim.run_sharded_scratch(TrafficPattern::Uniform, 0.4, 29, 3, &mut RunScratch::new())
         );
+    }
+
+    #[test]
+    fn valiant_runs_reproduce_their_recorded_results() {
+        // Exact results recorded before packets moved their Valiant
+        // intermediate to a side array: cft(8,3), uniform at load 0.6,
+        // seed 2017, in both request modes, at 1 to 4 shards.
+        let clos = FoldedClos::cft(8, 3).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let recorded =
+            |accepted_load: f64,
+             avg_latency: f64,
+             [p50, p95, p99]: [f64; 3],
+             [delivered, generated, refused, in_flight]: [u64; 4]| SimResult {
+                offered_load: 0.6,
+                accepted_load,
+                avg_latency,
+                latency_p50: p50,
+                latency_p95: p95,
+                latency_p99: p99,
+                delivered_packets: delivered,
+                generated_packets: generated,
+                refused_packets: refused,
+                in_flight_at_end: in_flight,
+            };
+        for (mode, expected) in [
+            (
+                RequestMode::UpDownRandom,
+                recorded(
+                    0.4165,
+                    304.498_799_519_807_9,
+                    [280.0, 606.0, 753.0],
+                    [3332, 4642, 92, 2049],
+                ),
+            ),
+            (
+                RequestMode::UpDownHash,
+                recorded(
+                    0.363_625,
+                    326.247_851_495_359_2,
+                    [283.0, 716.0, 900.0],
+                    [2909, 4174, 560, 2046],
+                ),
+            ),
+        ] {
+            let mut cfg = SimConfig::quick();
+            cfg.valiant_routing = true;
+            cfg.request_mode = mode;
+            let sim = Simulation::new(&net, &routing, cfg);
+            for shards in 1..=4 {
+                let r = sim.run_sharded_scratch(
+                    TrafficPattern::Uniform,
+                    0.6,
+                    2017,
+                    shards,
+                    &mut RunScratch::new(),
+                );
+                assert_eq!(r, expected, "{mode:?} at {shards} shards moved");
+            }
+        }
     }
 
     #[test]

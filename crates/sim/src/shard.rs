@@ -17,11 +17,11 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rfc_graph::vid;
+use rfc_graph::{slice_heap_bytes, vid};
 use std::sync::Mutex;
 
 use crate::candidates::RowBufs;
-use crate::engine::{wheel_slot, Packet, EVENT_WHEEL};
+use crate::engine::{Packet, EVENT_WHEEL, NO_VIA};
 use crate::network::SimNetwork;
 use crate::SimConfig;
 
@@ -95,15 +95,27 @@ pub(crate) fn bounded_hi(h: u64, n: usize) -> usize {
     (((h >> 32) * n as u64) >> 32) as usize
 }
 
-/// Narrows a ring/VC index to its `u8` storage form.
+/// Narrows a ring/VC index or an event-wheel slot to its `u8` storage
+/// form.
 #[inline]
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "ring and VC indices are bounded by SimConfig::assert_valid (≤ 255)"
+    reason = "ring and VC indices are bounded by SimConfig::assert_valid (≤ 255), \
+              wheel slots by EVENT_WHEEL (64)"
 )]
 pub(crate) fn u8_of(x: usize) -> u8 {
     debug_assert!(x <= usize::from(u8::MAX));
     x as u8
+}
+
+/// Narrows a cycle to its `u32` generation-time form (see
+/// [`Packet`]). It never saturates: [`SimConfig::validate`] bounds
+/// `warmup_cycles + measure_cycles + packet_length` by `u32::MAX`, so
+/// every cycle a packet can be generated in fits.
+#[inline]
+pub(crate) fn cycle32(cycle: u64) -> u32 {
+    debug_assert!(cycle <= u64::from(u32::MAX), "cycle {cycle} outgrew u32");
+    u32::try_from(cycle).unwrap_or(u32::MAX)
 }
 
 /// Narrows a latency to its `u32` sample form, saturating: a latency
@@ -181,22 +193,27 @@ pub(crate) fn reservoir_offer(heap: &mut Vec<Sample>, cap: usize, s: Sample) {
     }
 }
 
-/// A message crossing a shard boundary, applied by the receiver at
-/// (wheel) cycle `at`. Both variants carry *global* port ids; the
-/// receiver maps them to its local indexing while draining.
+/// A message crossing a shard boundary, applied by the receiver in its
+/// event-wheel slot `wslot` (the `wheel_slot` of the cycle it takes
+/// effect in). Both variants carry *global* port ids; the receiver
+/// maps them to its local indexing while draining.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ShardMsg {
     /// A packet header reaches an input VC owned by the receiver.
     Arrival {
-        at: u64,
+        wslot: u8,
         in_port: u32,
         vc: u8,
+        /// The packet's Valiant intermediate, or [`NO_VIA`].
+        via: u32,
         packet: Packet,
     },
     /// A buffer slot freed downstream: replenish the credit mirror of
     /// the sender-side output port `out_port`.
-    Credit { at: u64, out_port: u32, vc: u8 },
+    Credit { wslot: u8, out_port: u32, vc: u8 },
 }
+
+const _: () = assert!(std::mem::size_of::<ShardMsg>() <= 20);
 
 /// One cross-shard mailbox: a locked message queue with exactly one
 /// producer (its source shard, during the step phase) and one consumer
@@ -222,13 +239,24 @@ pub(crate) fn mailbox_push(mailboxes: &[MailboxCell], idx: usize, msg: ShardMsg)
         .push(msg);
 }
 
+/// A packet header due at a local input virtual channel (`slot` is
+/// `local_in_port · v + vc`), stored in the shard's arrival wheel.
+/// Arrivals keep a wheel apart from the other [`Event`]s so that
+/// neither carries a tag beside a 16-byte payload: a tagged arrival
+/// would be 20 bytes, and every credit and wake would pay for it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Arrival {
+    pub slot: u32,
+    /// The packet's Valiant intermediate, or [`NO_VIA`].
+    pub via: u32,
+    pub packet: Packet,
+}
+
 /// A deferred action local to one shard, stored in its event wheel.
 /// All port references are in *local* indexing (`slot` is
 /// `local_in_port · v + vc`; `idx` is `local_out_port · v + vc`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
-    /// A packet header reaches an input virtual channel.
-    Arrival { slot: u32, packet: Packet },
     /// An injection-buffer slot frees (the tail left the source queue).
     CreditIn { slot: u32 },
     /// A downstream buffer slot frees: replenish the local credit
@@ -239,6 +267,9 @@ pub(crate) enum Event {
     /// rescanning it earlier could never have produced a request.
     Wake { slot: u32 },
 }
+
+const _: () = assert!(std::mem::size_of::<Arrival>() == 16);
+const _: () = assert!(std::mem::size_of::<Event>() <= 8);
 
 /// A pending output-port request from one input virtual channel, stored
 /// in the flat per-cycle request array and chained per output port.
@@ -381,6 +412,25 @@ impl ShardPlan {
 
         net.feeder_out_of_in_ports(&mut self.feeder_of_in);
     }
+
+    /// Logical heap bytes of the maps (see [`rfc_graph::HeapBytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        slice_heap_bytes(&self.switch_starts)
+            + slice_heap_bytes(&self.shard_of_switch)
+            + slice_heap_bytes(&self.term_offsets)
+            + slice_heap_bytes(&self.shard_of_in)
+            + slice_heap_bytes(&self.local_of_in)
+            + slice_heap_bytes(&self.shard_of_out)
+            + slice_heap_bytes(&self.local_of_out)
+            + slice_heap_bytes(&self.feeder_of_in)
+            + nested_heap_bytes(&self.in_gids)
+            + nested_heap_bytes(&self.out_gids)
+    }
+}
+
+/// Logical heap bytes of a list of lists, outer and inner.
+fn nested_heap_bytes<T>(lists: &[Vec<T>]) -> usize {
+    slice_heap_bytes(lists) + lists.iter().map(|l| slice_heap_bytes(l)).sum::<usize>()
 }
 
 /// One shard's complete per-run state: the serial engine's flat arrays,
@@ -391,6 +441,10 @@ pub(crate) struct ShardState {
     /// Flat ring-buffer packet storage: `buffer_packets` consecutive
     /// slots per local virtual channel, indexed `slot * cap + offset`.
     pub pkts: Vec<Packet>,
+    /// The Valiant intermediate of each `pkts` entry ([`NO_VIA`] once
+    /// passed), laid out like `pkts`; empty unless Valiant routing is
+    /// on, so direct runs store no intermediates at all.
+    pub vias: Vec<u32>,
     /// Ring-buffer head offset per VC slot.
     pub q_head: Vec<u8>,
     /// Occupied entries per VC slot.
@@ -414,6 +468,9 @@ pub(crate) struct ShardState {
     /// busy/park scans walk candidate lists of global ids, and global
     /// indexing spares them a local-id translation on the hottest path.
     pub busy_until: Vec<u64>,
+    /// Event wheels of [`EVENT_WHEEL`] slots, indexed by
+    /// `wheel_slot(cycle)`: packet arrivals, and everything else.
+    pub arrivals: Vec<Vec<Arrival>>,
     pub wheel: Vec<Vec<Event>>,
     /// Flat per-cycle request array; entries chain per output port.
     pub reqs: Vec<Request>,
@@ -429,12 +486,10 @@ pub(crate) struct ShardState {
     pub slot_switch: Vec<u32>,
     /// Slot → global slot id (`global_in_port · v + vc`), the stateless
     /// draw key and arbitration tie-break; precomputed because the
-    /// request stage needs it for every active slot every cycle.
+    /// request stage needs it for every active slot every cycle. A
+    /// grant derives the slot's VC and feeding port from it instead of
+    /// storing them per slot.
     pub slot_gid: Vec<u32>,
-    /// Slot → virtual channel.
-    pub slot_vc: Vec<u8>,
-    /// Slot → feeding global output port, [`NO_PORT`] for injection.
-    pub slot_feeder: Vec<u32>,
     /// Owned switches that host at least one terminal, and their
     /// per-run sequential injection generators (reseeded each run from
     /// `child_seed(inj_stream, switch)` — the per-node stream that
@@ -469,6 +524,8 @@ impl ShardState {
         // Stale packet payloads are unreachable once q_len is zeroed, so
         // the ring storage only needs the right length, not a wipe.
         self.pkts.resize(slots * cap, Packet::default());
+        let vias = if cfg.valiant_routing { slots * cap } else { 0 };
+        self.vias.resize(vias, NO_VIA);
         self.q_head.clear();
         self.q_head.resize(slots, 0);
         self.q_len.clear();
@@ -482,6 +539,8 @@ impl ShardState {
         self.in_active.resize(slots, false);
         self.busy_until.clear();
         self.busy_until.resize(net.num_out_ports(), 0);
+        self.arrivals.iter_mut().for_each(Vec::clear);
+        self.arrivals.resize_with(EVENT_WHEEL, Vec::new);
         self.wheel.iter_mut().for_each(Vec::clear);
         self.wheel.resize_with(EVENT_WHEEL, Vec::new);
         self.reqs.clear();
@@ -494,18 +553,11 @@ impl ShardState {
         self.slot_switch.reserve(slots);
         self.slot_gid.clear();
         self.slot_gid.reserve(slots);
-        self.slot_vc.clear();
-        self.slot_vc.reserve(slots);
-        self.slot_feeder.clear();
-        self.slot_feeder.reserve(slots);
         for &gid in &plan.in_gids[me] {
             let switch = net.switch_of_in_port[gid as usize];
-            let feeder = plan.feeder_of_in[gid as usize];
             for vc in 0..v {
                 self.slot_switch.push(switch);
                 self.slot_gid.push(vid(gid as usize * v + vc));
-                self.slot_vc.push(u8_of(vc));
-                self.slot_feeder.push(feeder);
             }
         }
         self.inj_switches.clear();
@@ -529,16 +581,36 @@ impl ShardState {
         self.latency_sum = 0;
     }
 
+    /// Logical heap bytes of every buffer (see [`rfc_graph::HeapBytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        slice_heap_bytes(&self.pkts)
+            + slice_heap_bytes(&self.vias)
+            + slice_heap_bytes(&self.q_head)
+            + slice_heap_bytes(&self.q_len)
+            + slice_heap_bytes(&self.in_credits)
+            + slice_heap_bytes(&self.out_credits)
+            + slice_heap_bytes(&self.active)
+            + slice_heap_bytes(&self.in_active)
+            + slice_heap_bytes(&self.busy_until)
+            + nested_heap_bytes(&self.arrivals)
+            + nested_heap_bytes(&self.wheel)
+            + slice_heap_bytes(&self.reqs)
+            + slice_heap_bytes(&self.req_head)
+            + slice_heap_bytes(&self.req_count)
+            + slice_heap_bytes(&self.touched)
+            + self.row_bufs.heap_bytes()
+            + slice_heap_bytes(&self.slot_switch)
+            + slice_heap_bytes(&self.slot_gid)
+            + slice_heap_bytes(&self.inj_switches)
+            + slice_heap_bytes(&self.inj_rngs)
+            + slice_heap_bytes(&self.reservoir)
+    }
+
     /// Packets queued or in flight inside this shard at run end (the
     /// mailboxes are empty: the run's last phase is a drain).
     pub fn in_flight(&self) -> u64 {
         self.q_len.iter().map(|&l| u64::from(l)).sum::<u64>()
-            + self
-                .wheel
-                .iter()
-                .flatten()
-                .filter(|e| matches!(e, Event::Arrival { .. }))
-                .count() as u64
+            + self.arrivals.iter().map(Vec::len).sum::<usize>() as u64
     }
 }
 
@@ -563,20 +635,26 @@ pub(crate) fn drain_mailboxes(
         for msg in mb.drain(..) {
             match msg {
                 ShardMsg::Arrival {
-                    at,
+                    wslot,
                     in_port,
                     vc,
+                    via,
                     packet,
                 } => {
                     let slot = plan.local_of_in[in_port as usize] as usize * v + vc as usize;
-                    st.wheel[wheel_slot(at)].push(Event::Arrival {
+                    st.arrivals[usize::from(wslot)].push(Arrival {
                         slot: vid(slot),
+                        via,
                         packet,
                     });
                 }
-                ShardMsg::Credit { at, out_port, vc } => {
+                ShardMsg::Credit {
+                    wslot,
+                    out_port,
+                    vc,
+                } => {
                     let idx = plan.local_of_out[out_port as usize] as usize * v + vc as usize;
-                    st.wheel[wheel_slot(at)].push(Event::CreditOut { idx: vid(idx) });
+                    st.wheel[usize::from(wslot)].push(Event::CreditOut { idx: vid(idx) });
                 }
             }
         }

@@ -4,6 +4,9 @@
 //! - Routing bytes per terminal (up/down routing plus candidate table)
 //!   stay at or below 135/96/109. These bounds may only fall, and the
 //!   large scale must still materialize its table.
+//! - Engine bytes per terminal (every per-run buffer of a
+//!   `RunScratch` after a short light-load run on cft(36,4) at 2
+//!   shards) stay at or below 1,634. The bound may only fall.
 //! - A saturated uniform run on the small and medium scales reproduces
 //!   its recorded `accepted_load` and `delivered_packets` exactly, at 1
 //!   and 2 shards.
@@ -18,6 +21,10 @@ use rfc_graph::HeapBytes;
 use rfc_routing::UpDownRouting;
 use rfc_sim::{RunScratch, SimConfig, SimNetwork, Simulation, TrafficPattern};
 use rfc_topology::FoldedClos;
+
+/// Engine bytes per terminal on cft(36,4); only ever lowered. 8-byte
+/// packets took it from 3,570.
+const ENGINE_BOUND: usize = 1_634;
 
 /// `⌈(routing + table bytes) / terminals⌉` for `cft(radix, levels)`.
 fn routing_bytes_per_terminal(radix: usize, levels: usize) -> usize {
@@ -44,6 +51,29 @@ fn routing_bytes_per_terminal_stay_within_the_ratchet() {
             "cft({radix},{levels}): {bytes} routing bytes per terminal exceed {bound}"
         );
     }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs cft(36,4) with 209,952 terminals; CI runs the workspace tests with --release"
+)]
+fn engine_bytes_per_terminal_stay_within_the_ratchet() {
+    let clos = FoldedClos::cft(36, 4).unwrap();
+    let routing = UpDownRouting::new(&clos);
+    let net = SimNetwork::from_folded_clos(&clos);
+    let mut cfg = SimConfig::paper_defaults();
+    cfg.warmup_cycles = 20;
+    cfg.measure_cycles = 80;
+    let sim = Simulation::new(&net, &routing, cfg);
+    let mut scratch = RunScratch::new();
+    let run = sim.run_sharded_scratch(TrafficPattern::Uniform, 0.02, 2017, 2, &mut scratch);
+    assert!(run.generated_packets > 0, "the run must carry traffic");
+    let bytes = scratch.heap_bytes().div_ceil(net.num_terminals());
+    assert!(
+        bytes <= ENGINE_BOUND,
+        "cft(36,4): {bytes} engine bytes per terminal exceed {ENGINE_BOUND}"
+    );
 }
 
 #[test]

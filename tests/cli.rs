@@ -236,6 +236,9 @@ fn invalid_simulator_flags_are_usage_errors() {
         err.contains("warmup_cycles") && err.contains("measure_cycles"),
         "{err}"
     );
+    // Generation times are u32, so a run must end before cycle 2^32.
+    let err = with("simulate", &["--cycles", "4294967296"]);
+    assert!(err.contains("u32 generation times"), "{err}");
     // An offered load must be finite and not negative.
     for load in ["nan", "-1", "inf"] {
         let err = with("simulate", &["--load", load]);
