@@ -210,7 +210,7 @@ impl<'a> DynState<'a> {
 mod tests {
     use super::*;
     use crate::engine::RunScratch;
-    use crate::{SimConfig, TrafficPattern};
+    use crate::{SimConfig, SimResult, TrafficPattern};
 
     /// Independent reference for the runner's `availability` and
     /// `events_applied`: replays `schedule` against a standalone overlay
@@ -524,6 +524,87 @@ mod tests {
         // Before the failure the run is byte-identical to fault-free,
         // so the first epoch's accepted load is healthy.
         assert!(churn.epoch_accepted[0] > 0.4, "{:?}", churn.epoch_accepted);
+    }
+
+    #[test]
+    fn churn_runs_reproduce_their_recorded_results() {
+        // Exact results recorded before credit parking: cft(4,3) at
+        // load 1.0 under dense Poisson churn, asserted at 1 to 4
+        // shards. A table change can give a credit-parked head a new
+        // candidate row, so the runner must re-list parked slots after
+        // every change; without that, uniform delivers 694 packets.
+        let (clos, net, routing) = setup(4, 3);
+        let cfg = SimConfig::quick();
+        let sim = Simulation::new(&net, &routing, cfg);
+        let schedule = FaultSchedule::poisson(&clos, 0.05, 100.0, cfg.total_cycles(), 100);
+        let recorded = |accepted_load: f64,
+                        avg_latency: f64,
+                        [p50, p95, p99]: [f64; 3],
+                        [delivered, generated, refused, in_flight]: [u64; 4],
+                        epoch_accepted: [f64; 4]| ChurnResult {
+            result: SimResult {
+                offered_load: 1.0,
+                accepted_load,
+                avg_latency,
+                latency_p50: p50,
+                latency_p95: p95,
+                latency_p99: p99,
+                delivered_packets: delivered,
+                generated_packets: generated,
+                refused_packets: refused,
+                in_flight_at_end: in_flight,
+            },
+            epoch_accepted: epoch_accepted.to_vec(),
+            availability: 0.595_384_615_384_615_4,
+            events_applied: 111,
+        };
+        let mut scratch = RunScratch::new();
+        for (pattern, expected) in [
+            (
+                TrafficPattern::Uniform,
+                recorded(
+                    0.695,
+                    191.069_064_748_201_44,
+                    [154.0, 442.0, 626.0],
+                    [695, 945, 65, 345],
+                    [
+                        0.058_461_538_461_538_46,
+                        0.753_846_153_846_153_8,
+                        0.726_153_846_153_846_1,
+                        0.6,
+                    ],
+                ),
+            ),
+            (
+                TrafficPattern::RandomPairing,
+                recorded(
+                    0.659,
+                    209.215_477_996_965_1,
+                    [172.0, 530.0, 647.0],
+                    [659, 888, 89, 318],
+                    [
+                        0.055_384_615_384_615_386,
+                        0.64,
+                        0.689_230_769_230_769_2,
+                        0.643_076_923_076_923_1,
+                    ],
+                ),
+            ),
+        ] {
+            for shards in 1..=4 {
+                let r = sim.run_churn_sharded_scratch(
+                    &clos,
+                    &schedule,
+                    pattern,
+                    1.0,
+                    0,
+                    4,
+                    shards,
+                    &mut scratch,
+                );
+                assert_eq!(r, expected, "{pattern} at {shards} shards moved");
+            }
+        }
     }
 
     #[test]

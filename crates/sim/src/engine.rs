@@ -14,6 +14,14 @@
 //! * An **active-VC worklist** drives the request stage: only slots
 //!   that hold packets are visited, with lazy removal when a slot is
 //!   observed empty.
+//! * **Parking** keeps stalled slots off the worklist. A slot whose
+//!   candidate outputs are all busy waits for a `Wake` at the cycle the
+//!   first one frees. A slot whose only candidate is free but has no
+//!   credit in the head's VC range is *credit-parked*: it waits on that
+//!   output's wait list ([`crate::shard::CreditWaits`]) until a credit
+//!   for the output returns, or a churn table change re-lists it. Both
+//!   are exact: no scan of a parked slot could have formed a request,
+//!   and a scan has no side effects (every draw is stateless).
 //! * **Requests** go into one flat preallocated array chained per
 //!   output port (`prev` links + per-output head/count), so arbitration
 //!   touches no nested vectors.
@@ -48,7 +56,7 @@ use crate::network::{OutTarget, SimNetwork};
 use crate::shard::{
     bounded_hi, bounded_lo, cycle32, drain_mailboxes, draw, lat32, mailbox_push, new_mailboxes,
     reservoir_offer, u8_of, Arrival, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan,
-    ShardState, Streams, NO_PORT, NO_REQ,
+    ShardState, SlotState, Streams, NO_PORT, NO_REQ,
 };
 use crate::traffic::Traffic;
 use crate::{RequestMode, SimConfig, SimResult, TrafficPattern};
@@ -419,6 +427,9 @@ impl<'a> Simulation<'a, UpDownRouting> {
             }
             if changed {
                 ok = ds.routing.has_updown_property();
+                for st in &mut scratch.shard_states {
+                    st.relist_credit_parked();
+                }
             }
             if ok {
                 ok_cycles += to - from;
@@ -569,6 +580,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let mut in_flight = 0u64;
         merge_buf.clear();
         for st in shard_states.iter() {
+            st.credit_waits.debug_check(&st.slot_state);
             generated += st.generated;
             refused += st.refused;
             unroutable += st.unroutable;
@@ -652,7 +664,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
             in_credits,
             out_credits,
             active,
-            in_active,
+            slot_state,
+            credit_waits,
             busy_until,
             arrivals,
             wheel,
@@ -661,7 +674,6 @@ impl<'a> Simulation<'a, UpDownRouting> {
             req_count,
             touched,
             row_bufs,
-            slot_switch,
             slot_gid,
             inj_switches,
             inj_rngs,
@@ -671,6 +683,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
             unroutable,
             delivered,
             latency_sum,
+            #[cfg(test)]
+            work,
         } = st;
         // Local slice bindings so the optimizer can hoist the base
         // pointer and bounds loads out of the per-packet loops below.
@@ -684,6 +698,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
         let eject_port_of_terminal = net.eject_port_of_terminal.as_slice();
         let dst_switch_of_terminal = net.dst_switch_of_terminal.as_slice();
         let inject_port_of_terminal = net.inject_port_of_terminal.as_slice();
+        let switch_of_in_port = net.switch_of_in_port.as_slice();
+        let now32 = cycle32(now);
 
         // xtask: hot-loop-begin — the shard step must stay allocation-free
         // xtask: lockstep-begin — runs between barrier waits every cycle;
@@ -692,8 +708,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
         //    slots so their capacity survives to the next lap of the
         //    wheels. Within a slot, events commute: arrivals target
         //    distinct VC slots (one feeder per input port, one grant
-        //    per output per cycle), credit increments are sums, and a
-        //    wake only re-lists a slot, so arrivals may go first.
+        //    per output per cycle), credit increments are sums, and
+        //    wakes only re-list slots, so arrivals may go first. An
+        //    arrival or wake never re-lists a credit-parked slot: its
+        //    head, the only packet the scan reads, is unchanged.
         let wslot = wheel_slot(now);
         for Arrival { slot, via, packet } in arrivals[wslot].drain(..) {
             let s = slot as usize;
@@ -707,8 +725,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 vias[s * cap + pos] = via;
             }
             q_len[s] += 1;
-            if !in_active[s] {
-                in_active[s] = true;
+            if slot_state[s] == SlotState::Idle {
+                slot_state[s] = SlotState::Active;
                 active.push(slot);
             }
         }
@@ -719,11 +737,12 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 }
                 Event::CreditOut { idx } => {
                     out_credits[idx as usize] += 1;
+                    credit_waits.relist(idx as usize / v, slot_state, active);
                 }
                 Event::Wake { slot } => {
                     let s = slot as usize;
-                    if q_len[s] > 0 && !in_active[s] {
-                        in_active[s] = true;
+                    if q_len[s] > 0 && slot_state[s] == SlotState::Idle {
+                        slot_state[s] = SlotState::Active;
                         active.push(slot);
                     }
                 }
@@ -826,8 +845,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
                             vias[s * cap + pos] = via_switch;
                         }
                         q_len[s] += 1;
-                        if !in_active[s] {
-                            in_active[s] = true;
+                        if slot_state[s] == SlotState::Idle {
+                            slot_state[s] = SlotState::Active;
                             active.push(vid(s));
                         }
                         if in_window {
@@ -849,16 +868,27 @@ impl<'a> Simulation<'a, UpDownRouting> {
         //    whose candidate outputs are ALL busy is *parked*: removed
         //    from the worklist with a `Wake` scheduled for the cycle the
         //    earliest output frees — until then a rescan could never
-        //    have produced a request, so skipping it is exact.
+        //    have produced a request, so skipping it is exact. A slot
+        //    whose only candidate is free but out of credits is
+        //    *credit-parked* on that output's wait list until a credit
+        //    for it returns (DESIGN.md §10).
         let mut i = 0;
         'slots: while i < active.len() {
             let s = active[i] as usize;
+            debug_assert_eq!(slot_state[s], SlotState::Active, "scanned slot {s}");
+            #[cfg(test)]
+            {
+                work.visits += 1;
+            }
             if q_len[s] == 0 {
-                in_active[s] = false;
+                slot_state[s] = SlotState::Idle;
                 active.swap_remove(i);
                 continue;
             }
-            let switch = slot_switch[s];
+            // The global slot id: the stateless draw key and the
+            // arbitration tie-break, both partition-independent.
+            let gid = slot_gid[s];
+            let switch = switch_of_in_port[gid as usize / v];
             let ring = s * cap + q_head[s] as usize;
             let head = pkts[ring];
             let via = if cfg.valiant_routing {
@@ -880,19 +910,16 @@ impl<'a> Simulation<'a, UpDownRouting> {
             // packet_length cycles out, within the wheel horizon).
             macro_rules! park_until {
                 ($wake:expr) => {{
-                    in_active[s] = false;
+                    slot_state[s] = SlotState::Idle;
                     active.swap_remove(i);
-                    wheel[wheel_slot($wake)].push(Event::Wake { slot: vid(s) });
+                    wheel[wheel_slot(u64::from($wake))].push(Event::Wake { slot: vid(s) });
                     continue 'slots;
                 }};
             }
-            // The global slot id: the stateless draw key and the
-            // arbitration tie-break, both partition-independent.
-            let gid = slot_gid[s];
             let (out_gid, o, target_vc) = if routing_target == switch {
                 let out = eject_port_of_terminal[head.dst_terminal as usize];
                 let free_at = busy_until[out as usize];
-                if free_at > now {
+                if free_at > now32 {
                     // The ejector is this packet's only way out.
                     park_until!(free_at);
                 }
@@ -911,12 +938,12 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 }
                 let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, routing_target);
                 let out = ports[k];
-                if busy_until[out as usize] > now {
-                    let mut wake = u64::MAX;
+                if busy_until[out as usize] > now32 {
+                    let mut wake = u32::MAX;
                     for &cand in ports {
                         wake = wake.min(busy_until[cand as usize]);
                     }
-                    if wake > now {
+                    if wake > now32 {
                         park_until!(wake);
                     }
                     // A free sibling exists: retry the uniform pick next
@@ -947,8 +974,16 @@ impl<'a> Simulation<'a, UpDownRouting> {
                     }
                 }
                 let Some(tvc) = chosen else {
-                    // Downstream credits return at unpredictable times;
-                    // keep the slot live and retry.
+                    if ports.len() == 1 {
+                        // The pick cannot change and no draw has side
+                        // effects, so every rescan would land here
+                        // until a credit for this output returns.
+                        active.swap_remove(i);
+                        credit_waits.park(o, vid(s), slot_state);
+                        continue;
+                    }
+                    // A re-pick may find an output with credits: retry
+                    // next cycle.
                     i += 1;
                     continue;
                 };
@@ -973,6 +1008,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
             });
             req_head[o] = vid(reqs.len() - 1);
             req_count[o] += 1;
+            #[cfg(test)]
+            {
+                work.requests += 1;
+            }
             i += 1;
         }
 
@@ -1004,6 +1043,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 debug_assert!(false, "granted VC slot {s} is empty");
                 continue;
             }
+            #[cfg(test)]
+            {
+                work.grants += 1;
+            }
             let ring = s * cap + q_head[s] as usize;
             let packet = pkts[ring];
             let via = if cfg.valiant_routing {
@@ -1018,8 +1061,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 u8_of(next_head)
             };
             q_len[s] -= 1;
-            debug_assert!(busy_until[out_gid as usize] <= now);
-            busy_until[out_gid as usize] = now + cfg.packet_length;
+            debug_assert!(busy_until[out_gid as usize] <= now32);
+            busy_until[out_gid as usize] = cycle32(now + cfg.packet_length);
             // Return the freed buffer slot: to the local injection
             // credit for terminal-fed ports, else to the credit mirror
             // at the feeding output port's shard. The global slot id
@@ -1108,8 +1151,33 @@ impl<'a> Simulation<'a, UpDownRouting> {
 mod tests {
     use super::*;
     use crate::candidates::RowBufs;
+    use crate::shard::WorkCounts;
     use rfc_routing::UpDownRouting;
     use rfc_topology::FoldedClos;
+
+    /// The last run's work counts, summed over its shards in shard
+    /// order.
+    fn work_counts(scratch: &RunScratch) -> WorkCounts {
+        let mut sum = WorkCounts::default();
+        for st in &scratch.shard_states {
+            sum.visits += st.work.visits;
+            sum.requests += st.work.requests;
+            sum.grants += st.work.grants;
+        }
+        sum
+    }
+
+    /// The first RFC(8, 32, 3) with the up/down property drawn from
+    /// `seed` — 128 terminals, saturating under uniform load 1.0.
+    fn small_rfc(seed: u64) -> FoldedClos {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        loop {
+            let clos = FoldedClos::random(8, 32, 3, &mut rng).unwrap();
+            if UpDownRouting::new(&clos).has_updown_property() {
+                return clos;
+            }
+        }
+    }
 
     fn tiny_sim() -> (SimNetwork, UpDownRouting) {
         let clos = FoldedClos::cft(4, 2).unwrap();
@@ -1386,6 +1454,83 @@ mod tests {
                 assert_eq!(r, expected, "{mode:?} at {shards} shards moved");
             }
         }
+    }
+
+    #[test]
+    fn saturated_work_counts_reproduce_their_recorded_values() {
+        // Requests and grants are the engine's decisions, recorded
+        // before credit parking: skipping visits must not move them.
+        // Visits were 258,317 before credit parking.
+        let clos = small_rfc(2017);
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let sim = Simulation::new(&net, &routing, SimConfig::quick());
+        let mut scratch = RunScratch::new();
+        let expected = WorkCounts {
+            visits: 252_659,
+            requests: 83_918,
+            grants: 38_792,
+        };
+        for shards in 1..=3 {
+            let r =
+                sim.run_sharded_scratch(TrafficPattern::Uniform, 1.0, 2017, shards, &mut scratch);
+            assert_eq!(r.delivered_packets, 6_606, "{shards} shards");
+            assert_eq!(work_counts(&scratch), expected, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn arrivals_leave_credit_parked_slots_parked() {
+        // A packet arriving behind a credit-parked head must not
+        // re-list its slot: the scan would park it a second time and
+        // its wait list would loop. Step a saturated run one cycle at a
+        // time, count link-fed slots that grew while parked (only an
+        // arrival grows them, before any credit of the cycle re-lists
+        // them), and check the lists at every cycle boundary.
+        let clos = small_rfc(2017);
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let sim = Simulation::new(&net, &routing, SimConfig::quick());
+        let v = sim.config().virtual_channels;
+        let mut scratch = RunScratch::new();
+        let ctx = sim.start_run(TrafficPattern::Uniform, 1.0, 2017, 2, &mut scratch);
+        let mut parked_len: Vec<Vec<u8>> = scratch
+            .shard_states
+            .iter()
+            .map(|st| vec![0; st.slot_state.len()])
+            .collect();
+        let mut grew = 0;
+        for now in 0..ctx.end {
+            sim.lockstep(
+                sim.candidates(),
+                sim.routing(),
+                &mut scratch,
+                &ctx,
+                now..now + 1,
+            );
+            for (st, prev) in scratch.shard_states.iter().zip(&mut parked_len) {
+                st.credit_waits.debug_check(&st.slot_state);
+                for (s, prev) in prev.iter_mut().enumerate() {
+                    let link_fed =
+                        scratch.plan.feeder_of_in[st.slot_gid[s] as usize / v] != NO_PORT;
+                    let parked = st.slot_state[s] == SlotState::CreditParked;
+                    if parked && link_fed && *prev != 0 && st.q_len[s] > *prev {
+                        grew += 1;
+                    }
+                    *prev = if parked { st.q_len[s] } else { 0 };
+                }
+            }
+        }
+        assert!(grew > 0, "no arrival landed on a credit-parked slot");
+        let stepped = sim.merge_stats(1.0, &mut scratch);
+        let whole = sim.run_sharded_scratch(
+            TrafficPattern::Uniform,
+            1.0,
+            2017,
+            1,
+            &mut RunScratch::new(),
+        );
+        assert_eq!(stepped, whole);
     }
 
     #[test]

@@ -32,6 +32,24 @@ pub(crate) const NO_REQ: u32 = u32::MAX;
 /// terminal, not by an upstream output port.
 pub(crate) const NO_PORT: u32 = u32::MAX;
 
+/// Sentinel for "no slot": the end of a credit wait list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where a local VC slot stands with respect to the request scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SlotState {
+    /// Off every list: empty, or parked until a `Wake` because all its
+    /// candidate outputs are busy. Arrivals, injections and wakes
+    /// re-list it.
+    Idle,
+    /// On the `active` worklist, scanned every cycle.
+    Active,
+    /// On the [`CreditWaits`] list of its only candidate output, which
+    /// was free but had no credit for the head packet. Only a credit
+    /// for that output (or a table change) re-lists it.
+    CreditParked,
+}
+
 /// The independent stateless-draw streams of one run, all derived from
 /// the run seed (stream 1 is the traffic-state build; see
 /// [`Streams::derive`]).
@@ -461,13 +479,16 @@ pub(crate) struct ShardState {
     /// Worklist of VC slots that may hold packets; stale entries are
     /// retired lazily by the request scan.
     pub active: Vec<u32>,
-    /// Membership mirror of `active`.
-    pub in_active: Vec<bool>,
-    /// Serialization end per output port, indexed by **global** port id
-    /// (only owned entries are ever touched): the request stage's
-    /// busy/park scans walk candidate lists of global ids, and global
-    /// indexing spares them a local-id translation on the hottest path.
-    pub busy_until: Vec<u64>,
+    /// Per VC slot: on `active`, credit-parked, or neither.
+    pub slot_state: Vec<SlotState>,
+    /// The credit-parked slots, listed per output port.
+    pub credit_waits: CreditWaits,
+    /// Serialization end per output port, narrowed by [`cycle32`] and
+    /// indexed by **global** port id (only owned entries are ever
+    /// touched): the request stage's busy/park scans walk candidate
+    /// lists of global ids, and global indexing spares them a local-id
+    /// translation on the hottest path (DESIGN.md §15).
+    pub busy_until: Vec<u32>,
     /// Event wheels of [`EVENT_WHEEL`] slots, indexed by
     /// `wheel_slot(cycle)`: packet arrivals, and everything else.
     pub arrivals: Vec<Vec<Arrival>>,
@@ -482,13 +503,11 @@ pub(crate) struct ShardState {
     /// Scratch for live candidate rows
     /// ([`crate::candidates::Candidates::row`]).
     pub row_bufs: RowBufs,
-    /// Slot → owning switch (global id).
-    pub slot_switch: Vec<u32>,
     /// Slot → global slot id (`global_in_port · v + vc`), the stateless
     /// draw key and arbitration tie-break; precomputed because the
-    /// request stage needs it for every active slot every cycle. A
-    /// grant derives the slot's VC and feeding port from it instead of
-    /// storing them per slot.
+    /// request stage needs it for every active slot every cycle. The
+    /// scan derives the slot's switch from it, and a grant the slot's
+    /// VC and feeding port, instead of storing them per slot.
     pub slot_gid: Vec<u32>,
     /// Owned switches that host at least one terminal, and their
     /// per-run sequential injection generators (reseeded each run from
@@ -503,6 +522,20 @@ pub(crate) struct ShardState {
     pub unroutable: u64,
     pub delivered: u64,
     pub latency_sum: u64,
+    /// What the request and arbitration stages did this run.
+    #[cfg(test)]
+    pub work: WorkCounts,
+}
+
+/// Deterministic work counts of one run: request-scan slot visits,
+/// requests formed and grants made. Test-only, so the hot loop pays
+/// nothing for them in a release build.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WorkCounts {
+    pub visits: u64,
+    pub requests: u64,
+    pub grants: u64,
 }
 
 impl ShardState {
@@ -535,8 +568,9 @@ impl ShardState {
         self.out_credits.clear();
         self.out_credits.resize(n_out * v, u8_of(cap));
         self.active.clear();
-        self.in_active.clear();
-        self.in_active.resize(slots, false);
+        self.slot_state.clear();
+        self.slot_state.resize(slots, SlotState::Idle);
+        self.credit_waits.reset(n_out, slots);
         self.busy_until.clear();
         self.busy_until.resize(net.num_out_ports(), 0);
         self.arrivals.iter_mut().for_each(Vec::clear);
@@ -549,14 +583,10 @@ impl ShardState {
         self.req_count.clear();
         self.req_count.resize(n_out, 0);
         self.touched.clear();
-        self.slot_switch.clear();
-        self.slot_switch.reserve(slots);
         self.slot_gid.clear();
         self.slot_gid.reserve(slots);
         for &gid in &plan.in_gids[me] {
-            let switch = net.switch_of_in_port[gid as usize];
             for vc in 0..v {
-                self.slot_switch.push(switch);
                 self.slot_gid.push(vid(gid as usize * v + vc));
             }
         }
@@ -579,6 +609,10 @@ impl ShardState {
         self.unroutable = 0;
         self.delivered = 0;
         self.latency_sum = 0;
+        #[cfg(test)]
+        {
+            self.work = WorkCounts::default();
+        }
     }
 
     /// Logical heap bytes of every buffer (see [`rfc_graph::HeapBytes`]).
@@ -590,7 +624,8 @@ impl ShardState {
             + slice_heap_bytes(&self.in_credits)
             + slice_heap_bytes(&self.out_credits)
             + slice_heap_bytes(&self.active)
-            + slice_heap_bytes(&self.in_active)
+            + slice_heap_bytes(&self.slot_state)
+            + self.credit_waits.heap_bytes()
             + slice_heap_bytes(&self.busy_until)
             + nested_heap_bytes(&self.arrivals)
             + nested_heap_bytes(&self.wheel)
@@ -599,7 +634,6 @@ impl ShardState {
             + slice_heap_bytes(&self.req_count)
             + slice_heap_bytes(&self.touched)
             + self.row_bufs.heap_bytes()
-            + slice_heap_bytes(&self.slot_switch)
             + slice_heap_bytes(&self.slot_gid)
             + slice_heap_bytes(&self.inj_switches)
             + slice_heap_bytes(&self.inj_rngs)
@@ -611,6 +645,100 @@ impl ShardState {
     pub fn in_flight(&self) -> u64 {
         self.q_len.iter().map(|&l| u64::from(l)).sum::<u64>()
             + self.arrivals.iter().map(Vec::len).sum::<usize>() as u64
+    }
+
+    /// Re-lists every credit-parked slot: a routing-table change can
+    /// give a parked head a new candidate row, so its park no longer
+    /// holds.
+    pub fn relist_credit_parked(&mut self) {
+        for o in 0..self.credit_waits.head.len() {
+            self.credit_waits
+                .relist(o, &mut self.slot_state, &mut self.active);
+        }
+    }
+}
+
+/// Intrusive per-output wait lists of credit-parked VC slots
+/// (DESIGN.md §10 "Credit parking"). A slot is on at most one list,
+/// exactly while its [`SlotState`] is `CreditParked`.
+#[derive(Debug, Default)]
+pub(crate) struct CreditWaits {
+    /// First parked slot per local output port, or [`NO_SLOT`].
+    head: Vec<u32>,
+    /// The next slot on the same list, per local VC slot; read only
+    /// while the slot is parked.
+    next: Vec<u32>,
+    /// Slots on all lists. At 0 a credit return skips the list
+    /// lookup, so runs that never stall on credits pay nothing for it.
+    parked: u32,
+}
+
+impl CreditWaits {
+    fn reset(&mut self, n_out: usize, slots: usize) {
+        self.head.clear();
+        self.head.resize(n_out, NO_SLOT);
+        // Stale links are unreachable once the heads are cleared.
+        self.next.resize(slots, NO_SLOT);
+        self.parked = 0;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        slice_heap_bytes(&self.head) + slice_heap_bytes(&self.next)
+    }
+
+    /// Parks `slot` (taken off the worklist by the caller) on the list
+    /// of local output `o`.
+    #[inline]
+    pub fn park(&mut self, o: usize, slot: u32, slot_state: &mut [SlotState]) {
+        let s = slot as usize;
+        slot_state[s] = SlotState::CreditParked;
+        self.next[s] = self.head[o];
+        self.head[o] = slot;
+        self.parked += 1;
+    }
+
+    /// Moves every slot parked on local output `o` back onto `active`.
+    #[inline]
+    pub fn relist(&mut self, o: usize, slot_state: &mut [SlotState], active: &mut Vec<u32>) {
+        if self.parked == 0 {
+            return;
+        }
+        let mut slot = std::mem::replace(&mut self.head[o], NO_SLOT);
+        while slot != NO_SLOT {
+            let s = slot as usize;
+            debug_assert_eq!(
+                slot_state[s],
+                SlotState::CreditParked,
+                "a credit woke slot {s}, which is not credit-parked"
+            );
+            slot_state[s] = SlotState::Active;
+            active.push(slot);
+            self.parked -= 1;
+            slot = self.next[s];
+        }
+    }
+
+    /// Debug builds check that the lists hold exactly the
+    /// `CreditParked` slots, `parked` of them, and that none loops.
+    pub fn debug_check(&self, slot_state: &[SlotState]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let parked = slot_state
+            .iter()
+            .filter(|&&st| st == SlotState::CreditParked)
+            .count();
+        let mut listed = 0usize;
+        for &first in &self.head {
+            let mut slot = first;
+            while slot != NO_SLOT && listed <= parked {
+                debug_assert_eq!(slot_state[slot as usize], SlotState::CreditParked);
+                listed += 1;
+                slot = self.next[slot as usize];
+            }
+        }
+        debug_assert_eq!(listed, parked, "the wait lists loop or miss a parked slot");
+        debug_assert_eq!(self.parked as usize, parked, "the parked count drifted");
     }
 }
 
