@@ -8,7 +8,10 @@
 //! the measurement, each event repairing the up/down routing state
 //! incrementally. The report shows the accepted-load time series (the
 //! dips and recoveries the end-of-run mean hides) together with the
-//! fraction of cycles the up/down property held.
+//! fraction of cycles the up/down property held. The series' epochs are
+//! equal slices of the whole run, warm-up included, and each counts only
+//! the deliveries inside the measurement window, so epochs that overlap
+//! the warm-up read low.
 
 use rfc_routing::UpDownRouting;
 use rfc_sim::{FaultSchedule, RunScratch, SimConfig, SimNetwork, Simulation, TrafficPattern};
@@ -26,7 +29,8 @@ pub struct ChurnParams {
     pub mean_downtime: f64,
     /// Offered load (phits per node per cycle).
     pub load: f64,
-    /// Number of equal time slices in the accepted-load series.
+    /// Number of equal time slices of the whole run (warm-up included)
+    /// in the accepted-load series.
     pub epochs: usize,
 }
 

@@ -2,17 +2,16 @@
 //!
 //! A [`FaultSchedule`] is a deterministic, pre-generated list of link
 //! events (fail/recover) pinned to simulated cycles. The churn runner,
-//! [`Simulation::run_churn_sharded_scratch`], replays it *during* a
-//! simulation. It cuts the run into segments at
-//! every distinct event cycle and epoch boundary; between segments the
-//! calling thread applies the due events to one [`DynState`] — a
+//! [`crate::Simulation::run_churn_sharded_scratch`], replays it *during*
+//! the one lockstep run a plain run also makes: at a cycle with due
+//! events, shard 0 applies them to the run's one [`DynState`] — a
 //! [`LiveClos`] overlay, an incrementally repaired [`UpDownRouting`]
 //! table ([`UpDownRouting::apply_event`]), and a region-patched
-//! candidate table — and the shards then step the next segment in
-//! lockstep, all reading that one state (DESIGN.md §16).
+//! candidate table — while the other shards wait to read it
+//! (DESIGN.md §13, §16).
 //!
 //! Repairs are pure functions of the schedule and happen only while no
-//! shard runs, so results are **byte-identical at any shard count**,
+//! shard steps, so results are **byte-identical at any shard count**,
 //! exactly like plain runs, and the routing state exists once whatever
 //! the shard count.
 //!
@@ -22,21 +21,21 @@
 //! repair restores a path (or the run ends) — the behavior measured by
 //! the availability and accepted-load-over-time outputs.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use rfc_routing::UpDownRouting;
-use rfc_topology::{FoldedClos, Link, LinkEvent, LiveClos};
+use rfc_topology::{FoldedClos, Link, LinkEvent, LinkEventKind, LiveClos};
 
 use crate::candidates::{Candidates, RleTable};
-use crate::engine::Simulation;
 use crate::network::SimNetwork;
 use crate::SimResult;
 
 /// A deterministic, cycle-stamped sequence of link events, applied at
-/// cycle boundaries by [`Simulation::run_churn_sharded_scratch`].
+/// cycle boundaries by [`crate::Simulation::run_churn_sharded_scratch`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Sorted by `(cycle, event)`; ties resolve by the event order so
@@ -152,9 +151,12 @@ fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
 pub struct ChurnResult {
     /// End-of-run statistics, exactly as a plain run reports them.
     pub result: SimResult,
-    /// Accepted load (phits per node per cycle) per epoch — the
-    /// measurement window divided into equal slices, exposing the dips
-    /// and recoveries the end-of-run mean hides.
+    /// Accepted load (phits per node per cycle) per epoch, exposing the
+    /// dips and recoveries the end-of-run mean hides. The epochs are
+    /// equal slices of the whole run, `0..warmup + measure` (the last
+    /// slice takes the remainder), and each counts only the deliveries
+    /// inside the measurement window, so an epoch that overlaps the
+    /// warm-up reads low.
     pub epoch_accepted: Vec<f64>,
     /// Fraction of simulated cycles during which the up/down property
     /// held on the current (faulted) topology.
@@ -164,53 +166,107 @@ pub struct ChurnResult {
     pub events_applied: usize,
 }
 
-/// The dynamic routing state of a churn run: the topology overlay, the
-/// repaired routing table and the patched candidate table, kept
+/// The routing state of a run: the simulation's own routing and table,
+/// borrowed until the first event that changes the topology forks them
+/// into an overlay, a repaired routing and a patched table, kept
 /// byte-identical to a from-scratch build on the current topology.
 pub(crate) struct DynState<'a> {
     net: &'a SimNetwork,
-    live: LiveClos,
-    pub(crate) routing: UpDownRouting,
-    pub(crate) candidates: Candidates,
-    /// The buffers the next patch writes into: the table the last patch
-    /// replaced.
+    /// The topology the first change copies; `None` on a plain run.
+    clos: Option<&'a FoldedClos>,
+    live: Option<LiveClos>,
+    pub(crate) routing: Cow<'a, UpDownRouting>,
+    pub(crate) candidates: Cow<'a, Candidates>,
+    /// The table the last patch replaced, whose buffers the next reuses.
     spare: RleTable,
+    /// Events that changed the topology: the table version shards
+    /// re-list their credit-parked slots against.
+    pub(crate) applied: usize,
+    /// Cycles the up/down property held before `since`, and whether it
+    /// has held since.
+    ok_cycles: u64,
+    since: u64,
+    ok: bool,
 }
 
 impl<'a> DynState<'a> {
-    /// The pristine state of `sim`; `clos` must be the topology its
-    /// network and routing were built from.
-    #[must_use]
-    pub(crate) fn new(sim: &Simulation<'a, UpDownRouting>, clos: &FoldedClos) -> Self {
+    /// The pristine state, copying nothing; `clos` must be the topology
+    /// `net` and `routing` were built from.
+    pub(crate) fn new(
+        net: &'a SimNetwork,
+        routing: &'a UpDownRouting,
+        candidates: &'a Candidates,
+        clos: Option<&'a FoldedClos>,
+    ) -> Self {
         DynState {
-            net: sim.net(),
-            live: LiveClos::new(clos),
-            routing: sim.routing().clone(),
-            candidates: sim.candidates().clone(),
+            net,
+            clos,
+            live: None,
+            routing: Cow::Borrowed(routing),
+            candidates: Cow::Borrowed(candidates),
             spare: RleTable::default(),
+            applied: 0,
+            ok_cycles: 0,
+            since: 0,
+            ok: clos.is_none() || routing.has_updown_property(),
         }
     }
 
-    /// Applies one link event: the topology overlay flips, the routing
-    /// table repairs incrementally, and the candidate table patches over
-    /// the repair's dirty region. Returns whether the event changed the
-    /// topology (a duplicate fail or spurious recover is a no-op).
-    pub(crate) fn apply(&mut self, ev: &LinkEvent) -> bool {
-        if !self.live.apply(ev) {
-            return false;
+    /// Applies the events due at cycle `now` (a duplicate fail or a
+    /// spurious recover changes nothing), then re-checks the up/down
+    /// property if the topology changed.
+    pub(crate) fn commit(&mut self, now: u64, due: &[(u64, LinkEvent)]) {
+        let before = self.applied;
+        for (_, ev) in due {
+            // While nothing is down only failing a pristine link changes
+            // anything, and the first such event builds the overlay.
+            if self.live.is_none() && self.clos.is_some_and(|clos| fails_a_link(clos, ev)) {
+                self.live = self.clos.map(LiveClos::new);
+            }
+            let Some(live) = &mut self.live else {
+                continue;
+            };
+            if live.apply(ev) {
+                let scope = self.routing.to_mut().apply_event(live.current(), ev);
+                self.candidates
+                    .to_mut()
+                    .patch(self.net, &self.routing, &scope, &mut self.spare);
+                self.applied += 1;
+            }
         }
-        let scope = self.routing.apply_event(self.live.current(), ev);
-        self.candidates
-            .patch(self.net, &self.routing, &scope, &mut self.spare);
-        true
+        if self.applied > before {
+            if self.ok {
+                self.ok_cycles += now - self.since;
+            }
+            (self.ok, self.since) = (self.routing.has_updown_property(), now);
+        }
     }
+
+    /// Fraction of the run's `end` cycles (at least one, as
+    /// [`crate::SimConfig::validate`] demands) during which the up/down
+    /// property held.
+    pub(crate) fn availability(&self, end: u64) -> f64 {
+        let tail = if self.ok { end - self.since } else { 0 };
+        (self.ok_cycles + tail) as f64 / end as f64
+    }
+}
+
+/// Whether `ev` fails a link of `clos`: the only event
+/// [`LiveClos::apply`] does not ignore while nothing is down.
+fn fails_a_link(clos: &FoldedClos, ev: &LinkEvent) -> bool {
+    let (lower, upper) = (
+        ev.link.lower.min(ev.link.upper),
+        ev.link.lower.max(ev.link.upper),
+    );
+    ev.kind == LinkEventKind::Fail && clos.links().contains(&Link { lower, upper })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RunScratch;
+    use crate::engine::{RunScratch, Simulation};
     use crate::{SimConfig, SimResult, TrafficPattern};
+    use rfc_graph::HeapBytes;
 
     /// Independent reference for the runner's `availability` and
     /// `events_applied`: replays `schedule` against a standalone overlay
@@ -386,17 +442,21 @@ mod tests {
             let sim = Simulation::new(&net, &routing, cfg);
             let schedule = FaultSchedule::poisson(clos, *rate, 200.0, 2_000, *seed);
             assert!(schedule.len() > 6);
-            let mut ds = DynState::new(&sim, clos);
-            let mut applied = 0;
-            for (cycle, ev) in schedule.events() {
-                applied += usize::from(ds.apply(ev));
+            let mut ds = DynState::new(&net, &routing, sim.candidates(), Some(clos));
+            for due in schedule.events().chunks(1) {
+                let cycle = due[0].0;
+                ds.commit(cycle, due);
                 let fresh = Simulation::new(&net, &ds.routing, cfg);
                 let patched = ds.candidates.table().expect("the patched table fits");
                 let built = fresh.candidates().table().expect("the fresh table fits");
                 patched.assert_layout();
                 assert_eq!(patched, built, "patched table diverged at cycle {cycle}");
             }
-            assert!(applied > 6, "only {applied} events changed the topology");
+            assert!(
+                ds.applied > 6,
+                "only {} events changed the topology",
+                ds.applied
+            );
         }
     }
 
@@ -468,6 +528,8 @@ mod tests {
             1,
             &mut scratch,
         );
+        // One worker scope serves the whole run, every event included.
+        assert_eq!(scratch.scopes, 1);
         // Five events change the topology; the duplicate fail is a
         // no-op and the events at or after `end` never apply.
         assert_eq!(base.events_applied, 5);
@@ -489,6 +551,62 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(base, r, "churn diverged at {shards} shards");
+            assert_eq!(scratch.scopes, 1, "{shards} shards");
+        }
+    }
+
+    /// Bytes `ds` owns: the routing and candidate table it forked, and
+    /// the patch spare. The overlay has no byte accounting; the same
+    /// first change builds it.
+    fn owned_bytes(ds: &DynState<'_>) -> usize {
+        let routing = match &ds.routing {
+            Cow::Owned(routing) => routing.heap_bytes(),
+            Cow::Borrowed(_) => 0,
+        };
+        let candidates = match &ds.candidates {
+            Cow::Owned(candidates) => candidates.heap_bytes(),
+            Cow::Borrowed(_) => 0,
+        };
+        routing + candidates + ds.spare.bytes()
+    }
+
+    #[test]
+    fn one_lazy_dyn_state_serves_every_shard_count() {
+        // A run copies nothing until an event changes the topology, and
+        // then holds one forked state whatever the shard count.
+        let (clos, net, routing) = setup(4, 2);
+        let sim = Simulation::new(&net, &routing, churn_cfg());
+        let end = sim.config().total_cycles();
+        let links = clos.links();
+        let run = |events: &[(u64, LinkEvent)], shards: usize| {
+            let mut scratch = RunScratch::new();
+            let ctx = sim.start_run(TrafficPattern::Uniform, 0.5, 13, shards, &mut scratch);
+            let ds = sim.lockstep(&ctx, &mut scratch, Some(&clos), events, 1);
+            (owned_bytes(&ds), ds.live.is_some(), ds.applied)
+        };
+        let no_ops = FaultSchedule::new(vec![
+            (10, LinkEvent::recover(links[0])),
+            (20, LinkEvent::fail(Link { lower: 0, upper: 1 })),
+            (end, LinkEvent::fail(links[0])),
+        ]);
+        let real = FaultSchedule::new(vec![
+            (100, LinkEvent::fail(links[0])),
+            (300, LinkEvent::fail(links[1])),
+            (500, LinkEvent::recover(links[0])),
+        ]);
+        for shards in 1..=4 {
+            assert_eq!(run(&[], shards), (0, false, 0), "empty, {shards} shards");
+            assert_eq!(
+                run(no_ops.events(), shards),
+                (0, false, 0),
+                "no-ops, {shards} shards"
+            );
+        }
+        let forked = run(real.events(), 1);
+        assert!(forked.0 >= routing.heap_bytes(), "{forked:?}");
+        assert_eq!((forked.1, forked.2), (true, 3));
+        for shards in 2..=4 {
+            assert_eq!(run(real.events(), shards), forked, "{shards} shards");
         }
     }
 

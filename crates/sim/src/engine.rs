@@ -43,12 +43,14 @@
 //! because the RNG draw sequence changed shape (the same precedent as
 //! the PR 3 engine overhaul).
 
+use std::sync::PoisonError;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use rfc_graph::{slice_heap_bytes, vid};
 use rfc_routing::UpDownRouting;
-use rfc_topology::FoldedClos;
+use rfc_topology::{FoldedClos, LinkEvent};
 
 use crate::candidates::{Candidates, RleTable};
 use crate::churn::{ChurnResult, DynState, FaultSchedule};
@@ -188,6 +190,9 @@ pub struct RunScratch {
     pub(crate) merge_buf: Vec<Sample>,
     /// The merged, sorted latency values percentiles are read from.
     pub(crate) latency_samples: Vec<u32>,
+    /// Worker scopes the last run entered.
+    #[cfg(test)]
+    pub(crate) scopes: usize,
 }
 
 impl RunScratch {
@@ -216,6 +221,10 @@ impl RunScratch {
         }
         self.merge_buf.clear();
         self.latency_samples.clear();
+        #[cfg(test)]
+        {
+            self.scopes = 0;
+        }
     }
 }
 
@@ -294,20 +303,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
         }
     }
 
-    /// The candidate source built at construction (shared by every
-    /// plain run; a churn run patches its own copy).
+    /// The candidate source built at construction.
+    #[cfg(test)]
     pub(crate) fn candidates(&self) -> &Candidates {
         &self.candidates
-    }
-
-    /// The network this simulation runs on.
-    pub(crate) fn net(&self) -> &'a SimNetwork {
-        self.net
-    }
-
-    /// The routing next hops come from.
-    pub(crate) fn routing(&self) -> &'a UpDownRouting {
-        self.routing
     }
 
     /// Logical bytes of the materialized candidate table, or `None` when
@@ -356,7 +355,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
         scratch: &mut RunScratch,
     ) -> SimResult {
         let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
-        self.lockstep(&self.candidates, self.routing, scratch, &ctx, 0..ctx.end);
+        self.lockstep(&ctx, scratch, None, &[], 1);
         self.merge_stats(offered_load, scratch)
     }
 
@@ -364,10 +363,11 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// (clamped to the switch count) over caller-owned buffers:
     /// `schedule` events apply at cycle boundaries while traffic flows.
     /// `clos` must be the pristine topology this simulation's network
-    /// and routing were built from. The measurement is reported in
-    /// `epochs` equal time slices alongside the usual end-of-run
-    /// statistics; results are byte-identical at any shard count.
-    /// Events at or after the last cycle are not applied.
+    /// and routing were built from. Alongside the usual end-of-run
+    /// statistics, the run `0..end` is cut into `epochs` equal time
+    /// slices, each reporting the deliveries it saw inside the
+    /// measurement window; results are byte-identical at any shard
+    /// count. Events at or after the last cycle are not applied.
     #[expect(
         clippy::too_many_arguments,
         reason = "mirrors run_sharded_scratch plus the topology, schedule and epoch count"
@@ -383,92 +383,39 @@ impl<'a> Simulation<'a, UpDownRouting> {
         shards: usize,
         scratch: &mut RunScratch,
     ) -> ChurnResult {
-        let cfg = self.config;
-        let terminals = self.net.num_terminals();
         let ctx = self.start_run(pattern, offered_load, seed, shards, scratch);
         let end = ctx.end;
         let epochs = epochs.clamp(1, usize::try_from(end.max(1)).unwrap_or(usize::MAX));
-        let epoch_len = (end / epochs as u64).max(1);
-
-        // Segment ends: every epoch boundary and distinct event cycle
-        // inside the run, then the end itself.
-        let mut cuts: Vec<u64> = (1..epochs as u64)
-            .map(|e| e * epoch_len)
-            .chain(schedule.events().iter().map(|&(cycle, _)| cycle))
-            .filter(|&cycle| 0 < cycle && cycle < end)
-            .chain([end])
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-
-        let delivered = |scratch: &RunScratch| -> u64 {
-            scratch.shard_states.iter().map(|st| st.delivered).sum()
-        };
-        let mut ds = DynState::new(self, clos);
-        let mut ok = ds.routing.has_updown_property();
-        let mut ok_cycles = 0u64;
-        let mut events_applied = 0usize;
-        let mut next_event = 0usize;
-        // `delivered` totals at epoch boundaries and at the end.
-        let mut marks: Vec<u64> = Vec::with_capacity(epochs);
-        let mut from = 0u64;
-        for to in cuts {
-            // Events due at `from` apply before its cycle is stepped.
-            let mut changed = false;
-            while let Some((cycle, ev)) = schedule.events().get(next_event) {
-                if *cycle > from || *cycle >= end {
-                    break;
-                }
-                next_event += 1;
-                if ds.apply(ev) {
-                    events_applied += 1;
-                    changed = true;
-                }
-            }
-            if changed {
-                ok = ds.routing.has_updown_property();
-                for st in &mut scratch.shard_states {
-                    st.relist_credit_parked();
-                }
-            }
-            if ok {
-                ok_cycles += to - from;
-            }
-            if from > 0 && from.is_multiple_of(epoch_len) && from / epoch_len < epochs as u64 {
-                marks.push(delivered(scratch));
-            }
-            self.lockstep(&ds.candidates, &ds.routing, scratch, &ctx, from..to);
-            from = to;
-        }
-        marks.push(delivered(scratch));
-
+        let state = self.lockstep(&ctx, scratch, Some(clos), schedule.events(), epochs);
         let result = self.merge_stats(offered_load, scratch);
 
-        // Per-epoch accepted load from the delivery marks.
-        let mut epoch_accepted = Vec::with_capacity(marks.len());
+        // Per-epoch accepted load from the shards' `delivered` marks,
+        // summed in shard order.
+        let epoch_len = (end / epochs as u64).max(1);
+        let (packet_length, terminals) = (self.config.packet_length, self.net.num_terminals());
         let mut prev_total = 0u64;
-        for (e, &total) in marks.iter().enumerate() {
-            let cycles = if e + 1 == marks.len() {
-                end - epoch_len * e as u64
-            } else {
-                epoch_len
-            };
-            epoch_accepted.push(
-                (total - prev_total) as f64 * cfg.packet_length as f64
-                    / (cycles.max(1) as f64 * terminals.max(1) as f64),
-            );
-            prev_total = total;
-        }
+        let epoch_accepted = (0..epochs)
+            .map(|e| {
+                let total: u64 = scratch
+                    .shard_states
+                    .iter()
+                    .map(|st| st.epoch_marks[e])
+                    .sum();
+                let cycles = if e + 1 == epochs {
+                    end - epoch_len * e as u64
+                } else {
+                    epoch_len
+                };
+                (total - std::mem::replace(&mut prev_total, total)) as f64 * packet_length as f64
+                    / (cycles.max(1) as f64 * terminals.max(1) as f64)
+            })
+            .collect();
 
         ChurnResult {
             result,
             epoch_accepted,
-            availability: if end == 0 {
-                1.0
-            } else {
-                ok_cycles as f64 / end as f64
-            },
-            events_applied,
+            availability: state.availability(end),
+            events_applied: state.applied,
         }
     }
 
@@ -512,52 +459,100 @@ impl<'a> Simulation<'a, UpDownRouting> {
         }
     }
 
-    /// Advances every shard of `scratch` through `cycles` in lockstep,
-    /// routing over `candidates`/`routing`. The one cycle loop of the
-    /// engine: a plain run is the single segment `0..end`, a churn run
-    /// one segment per stretch between routing changes.
+    /// The engine's one cycle loop: advances every shard of `scratch`
+    /// through `0..ctx.end` in lockstep, replaying `events` (sorted, as
+    /// [`FaultSchedule::events`]) against the run's [`DynState`] over
+    /// `clos`, which it returns. Each shard marks its `delivered` total
+    /// at every boundary of `epochs` equal slices and at the end. A plain
+    /// run has no topology, no events and one epoch.
     ///
-    /// Each shard runs on its own worker (shard 0 on the caller's
-    /// thread, a lone shard with no threads at all); per cycle it
-    /// steps, then drains the mailboxes its peers filled, with a barrier
-    /// after each phase. The segment ends with every mailbox drained.
-    pub(crate) fn lockstep(
-        &self,
-        candidates: &Candidates,
-        routing: &UpDownRouting,
-        scratch: &mut RunScratch,
+    /// One worker per shard (shard 0 on the caller's thread) steps and
+    /// then drains the mailboxes each cycle, with a barrier after each
+    /// phase. A cycle with due events first commits them under the
+    /// state's write lock (DESIGN.md §13).
+    pub(crate) fn lockstep<'s>(
+        &'s self,
         ctx: &StepCtx,
-        cycles: std::ops::Range<u64>,
-    ) {
+        scratch: &mut RunScratch,
+        clos: Option<&'s FoldedClos>,
+        events: &[(u64, LinkEvent)],
+        epochs: usize,
+    ) -> DynState<'s> {
         let v = self.config.virtual_channels;
+        let epoch_len = (ctx.end / epochs as u64).max(1);
         let RunScratch {
-            plan, shard_states, ..
+            plan,
+            shard_states,
+            #[cfg(test)]
+            scopes,
+            ..
         } = scratch;
         let plan: &ShardPlan = plan;
         let mailboxes = new_mailboxes(plan.shards * plan.shards);
         let mailboxes = &mailboxes[..];
         let barrier = rfc_parallel::SpinBarrier::new(plan.shards);
         let barrier = &barrier;
+        let state = DynState::new(self.net, self.routing, &self.candidates, clos);
+        let state = std::sync::RwLock::new(state);
+        // Poison means shard 0 panicked mid-commit, and its barrier guard
+        // fails every peer at its next wait.
+        let read = || state.read().unwrap_or_else(PoisonError::into_inner);
+        let write = || state.write().unwrap_or_else(PoisonError::into_inner);
+        #[cfg(test)]
+        {
+            *scopes += 1;
+        }
         rfc_parallel::run_shard_workers(shard_states, |me, st| {
             // A panic in the cycle loop (engine invariant failure)
             // poisons the barrier so the other shards fail fast instead
             // of spinning on a generation that never comes.
             let _poison = barrier.guard();
-            for now in cycles.clone() {
+            // This shard's read guard, the first event not yet due, and
+            // the table version its credit-parked slots were listed under.
+            let (mut view, mut next, mut seen) = (None, 0, 0);
+            // xtask: lockstep-begin — every shard runs this loop in step
+            // with its peers; the lock is taken at the first cycle and at
+            // cycles with due events only
+            for now in 0..ctx.end {
+                let due = events[next..].iter().take_while(|e| e.0 == now).count();
+                if due > 0 {
+                    // xtask: allow(lockstep-region) — the commit's write lock, free: no reader is left
+                    let commit = (me == 0).then(write);
+                    barrier.wait();
+                    if let Some(mut ds) = commit {
+                        ds.commit(now, &events[next..next + due]);
+                    }
+                    next += due;
+                }
+                // xtask: allow(lockstep-region) — read lock, taken again only after a commit
+                let ds = view.get_or_insert_with(read);
+                if ds.applied != seen {
+                    seen = ds.applied;
+                    st.relist_credit_parked();
+                }
+                if now > 0 && now.is_multiple_of(epoch_len) && now / epoch_len < epochs as u64 {
+                    st.epoch_marks.push(st.delivered);
+                }
+                let (candidates, routing) = (&ds.candidates, &ds.routing);
                 self.step_shard(candidates, routing, plan, me, st, mailboxes, ctx, now);
                 // All sends for this cycle are in the mailboxes…
                 barrier.wait();
                 drain_mailboxes(plan, me, st, mailboxes, v);
-                // …and all drains done before anyone starts cycle
-                // now + 1.
+                if events.get(next).is_some_and(|e| e.0 == now + 1) {
+                    view = None;
+                }
+                // …and all drains done (and, before a commit, every read
+                // guard dropped) before anyone starts cycle now + 1.
                 barrier.wait();
             }
+            // xtask: lockstep-end
+            st.epoch_marks.push(st.delivered);
         });
+        state.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Merges per-shard statistics (in fixed shard order) into the run
-    /// result. Shared by the plain run path and the churn runner
-    /// ([`crate::churn`]).
+    /// result.
     pub(crate) fn merge_stats(&self, offered_load: f64, scratch: &mut RunScratch) -> SimResult {
         let cfg = self.config;
         let terminals = self.net.num_terminals();
@@ -633,9 +628,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// elsewhere, credits for buffers fed from elsewhere) go to the
     /// mailboxes; everything else stays in `st`.
     ///
-    /// The candidate/routing pair is a parameter (rather than read from
-    /// `self`) so churn runs can substitute their repaired state; plain
-    /// runs pass `(&self.candidates, self.routing)`.
+    /// The candidate/routing pair is the run's [`DynState`] rather than
+    /// `self`'s, so a churn run's repairs take effect.
     #[expect(
         clippy::too_many_arguments,
         reason = "the per-shard view of the run, passed as borrows so shards share nothing mutable"
@@ -683,6 +677,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
             unroutable,
             delivered,
             latency_sum,
+            epoch_marks: _,
             #[cfg(test)]
             work,
         } = st;
@@ -1297,9 +1292,11 @@ mod tests {
         let sim = Simulation::new(&net, &routing, SimConfig::quick());
         let mut scratch = RunScratch::new();
         let base = sim.run_sharded_scratch(TrafficPattern::Uniform, 0.6, 13, 1, &mut scratch);
+        assert_eq!(scratch.scopes, 1, "a plain run enters one worker scope");
         for shards in [4usize, 2, 1] {
             let r = sim.run_sharded_scratch(TrafficPattern::Uniform, 0.6, 13, shards, &mut scratch);
             assert_eq!(base, r, "shards {shards} diverged through scratch reuse");
+            assert_eq!(scratch.scopes, 1, "{shards} shards");
         }
     }
 
@@ -1500,14 +1497,32 @@ mod tests {
             .map(|st| vec![0; st.slot_state.len()])
             .collect();
         let mut grew = 0;
+        // The lockstep loop, serialized: both shards step, then both
+        // drain, so the lists can be checked between cycles.
+        let mailboxes = new_mailboxes(4);
         for now in 0..ctx.end {
-            sim.lockstep(
-                sim.candidates(),
-                sim.routing(),
-                &mut scratch,
-                &ctx,
-                now..now + 1,
-            );
+            for me in 0..2 {
+                let st = &mut scratch.shard_states[me];
+                sim.step_shard(
+                    &sim.candidates,
+                    &routing,
+                    &scratch.plan,
+                    me,
+                    st,
+                    &mailboxes,
+                    &ctx,
+                    now,
+                );
+            }
+            for me in 0..2 {
+                drain_mailboxes(
+                    &scratch.plan,
+                    me,
+                    &mut scratch.shard_states[me],
+                    &mailboxes,
+                    v,
+                );
+            }
             for (st, prev) in scratch.shard_states.iter().zip(&mut parked_len) {
                 st.credit_waits.debug_check(&st.slot_state);
                 for (s, prev) in prev.iter_mut().enumerate() {

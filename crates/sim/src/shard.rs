@@ -522,6 +522,8 @@ pub(crate) struct ShardState {
     pub unroutable: u64,
     pub delivered: u64,
     pub latency_sum: u64,
+    /// `delivered` at every epoch boundary of the run, then at its end.
+    pub epoch_marks: Vec<u64>,
     /// What the request and arbitration stages did this run.
     #[cfg(test)]
     pub work: WorkCounts,
@@ -609,6 +611,7 @@ impl ShardState {
         self.unroutable = 0;
         self.delivered = 0;
         self.latency_sum = 0;
+        self.epoch_marks.clear();
         #[cfg(test)]
         {
             self.work = WorkCounts::default();
@@ -638,6 +641,7 @@ impl ShardState {
             + slice_heap_bytes(&self.inj_switches)
             + slice_heap_bytes(&self.inj_rngs)
             + slice_heap_bytes(&self.reservoir)
+            + slice_heap_bytes(&self.epoch_marks)
     }
 
     /// Packets queued or in flight inside this shard at run end (the
