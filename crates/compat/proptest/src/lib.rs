@@ -228,7 +228,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -58,7 +58,7 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
 /// User-facing random value generation, auto-implemented for every
 /// [`RngCore`].
 pub trait Rng: RngCore {
-    /// A uniformly random value of a [`Standard`]-distributed type.
+    /// A uniformly random value of a [`StandardDistributed`] type.
     fn gen<T: StandardDistributed>(&mut self) -> T {
         T::sample(self)
     }

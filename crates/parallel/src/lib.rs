@@ -251,6 +251,9 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
+    // One compiled copy of `f` serves the three calls below; inlining a
+    // large worker body into each would triple its code.
+    let f: &(dyn Fn(usize, &mut T) + Sync) = &f;
     let Some((first, rest)) = states.split_first_mut() else {
         return;
     };
@@ -259,7 +262,6 @@ where
         return;
     }
     std::thread::scope(|scope| {
-        let f = &f;
         let handles: Vec<_> = rest
             .iter_mut()
             .enumerate()

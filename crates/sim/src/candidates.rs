@@ -216,6 +216,14 @@ impl RleTable {
             + rfc_graph::slice_heap_bytes(&self.row_ports)
     }
 
+    /// Appends a row without looking for its content; the caller knows
+    /// the switch holds no equal row.
+    fn add_row(&mut self, ports: &[u32]) -> u32 {
+        self.row_ports.extend_from_slice(ports);
+        self.row_off.push(vid(self.row_ports.len()));
+        vid(self.row_off.len() - 2)
+    }
+
     /// Empties the table to zero switches over `dst_space`, keeping its
     /// allocations.
     fn reset(&mut self, dst_space: usize) {
@@ -267,13 +275,18 @@ impl RleTable {
 
 /// One switch's column while it is derived: a one-switch [`RleTable`]
 /// whose rows are numbered in order of first appearance, appended to a
-/// table by [`RleTable::copy_switches`].
+/// table by [`RleTable::copy_switches`], with the scratch its
+/// derivation reuses across switches.
 #[derive(Default)]
 struct SwitchRuns {
     col: RleTable,
     /// The rows added by [`SwitchRuns::intern`], ordered by content:
     /// the lookup that keeps interning logarithmic in the row count.
     by_content: Vec<u32>,
+    /// The row being resolved (`bufs.ports`) and live-row scratch.
+    bufs: RowBufs,
+    /// New row ids of the old column's rows during a splice.
+    old_to_new: Vec<u32>,
 }
 
 impl SwitchRuns {
@@ -285,24 +298,17 @@ impl SwitchRuns {
         self.by_content.clear();
     }
 
-    /// Appends a row without looking for its content; the caller knows
-    /// the switch holds no equal row.
-    fn add_row(&mut self, ports: &[u32]) -> u32 {
-        self.col.row_ports.extend_from_slice(ports);
-        self.col.row_off.push(vid(self.col.row_ports.len()));
-        vid(self.col.row_off.len() - 2)
-    }
-
-    /// The id of the row with these contents among the rows interned so
-    /// far, adding it when new.
-    fn intern(&mut self, ports: &[u32]) -> u32 {
+    /// The id of the row holding `bufs.ports` among the rows interned
+    /// so far, adding it when new.
+    fn intern(&mut self) -> u32 {
+        let ports = &self.bufs.ports;
         match self
             .by_content
             .binary_search_by(|&r| self.col.ports(r as usize).cmp(ports))
         {
             Ok(i) => self.by_content[i],
             Err(i) => {
-                let r = self.add_row(ports);
+                let r = self.col.add_row(ports);
                 self.by_content.insert(i, r);
                 r
             }
@@ -322,6 +328,88 @@ impl SwitchRuns {
     fn finish(&mut self) -> &RleTable {
         self.col.col_off.push(vid(self.col.runs_start.len()));
         &self.col
+    }
+
+    /// Resolves `switch`'s routing answers over destinations
+    /// `0..dst32` to out-port runs.
+    fn derive(&mut self, net: &SimNetwork, routing: &UpDownRouting, switch: u32, dst32: u32) {
+        self.clear();
+        routing.for_each_dst_run(switch, dst32, &mut |start, hops| {
+            resolve_out_ports(net, switch, hops, &mut self.bufs.ports);
+            let row = self.intern();
+            self.push(start, row);
+        });
+    }
+
+    /// Rebuilds one *dirty but adjacency-stable* switch's runs by
+    /// splicing: the `old` column is kept wholesale except at `delta`
+    /// destinations, where the row is re-resolved against the repaired
+    /// routing. Sound because such a switch's row can change only where
+    /// a consulted reach set's membership changed (see
+    /// `rfc_routing::RepairScope::dst_delta`).
+    ///
+    /// An old row keeps its content, so it takes its new id through
+    /// `old_to_new` on first use, without a content comparison. Only a
+    /// re-resolved row is compared: against the switch's old rows (it
+    /// may equal one that has not appeared yet) and then against the
+    /// other re-resolved rows. Equal neighbors re-merge in
+    /// [`SwitchRuns::push`], so the result is byte-identical to a full
+    /// [`SwitchRuns::derive`].
+    fn splice(
+        &mut self,
+        net: &SimNetwork,
+        routing: &UpDownRouting,
+        old: &RleTable,
+        switch: u32,
+        delta: &[u32],
+    ) {
+        self.clear();
+        let lo = old.col_off[switch as usize] as usize;
+        let hi = old.col_off[switch as usize + 1] as usize;
+        let base = old.first_row(lo);
+        let old_rows = base..old.first_row(hi);
+        self.old_to_new.clear();
+        self.old_to_new.resize(old_rows.len(), u32::MAX);
+        let mut di = 0usize;
+        for k in lo..hi {
+            let a = old.runs_start[k];
+            let b = if k + 1 < hi {
+                old.runs_start[k + 1]
+            } else {
+                vid(old.dst_space)
+            };
+            let r = old.runs_row[k] as usize;
+            let mut pos = a;
+            while di < delta.len() && delta[di] < b {
+                let d = delta[di];
+                di += 1;
+                if pos < d {
+                    let row = self.kept(old, base, r);
+                    self.push(pos, row);
+                }
+                self.bufs.live_row(net, routing, switch, d);
+                let row = match old_rows.clone().find(|&o| old.ports(o) == self.bufs.ports) {
+                    Some(o) => self.kept(old, base, o),
+                    None => self.intern(),
+                };
+                self.push(d, row);
+                pos = d + 1;
+            }
+            if pos < b {
+                let row = self.kept(old, base, r);
+                self.push(pos, row);
+            }
+        }
+    }
+
+    /// The new id of `old`'s row `r` (the switch's rows start at
+    /// `base`), added unchanged on first use.
+    fn kept(&mut self, old: &RleTable, base: usize, r: usize) -> u32 {
+        let slot = &mut self.old_to_new[r - base];
+        if *slot == u32::MAX {
+            *slot = self.col.add_row(old.ports(r));
+        }
+        *slot
     }
 }
 
@@ -343,98 +431,6 @@ fn resolve_out_ports(net: &SimNetwork, switch: u32, hops: &[u32], resolved: &mut
             .out_port_to(switch, hop)
             .expect("routing returned a non-neighbor");
         resolved.push(out);
-    }
-}
-
-/// Resolves one switch's routing answers to out-port runs in `sr`,
-/// using `resolved` as scratch.
-fn switch_runs_into(
-    net: &SimNetwork,
-    routing: &UpDownRouting,
-    switch: u32,
-    dst32: u32,
-    sr: &mut SwitchRuns,
-    resolved: &mut Vec<u32>,
-) {
-    sr.clear();
-    routing.for_each_dst_run(switch, dst32, &mut |start, hops| {
-        resolve_out_ports(net, switch, hops, resolved);
-        let row = sr.intern(resolved);
-        sr.push(start, row);
-    });
-}
-
-/// Rebuilds one *dirty but adjacency-stable* switch's runs by splicing:
-/// the old column is kept wholesale except at `delta` destinations,
-/// where the row is re-resolved against the repaired routing. Sound
-/// because such a switch's row can change only where a consulted reach
-/// set's membership changed (see `rfc_routing::RepairScope::dst_delta`).
-///
-/// An old row keeps its content, so it takes its new id through
-/// `old_to_new` (indexed by old row id minus the switch's first row) on
-/// first use, without a content comparison. Only a re-resolved row is
-/// compared: against the switch's old rows (it may equal one that has
-/// not appeared yet) and then against the other re-resolved rows. Equal
-/// neighbors re-merge in [`SwitchRuns::push`], so the result is
-/// byte-identical to a full [`switch_runs_into`] re-derivation.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the old table, the dirty set and the output buffers of one patch"
-)]
-fn splice_runs_into(
-    net: &SimNetwork,
-    routing: &UpDownRouting,
-    old: &RleTable,
-    switch: u32,
-    delta: &[u32],
-    dst32: u32,
-    sr: &mut SwitchRuns,
-    bufs: &mut RowBufs,
-    old_to_new: &mut Vec<u32>,
-) {
-    sr.clear();
-    let lo = old.col_off[switch as usize] as usize;
-    let hi = old.col_off[switch as usize + 1] as usize;
-    let base = old.first_row(lo);
-    let old_rows = base..old.first_row(hi);
-    old_to_new.clear();
-    old_to_new.resize(old_rows.len(), u32::MAX);
-    let mut kept = |sr: &mut SwitchRuns, r: usize| {
-        let slot = &mut old_to_new[r - base];
-        if *slot == u32::MAX {
-            *slot = sr.add_row(old.ports(r));
-        }
-        *slot
-    };
-    let mut di = 0usize;
-    for k in lo..hi {
-        let a = old.runs_start[k];
-        let b = if k + 1 < hi {
-            old.runs_start[k + 1]
-        } else {
-            dst32
-        };
-        let r = old.runs_row[k] as usize;
-        let mut pos = a;
-        while di < delta.len() && delta[di] < b {
-            let d = delta[di];
-            di += 1;
-            if pos < d {
-                let row = kept(sr, r);
-                sr.push(pos, row);
-            }
-            let ports = bufs.live_row(net, routing, switch, d);
-            let row = match old_rows.clone().find(|&o| old.ports(o) == ports) {
-                Some(o) => kept(sr, o),
-                None => sr.intern(ports),
-            };
-            sr.push(d, row);
-            pos = d + 1;
-        }
-        if pos < b {
-            let row = kept(sr, r);
-            sr.push(pos, row);
-        }
     }
 }
 
@@ -462,13 +458,15 @@ fn build_table(net: &SimNetwork, routing: &UpDownRouting, budget: usize) -> Opti
     table.reset(dst_space);
     let all: Vec<u32> = (0..vid(net.num_switches())).collect();
     for chunk in all.chunks(CHUNK) {
-        let per_switch: Vec<SwitchRuns> = rfc_parallel::map(chunk.to_vec(), |switch| {
+        // Each switch keeps only its column, not the derivation scratch.
+        let per_switch: Vec<RleTable> = rfc_parallel::map(chunk.to_vec(), |switch| {
             let mut sr = SwitchRuns::default();
-            switch_runs_into(net, routing, switch, dst32, &mut sr, &mut Vec::new());
-            sr
+            sr.derive(net, routing, switch, dst32);
+            sr.finish();
+            sr.col
         });
-        for mut sr in per_switch {
-            table.copy_switches(sr.finish(), 0, 1)?;
+        for col in per_switch {
+            table.copy_switches(&col, 0, 1)?;
             if table.bytes() > budget {
                 return None;
             }
@@ -495,10 +493,8 @@ fn patch_table(
 ) -> Option<()> {
     let dst32 = vid(old.dst_space);
     table.reset(old.dst_space);
-    // All dirty-switch work reuses one set of scratch buffers.
+    // All dirty-switch work reuses one column and its scratch.
     let mut sr = SwitchRuns::default();
-    let mut bufs = RowBufs::default();
-    let mut old_to_new: Vec<u32> = Vec::new();
     // `scope.table_dirty` arrives sorted and deduplicated; `clean` is
     // the first switch not yet written. Only the event endpoints changed
     // adjacency, so only their columns are re-derived in full; every
@@ -507,19 +503,9 @@ fn patch_table(
     for &switch in &scope.table_dirty {
         table.copy_switches(old, clean, switch as usize)?;
         if scope.endpoints.contains(&switch) {
-            switch_runs_into(net, routing, switch, dst32, &mut sr, &mut bufs.ports);
+            sr.derive(net, routing, switch, dst32);
         } else {
-            splice_runs_into(
-                net,
-                routing,
-                old,
-                switch,
-                &scope.dst_delta,
-                dst32,
-                &mut sr,
-                &mut bufs,
-                &mut old_to_new,
-            );
+            sr.splice(net, routing, old, switch, &scope.dst_delta);
         }
         table.copy_switches(sr.finish(), 0, 1)?;
         if table.bytes() > TABLE_BUDGET {

@@ -2,15 +2,18 @@
 //!
 //! # Hot-path layout
 //!
-//! The engine is the bottleneck of every simulation figure, so its
-//! per-cycle state is laid out flat (see DESIGN.md §10):
+//! Each cycle a shard runs four phases over its own state through a
+//! per-cycle view, [`Cycle`]: `deliver`, `inject`, `request_scan` and
+//! `arbitrate`. The engine is the bottleneck of every simulation
+//! figure, so its per-cycle state is laid out flat (see DESIGN.md §10):
 //!
 //! * **Injection** draws the *gap* to the next injecting terminal from a
 //!   geometric distribution ([`geometric_gap`]) instead of one Bernoulli
 //!   draw per terminal — O(injections), not O(terminals), per cycle.
 //! * **Packet queues** are fixed-capacity ring buffers of 8-byte
 //!   packets in one flat array (`buffer_packets` slots per virtual
-//!   channel) — no per-VC `VecDeque` headers or heap indirection.
+//!   channel), written only by `ShardState::enqueue` — no per-VC
+//!   `VecDeque` headers or heap indirection.
 //! * An **active-VC worklist** drives the request stage: only slots
 //!   that hold packets are visited, with lazy removal when a slot is
 //!   observed empty.
@@ -32,7 +35,8 @@
 //!
 //! A run partitions the switches into contiguous shards (DESIGN.md §13),
 //! each advanced one cycle at a time by its own worker; cross-shard
-//! packets and credits cross through mailboxes at the cycle boundary.
+//! packets and credits cross through mailboxes at the cycle boundary,
+//! and land like same-shard ones, through `ShardState::land`.
 //! All randomness is drawn *statelessly* per decision — a counter-based
 //! hash over `(stream, cycle, global entity id)` ([`crate::shard::draw`])
 //! for routing, arbitration and reservoir sampling, plus one sequential
@@ -52,13 +56,13 @@ use rfc_graph::{slice_heap_bytes, vid};
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, LinkEvent};
 
-use crate::candidates::{Candidates, RleTable};
+use crate::candidates::{Candidates, RleTable, RowBufs};
 use crate::churn::{ChurnResult, DynState, FaultSchedule};
 use crate::network::{OutTarget, SimNetwork};
 use crate::shard::{
-    bounded_hi, bounded_lo, cycle32, drain_mailboxes, draw, lat32, mailbox_push, new_mailboxes,
-    reservoir_offer, u8_of, Arrival, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan,
-    ShardState, SlotState, Streams, NO_PORT, NO_REQ,
+    bounded_hi, bounded_lo, cycle32, draw, lat32, mailbox_push, new_mailboxes, reservoir_offer,
+    u8_of, Arrival, Event, MailboxCell, Request, Sample, ShardMsg, ShardPlan, ShardState,
+    SlotState, Streams, NO_PORT, NO_REQ,
 };
 use crate::traffic::Traffic;
 use crate::{RequestMode, SimConfig, SimResult, TrafficPattern};
@@ -165,6 +169,37 @@ pub(crate) struct StepCtx {
     warmup: u64,
     /// One past the last simulated cycle.
     pub(crate) end: u64,
+}
+
+/// One shard's view of one cycle: what the four phases
+/// ([`Cycle::deliver`], [`Cycle::inject`], [`Cycle::request_scan`] and
+/// [`Cycle::arbitrate`]) read while they mutate the shard's own
+/// [`ShardState`]. The plan and network maps are held as slices, so
+/// their base pointers and bounds stay hoisted out of the per-packet
+/// loops.
+struct Cycle<'a> {
+    ctx: &'a StepCtx,
+    cfg: &'a SimConfig,
+    net: &'a SimNetwork,
+    candidates: &'a Candidates,
+    routing: &'a UpDownRouting,
+    /// This shard's outgoing mailboxes, one per target shard.
+    outbox: &'a [MailboxCell],
+    me: usize,
+    now: u64,
+    term_offsets: &'a [u32],
+    local_of_in: &'a [u32],
+    local_of_out: &'a [u32],
+    shard_of_in: &'a [u32],
+    shard_of_out: &'a [u32],
+    /// This shard's owned global output-port ids, by local index.
+    out_gids: &'a [u32],
+    feeder_of_in: &'a [u32],
+    out_target: &'a [OutTarget],
+    eject_port_of_terminal: &'a [u32],
+    dst_switch_of_terminal: &'a [u32],
+    inject_port_of_terminal: &'a [u32],
+    switch_of_in_port: &'a [u32],
 }
 
 /// Reusable per-run buffers for [`Simulation::run_sharded_scratch`].
@@ -341,10 +376,9 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// identical to [`Simulation::run`] at any shard count.
     ///
     /// Randomness is organized as independent streams derived from
-    /// `seed` (see [`Streams`]): the traffic-state build, per-switch
-    /// sequential injection generators, and three stateless counter
-    /// streams for routing decisions, arbitration priorities, and
-    /// reservoir sampling. No draw depends on event order or on the
+    /// `seed`: the traffic-state build, per-switch sequential injection
+    /// generators, and three stateless counter streams for routing
+    /// decisions, arbitration priorities, and reservoir sampling. No draw depends on event order or on the
     /// partition, which is what makes results shard-count-invariant.
     pub fn run_sharded_scratch(
         &self,
@@ -466,10 +500,10 @@ impl<'a> Simulation<'a, UpDownRouting> {
     /// at every boundary of `epochs` equal slices and at the end. A plain
     /// run has no topology, no events and one epoch.
     ///
-    /// One worker per shard (shard 0 on the caller's thread) steps and
-    /// then drains the mailboxes each cycle, with a barrier after each
-    /// phase. A cycle with due events first commits them under the
-    /// state's write lock (DESIGN.md §13).
+    /// One worker per shard (shard 0 on the caller's thread) runs the
+    /// four phases and then drains the mailboxes each cycle, with a
+    /// barrier after each. A cycle with due events first commits them
+    /// under the state's write lock (DESIGN.md §13).
     pub(crate) fn lockstep<'s>(
         &'s self,
         ctx: &StepCtx,
@@ -509,7 +543,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
             let _poison = barrier.guard();
             // This shard's read guard, the first event not yet due, and
             // the table version its credit-parked slots were listed under.
-            let (mut view, mut next, mut seen) = (None, 0, 0);
+            let (mut guard, mut next, mut seen) = (None, 0, 0);
             // xtask: lockstep-begin — every shard runs this loop in step
             // with its peers; the lock is taken at the first cycle and at
             // cycles with due events only
@@ -525,7 +559,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
                     next += due;
                 }
                 // xtask: allow(lockstep-region) — read lock, taken again only after a commit
-                let ds = view.get_or_insert_with(read);
+                let ds = guard.get_or_insert_with(read);
                 if ds.applied != seen {
                     seen = ds.applied;
                     st.relist_credit_parked();
@@ -533,13 +567,16 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 if now > 0 && now.is_multiple_of(epoch_len) && now / epoch_len < epochs as u64 {
                     st.epoch_marks.push(st.delivered);
                 }
-                let (candidates, routing) = (&ds.candidates, &ds.routing);
-                self.step_shard(candidates, routing, plan, me, st, mailboxes, ctx, now);
+                let cycle = self.cycle(ctx, plan, ds, mailboxes, me, now);
+                cycle.deliver(st);
+                cycle.inject(st);
+                cycle.request_scan(st);
+                cycle.arbitrate(st);
                 // All sends for this cycle are in the mailboxes…
                 barrier.wait();
-                drain_mailboxes(plan, me, st, mailboxes, v);
+                st.drain_mailboxes(plan, me, mailboxes, v);
                 if events.get(next).is_some_and(|e| e.0 == now + 1) {
-                    view = None;
+                    guard = None;
                 }
                 // …and all drains done (and, before a commit, every read
                 // guard dropped) before anyone starts cycle now + 1.
@@ -567,21 +604,11 @@ impl<'a> Simulation<'a, UpDownRouting> {
         // sort-and-truncate for the bottom-R reservoirs (the global
         // bottom-R of a union is contained in the union of per-shard
         // bottom-Rs, so this reproduces the 1-shard reservoir exactly).
-        let mut generated = 0u64;
-        let mut refused = 0u64;
-        let mut unroutable = 0u64;
-        let mut delivered = 0u64;
-        let mut latency_sum = 0u64;
-        let mut in_flight = 0u64;
+        let sum = |count: fn(&ShardState) -> u64| shard_states.iter().map(count).sum::<u64>();
+        let delivered = sum(|st| st.delivered);
         merge_buf.clear();
         for st in shard_states.iter() {
             st.credit_waits.debug_check(&st.slot_state);
-            generated += st.generated;
-            refused += st.refused;
-            unroutable += st.unroutable;
-            delivered += st.delivered;
-            latency_sum += st.latency_sum;
-            in_flight += st.in_flight();
             merge_buf.extend_from_slice(&st.reservoir);
         }
         merge_buf.sort_unstable_by_key(Sample::key);
@@ -610,154 +637,119 @@ impl<'a> Simulation<'a, UpDownRouting> {
             avg_latency: if delivered == 0 {
                 f64::NAN
             } else {
-                latency_sum as f64 / delivered as f64
+                sum(|st| st.latency_sum) as f64 / delivered as f64
             },
             latency_p50: percentile(0.50),
             latency_p95: percentile(0.95),
             latency_p99: percentile(0.99),
             delivered_packets: delivered,
-            generated_packets: generated,
-            refused_packets: refused + unroutable,
-            in_flight_at_end: in_flight,
+            generated_packets: sum(|st| st.generated),
+            refused_packets: sum(|st| st.refused + st.unroutable),
+            in_flight_at_end: sum(ShardState::in_flight),
         }
     }
 
-    /// Advances shard `me` by one cycle: deliver scheduled events,
-    /// inject on owned switches, form routing requests, arbitrate and
-    /// move packets. Cross-shard effects (arrivals at ports owned
-    /// elsewhere, credits for buffers fed from elsewhere) go to the
-    /// mailboxes; everything else stays in `st`.
-    ///
-    /// The candidate/routing pair is the run's [`DynState`] rather than
-    /// `self`'s, so a churn run's repairs take effect.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the per-shard view of the run, passed as borrows so shards share nothing mutable"
-    )]
-    fn step_shard(
-        &self,
-        candidates: &Candidates,
-        routing: &UpDownRouting,
-        plan: &ShardPlan,
+    /// Shard `me`'s view of cycle `now`, reading the candidates and
+    /// routing of the run's [`DynState`] rather than `self`'s, so a
+    /// churn run's repairs take effect.
+    fn cycle<'v>(
+        &'v self,
+        ctx: &'v StepCtx,
+        plan: &'v ShardPlan,
+        ds: &'v DynState<'_>,
+        mailboxes: &'v [MailboxCell],
         me: usize,
-        st: &mut ShardState,
-        mailboxes: &[MailboxCell],
-        ctx: &StepCtx,
         now: u64,
-    ) {
-        let cfg = &self.config;
+    ) -> Cycle<'v> {
         let net = self.net;
-        let v = cfg.virtual_channels;
-        let cap = cfg.buffer_packets;
-        let in_window = now >= ctx.warmup;
-        let ShardState {
-            pkts,
-            vias,
-            q_head,
-            q_len,
-            in_credits,
-            out_credits,
-            active,
-            slot_state,
-            credit_waits,
-            busy_until,
-            arrivals,
-            wheel,
-            reqs,
-            req_head,
-            req_count,
-            touched,
-            row_bufs,
-            slot_gid,
-            inj_switches,
-            inj_rngs,
-            reservoir,
-            generated,
-            refused,
-            unroutable,
-            delivered,
-            latency_sum,
-            epoch_marks: _,
-            #[cfg(test)]
-            work,
-        } = st;
-        // Local slice bindings so the optimizer can hoist the base
-        // pointer and bounds loads out of the per-packet loops below.
-        let local_of_in = plan.local_of_in.as_slice();
-        let local_of_out = plan.local_of_out.as_slice();
-        let shard_of_in = plan.shard_of_in.as_slice();
-        let shard_of_out = plan.shard_of_out.as_slice();
-        let out_gids_me = plan.out_gids[me].as_slice();
-        let feeder_of_in = plan.feeder_of_in.as_slice();
-        let out_target = net.out_target.as_slice();
-        let eject_port_of_terminal = net.eject_port_of_terminal.as_slice();
-        let dst_switch_of_terminal = net.dst_switch_of_terminal.as_slice();
-        let inject_port_of_terminal = net.inject_port_of_terminal.as_slice();
-        let switch_of_in_port = net.switch_of_in_port.as_slice();
-        let now32 = cycle32(now);
-
-        // xtask: hot-loop-begin — the shard step must stay allocation-free
-        // xtask: lockstep-begin — runs between barrier waits every cycle;
-        // no locks, channels, sleeps, blocking I/O, or SeqCst here
-        // 1. Deliver scheduled events. Drain (rather than take) the
-        //    slots so their capacity survives to the next lap of the
-        //    wheels. Within a slot, events commute: arrivals target
-        //    distinct VC slots (one feeder per input port, one grant
-        //    per output per cycle), credit increments are sums, and
-        //    wakes only re-list slots, so arrivals may go first. An
-        //    arrival or wake never re-lists a credit-parked slot: its
-        //    head, the only packet the scan reads, is unchanged.
-        let wslot = wheel_slot(now);
-        for Arrival { slot, via, packet } in arrivals[wslot].drain(..) {
-            let s = slot as usize;
-            // Ring tail; the wrap-if avoids a runtime modulo.
-            let mut pos = q_head[s] as usize + q_len[s] as usize;
-            if pos >= cap {
-                pos -= cap;
-            }
-            pkts[s * cap + pos] = packet;
-            if cfg.valiant_routing {
-                vias[s * cap + pos] = via;
-            }
-            q_len[s] += 1;
-            if slot_state[s] == SlotState::Idle {
-                slot_state[s] = SlotState::Active;
-                active.push(slot);
-            }
+        Cycle {
+            ctx,
+            cfg: &self.config,
+            net,
+            candidates: &ds.candidates,
+            routing: &ds.routing,
+            outbox: &mailboxes[me * plan.shards..(me + 1) * plan.shards],
+            me,
+            now,
+            term_offsets: &plan.term_offsets,
+            local_of_in: &plan.local_of_in,
+            local_of_out: &plan.local_of_out,
+            shard_of_in: &plan.shard_of_in,
+            shard_of_out: &plan.shard_of_out,
+            out_gids: &plan.out_gids[me],
+            feeder_of_in: &plan.feeder_of_in,
+            out_target: &net.out_target,
+            eject_port_of_terminal: &net.eject_port_of_terminal,
+            dst_switch_of_terminal: &net.dst_switch_of_terminal,
+            inject_port_of_terminal: &net.inject_port_of_terminal,
+            switch_of_in_port: &net.switch_of_in_port,
         }
-        for ev in wheel[wslot].drain(..) {
+    }
+}
+
+// xtask: hot-loop-begin — the four phases must stay allocation-free
+// xtask: lockstep-begin — they run between barrier waits every cycle;
+// no locks, channels, sleeps, blocking I/O, or SeqCst here
+impl Cycle<'_> {
+    /// Phase 1: applies the events due this cycle. Within a wheel slot
+    /// events commute: arrivals target distinct VC slots (one feeder per
+    /// input port, one grant per output per cycle), credit increments
+    /// are sums, and wakes only re-list slots, so arrivals may go first.
+    /// An arrival or wake never re-lists a credit-parked slot: its head,
+    /// the only packet the scan reads, is unchanged.
+    #[inline]
+    fn deliver(&self, st: &mut ShardState) {
+        let v = self.cfg.virtual_channels;
+        let wslot = wheel_slot(self.now);
+        // The due arrivals leave `st` while they enqueue, and their
+        // drained list goes back, its capacity kept for the next lap.
+        let mut due = std::mem::take(&mut st.arrivals[wslot]);
+        for Arrival { slot, via, packet } in due.drain(..) {
+            st.enqueue(self.cfg, slot as usize, packet, via);
+        }
+        st.arrivals[wslot] = due;
+        for ev in st.wheel[wslot].drain(..) {
             match ev {
                 Event::CreditIn { slot } => {
-                    in_credits[slot as usize] += 1;
+                    st.in_credits[slot as usize] += 1;
                 }
                 Event::CreditOut { idx } => {
-                    out_credits[idx as usize] += 1;
-                    credit_waits.relist(idx as usize / v, slot_state, active);
+                    st.out_credits[idx as usize] += 1;
+                    st.credit_waits
+                        .relist(idx as usize / v, &mut st.slot_state, &mut st.active);
                 }
                 Event::Wake { slot } => {
                     let s = slot as usize;
-                    if q_len[s] > 0 && slot_state[s] == SlotState::Idle {
-                        slot_state[s] = SlotState::Active;
-                        active.push(slot);
+                    if st.q_len[s] > 0 && st.slot_state[s] == SlotState::Idle {
+                        st.slot_state[s] = SlotState::Active;
+                        st.active.push(slot);
                     }
                 }
             }
         }
+    }
 
-        // 2. Injection, "shortest" injection mode — the virtual channel
-        //    with most free slots. Each owned switch walks its own
-        //    terminal group with its own sequential generator (seeded
-        //    from the switch id), so the draw sequence a terminal sees
-        //    is independent of the partition. The geometric skip-ahead
-        //    visits exactly the terminals a per-terminal Bernoulli draw
-        //    would have selected (identical in distribution).
+    /// Phase 2: injection, "shortest" injection mode — the virtual
+    /// channel with most free slots. Each owned switch walks its own
+    /// terminal group with its own sequential generator (seeded from the
+    /// switch id), so the draw sequence a terminal sees is independent
+    /// of the partition. The geometric skip-ahead visits exactly the
+    /// terminals a per-terminal Bernoulli draw would have selected
+    /// (identical in distribution).
+    #[inline]
+    fn inject(&self, st: &mut ShardState) {
+        let (ctx, cfg, now) = (self.ctx, self.cfg, self.now);
         if ctx.p_gen > 0.0 {
-            for (sw, rng) in inj_switches.iter().zip(inj_rngs.iter_mut()) {
-                let sw_us = *sw as usize;
+            let v = cfg.virtual_channels;
+            let in_window = now >= ctx.warmup;
+            // The generators leave `st` while it enqueues.
+            let mut rngs = std::mem::take(&mut st.inj_rngs);
+            for (k, rng) in rngs.iter_mut().enumerate() {
+                let sw = st.inj_switches[k];
                 // Dense packing: the switch's terminals are one
                 // contiguous id range starting at its offset.
-                let first = plan.term_offsets[sw_us];
-                let count = (plan.term_offsets[sw_us + 1] - first) as usize;
+                let first = self.term_offsets[sw as usize];
+                let count = (self.term_offsets[sw as usize + 1] - first) as usize;
                 let mut t = geometric_gap(rng, ctx.ln_q);
                 while t < count {
                     let src = first + vid(t);
@@ -765,87 +757,56 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         let Some(dst) = ctx.traffic.dest(src, now, rng) else {
                             break 'inject;
                         };
-                        let dst_switch = dst_switch_of_terminal[dst as usize];
-                        let src_switch = *sw;
+                        let dst_switch = self.dst_switch_of_terminal[dst as usize];
                         // Valiant stage: bounce through a random
-                        // terminal's switch first.
-                        let via_switch = if cfg.valiant_routing {
-                            let mid = rng.gen_range(0..ctx.t32);
-                            let vs = dst_switch_of_terminal[mid as usize];
-                            if vs == src_switch || vs == dst_switch {
-                                NO_VIA
-                            } else {
-                                vs
+                        // terminal's switch first, unless it is the
+                        // source's or the destination's.
+                        let mut via = NO_VIA;
+                        if cfg.valiant_routing {
+                            let vs =
+                                self.dst_switch_of_terminal[rng.gen_range(0..ctx.t32) as usize];
+                            if vs != sw && vs != dst_switch {
+                                via = vs;
                             }
-                        } else {
-                            NO_VIA
-                        };
-                        let first_target = if via_switch != NO_VIA {
-                            via_switch
-                        } else {
-                            dst_switch
-                        };
-                        if src_switch != first_target
-                            && candidates
-                                .row(net, routing, src_switch, first_target, row_bufs)
-                                .is_empty()
-                        {
+                        }
+                        // Every leg of the route must have candidates:
+                        // to the intermediate, and on to the destination.
+                        let mid = if via == NO_VIA { dst_switch } else { via };
+                        let bufs = &mut st.row_bufs;
+                        if !self.routable(bufs, sw, mid) || !self.routable(bufs, mid, dst_switch) {
                             if in_window {
-                                *unroutable += 1;
+                                st.unroutable += 1;
                             }
                             break 'inject;
                         }
-                        if via_switch != NO_VIA
-                            && via_switch != dst_switch
-                            && candidates
-                                .row(net, routing, via_switch, dst_switch, row_bufs)
-                                .is_empty()
-                        {
-                            if in_window {
-                                *unroutable += 1;
-                            }
-                            break 'inject;
-                        }
-                        let in_port = inject_port_of_terminal[src as usize];
-                        let base = local_of_in[in_port as usize] as usize * v;
+                        let in_port = self.inject_port_of_terminal[src as usize];
+                        let base = self.local_of_in[in_port as usize] as usize * v;
                         // Valiant phase partition: packets still heading
                         // to an intermediate use the first half of the
                         // VCs. The range is nonempty by construction:
                         // assert_valid requires >= 2 VCs whenever
                         // Valiant splits them.
-                        let (vc_lo, vc_hi) = vc_range(cfg.valiant_routing, via_switch != NO_VIA, v);
+                        let (vc_lo, vc_hi) = vc_range(cfg.valiant_routing, via != NO_VIA, v);
                         let mut best = vc_lo;
                         for c in vc_lo + 1..vc_hi {
-                            if in_credits[base + c] > in_credits[base + best] {
+                            if st.in_credits[base + c] > st.in_credits[base + best] {
                                 best = c;
                             }
                         }
-                        if in_credits[base + best] == 0 {
+                        if st.in_credits[base + best] == 0 {
                             if in_window {
-                                *refused += 1;
+                                st.refused += 1;
                             }
                             break 'inject;
                         }
-                        in_credits[base + best] -= 1;
-                        let s = base + best;
-                        let mut pos = q_head[s] as usize + q_len[s] as usize;
-                        if pos >= cap {
-                            pos -= cap;
-                        }
-                        pkts[s * cap + pos] = Packet {
+                        st.in_credits[base + best] -= 1;
+                        let packet = Packet {
                             dst_terminal: dst,
                             gen_time: cycle32(now),
                         };
-                        if cfg.valiant_routing {
-                            vias[s * cap + pos] = via_switch;
-                        }
-                        q_len[s] += 1;
-                        if slot_state[s] == SlotState::Idle {
-                            slot_state[s] = SlotState::Active;
-                            active.push(vid(s));
-                        }
+                        st.enqueue(cfg, base + best, packet, via);
                         if in_window {
-                            *generated += 1;
+                            st.generated += 1;
                         }
                     }
                     t = t
@@ -853,90 +814,114 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         .saturating_add(1);
                 }
             }
+            st.inj_rngs = rngs;
         }
+    }
 
-        // 3. Routing requests: every head packet asks for one random
-        //    candidate output (the "up/down random" request mode), drawn
-        //    statelessly from the slot's global id — worklist order
-        //    cannot matter. Only occupied VC slots are visited; slots
-        //    drained by a previous arbitration round retire here. A slot
-        //    whose candidate outputs are ALL busy is *parked*: removed
-        //    from the worklist with a `Wake` scheduled for the cycle the
-        //    earliest output frees — until then a rescan could never
-        //    have produced a request, so skipping it is exact. A slot
-        //    whose only candidate is free but out of credits is
-        //    *credit-parked* on that output's wait list until a credit
-        //    for it returns (DESIGN.md §10).
+    /// Whether a packet at switch `from` has a candidate toward `to`.
+    #[inline]
+    fn routable(&self, bufs: &mut RowBufs, from: u32, to: u32) -> bool {
+        from == to
+            || !self
+                .candidates
+                .row(self.net, self.routing, from, to, bufs)
+                .is_empty()
+    }
+
+    /// Phase 3: routing requests. Every head packet asks for one random
+    /// candidate output (the "up/down random" request mode), drawn
+    /// statelessly from the slot's global id — worklist order cannot
+    /// matter. Only occupied VC slots are visited; slots drained by a
+    /// previous arbitration round retire here. A slot whose candidate
+    /// outputs are ALL busy is *parked*: removed from the worklist with
+    /// a `Wake` scheduled for the cycle the earliest output frees —
+    /// until then a rescan could never have produced a request, so
+    /// skipping it is exact. A slot whose only candidate is free but
+    /// out of credits is *credit-parked* on that output's wait list
+    /// until a credit for it returns (DESIGN.md §10).
+    #[inline]
+    fn request_scan(&self, st: &mut ShardState) {
+        let (cfg, now) = (self.cfg, self.now);
+        let (v, cap) = (cfg.virtual_channels, cfg.buffer_packets);
+        let now32 = cycle32(now);
         let mut i = 0;
-        'slots: while i < active.len() {
-            let s = active[i] as usize;
-            debug_assert_eq!(slot_state[s], SlotState::Active, "scanned slot {s}");
+        'slots: while i < st.active.len() {
+            let s = st.active[i] as usize;
+            debug_assert_eq!(st.slot_state[s], SlotState::Active, "scanned slot {s}");
             #[cfg(test)]
             {
-                work.visits += 1;
+                st.work.visits += 1;
             }
-            if q_len[s] == 0 {
-                slot_state[s] = SlotState::Idle;
-                active.swap_remove(i);
+            if st.q_len[s] == 0 {
+                st.slot_state[s] = SlotState::Idle;
+                st.active.swap_remove(i);
                 continue;
             }
             // The global slot id: the stateless draw key and the
             // arbitration tie-break, both partition-independent.
-            let gid = slot_gid[s];
-            let switch = switch_of_in_port[gid as usize / v];
-            let ring = s * cap + q_head[s] as usize;
-            let head = pkts[ring];
+            let gid = st.slot_gid[s];
+            let switch = self.switch_of_in_port[gid as usize / v];
+            let ring = s * cap + st.q_head[s] as usize;
+            let head = st.pkts[ring];
             let via = if cfg.valiant_routing {
                 // Valiant phase transition: the intermediate has been
                 // reached, continue toward the real target.
-                if vias[ring] == switch {
-                    vias[ring] = NO_VIA;
+                if st.vias[ring] == switch {
+                    st.vias[ring] = NO_VIA;
                 }
-                vias[ring]
+                st.vias[ring]
             } else {
                 NO_VIA
             };
             let routing_target = if via != NO_VIA {
                 via
             } else {
-                dst_switch_of_terminal[head.dst_terminal as usize]
+                self.dst_switch_of_terminal[head.dst_terminal as usize]
             };
             // Parks the current slot until `wake` (at most
             // packet_length cycles out, within the wheel horizon).
             macro_rules! park_until {
                 ($wake:expr) => {{
-                    slot_state[s] = SlotState::Idle;
-                    active.swap_remove(i);
-                    wheel[wheel_slot(u64::from($wake))].push(Event::Wake { slot: vid(s) });
+                    st.slot_state[s] = SlotState::Idle;
+                    st.active.swap_remove(i);
+                    st.wheel[wheel_slot(u64::from($wake))].push(Event::Wake { slot: vid(s) });
                     continue 'slots;
                 }};
             }
             let (out_gid, o, target_vc) = if routing_target == switch {
-                let out = eject_port_of_terminal[head.dst_terminal as usize];
-                let free_at = busy_until[out as usize];
+                let out = self.eject_port_of_terminal[head.dst_terminal as usize];
+                let free_at = st.busy_until[out as usize];
                 if free_at > now32 {
                     // The ejector is this packet's only way out.
                     park_until!(free_at);
                 }
-                (out, local_of_out[out as usize] as usize, u8::MAX)
+                (out, self.local_of_out[out as usize] as usize, u8::MAX)
             } else {
                 // One draw serves both decisions: low half picks the
                 // candidate, high half starts the target-VC rotation.
-                let h = draw(ctx.streams.dec, now, u64::from(gid));
-                let ports = candidates.row(net, routing, switch, routing_target, row_bufs);
+                let h = draw(self.ctx.streams.dec, now, u64::from(gid));
+                let ports = self.candidates.row(
+                    self.net,
+                    self.routing,
+                    switch,
+                    routing_target,
+                    &mut st.row_bufs,
+                );
                 if ports.is_empty() {
                     // Statically faulted networks never strand a packet
-                    // mid-route (injection pre-checks), but stay safe:
-                    // stall it.
+                    // mid-route (injection pre-checks every leg), but a
+                    // churn commit does: a head whose row emptied stalls
+                    // here, rescanned every cycle, until a later commit
+                    // gives it a route (ROADMAP item 8).
                     i += 1;
                     continue;
                 }
                 let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, routing_target);
                 let out = ports[k];
-                if busy_until[out as usize] > now32 {
+                if st.busy_until[out as usize] > now32 {
                     let mut wake = u32::MAX;
                     for &cand in ports {
-                        wake = wake.min(busy_until[cand as usize]);
+                        wake = wake.min(st.busy_until[cand as usize]);
                     }
                     if wake > now32 {
                         park_until!(wake);
@@ -946,7 +931,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
                     i += 1;
                     continue;
                 }
-                let o = local_of_out[out as usize] as usize;
+                let o = self.local_of_out[out as usize] as usize;
                 // Random target VC among those with a free slot (read
                 // from this shard's credit mirror of the downstream
                 // buffers this output feeds), restricted to the packet's
@@ -959,7 +944,7 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 let mut cand = vc_lo + start;
                 let mut chosen = None;
                 for _ in 0..span {
-                    if out_credits[ob + cand] > 0 {
+                    if st.out_credits[ob + cand] > 0 {
                         chosen = Some(u8_of(cand));
                         break;
                     }
@@ -973,8 +958,8 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         // The pick cannot change and no draw has side
                         // effects, so every rescan would land here
                         // until a credit for this output returns.
-                        active.swap_remove(i);
-                        credit_waits.park(o, vid(s), slot_state);
+                        st.active.swap_remove(i);
+                        st.credit_waits.park(o, vid(s), &mut st.slot_state);
                         continue;
                     }
                     // A re-pick may find an output with credits: retry
@@ -984,42 +969,49 @@ impl<'a> Simulation<'a, UpDownRouting> {
                 };
                 (out, o, tvc)
             };
-            if req_count[o] == 0 {
-                touched.push(vid(o));
+            if st.req_count[o] == 0 {
+                st.touched.push(vid(o));
             }
-            reqs.push(Request {
+            st.reqs.push(Request {
                 slot: vid(s),
-                prev: req_head[o],
+                prev: st.req_head[o],
                 // The priority is keyed on (cycle, output, slot): a pure
                 // function of global ids, so the winner below depends
                 // only on the requester *set*.
                 prio: draw(
-                    ctx.streams.arb,
+                    self.ctx.streams.arb,
                     now,
                     (u64::from(out_gid) << 32) | u64::from(gid),
                 ),
                 gid,
                 target_vc,
             });
-            req_head[o] = vid(reqs.len() - 1);
-            req_count[o] += 1;
+            st.req_head[o] = vid(st.reqs.len() - 1);
+            st.req_count[o] += 1;
             #[cfg(test)]
             {
-                work.requests += 1;
+                st.work.requests += 1;
             }
             i += 1;
         }
+    }
 
-        // 4. Random arbitration, one iteration: each free output port
-        //    grants the requester with the smallest stateless priority
-        //    (global slot id as tie-break) — an argmin over the request
-        //    chain, independent of chain order.
-        for &out in touched.iter() {
-            let o = out as usize;
-            let out_gid = out_gids_me[o];
-            req_count[o] = 0;
-            let first = req_head[o] as usize;
-            req_head[o] = NO_REQ;
+    /// Phase 4: random arbitration, one iteration, then traversal. Each
+    /// free output port grants the requester with the smallest stateless
+    /// priority (global slot id as tie-break) — an argmin over the
+    /// request chain, independent of chain order — and sends the packet
+    /// and the freed slot's credit on their way.
+    #[inline]
+    fn arbitrate(&self, st: &mut ShardState) {
+        let (cfg, now) = (self.cfg, self.now);
+        let (v, cap) = (cfg.virtual_channels, cfg.buffer_packets);
+        for t in 0..st.touched.len() {
+            let o = st.touched[t] as usize;
+            let out_gid = self.out_gids[o];
+            st.req_count[o] = 0;
+            let first = st.req_head[o] as usize;
+            st.req_head[o] = NO_REQ;
+            let reqs = &st.reqs;
             let mut best = first;
             let mut cur = reqs[first].prev;
             while cur != NO_REQ {
@@ -1034,73 +1026,63 @@ impl<'a> Simulation<'a, UpDownRouting> {
             // A granted VC always still holds its head packet (one
             // request per VC per cycle, one grant per output), but
             // never panic in the hot loop if that invariant breaks.
-            if q_len[s] == 0 {
+            if st.q_len[s] == 0 {
                 debug_assert!(false, "granted VC slot {s} is empty");
                 continue;
             }
             #[cfg(test)]
             {
-                work.grants += 1;
+                st.work.grants += 1;
             }
-            let ring = s * cap + q_head[s] as usize;
-            let packet = pkts[ring];
+            let ring = s * cap + st.q_head[s] as usize;
+            let packet = st.pkts[ring];
             let via = if cfg.valiant_routing {
-                vias[ring]
+                st.vias[ring]
             } else {
                 NO_VIA
             };
-            let next_head = q_head[s] as usize + 1;
-            q_head[s] = if next_head == cap {
+            let next_head = st.q_head[s] as usize + 1;
+            st.q_head[s] = if next_head == cap {
                 0
             } else {
                 u8_of(next_head)
             };
-            q_len[s] -= 1;
-            debug_assert!(busy_until[out_gid as usize] <= now32);
-            busy_until[out_gid as usize] = cycle32(now + cfg.packet_length);
+            st.q_len[s] -= 1;
+            debug_assert!(st.busy_until[out_gid as usize] <= cycle32(now));
+            st.busy_until[out_gid as usize] = cycle32(now + cfg.packet_length);
             // Return the freed buffer slot: to the local injection
             // credit for terminal-fed ports, else to the credit mirror
             // at the feeding output port's shard. The global slot id
             // is `global_in_port · v + vc`.
             let credit_at = now + cfg.packet_length;
             let gid = pick.gid as usize;
-            let feeder = feeder_of_in[gid / v];
+            let feeder = self.feeder_of_in[gid / v];
             if feeder == NO_PORT {
-                wheel[wheel_slot(credit_at)].push(Event::CreditIn { slot: pick.slot });
+                st.wheel[wheel_slot(credit_at)].push(Event::CreditIn { slot: pick.slot });
             } else {
-                let vc = gid % v;
-                let fsh = shard_of_out[feeder as usize] as usize;
-                if fsh == me {
-                    let idx = local_of_out[feeder as usize] as usize * v + vc;
-                    wheel[wheel_slot(credit_at)].push(Event::CreditOut { idx: vid(idx) });
-                } else {
-                    mailbox_push(
-                        mailboxes,
-                        me * plan.shards + fsh,
-                        ShardMsg::Credit {
-                            wslot: u8_of(wheel_slot(credit_at)),
-                            out_port: feeder,
-                            vc: u8_of(vc),
-                        },
-                    );
-                }
+                let credit = ShardMsg::Credit {
+                    wslot: u8_of(wheel_slot(credit_at)),
+                    out_port: feeder,
+                    vc: u8_of(gid % v),
+                };
+                self.send(st, self.shard_of_out[feeder as usize], credit);
             }
-            match out_target[out_gid as usize] {
+            match self.out_target[out_gid as usize] {
                 OutTarget::Eject { terminal } => {
                     debug_assert_eq!(terminal, packet.dst_terminal);
-                    if in_window {
-                        *delivered += 1;
+                    if now >= self.ctx.warmup {
+                        st.delivered += 1;
                         let latency = now + cfg.packet_length - u64::from(packet.gen_time);
-                        *latency_sum += latency;
+                        st.latency_sum += latency;
                         // Order sampling keeps memory bounded at paper
                         // scale while staying mergeable across shards:
                         // each delivery competes with a stateless
                         // priority keyed on its unique (cycle, ejector).
                         reservoir_offer(
-                            reservoir,
+                            &mut st.reservoir,
                             cfg.latency_reservoir,
                             Sample {
-                                prio: draw(ctx.streams.stats, now, u64::from(out_gid)),
+                                prio: draw(self.ctx.streams.stats, now, u64::from(out_gid)),
                                 cycle: now,
                                 out: out_gid,
                                 latency: lat32(latency),
@@ -1108,44 +1090,43 @@ impl<'a> Simulation<'a, UpDownRouting> {
                         );
                     }
                 }
-                OutTarget::Link { in_port: tgt } => {
-                    out_credits[o * v + pick.target_vc as usize] -= 1;
+                OutTarget::Link { in_port } => {
+                    st.out_credits[o * v + pick.target_vc as usize] -= 1;
                     let at = now + cfg.link_latency + cfg.router_latency;
-                    let tsh = shard_of_in[tgt as usize] as usize;
-                    if tsh == me {
-                        let slot = local_of_in[tgt as usize] as usize * v + pick.target_vc as usize;
-                        arrivals[wheel_slot(at)].push(Arrival {
-                            slot: vid(slot),
-                            via,
-                            packet,
-                        });
-                    } else {
-                        mailbox_push(
-                            mailboxes,
-                            me * plan.shards + tsh,
-                            ShardMsg::Arrival {
-                                wslot: u8_of(wheel_slot(at)),
-                                in_port: tgt,
-                                vc: pick.target_vc,
-                                via,
-                                packet,
-                            },
-                        );
-                    }
+                    let arrival = ShardMsg::Arrival {
+                        wslot: u8_of(wheel_slot(at)),
+                        in_port,
+                        vc: pick.target_vc,
+                        via,
+                        packet,
+                    };
+                    self.send(st, self.shard_of_in[in_port as usize], arrival);
                 }
             }
         }
-        touched.clear();
-        reqs.clear();
-        // xtask: lockstep-end
-        // xtask: hot-loop-end
+        st.touched.clear();
+        st.reqs.clear();
+    }
+
+    /// Sends `msg` to shard `to`, the owner of its port: it lands in
+    /// `st` at once when that is this shard, and crosses the mailboxes
+    /// otherwise.
+    #[inline]
+    fn send(&self, st: &mut ShardState, to: u32, msg: ShardMsg) {
+        if to as usize == self.me {
+            let v = self.cfg.virtual_channels;
+            st.land(self.local_of_in, self.local_of_out, v, msg);
+        } else {
+            mailbox_push(self.outbox, to as usize, msg);
+        }
     }
 }
+// xtask: lockstep-end
+// xtask: hot-loop-end
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::RowBufs;
     use crate::shard::WorkCounts;
     use rfc_routing::UpDownRouting;
     use rfc_topology::FoldedClos;
@@ -1474,6 +1455,53 @@ mod tests {
             assert_eq!(r.delivered_packets, 6_606, "{shards} shards");
             assert_eq!(work_counts(&scratch), expected, "{shards} shards");
         }
+
+        // Valiant runs, in the setting of
+        // `valiant_runs_reproduce_their_recorded_results`: the via
+        // handling of injection, the scan and the grant.
+        let clos = FoldedClos::cft(8, 3).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let mut cfg = SimConfig::quick();
+        cfg.valiant_routing = true;
+        let sim = Simulation::new(&net, &routing, cfg);
+        let expected = WorkCounts {
+            visits: 312_601,
+            requests: 80_620,
+            grants: 40_024,
+        };
+        for shards in 1..=3 {
+            sim.run_sharded_scratch(TrafficPattern::Uniform, 0.6, 2017, shards, &mut scratch);
+            assert_eq!(work_counts(&scratch), expected, "Valiant, {shards} shards");
+        }
+
+        // Churn runs, in the setting of the churn module's
+        // `churn_runs_reproduce_their_recorded_results`: commits re-list
+        // credit-parked slots.
+        let clos = FoldedClos::cft(4, 3).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let cfg = SimConfig::quick();
+        let sim = Simulation::new(&net, &routing, cfg);
+        let schedule = FaultSchedule::poisson(&clos, 0.05, 100.0, cfg.total_cycles(), 100);
+        let expected = WorkCounts {
+            visits: 45_763,
+            requests: 9_213,
+            grants: 4_424,
+        };
+        for shards in 1..=3 {
+            sim.run_churn_sharded_scratch(
+                &clos,
+                &schedule,
+                TrafficPattern::Uniform,
+                1.0,
+                0,
+                4,
+                shards,
+                &mut scratch,
+            );
+            assert_eq!(work_counts(&scratch), expected, "churn, {shards} shards");
+        }
     }
 
     #[test]
@@ -1497,31 +1525,22 @@ mod tests {
             .map(|st| vec![0; st.slot_state.len()])
             .collect();
         let mut grew = 0;
-        // The lockstep loop, serialized: both shards step, then both
-        // drain, so the lists can be checked between cycles.
+        // The lockstep loop, serialized: both shards run the four
+        // phases, then both drain, so the lists can be checked between
+        // cycles.
         let mailboxes = new_mailboxes(4);
+        let ds = DynState::new(&net, &routing, &sim.candidates, None);
         for now in 0..ctx.end {
             for me in 0..2 {
+                let cycle = sim.cycle(&ctx, &scratch.plan, &ds, &mailboxes, me, now);
                 let st = &mut scratch.shard_states[me];
-                sim.step_shard(
-                    &sim.candidates,
-                    &routing,
-                    &scratch.plan,
-                    me,
-                    st,
-                    &mailboxes,
-                    &ctx,
-                    now,
-                );
+                cycle.deliver(st);
+                cycle.inject(st);
+                cycle.request_scan(st);
+                cycle.arbitrate(st);
             }
             for me in 0..2 {
-                drain_mailboxes(
-                    &scratch.plan,
-                    me,
-                    &mut scratch.shard_states[me],
-                    &mailboxes,
-                    v,
-                );
+                scratch.shard_states[me].drain_mailboxes(&scratch.plan, me, &mailboxes, v);
             }
             for (st, prev) in scratch.shard_states.iter().zip(&mut parked_len) {
                 st.credit_waits.debug_check(&st.slot_state);

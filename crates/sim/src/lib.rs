@@ -12,10 +12,13 @@
 //! * 10,000 measured cycles after a warmup.
 //!
 //! Packets route over folded Clos networks by up/down routing
-//! ([`rfc_routing::UpDownRouting`]), the simulator's only router: every
-//! route climbs and then descends (Valiant routing chains two such
-//! routes on disjoint virtual-channel classes), so no cyclic buffer
-//! dependency can form and the flow-controlled engine is deadlock-free.
+//! ([`rfc_routing::UpDownRouting`]), the simulator's only router. On a
+//! fixed table every route climbs and then descends (Valiant routing
+//! chains two such routes on disjoint virtual-channel classes), so no
+//! cyclic buffer dependency can form and the flow-controlled engine is
+//! deadlock-free. Under churn a descending packet can climb again after
+//! a table repair (24 of 289,927 hops in the `rfc-churn` benchmark
+//! setting), and deadlock freedom there is unproven.
 //!
 //! The simulator is packet-granular: a packet reserves a whole-packet
 //! buffer slot downstream before advancing (virtual cut-through) and each

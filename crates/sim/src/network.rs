@@ -108,25 +108,6 @@ impl SimNetwork {
         }
     }
 
-    /// Logical heap bytes of the port maps (see
-    /// [`rfc_graph::HeapBytes`]).
-    fn heap_bytes_impl(&self) -> usize {
-        use rfc_graph::slice_heap_bytes;
-        let nested: usize = self
-            .out_port_of_neighbor
-            .iter()
-            .map(|v| slice_heap_bytes(v))
-            .sum();
-        slice_heap_bytes(&self.switch_of_in_port)
-            + slice_heap_bytes(&self.out_owner)
-            + slice_heap_bytes(&self.out_target)
-            + slice_heap_bytes(&self.out_port_of_neighbor)
-            + nested
-            + slice_heap_bytes(&self.inject_port_of_terminal)
-            + slice_heap_bytes(&self.eject_port_of_terminal)
-            + slice_heap_bytes(&self.dst_switch_of_terminal)
-    }
-
     /// Builds the port-level view of a folded Clos network with every
     /// terminal attached. Routing destinations are leaf switches.
     pub fn from_folded_clos(clos: &FoldedClos) -> Self {
@@ -242,9 +223,23 @@ impl SimNetwork {
     }
 }
 
+/// Logical heap bytes of the port maps.
 impl rfc_graph::HeapBytes for SimNetwork {
     fn heap_bytes(&self) -> usize {
-        self.heap_bytes_impl()
+        use rfc_graph::slice_heap_bytes;
+        let nested: usize = self
+            .out_port_of_neighbor
+            .iter()
+            .map(|v| slice_heap_bytes(v))
+            .sum();
+        slice_heap_bytes(&self.switch_of_in_port)
+            + slice_heap_bytes(&self.out_owner)
+            + slice_heap_bytes(&self.out_target)
+            + slice_heap_bytes(&self.out_port_of_neighbor)
+            + nested
+            + slice_heap_bytes(&self.inject_port_of_terminal)
+            + slice_heap_bytes(&self.eject_port_of_terminal)
+            + slice_heap_bytes(&self.dst_switch_of_terminal)
     }
 }
 

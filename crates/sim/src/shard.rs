@@ -746,54 +746,82 @@ impl CreditWaits {
     }
 }
 
-/// Applies every message addressed to shard `me`, in fixed source-shard
-/// order (each mailbox's content is already in its producer's
-/// deterministic send order). Runs between the two cycle barriers.
-pub(crate) fn drain_mailboxes(
-    plan: &ShardPlan,
-    me: usize,
-    st: &mut ShardState,
-    mailboxes: &[MailboxCell],
-    v: usize,
-) {
-    // xtask: hot-loop-begin — the per-cycle drain must stay allocation-free
-    // xtask: lockstep-begin — runs between barrier waits every cycle; the
-    // mailbox `.lock()` calls are uncontended by construction (one
-    // producer, one consumer, phase-separated by the barriers)
-    for src in 0..plan.shards {
-        let mut mb = mailboxes[src * plan.shards + me]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for msg in mb.drain(..) {
-            match msg {
-                ShardMsg::Arrival {
-                    wslot,
-                    in_port,
-                    vc,
+// xtask: hot-loop-begin — enqueue, land and drain stay allocation-free
+// xtask: lockstep-begin — runs between barrier waits every cycle; the
+// mailbox `.lock()` calls are uncontended by construction (one
+// producer, one consumer, phase-separated by the barriers)
+impl ShardState {
+    /// Appends `packet`, with its Valiant intermediate `via`, at the
+    /// tail of VC slot `s`'s ring and lists the slot on the worklist if
+    /// it was idle: the one way a packet enters a ring, for arrivals and
+    /// injections alike.
+    #[inline]
+    pub fn enqueue(&mut self, cfg: &SimConfig, s: usize, packet: Packet, via: u32) {
+        let cap = cfg.buffer_packets;
+        // Ring tail; the wrap-if avoids a runtime modulo.
+        let mut pos = self.q_head[s] as usize + self.q_len[s] as usize;
+        if pos >= cap {
+            pos -= cap;
+        }
+        self.pkts[s * cap + pos] = packet;
+        if cfg.valiant_routing {
+            self.vias[s * cap + pos] = via;
+        }
+        self.q_len[s] += 1;
+        if self.slot_state[s] == SlotState::Idle {
+            self.slot_state[s] = SlotState::Active;
+            self.active.push(vid(s));
+        }
+    }
+
+    /// Lands `msg` in its wheel slot, mapping its global port to this
+    /// shard's local indexing (`v` VCs per port): the one way a message
+    /// enters the wheels, for same-shard sends and drained mailboxes
+    /// alike. Always inlined, so a same-shard grant pushes in place.
+    #[inline(always)]
+    pub fn land(&mut self, local_of_in: &[u32], local_of_out: &[u32], v: usize, msg: ShardMsg) {
+        match msg {
+            ShardMsg::Arrival {
+                wslot,
+                in_port,
+                vc,
+                via,
+                packet,
+            } => {
+                let slot = local_of_in[in_port as usize] as usize * v + usize::from(vc);
+                self.arrivals[usize::from(wslot)].push(Arrival {
+                    slot: vid(slot),
                     via,
                     packet,
-                } => {
-                    let slot = plan.local_of_in[in_port as usize] as usize * v + vc as usize;
-                    st.arrivals[usize::from(wslot)].push(Arrival {
-                        slot: vid(slot),
-                        via,
-                        packet,
-                    });
-                }
-                ShardMsg::Credit {
-                    wslot,
-                    out_port,
-                    vc,
-                } => {
-                    let idx = plan.local_of_out[out_port as usize] as usize * v + vc as usize;
-                    st.wheel[usize::from(wslot)].push(Event::CreditOut { idx: vid(idx) });
-                }
+                });
+            }
+            ShardMsg::Credit {
+                wslot,
+                out_port,
+                vc,
+            } => {
+                let idx = local_of_out[out_port as usize] as usize * v + usize::from(vc);
+                self.wheel[usize::from(wslot)].push(Event::CreditOut { idx: vid(idx) });
             }
         }
     }
-    // xtask: lockstep-end
-    // xtask: hot-loop-end
+
+    /// Lands every message addressed to shard `me` in fixed source-shard
+    /// order (each mailbox is already in its producer's deterministic
+    /// send order). Runs between the two cycle barriers.
+    pub fn drain_mailboxes(&mut self, plan: &ShardPlan, me: usize, mb: &[MailboxCell], v: usize) {
+        for src in 0..plan.shards {
+            let mut mailbox = mb[src * plan.shards + me]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            for msg in mailbox.drain(..) {
+                self.land(&plan.local_of_in, &plan.local_of_out, v, msg);
+            }
+        }
+    }
 }
+// xtask: lockstep-end
+// xtask: hot-loop-end
 
 #[cfg(test)]
 #[expect(
