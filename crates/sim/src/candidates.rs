@@ -79,6 +79,8 @@ impl Candidates {
         build_table(net, routing, budget).map_or(Candidates::Live, Candidates::Table)
     }
 
+    // xtask: hot-loop-begin — the request scan looks up a row on every
+    // visit
     /// The resolved out-ports for `(switch, dst)`, in routing order;
     /// empty when unroutable. A table row is a slice of the table; a
     /// live row is computed into `bufs`.
@@ -101,6 +103,7 @@ impl Candidates {
             Candidates::Live => bufs.live_row(net, routing, switch, dst),
         }
     }
+    // xtask: hot-loop-end
 
     /// Brings the candidates past a routing repair: a table is patched
     /// over `scope` against the repaired `routing` (falling back to live
@@ -153,13 +156,18 @@ impl rfc_graph::HeapBytes for Candidates {
 ///    global pool would save almost nothing. The range starts at the
 ///    row of the switch's first run, which is always its local row 0.
 /// 3. **Columns run-length-compress** — per switch, destinations with
-///    the same row collapse into `[start, next_start)` runs, which
-///    folded-Clos reach sets keep to a few dozen per switch regardless
-///    of the destination count.
+///    the same row collapse into `[start, next_start)` runs. A CFT's
+///    subtree structure keeps them few (cft(36,4): at most 36 runs over
+///    11,664 destinations), but a random folded Clos's reach sets
+///    fragment: `rfc(16,128,3)` averages ~105 runs over 128
+///    destinations, `rfc(36,648,3)` ~532 over 648.
 ///
-/// Lookup is a binary search over the switch's runs (few dozen entries,
-/// ~5 probes) instead of one flat index — measurably free next to the
-/// draw + arbitration work per request.
+/// A column with at least half as many runs as destinations is stored
+/// *full* instead: one run per destination ([`full_column`]), still an
+/// ordinary column of the same arrays. Lookup indexes a full column
+/// directly and binary-searches a run column. The request scan looks a
+/// row up on every visit, and on a fragmented switch the 7–10-probe
+/// search took about a third of a saturated run (DESIGN.md §15).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RleTable {
     pub(crate) dst_space: usize,
@@ -178,15 +186,20 @@ pub(crate) struct RleTable {
 }
 
 impl RleTable {
+    // xtask: hot-loop-begin — `Candidates::row`'s table lookup
     /// The resolved out-ports for `(switch, dst)`; empty when unroutable.
     #[inline]
     fn row(&self, switch: u32, dst: u32) -> &[u32] {
         let lo = self.col_off[switch as usize] as usize;
         let hi = self.col_off[switch as usize + 1] as usize;
-        let runs = &self.runs_start[lo..hi];
-        // Last run starting at or before dst; every switch's first run
-        // starts at 0, so the subtraction cannot underflow.
-        let k = lo + runs.partition_point(|&s| s <= dst) - 1;
+        let k = if hi - lo == self.dst_space {
+            // A full column: run `d` is destination `d`.
+            lo + dst as usize
+        } else {
+            // Last run starting at or before dst; every switch's first
+            // run starts at 0, so the subtraction cannot underflow.
+            lo + self.runs_start[lo..hi].partition_point(|&s| s <= dst) - 1
+        };
         self.ports(self.runs_row[k] as usize)
     }
 
@@ -195,6 +208,7 @@ impl RleTable {
     fn ports(&self, r: usize) -> &[u32] {
         &self.row_ports[self.row_off[r] as usize..self.row_off[r + 1] as usize]
     }
+    // xtask: hot-loop-end
 
     /// The id of the first row at or after run `k`: the row of that run
     /// (a switch's first run holds its first row), or the row count at
@@ -324,9 +338,25 @@ impl SwitchRuns {
         }
     }
 
-    /// Closes the column: the one switch's run range.
-    fn finish(&mut self) -> &RleTable {
-        self.col.col_off.push(vid(self.col.runs_start.len()));
+    /// Closes the column over `dst_space` destinations: expands it to
+    /// one run per destination when [`full_column`] says so, then
+    /// records the one switch's run range.
+    fn finish(&mut self, dst_space: usize) -> &RleTable {
+        let col = &mut self.col;
+        let runs = col.runs_start.len();
+        if full_column(runs, dst_space) {
+            // In place, last run first: run `k` starts at or after `k`,
+            // so its fill never overwrites a row not yet read.
+            col.runs_row.resize(dst_space, 0);
+            for k in (0..runs).rev() {
+                let end = col.runs_start.get(k + 1).map_or(dst_space, |&s| s as usize);
+                let row = col.runs_row[k];
+                col.runs_row[col.runs_start[k] as usize..end].fill(row);
+            }
+            col.runs_start.clear();
+            col.runs_start.extend(0..vid(dst_space));
+        }
+        col.col_off.push(vid(col.runs_start.len()));
         &self.col
     }
 
@@ -346,7 +376,9 @@ impl SwitchRuns {
     /// destinations, where the row is re-resolved against the repaired
     /// routing. Sound because such a switch's row can change only where
     /// a consulted reach set's membership changed (see
-    /// `rfc_routing::RepairScope::dst_delta`).
+    /// `rfc_routing::RepairScope::dst_delta`). A full `old` column
+    /// compresses here like any other, and [`SwitchRuns::finish`]
+    /// decides its kind afresh.
     ///
     /// An old row keeps its content, so it takes its new id through
     /// `old_to_new` on first use, without a content comparison. Only a
@@ -413,6 +445,17 @@ impl SwitchRuns {
     }
 }
 
+/// Whether a column of `runs` runs over `dst_space` destinations is
+/// stored full, one run per destination. At `runs >= dst_space / 2` a
+/// full column costs at most twice the run bytes it replaces, and its
+/// lookup is one index instead of a binary search; below that the runs
+/// stay. Run counts come from the wiring: a random folded Clos crosses
+/// the line on most switches, a CFT of three or more levels on none of
+/// the measured ones.
+fn full_column(runs: usize, dst_space: usize) -> bool {
+    2 * runs >= dst_space
+}
+
 /// Resolves next-hop switch ids into `switch`'s out-port numbers,
 /// overwriting `resolved`.
 ///
@@ -462,7 +505,7 @@ fn build_table(net: &SimNetwork, routing: &UpDownRouting, budget: usize) -> Opti
         let per_switch: Vec<RleTable> = rfc_parallel::map(chunk.to_vec(), |switch| {
             let mut sr = SwitchRuns::default();
             sr.derive(net, routing, switch, dst32);
-            sr.finish();
+            sr.finish(dst_space);
             sr.col
         });
         for col in per_switch {
@@ -507,7 +550,7 @@ fn patch_table(
         } else {
             sr.splice(net, routing, old, switch, &scope.dst_delta);
         }
-        table.copy_switches(sr.finish(), 0, 1)?;
+        table.copy_switches(sr.finish(old.dst_space), 0, 1)?;
         if table.bytes() > TABLE_BUDGET {
             return None;
         }
@@ -522,31 +565,51 @@ impl RleTable {
     /// Panics unless every switch's rows form one contiguous id range
     /// that starts at its first run's row, right after the previous
     /// switch's range, numbered in order of first appearance and
-    /// content-unique, with adjacent runs on different rows.
+    /// content-unique, and unless every column has the kind
+    /// [`full_column`] gives it: a run column keeps adjacent runs on
+    /// different rows and has fewer than `dst_space / 2` runs; a full
+    /// column's run `k` starts at destination `k`, and its maximal runs
+    /// number at least `dst_space / 2`.
     pub(crate) fn assert_layout(&self) {
         let mut next = 0;
         for s in 0..self.col_off.len() - 1 {
             let (lo, hi) = (self.col_off[s] as usize, self.col_off[s + 1] as usize);
             assert_eq!(self.runs_start[lo], 0, "switch {s}'s first run");
+            let full = self.is_full(s);
             let base = next;
+            let mut merged = 0;
             for k in lo..hi {
                 let r = self.runs_row[k] as usize;
                 assert!(
                     (base..=next).contains(&r),
                     "switch {s}: row {r} out of order"
                 );
-                assert!(
-                    k == lo || self.runs_row[k - 1] as usize != r,
-                    "switch {s}: run {k}"
-                );
-                assert!(k == lo || self.runs_start[k - 1] < self.runs_start[k]);
+                let new_run = k == lo || self.runs_row[k - 1] as usize != r;
+                assert!(full || new_run, "switch {s}: run {k}");
+                merged += usize::from(new_run);
+                if full {
+                    assert_eq!(self.runs_start[k] as usize, k - lo, "switch {s}: run {k}");
+                } else {
+                    assert!(k == lo || self.runs_start[k - 1] < self.runs_start[k]);
+                }
                 next += usize::from(r == next);
             }
+            assert_eq!(
+                full_column(merged, self.dst_space),
+                full,
+                "switch {s}: {merged} runs over {} destinations",
+                self.dst_space
+            );
             let mut rows: Vec<&[u32]> = (base..next).map(|r| self.ports(r)).collect();
             rows.sort_unstable();
             rows.dedup();
             assert_eq!(rows.len(), next - base, "switch {s} repeats a row");
         }
         assert_eq!(next, self.row_off.len() - 1, "rows outside every switch");
+    }
+
+    /// Whether switch `s`'s column is stored full.
+    pub(crate) fn is_full(&self, s: usize) -> bool {
+        self.col_off[s + 1] - self.col_off[s] == vid(self.dst_space)
     }
 }

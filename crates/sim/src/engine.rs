@@ -835,8 +835,9 @@ impl Cycle<'_> {
     /// previous arbitration round retire here. A slot whose candidate
     /// outputs are ALL busy is *parked*: removed from the worklist with
     /// a `Wake` scheduled for the cycle the earliest output frees —
-    /// until then a rescan could never have produced a request, so
-    /// skipping it is exact. A slot whose only candidate is free but
+    /// until then a rescan on the same table could never have produced
+    /// a request (a churn commit can change the row, and does not wake
+    /// the slot). A slot whose only candidate is free but
     /// out of credits is *credit-parked* on that output's wait list
     /// until a credit for it returns (DESIGN.md §10).
     #[inline]
@@ -1153,6 +1154,13 @@ mod tests {
                 return clos;
             }
         }
+    }
+
+    /// A random folded Clos fragmented enough that its table has full
+    /// columns.
+    fn rfc_41() -> FoldedClos {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        FoldedClos::random(8, 24, 3, &mut rng).unwrap()
     }
 
     fn tiny_sim() -> (SimNetwork, UpDownRouting) {
@@ -1807,19 +1815,20 @@ mod tests {
         // Expanding the per-switch, run-length-compressed table back to
         // one row per (switch, dst) pair must reproduce exactly what the
         // old dense build stored: the routing's answer, resolved to out
-        // ports, in routing order. Checked on a regular CFT (long runs)
-        // and a random folded Clos (worst-case fragmentation).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let nets = [
-            FoldedClos::cft(6, 3).unwrap(),
-            FoldedClos::random(8, 24, 3, &mut rng).unwrap(),
-        ];
-        for clos in &nets {
-            let routing = UpDownRouting::new(clos);
-            let net = SimNetwork::from_folded_clos(clos);
+        // ports, in routing order. Checked on a regular CFT (long runs,
+        // no full column) and a random folded Clos (worst-case
+        // fragmentation, some columns full), so both lookups run.
+        for (clos, full) in [(FoldedClos::cft(6, 3).unwrap(), false), (rfc_41(), true)] {
+            let routing = UpDownRouting::new(&clos);
+            let net = SimNetwork::from_folded_clos(&clos);
             let sim = Simulation::new(&net, &routing, SimConfig::quick());
             let table = sim.candidates().table().expect("table fits the budget");
             table.assert_layout();
+            assert_eq!(
+                (0..net.num_switches()).any(|s| table.is_full(s)),
+                full,
+                "full columns"
+            );
             let dst_space = table.dst_space;
             let mut hops = Vec::new();
             let mut bufs = RowBufs::default();
@@ -1928,27 +1937,29 @@ mod tests {
         // The materialized table must be a pure cache. A build whose
         // byte budget cannot hold the table aborts mid-construction (the
         // same path a u32 offset overflow takes) and queries the routing
-        // live, with results identical for the same seeds.
-        let clos = FoldedClos::cft(6, 3).unwrap();
-        let routing = UpDownRouting::new(&clos);
-        let net = SimNetwork::from_folded_clos(&clos);
-        let cfg = SimConfig::quick();
-        let cached = Simulation::new(&net, &routing, cfg);
-        let bytes = cached
-            .candidate_table_bytes()
-            .expect("the deduped table must materialize");
-        let budget = 64;
-        assert!(bytes > budget, "the budget must bind");
-        let live = Candidates::build_within(&net, &routing, budget);
-        let live = Simulation::with_candidates(&net, &routing, cfg, live);
-        assert_eq!(live.candidate_table_bytes(), None, "64 bytes cannot fit");
-        for (pattern, load) in [
-            (TrafficPattern::Uniform, 0.4),
-            (TrafficPattern::RandomPairing, 0.8),
-        ] {
-            let a = cached.run(pattern, load, 99);
-            let b = live.run(pattern, load, 99);
-            assert_eq!(a, b, "{pattern}: deduped table diverged from live routing");
+        // live, with results identical for the same seeds. The CFT's
+        // table has only run columns, the RFC's has full ones too.
+        for clos in [FoldedClos::cft(6, 3).unwrap(), rfc_41()] {
+            let routing = UpDownRouting::new(&clos);
+            let net = SimNetwork::from_folded_clos(&clos);
+            let cfg = SimConfig::quick();
+            let cached = Simulation::new(&net, &routing, cfg);
+            let bytes = cached
+                .candidate_table_bytes()
+                .expect("the deduped table must materialize");
+            let budget = 64;
+            assert!(bytes > budget, "the budget must bind");
+            let live = Candidates::build_within(&net, &routing, budget);
+            let live = Simulation::with_candidates(&net, &routing, cfg, live);
+            assert_eq!(live.candidate_table_bytes(), None, "64 bytes cannot fit");
+            for (pattern, load) in [
+                (TrafficPattern::Uniform, 0.4),
+                (TrafficPattern::RandomPairing, 0.8),
+            ] {
+                let a = cached.run(pattern, load, 99);
+                let b = live.run(pattern, load, 99);
+                assert_eq!(a, b, "{pattern}: deduped table diverged from live routing");
+            }
         }
     }
 

@@ -40,7 +40,9 @@ const NO_SLOT: u32 = u32::MAX;
 pub(crate) enum SlotState {
     /// Off every list: empty, or parked until a `Wake` because all its
     /// candidate outputs are busy. Arrivals, injections and wakes
-    /// re-list it.
+    /// re-list it; a churn commit does not, so a busy-parked head whose
+    /// row the commit changed waits for its `Wake` even when the new
+    /// row has a free output (DESIGN.md §10 "Parking").
     Idle,
     /// On the `active` worklist, scanned every cycle.
     Active,
@@ -282,7 +284,8 @@ pub(crate) enum Event {
     CreditOut { idx: u32 },
     /// A parked VC slot re-enters the active worklist: it was stalled
     /// on outputs that all stay busy until this event's cycle, so
-    /// rescanning it earlier could never have produced a request.
+    /// rescanning it earlier on the same table could never have
+    /// produced a request.
     Wake { slot: u32 },
 }
 
