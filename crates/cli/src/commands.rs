@@ -613,6 +613,9 @@ pub fn repro(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
     let mut opts = RunOptions::new(scale, seed, sim);
     opts.trials = parsed.opt_num("trials")?;
+    if opts.trials == Some(0) {
+        return Err(CliError::Usage("--trials: must be at least 1".into()));
+    }
     opts.force = parsed.switch("force");
     opts.only = parsed.opt_str("only").map(|raw| {
         raw.split(',')

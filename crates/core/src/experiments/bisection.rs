@@ -12,8 +12,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use rfc_graph::bisection::cut_width;
-use rfc_graph::{vid, Csr};
+use rfc_graph::bisection::{level_balanced_partition, refine_within_levels};
+use rfc_graph::Csr;
 use rfc_topology::{FoldedClos, Network, Rrn};
 
 use crate::parallel;
@@ -37,9 +37,10 @@ pub struct BisectionPoint {
     pub normalized: f64,
 }
 
-/// Balanced-per-level partition refined by greedy same-level swaps.
-/// `levels` gives the half-open vertex ranges of each level (a single
-/// range covering everything for direct networks).
+/// The best cut over `trials` level-balanced random starts, each
+/// refined by greedy same-level swaps. `levels` gives the half-open
+/// vertex ranges of each level (a single range covering everything for
+/// direct networks).
 fn best_level_balanced_cut<R: Rng + ?Sized>(
     graph: &Csr,
     levels: &[(usize, usize)],
@@ -53,65 +54,12 @@ fn best_level_balanced_cut<R: Rng + ?Sized>(
     let base: u64 = rng.gen();
     parallel::map((0..trials as u64).collect(), |i| {
         let mut trial_rng = SmallRng::seed_from_u64(parallel::child_seed(base, i));
-        let mut side = vec![false; n];
-        for &(lo, hi) in levels {
-            let mut ids: Vec<usize> = (lo..hi).collect();
-            use rand::seq::SliceRandom;
-            ids.shuffle(&mut trial_rng);
-            for &v in ids.iter().take((hi - lo) / 2) {
-                side[v] = true;
-            }
-        }
-        refine_within_levels(graph, levels, &mut side);
-        cut_width(graph, &side)
+        let mut side = level_balanced_partition(n, levels, &mut trial_rng);
+        refine_within_levels(graph, levels, &mut side)
     })
     .into_iter()
     .min()
     .unwrap_or(usize::MAX)
-}
-
-/// Greedy pair swaps restricted to a single level, so every level stays
-/// balanced (and with it the terminal split).
-fn refine_within_levels(graph: &Csr, levels: &[(usize, usize)], side: &mut [bool]) {
-    let gain = |side: &[bool], v: u32| -> i64 {
-        let mut g = 0i64;
-        for &w in graph.neighbors(v) {
-            if side[w as usize] != side[v as usize] {
-                g += 1;
-            } else {
-                g -= 1;
-            }
-        }
-        g
-    };
-    loop {
-        let mut best: Option<(usize, usize, i64)> = None;
-        for &(lo, hi) in levels {
-            for a in lo..hi {
-                if !side[a] {
-                    continue;
-                }
-                let ga = gain(side, vid(a));
-                for b in lo..hi {
-                    if side[b] {
-                        continue;
-                    }
-                    let adj = if graph.has_edge(vid(a), vid(b)) { 2 } else { 0 };
-                    let delta = ga + gain(side, vid(b)) - adj;
-                    if delta > best.map_or(0, |(_, _, d)| d) {
-                        best = Some((a, b, delta));
-                    }
-                }
-            }
-        }
-        match best {
-            Some((a, b, _)) => {
-                side[a] = false;
-                side[b] = true;
-            }
-            None => break,
-        }
-    }
 }
 
 /// Runs the bracket for an equal-hardware family at `radix`:

@@ -29,6 +29,46 @@ pub struct DiversityPoint {
     pub mean_distance: f64,
 }
 
+/// A uniformly random pair of distinct ids below `n`: `a` first, then
+/// `b` redrawn until it differs.
+fn distinct_pair<R: Rng + ?Sized>(n: u32, rng: &mut R) -> (u32, u32) {
+    let a = rng.gen_range(0..n);
+    let mut b = rng.gen_range(0..n);
+    while b == a {
+        b = rng.gen_range(0..n);
+    }
+    (a, b)
+}
+
+/// Mean minimal up/down distance over `pairs` random distinct leaf
+/// pairs (unreachable pairs are skipped; returns `NaN` if every sampled
+/// pair was unreachable). The fewer-levels latency advantage of
+/// Figures 9–10 is this quantity times the per-hop cost.
+fn mean_updown_distance<R: Rng + ?Sized>(
+    routing: &UpDownRouting,
+    pairs: usize,
+    rng: &mut R,
+) -> f64 {
+    let leaves = vid(routing.num_leaves());
+    if leaves < 2 || pairs == 0 {
+        return f64::NAN;
+    }
+    let mut total = 0u64;
+    let mut counted = 0usize;
+    for _ in 0..pairs {
+        let (a, b) = distinct_pair(leaves, rng);
+        if let Some(d) = routing.updown_distance(a, b) {
+            total += u64::from(d);
+            counted += 1;
+        }
+    }
+    if counted == 0 {
+        f64::NAN
+    } else {
+        total as f64 / counted as f64
+    }
+}
+
 /// Samples `pairs` random distinct leaf pairs of a folded Clos and
 /// reports min/mean ECMP counts.
 pub fn folded_diversity<R: Rng + ?Sized>(
@@ -42,11 +82,7 @@ pub fn folded_diversity<R: Rng + ?Sized>(
     let mut total = 0u64;
     let mut counted = 0usize;
     for _ in 0..pairs {
-        let a = rng.gen_range(0..leaves);
-        let mut b = rng.gen_range(0..leaves);
-        while b == a {
-            b = rng.gen_range(0..leaves);
-        }
+        let (a, b) = distinct_pair(leaves, rng);
         if let Some(c) = routing.updown_path_count(a, b) {
             min_paths = min_paths.min(c);
             total += c;
@@ -64,7 +100,7 @@ pub fn folded_diversity<R: Rng + ?Sized>(
         } else {
             total as f64 / counted as f64
         },
-        mean_distance: routing.mean_updown_distance(pairs, rng),
+        mean_distance: mean_updown_distance(&routing, pairs, rng),
     }
 }
 
@@ -77,11 +113,7 @@ pub fn rrn_diversity<R: Rng + ?Sized>(rrn: &Rrn, pairs: usize, rng: &mut R) -> D
     let mut total = 0u64;
     let mut dist_total = 0u64;
     for _ in 0..pairs {
-        let a = rng.gen_range(0..n);
-        let mut b = rng.gen_range(0..n);
-        while b == a {
-            b = rng.gen_range(0..n);
-        }
+        let (a, b) = distinct_pair(n, rng);
         let found = ksp::k_shortest_paths(&g, a, b, 8);
         let shortest = found.first().map_or(usize::MAX, Vec::len);
         let near_minimal = found.iter().filter(|p| p.len() <= shortest + 2).count() as u64;

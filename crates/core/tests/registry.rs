@@ -13,6 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
+use rfc_net::experiments::context::fnv64;
 use rfc_net::experiments::runner::{self, Outcome, RunOptions};
 use rfc_net::experiments::{registry, ExperimentContext, ScenarioKind};
 use rfc_net::scenarios::Scale;
@@ -194,4 +195,29 @@ fn unknown_only_name_fails_before_running_anything() {
         Ok(_) => panic!("unknown experiment name must be rejected"),
     };
     assert!(err.contains("fig99"), "unhelpful error: {err}");
+}
+
+#[test]
+fn bisection_and_diversity_reproduce_their_recorded_hashes() {
+    // Recorded values at each entry's default trial count (4 random
+    // starts, 60 leaf pairs): any change to the cut search or to the
+    // up/down path queries moves a hash.
+    let mut got = Vec::new();
+    for name in ["bisection", "diversity"] {
+        let mut ctx = ExperimentContext::new(Scale::Small, 2017, SimConfig::quick());
+        let reports = registry::find(name)
+            .expect("registered experiment")
+            .run(&mut ctx)
+            .expect("experiment must run");
+        for rep in reports {
+            got.push((name, fnv64(rep.to_json().as_bytes())));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            ("bisection", 0xdb10_ed28_d5e0_e33b),
+            ("diversity", 0xa956_2603_9740_380c),
+        ]
+    );
 }

@@ -2,10 +2,13 @@
 //!
 //! The paper's Section 4.2 argues bisection *lower* bounds from
 //! Bollobás' isoperimetric constant. This module complements those with
-//! empirical *upper* bounds: sample random balanced partitions and
-//! refine them with greedy Kernighan–Lin-style swaps; the best cut found
-//! bounds the true bisection width from above, bracketing it together
-//! with the analytic bound.
+//! empirical *upper* bounds on the *terminal-balanced* bisection: a
+//! random start splits every level into halves
+//! ([`level_balanced_partition`]), greedy same-level Kernighan–Lin-style
+//! swaps refine it ([`refine_within_levels`]), and the best cut found
+//! over several starts bounds the true width from above, bracketing it
+//! together with the analytic bound. A level is a half-open vertex
+//! range; a direct network is the one-range case `[(0, n)]`.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -30,65 +33,77 @@ pub fn cut_width(graph: &Csr, side: &[bool]) -> usize {
         .count()
 }
 
-/// A uniformly random balanced partition (|A| = ⌈n/2⌉).
-pub fn random_balanced_partition<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<bool> {
-    let mut ids: Vec<usize> = (0..n).collect();
-    ids.shuffle(rng);
+/// A random start balanced within every level: each half-open vertex
+/// range in `levels` is shuffled and `(hi - lo) / 2` of its ids go to
+/// side A (`true`). A direct network is the one-range case `[(0, n)]`.
+///
+/// # Panics
+///
+/// Panics if a range reaches past `n`.
+pub fn level_balanced_partition<R: Rng + ?Sized>(
+    n: usize,
+    levels: &[(usize, usize)],
+    rng: &mut R,
+) -> Vec<bool> {
     let mut side = vec![false; n];
-    for &v in ids.iter().take(n.div_ceil(2)) {
-        side[v] = true;
+    for &(lo, hi) in levels {
+        let mut ids: Vec<usize> = (lo..hi).collect();
+        ids.shuffle(rng);
+        for &v in ids.iter().take((hi - lo) / 2) {
+            side[v] = true;
+        }
     }
     side
 }
 
-/// Greedy refinement: repeatedly swap the cross-partition vertex pair
-/// with the best cut reduction until no swap helps (a lightweight
-/// Kernighan–Lin pass). Modifies `side` in place and returns the final
-/// cut width.
-pub fn refine_partition(graph: &Csr, side: &mut [bool]) -> usize {
-    let n = graph.num_vertices();
-    // gain[v] = cut reduction from moving v across (external - internal
-    // incident edges).
+/// Greedy pair swaps restricted to a single level, so every level stays
+/// balanced (and with it the terminal split): repeatedly swap the
+/// same-level cross-partition pair with the best cut reduction until no
+/// swap helps (a lightweight Kernighan–Lin pass). Modifies `side` in
+/// place and returns the final cut width.
+///
+/// # Panics
+///
+/// Panics if `side.len()` differs from the vertex count or a range
+/// reaches past it.
+pub fn refine_within_levels(graph: &Csr, levels: &[(usize, usize)], side: &mut [bool]) -> usize {
     let gain = |side: &[bool], v: u32| -> i64 {
-        let mut external = 0i64;
-        let mut internal = 0i64;
+        let mut g = 0i64;
         for &w in graph.neighbors(v) {
             if side[w as usize] != side[v as usize] {
-                external += 1;
+                g += 1;
             } else {
-                internal += 1;
+                g -= 1;
             }
         }
-        external - internal
+        g
     };
     loop {
-        let mut best: Option<(u32, u32, i64)> = None;
-        for a in 0..vid(n) {
-            if !side[a as usize] {
-                continue;
-            }
-            let ga = gain(side, a);
-            if ga <= 0 && best.is_some() {
-                continue; // cheap pruning: need positive combined gain
-            }
-            for b in 0..vid(n) {
-                if side[b as usize] {
+        let mut best: Option<(usize, usize, i64)> = None;
+        for &(lo, hi) in levels {
+            for a in lo..hi {
+                if !side[a] {
                     continue;
                 }
-                let gb = gain(side, b);
-                // Swapping a and b changes the cut by -(ga + gb) plus 2
-                // if they are adjacent (their edge flips twice).
-                let adj = if graph.has_edge(a, b) { 2 } else { 0 };
-                let delta = ga + gb - adj;
-                if delta > best.map_or(0, |(_, _, d)| d) {
-                    best = Some((a, b, delta));
+                let ga = gain(side, vid(a));
+                for b in lo..hi {
+                    if side[b] {
+                        continue;
+                    }
+                    // Swapping a and b changes the cut by -(ga + gb) plus 2
+                    // if they are adjacent (their edge flips twice).
+                    let adj = if graph.has_edge(vid(a), vid(b)) { 2 } else { 0 };
+                    let delta = ga + gain(side, vid(b)) - adj;
+                    if delta > best.map_or(0, |(_, _, d)| d) {
+                        best = Some((a, b, delta));
+                    }
                 }
             }
         }
         match best {
             Some((a, b, _)) => {
-                side[a as usize] = false;
-                side[b as usize] = true;
+                side[a] = false;
+                side[b] = true;
             }
             None => break,
         }
@@ -96,32 +111,22 @@ pub fn refine_partition(graph: &Csr, side: &mut [bool]) -> usize {
     cut_width(graph, side)
 }
 
-/// The best (smallest) balanced cut found over `trials` random starts,
-/// each refined greedily — an upper bound on the bisection width.
-///
-/// Returns `None` for graphs with fewer than 2 vertices.
-pub fn estimate_bisection_width<R: Rng + ?Sized>(
-    graph: &Csr,
-    trials: usize,
-    rng: &mut R,
-) -> Option<usize> {
-    let n = graph.num_vertices();
-    if n < 2 || trials == 0 {
-        return None;
-    }
-    let mut best = usize::MAX;
-    for _ in 0..trials {
-        let mut side = random_balanced_partition(n, rng);
-        best = best.min(refine_partition(graph, &mut side));
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The smallest refined cut over `trials` level-balanced starts.
+    fn best_cut(g: &Csr, levels: &[(usize, usize)], trials: usize, rng: &mut StdRng) -> usize {
+        (0..trials)
+            .map(|_| {
+                let mut side = level_balanced_partition(g.num_vertices(), levels, rng);
+                refine_within_levels(g, levels, &mut side)
+            })
+            .min()
+            .unwrap_or(usize::MAX)
+    }
 
     #[test]
     fn cut_width_counts_crossing_edges() {
@@ -131,12 +136,19 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_balanced() {
+    fn partition_is_balanced_within_every_level() {
         let mut rng = StdRng::seed_from_u64(1);
-        for n in [2usize, 5, 10, 33] {
-            let side = random_balanced_partition(n, &mut rng);
-            let a = side.iter().filter(|&&s| s).count();
-            assert_eq!(a, n.div_ceil(2), "n = {n}");
+        for levels in [
+            vec![(0usize, 2usize)],
+            vec![(0, 5)],
+            vec![(0, 4), (4, 9), (9, 10)],
+        ] {
+            let n = levels.last().map_or(0, |&(_, hi)| hi);
+            let side = level_balanced_partition(n, &levels, &mut rng);
+            for &(lo, hi) in &levels {
+                let a = side[lo..hi].iter().filter(|&&s| s).count();
+                assert_eq!(a, (hi - lo) / 2, "level {lo}..{hi}");
+            }
         }
     }
 
@@ -154,29 +166,33 @@ mod tests {
         edges.push((0, 4));
         let g = Csr::from_edges(8, &edges);
         let mut rng = StdRng::seed_from_u64(2);
-        let width = estimate_bisection_width(&g, 8, &mut rng).unwrap();
-        assert_eq!(width, 1);
+        assert_eq!(best_cut(&g, &[(0, 8)], 8, &mut rng), 1);
     }
 
     #[test]
-    fn estimate_upper_bounds_the_cycle_bisection() {
+    fn refinement_finds_the_cycle_bisection() {
         // An even cycle has bisection width exactly 2.
         let n = 16;
         let mut edges: Vec<_> = (0..vid(n) - 1).map(|i| (i, i + 1)).collect();
         edges.push((vid(n) - 1, 0));
         let g = Csr::from_edges(n, &edges);
         let mut rng = StdRng::seed_from_u64(3);
-        let width = estimate_bisection_width(&g, 10, &mut rng).unwrap();
-        assert_eq!(width, 2);
+        assert_eq!(best_cut(&g, &[(0, n)], 10, &mut rng), 2);
     }
 
     #[test]
-    fn degenerate_inputs() {
-        let g = Csr::from_edges(1, &[]);
+    fn swaps_stay_within_their_level() {
+        // Two levels, each one edge: a whole-graph balanced cut would put
+        // each level on one side and cut nothing, but halving every level
+        // must cut both edges.
+        let levels = [(0usize, 2usize), (2, 4)];
+        let g = Csr::from_edges(4, &[(0, 1), (2, 3), (0, 2)]);
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(estimate_bisection_width(&g, 3, &mut rng), None);
-        let g2 = Csr::from_edges(2, &[(0, 1)]);
-        assert_eq!(estimate_bisection_width(&g2, 0, &mut rng), None);
-        assert_eq!(estimate_bisection_width(&g2, 1, &mut rng), Some(1));
+        for _ in 0..5 {
+            let mut side = level_balanced_partition(4, &levels, &mut rng);
+            assert_eq!(refine_within_levels(&g, &levels, &mut side), 2);
+            assert_eq!(side.iter().filter(|&&s| s).count(), 2);
+            assert!(side[0] != side[1] && side[2] != side[3]);
+        }
     }
 }

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use rfc_graph::bisection::{cut_width, estimate_bisection_width, random_balanced_partition};
+use rfc_graph::bisection::{cut_width, level_balanced_partition, refine_within_levels};
 use rfc_graph::connectivity::{
     components, disconnection_trial, is_connected, is_connected_edges, DisconnectionTrial,
     DisjointSets,
@@ -125,12 +125,18 @@ proptest! {
     }
 
     #[test]
-    fn estimated_bisection_bounds_any_random_cut((n, edges) in arb_graph(), seed in 0u64..500) {
+    fn refinement_never_widens_its_start((n, edges) in arb_graph(), seed in 0u64..500) {
         let g = Csr::from_edges(n, &edges);
         let mut rng = StdRng::seed_from_u64(seed);
-        if let Some(best) = estimate_bisection_width(&g, 3, &mut rng) {
-            let side = random_balanced_partition(n, &mut rng);
-            prop_assert!(best <= cut_width(&g, &side), "estimate must be the minimum seen");
+        let levels = [(0, n / 2), (n / 2, n)];
+        let mut side = level_balanced_partition(n, &levels, &mut rng);
+        let start = cut_width(&g, &side);
+        let refined = refine_within_levels(&g, &levels, &mut side);
+        prop_assert!(refined <= start, "refinement must only take improving swaps");
+        prop_assert_eq!(refined, cut_width(&g, &side));
+        for &(lo, hi) in &levels {
+            let a = side[lo..hi].iter().filter(|&&s| s).count();
+            prop_assert_eq!(a, (hi - lo) / 2, "every level stays balanced");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Up/down routing tables for folded Clos networks.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use rand::Rng;
@@ -412,15 +412,48 @@ impl UpDownRouting {
         connected as f64 / (n * (n - 1)) as f64
     }
 
+    /// Upward walk counts from `from`, one map per up-step `k = 0, 1, …`:
+    /// every switch `k` up-links above `from` to the number of up-walks
+    /// that reach it (step 0 is `{from: 1}`). Ends past the highest
+    /// reachable level. `BTreeMap` keeps every accumulation and the
+    /// callers' pairing loops in a fixed order regardless of hasher
+    /// state — identical answers on every build of the same seed.
+    fn climb(&self, from: u32) -> impl Iterator<Item = BTreeMap<u32, u64>> + '_ {
+        std::iter::successors(Some(BTreeMap::from([(from, 1u64)])), move |counts| {
+            let mut next: BTreeMap<u32, u64> = BTreeMap::new();
+            for (&s, &c) in counts {
+                for &u in self.up(s as usize) {
+                    *next.entry(u).or_insert(0) += c;
+                }
+            }
+            (!next.is_empty()).then_some(next)
+        })
+    }
+
+    /// The lowest up-step of [`UpDownRouting::climb`] from `from` that
+    /// holds a switch whose `down_reach` contains `dst` — where a minimal
+    /// up/down path turns. `Some(0)` when `from` itself reaches `dst`
+    /// downward, `None` when no up/down path exists.
+    fn turn_height(&self, from: u32, dst: u32) -> Option<usize> {
+        self.climb(from).position(|level| {
+            level
+                .keys()
+                .any(|&s| self.down_reach[s as usize].contains(dst as usize))
+        })
+    }
+
     /// Exact minimal ECMP candidates: next hops lying on a *shortest*
     /// up/down path from `current` to leaf `dst`.
     ///
     /// [`UpDownRouting::next_hops_into`] is a fast greedy that may
     /// overshoot the optimal turn level by preferring any feasible
     /// up-neighbor (one-step lookahead — the behavior of a practical
-    /// "up/down random" router). This method instead pays for an upward
-    /// BFS with first-hop attribution, so it is exact but heavier;
-    /// it backs [`UpDownRouting::sample_path`] and path-length analyses.
+    /// "up/down random" router). This method instead keeps, in the up
+    /// phase, the up-neighbors whose own turn height is one step lower
+    /// than `current`'s (sorted, deduplicated), so it is exact but
+    /// climbs once per up-neighbor; it backs
+    /// [`UpDownRouting::sample_path`] and path-length analyses. The down
+    /// phase lists the covering down-neighbors in adjacency order.
     pub fn minimal_next_hops(&self, current: u32, dst: u32) -> Vec<u32> {
         let s = current as usize;
         let d = dst as usize;
@@ -436,60 +469,18 @@ impl UpDownRouting {
             }
             return out;
         }
-        // Upward BFS tracking which first hop reached each frontier
-        // switch; stop at the first height where a turn is possible.
-        let mut frontier: Vec<(u32, u32)> = self.up(s).iter().map(|&u| (u, u)).collect();
-        while !frontier.is_empty() {
-            let mut winners: Vec<u32> = frontier
+        let Some(height) = self.turn_height(current, dst) else {
+            return out;
+        };
+        out.extend(
+            self.up(s)
                 .iter()
-                .filter(|&&(sw, _)| self.down_reach[sw as usize].contains(d))
-                .map(|&(_, first)| first)
-                .collect();
-            if !winners.is_empty() {
-                winners.sort_unstable();
-                winners.dedup();
-                return winners;
-            }
-            let mut next: Vec<(u32, u32)> = Vec::new();
-            for &(sw, first) in &frontier {
-                for &u in self.up(sw as usize) {
-                    next.push((u, first));
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            frontier = next;
-        }
+                .copied()
+                .filter(|&u| self.turn_height(u, dst) == Some(height - 1)),
+        );
+        out.sort_unstable();
+        out.dedup();
         out
-    }
-
-    /// Mean minimal up/down distance over `pairs` random distinct leaf
-    /// pairs (unreachable pairs are skipped; returns `NaN` if every
-    /// sampled pair was unreachable). The fewer-levels latency advantage
-    /// of Figures 9–10 is this quantity times the per-hop cost.
-    pub fn mean_updown_distance<R: Rng + ?Sized>(&self, pairs: usize, rng: &mut R) -> f64 {
-        let leaves = vid(self.num_leaves);
-        if leaves < 2 || pairs == 0 {
-            return f64::NAN;
-        }
-        let mut total = 0u64;
-        let mut counted = 0usize;
-        for _ in 0..pairs {
-            let a = rng.gen_range(0..leaves);
-            let mut b = rng.gen_range(0..leaves);
-            while b == a {
-                b = rng.gen_range(0..leaves);
-            }
-            if let Some(d) = self.updown_distance(a, b) {
-                total += u64::from(d);
-                counted += 1;
-            }
-        }
-        if counted == 0 {
-            f64::NAN
-        } else {
-            total as f64 / counted as f64
-        }
     }
 
     /// Number of distinct *minimal* up/down paths between two leaves:
@@ -500,39 +491,16 @@ impl UpDownRouting {
     /// subtrees, the 2-level OFT exactly 1 — the path-diversity gap
     /// behind the resiliency results of Section 7.
     pub fn updown_path_count(&self, a: u32, b: u32) -> Option<u64> {
-        if a == b {
-            return Some(1);
-        }
-        let height = self.updown_distance(a, b)? / 2;
-        // Count upward walks of length `height` from each endpoint,
-        // then pair them at common ancestors that can turn toward the
-        // other side. BTreeMap keeps the per-level accumulation (and
-        // the pairing loop below) in a fixed order regardless of hasher
-        // state — identical tables on every build of the same seed.
-        let walks = |leaf: u32| -> std::collections::BTreeMap<u32, u64> {
-            let mut counts = std::collections::BTreeMap::new();
-            counts.insert(leaf, 1u64);
-            for _ in 0..height {
-                let mut next: std::collections::BTreeMap<u32, u64> =
-                    std::collections::BTreeMap::new();
-                for (&s, &c) in &counts {
-                    for &u in self.up(s as usize) {
-                        *next.entry(u).or_insert(0) += c;
-                    }
-                }
-                counts = next;
-            }
-            counts
-        };
-        let from_a = walks(a);
-        let from_b = walks(b);
-        let mut total = 0u64;
-        for (s, ca) in from_a {
-            if let Some(cb) = from_b.get(&s) {
-                total += ca * cb;
-            }
-        }
-        Some(total)
+        // Pair the up-walks of both endpoints at the common ancestors of
+        // the turn height.
+        let height = self.turn_height(a, b)?;
+        let (from_a, from_b) = self.climb(a).zip(self.climb(b)).nth(height)?;
+        Some(
+            from_a
+                .iter()
+                .filter_map(|(s, ca)| from_b.get(s).map(|cb| ca * cb))
+                .sum(),
+        )
     }
 
     /// Samples one **minimal** up/down path from `src` leaf to `dst`
@@ -581,33 +549,7 @@ impl UpDownRouting {
     /// Returns `None` if no common ancestor exists, `Some(0)` when
     /// `a == b`.
     pub fn updown_distance(&self, a: u32, b: u32) -> Option<u32> {
-        if a == b {
-            return Some(0);
-        }
-        if !self.leaves_connected(a, b) {
-            return None;
-        }
-        // BFS upward from a, level by level, testing down_reach for b.
-        let mut frontier = vec![a];
-        let mut height = 0u32;
-        loop {
-            height += 1;
-            let mut next = Vec::new();
-            for &s in &frontier {
-                for &u in self.up(s as usize) {
-                    if self.down_reach[u as usize].contains(b as usize) {
-                        return Some(2 * height);
-                    }
-                    next.push(u);
-                }
-            }
-            if next.is_empty() {
-                return None;
-            }
-            next.sort_unstable();
-            next.dedup();
-            frontier = next;
-        }
+        self.turn_height(a, b).map(|h| vid(2 * h))
     }
 
     /// Appends every candidate next-hop switch for a packet at switch

@@ -158,86 +158,6 @@ impl FoldedClos {
         Ok(clos)
     }
 
-    /// Rebuilds a folded Clos from its global-id link list — the inverse
-    /// of [`FoldedClos::links`], enabling save/load round trips through
-    /// plain edge-list files (e.g. `rfcgen generate --format edges`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::InvalidParameter`] when a link does not
-    /// connect adjacent levels or an endpoint is out of range.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rfc_topology::{CloKind, FoldedClos};
-    ///
-    /// let original = FoldedClos::cft(4, 3)?;
-    /// let sizes: Vec<usize> =
-    ///     (0..original.num_levels()).map(|l| original.level_size(l)).collect();
-    /// let copy = FoldedClos::from_links(
-    ///     CloKind::Cft,
-    ///     original.radix(),
-    ///     original.terminals_per_leaf(),
-    ///     &sizes,
-    ///     &original.links(),
-    /// )?;
-    /// assert_eq!(copy.links(), original.links());
-    /// # Ok::<(), rfc_topology::TopologyError>(())
-    /// ```
-    pub fn from_links(
-        kind: CloKind,
-        radix: usize,
-        terminals_per_leaf: usize,
-        level_sizes: &[usize],
-        links: &[Link],
-    ) -> Result<Self, TopologyError> {
-        if level_sizes.len() < 2 {
-            return Err(TopologyError::invalid(
-                "a folded Clos needs at least 2 levels",
-            ));
-        }
-        let mut offsets = Vec::with_capacity(level_sizes.len() + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &s in level_sizes {
-            acc += s;
-            offsets.push(acc);
-        }
-        let level_of = |id: u32| -> Option<usize> {
-            (0..level_sizes.len())
-                .find(|&l| (id as usize) >= offsets[l] && (id as usize) < offsets[l + 1])
-        };
-        let mut stages: Vec<BipartiteGraph> = (0..level_sizes.len() - 1)
-            .map(|l| BipartiteGraph {
-                adj1: vec![Vec::new(); level_sizes[l]],
-                adj2: vec![Vec::new(); level_sizes[l + 1]],
-            })
-            .collect();
-        for link in links {
-            let (lo, hi) = if link.lower < link.upper {
-                (link.lower, link.upper)
-            } else {
-                (link.upper, link.lower)
-            };
-            let (Some(ll), Some(lh)) = (level_of(lo), level_of(hi)) else {
-                return Err(TopologyError::invalid(format!(
-                    "link endpoint out of range: ({lo}, {hi})"
-                )));
-            };
-            if lh != ll + 1 {
-                return Err(TopologyError::invalid(format!(
-                    "link ({lo}, {hi}) does not connect adjacent levels ({ll} vs {lh})"
-                )));
-            }
-            let lo_local = lo - vid(offsets[ll]);
-            let hi_local = hi - vid(offsets[lh]);
-            stages[ll].adj1[lo_local as usize].push(hi_local);
-            stages[ll].adj2[hi_local as usize].push(lo_local);
-        }
-        Self::from_stages(kind, radix, terminals_per_leaf, level_sizes, stages)
-    }
-
     /// Checks structural invariants: stage adjacency symmetry and
     /// level-size consistency.
     ///
@@ -717,41 +637,6 @@ mod tests {
             t.is_radix_regular(),
             "1 up + 1 terminal per leaf, 2 down per root"
         );
-    }
-
-    #[test]
-    fn from_links_round_trips_random_networks() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(55);
-        let net = FoldedClos::random(8, 24, 3, &mut rng).unwrap();
-        let sizes: Vec<usize> = (0..net.num_levels()).map(|l| net.level_size(l)).collect();
-        let copy = FoldedClos::from_links(
-            CloKind::RandomFoldedClos,
-            net.radix(),
-            net.terminals_per_leaf(),
-            &sizes,
-            &net.links(),
-        )
-        .unwrap();
-        let mut a = net.links();
-        let mut b = copy.links();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert!(copy.is_radix_regular());
-    }
-
-    #[test]
-    fn from_links_rejects_level_skipping() {
-        let bad = [Link { lower: 0, upper: 5 }]; // leaf directly to root
-        let err = FoldedClos::from_links(CloKind::Cft, 2, 1, &[4, 1, 1], &bad);
-        assert!(err.is_err());
-        let oob = [Link {
-            lower: 0,
-            upper: 99,
-        }];
-        assert!(FoldedClos::from_links(CloKind::Cft, 2, 1, &[4, 2], &oob).is_err());
     }
 
     #[test]

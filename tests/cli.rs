@@ -205,6 +205,8 @@ fn usage_errors_are_reported() {
         run(&["simulate", "--kind", "rrn"]).is_err(),
         "the simulator routes folded Clos networks only"
     );
+    // Zero trials would leave every sampled statistic empty.
+    assert!(usage_error(&["repro", "--trials", "0"]).contains("--trials"));
 }
 
 /// Runs the CLI and returns its error, which must be a usage error.
