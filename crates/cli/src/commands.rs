@@ -349,6 +349,17 @@ fn offered_load(flag: &str, load: f64) -> Result<f64, CliError> {
     }
 }
 
+/// `clos` when the simulator can take it ([`SimNetwork::validate`]).
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming the switch with too many links.
+fn simulable(clos: FoldedClos) -> Result<FoldedClos, CliError> {
+    SimNetwork::validate(&clos)
+        .map_err(|e| CliError::Usage(format!("cannot simulate this topology: {e}")))?;
+    Ok(clos)
+}
+
 /// Writes a warning line, after `prefix`, when `routing` lacks the full
 /// up/down property: the simulator then refuses unroutable packets.
 fn warn_if_not_updown(
@@ -379,7 +390,7 @@ pub fn simulate(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let seed: u64 = parsed.num("seed", 2017)?;
     let config = sim_config(parsed, SimConfig::paper_defaults())?;
 
-    let clos = require_clos(build(parsed)?, "simulate")?;
+    let clos = simulable(require_clos(build(parsed)?, "simulate")?)?;
     let routing = UpDownRouting::new(&clos);
     warn_if_not_updown(&routing, "", out)?;
     let sim_net = SimNetwork::from_folded_clos(&clos);
@@ -434,7 +445,7 @@ pub fn sweep(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let seed: u64 = parsed.num("seed", 2017)?;
     let config = sim_config(parsed, SimConfig::paper_defaults())?;
 
-    let clos = require_clos(build(parsed)?, "sweep")?;
+    let clos = simulable(require_clos(build(parsed)?, "sweep")?)?;
     let routing = UpDownRouting::new(&clos);
     warn_if_not_updown(&routing, "# ", out)?;
     let sim_net = SimNetwork::from_folded_clos(&clos);

@@ -124,7 +124,7 @@ proptest! {
 
     #[test]
     fn for_each_range_reconstructs_iteration((len, ops) in arb_ops()) {
-        // The run-length consumer (`for_each_dst_run`, feeding the RLE
+        // The run-length consumer (`dst_run_starts`, feeding the RLE
         // candidate table) and element iteration must describe the same
         // set regardless of which representation ReachSet settled on.
         let (_, rs, bs) = build(len, &ops);

@@ -552,6 +552,8 @@ impl UpDownRouting {
         self.turn_height(a, b).map(|h| vid(2 * h))
     }
 
+    // xtask: hot-loop-begin — live candidate rows and the churn patch
+    // query every row through this
     /// Appends every candidate next-hop switch for a packet at switch
     /// `current` destined to leaf `dst`; appends nothing when
     /// `current == dst` or no up/down route exists. Following any
@@ -594,6 +596,7 @@ impl UpDownRouting {
             }
         }
     }
+    // xtask: hot-loop-end
 
     /// [`UpDownRouting::next_hops_into`] into a fresh vector.
     pub fn next_hops(&self, current: u32, dst: u32) -> Vec<u32> {
@@ -602,74 +605,74 @@ impl UpDownRouting {
         out
     }
 
-    /// Enumerates the candidate rows of `current` as destination *runs*:
-    /// calls `emit(start, row)` for consecutive ranges of destinations,
-    /// ascending, whose runs exactly partition `0..dst_space` (each run
-    /// ends where the next begins, the last at `dst_space`). Every
-    /// destination `d` in a run has exactly the candidates `row` that
-    /// [`UpDownRouting::next_hops_into`] would append for it. Adjacent
-    /// runs *may* carry equal rows — consumers needing maximal runs must
-    /// merge. This is how the simulator's candidate-table build
-    /// enumerates rows without querying every `(switch, dst)` pair.
+    // xtask: hot-loop-begin — the simulator's churn patch derives
+    // columns through this on every event, so it allocates nothing
+    /// The destinations, ascending, where the candidate row of
+    /// `current` may change: overwrites `starts` with `0` followed by
+    /// every later destination below `dst_space` whose
+    /// [`UpDownRouting::next_hops_into`] answer may differ from its
+    /// predecessor's. The starts split `0..dst_space` into runs on which
+    /// the row is constant, so querying each start once enumerates every
+    /// row; adjacent runs *may* carry equal rows, and consumers needing
+    /// maximal runs must merge. Empty when `dst_space` is 0. This is how
+    /// the simulator's candidate table enumerates rows without querying
+    /// every `(switch, dst)` pair, reusing `starts` across switches.
     ///
     /// Runs in time proportional to the *runs* of the neighbors' reach
-    /// sets rather than to `dst_space`.
+    /// sets rather than to `dst_space`, and at most to `dst_space`: once
+    /// the boundaries outnumber the destinations, `starts` is every
+    /// destination.
     ///
     /// The candidate row of `current` changes only where membership of
     /// `d` in one of the consulted sets changes: `down_reach(current)`,
     /// `down_reach(c)` for each down-neighbor, `down_reach(u)` /
     /// `updown_reach(u)` for each up-neighbor, plus the `d == current`
     /// singleton. Collecting every run boundary of those sets splits
-    /// `0..dst_space` into segments on which the row is constant; the
-    /// greedy query is then evaluated once per segment. On a CFT this is
-    /// a few dozen segments per switch against tens of thousands of
-    /// destinations.
-    pub fn for_each_dst_run(
-        &self,
-        current: u32,
-        dst_space: u32,
-        emit: &mut dyn FnMut(u32, &[u32]),
-    ) {
+    /// `0..dst_space` into segments on which the row is constant. On a
+    /// CFT this is a few dozen segments per switch against tens of
+    /// thousands of destinations.
+    pub fn dst_run_starts(&self, current: u32, dst_space: u32, starts: &mut Vec<u32>) {
+        starts.clear();
         if dst_space == 0 {
             return;
         }
+        starts.push(0);
         let s = current as usize;
-        let mut bounds: Vec<u32> = vec![0];
-        {
-            let mut push_set = |set: &ReachSet| {
-                set.for_each_range(|a, b| {
-                    if a > 0 && a < dst_space {
-                        bounds.push(a);
-                    }
-                    if b < dst_space {
-                        bounds.push(b);
-                    }
-                });
-            };
-            push_set(&self.down_reach[s]);
-            for &c in self.down(s) {
-                push_set(&self.down_reach[c as usize]);
-            }
-            for &u in self.up(s) {
-                push_set(&self.down_reach[u as usize]);
-                push_set(&self.updown_reach[u as usize]);
+        let sets = std::iter::once(&self.down_reach[s])
+            .chain(self.down(s).iter().map(|&c| &self.down_reach[c as usize]))
+            .chain(
+                self.up(s)
+                    .iter()
+                    .flat_map(|&u| [&self.down_reach[u as usize], &self.updown_reach[u as usize]]),
+            );
+        for set in sets {
+            set.for_each_range(|a, b| {
+                if a > 0 && a < dst_space {
+                    starts.push(a);
+                }
+                if b < dst_space {
+                    starts.push(b);
+                }
+            });
+            if starts.len() > dst_space as usize {
+                // More boundaries than destinations: every destination
+                // starts a run, and sorting the boundaries would cost
+                // more than the queries they save.
+                starts.clear();
+                starts.extend(0..dst_space);
+                return;
             }
         }
         if current < dst_space {
-            bounds.push(current);
+            starts.push(current);
             if current + 1 < dst_space {
-                bounds.push(current + 1);
+                starts.push(current + 1);
             }
         }
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut row: Vec<u32> = Vec::new();
-        for &start in &bounds {
-            row.clear();
-            self.next_hops_into(current, start, &mut row);
-            emit(start, &row);
-        }
+        starts.sort_unstable();
+        starts.dedup();
     }
+    // xtask: hot-loop-end
 }
 
 impl HeapBytes for UpDownRouting {
@@ -1038,14 +1041,11 @@ mod tests {
         for net in &nets {
             let r = UpDownRouting::new(net);
             for dst_space in [vid(net.num_leaves()), vid(net.num_leaves()) / 2] {
+                let mut starts: Vec<u32> = Vec::new();
                 for s in 0..vid(net.num_switches()) {
-                    let mut starts: Vec<u32> = Vec::new();
-                    let mut bodies: Vec<Vec<u32>> = Vec::new();
-                    r.for_each_dst_run(s, dst_space, &mut |start, row| {
-                        assert!(starts.last().is_none_or(|&p| p < start));
-                        starts.push(start);
-                        bodies.push(row.to_vec());
-                    });
+                    r.dst_run_starts(s, dst_space, &mut starts);
+                    assert!(starts.windows(2).all(|w| w[0] < w[1]), "ascending");
+                    let bodies: Vec<Vec<u32>> = starts.iter().map(|&d| r.next_hops(s, d)).collect();
                     assert_eq!(starts.first(), Some(&0), "runs must cover from 0");
                     // Expand the runs back to one row per destination.
                     let mut rows: Vec<Vec<u32>> = Vec::new();

@@ -81,11 +81,12 @@ proptest! {
         let scope = repaired.apply_event(live.current(), &ev);
         let dst_space = rfc_graph::vid(net.num_leaves());
         let rows = |r: &UpDownRouting, s: u32| {
-            let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
-            r.for_each_dst_run(s, dst_space, &mut |start, hops| {
-                out.push((start, hops.to_vec()));
-            });
-            out
+            let mut starts = Vec::new();
+            r.dst_run_starts(s, dst_space, &mut starts);
+            starts
+                .into_iter()
+                .map(|start| (start, r.next_hops(s, start)))
+                .collect::<Vec<_>>()
         };
         for s in 0..rfc_graph::vid(Network::num_switches(&net)) {
             let old_rows = rows(&before, s);

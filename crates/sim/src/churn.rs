@@ -6,9 +6,10 @@
 //! the one lockstep run a plain run also makes: at a cycle with due
 //! events, shard 0 applies them to the run's one [`DynState`] — a
 //! [`LiveClos`] overlay, an incrementally repaired [`UpDownRouting`]
-//! table ([`UpDownRouting::apply_event`]), and a region-patched
-//! candidate table — while the other shards wait to read it
-//! (DESIGN.md §13, §16).
+//! table ([`UpDownRouting::apply_event`]), and the candidate table,
+//! patched in place at the entries the repair changed — while the other
+//! shards wait to read it (DESIGN.md §13, §16). The patch reuses one
+//! column scratch held here, so a steady churn run allocates no table.
 //!
 //! Repairs are pure functions of the schedule and happen only while no
 //! shard steps, so results are **byte-identical at any shard count**,
@@ -30,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, Link, LinkEvent, LinkEventKind, LiveClos};
 
-use crate::candidates::{Candidates, RleTable};
+use crate::candidates::{Candidates, ColumnScratch};
 use crate::network::SimNetwork;
 use crate::SimResult;
 
@@ -177,8 +178,8 @@ pub(crate) struct DynState<'a> {
     live: Option<LiveClos>,
     pub(crate) routing: Cow<'a, UpDownRouting>,
     pub(crate) candidates: Cow<'a, Candidates>,
-    /// The table the last patch replaced, whose buffers the next reuses.
-    spare: RleTable,
+    /// The table patch's scratch, reused by every event.
+    column: ColumnScratch,
     /// Events that changed the topology: the table version shards
     /// re-list their credit-parked slots against.
     pub(crate) applied: usize,
@@ -204,7 +205,7 @@ impl<'a> DynState<'a> {
             live: None,
             routing: Cow::Borrowed(routing),
             candidates: Cow::Borrowed(candidates),
-            spare: RleTable::default(),
+            column: ColumnScratch::default(),
             applied: 0,
             ok_cycles: 0,
             since: 0,
@@ -230,7 +231,7 @@ impl<'a> DynState<'a> {
                 let scope = self.routing.to_mut().apply_event(live.current(), ev);
                 self.candidates
                     .to_mut()
-                    .patch(self.net, &self.routing, &scope, &mut self.spare);
+                    .patch(self.net, &self.routing, &scope, &mut self.column);
                 self.applied += 1;
             }
         }
@@ -427,8 +428,10 @@ mod tests {
         // After every applied event, the patched table must equal what
         // a from-scratch Simulation::new would build over the repaired
         // routing — the same contract the routing repair itself honors —
-        // and keep the per-switch row layout. Random wirings are where a
-        // spliced `dst_delta` row can equal an old row of its switch.
+        // and keep the column layout. The CFT's run columns are spliced;
+        // the random wirings' full columns are rewritten where they
+        // stand, and there a re-queried entry can merge with its
+        // neighbors.
         let mut rng = rand::rngs::StdRng::seed_from_u64(2017);
         let nets = [
             (FoldedClos::cft(6, 3).unwrap(), 0.02, 9),
@@ -555,19 +558,19 @@ mod tests {
         }
     }
 
-    /// Bytes `ds` owns: the routing and candidate table it forked, and
-    /// the patch spare. The overlay has no byte accounting; the same
-    /// first change builds it.
+    /// Bytes `ds` owns: the routing and candidate table it forked. The
+    /// overlay and the patch scratch have no byte accounting; the same
+    /// first change builds them.
     fn owned_bytes(ds: &DynState<'_>) -> usize {
         let routing = match &ds.routing {
             Cow::Owned(routing) => routing.heap_bytes(),
             Cow::Borrowed(_) => 0,
         };
         let candidates = match &ds.candidates {
-            Cow::Owned(candidates) => candidates.heap_bytes(),
+            Cow::Owned(candidates) => candidates.table().map_or(0, |t| t.bytes()),
             Cow::Borrowed(_) => 0,
         };
-        routing + candidates + ds.spare.bytes()
+        routing + candidates
     }
 
     #[test]

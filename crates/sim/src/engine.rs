@@ -28,8 +28,9 @@
 //! * **Requests** go into one flat preallocated array chained per
 //!   output port (`prev` links + per-output head/count), so arbitration
 //!   touches no nested vectors.
-//! * **ECMP candidates** are materialized as *resolved output ports*,
-//!   eliminating the per-request neighbor-to-port binary search.
+//! * **ECMP candidates** are materialized as *link masks*, one bit per
+//!   link port of the switch, decoded to global output ports as
+//!   `first_link_port[switch] + bit` with no neighbor-to-port lookup.
 //!
 //! # Sharded execution
 //!
@@ -56,7 +57,7 @@ use rfc_graph::{slice_heap_bytes, vid};
 use rfc_routing::UpDownRouting;
 use rfc_topology::{FoldedClos, LinkEvent};
 
-use crate::candidates::{Candidates, RleTable, RowBufs};
+use crate::candidates::{links, nth_link, Candidates, RleTable, RowBufs};
 use crate::churn::{ChurnResult, DynState, FaultSchedule};
 use crate::network::{OutTarget, SimNetwork};
 use crate::shard::{
@@ -821,11 +822,7 @@ impl Cycle<'_> {
     /// Whether a packet at switch `from` has a candidate toward `to`.
     #[inline]
     fn routable(&self, bufs: &mut RowBufs, from: u32, to: u32) -> bool {
-        from == to
-            || !self
-                .candidates
-                .row(self.net, self.routing, from, to, bufs)
-                .is_empty()
+        from == to || self.candidates.row(self.net, self.routing, from, to, bufs) != 0
     }
 
     /// Phase 3: routing requests. Every head packet asks for one random
@@ -901,14 +898,14 @@ impl Cycle<'_> {
                 // One draw serves both decisions: low half picks the
                 // candidate, high half starts the target-VC rotation.
                 let h = draw(self.ctx.streams.dec, now, u64::from(gid));
-                let ports = self.candidates.row(
+                let mask = self.candidates.row(
                     self.net,
                     self.routing,
                     switch,
                     routing_target,
                     &mut st.row_bufs,
                 );
-                if ports.is_empty() {
+                if mask == 0 {
                     // Statically faulted networks never strand a packet
                     // mid-route (injection pre-checks every leg), but a
                     // churn commit does: a head whose row emptied stalls
@@ -917,12 +914,15 @@ impl Cycle<'_> {
                     i += 1;
                     continue;
                 }
-                let k = pick_candidate(cfg.request_mode, h, ports.len(), switch, routing_target);
-                let out = ports[k];
+                // Candidate `k` is the mask's k-th set bit: set bits,
+                // lowest first, are the candidates in routing order.
+                let (first, len) = (self.net.first_link_port[switch as usize], mask.count_ones());
+                let k = pick_candidate(cfg.request_mode, h, len as usize, switch, routing_target);
+                let out = first + nth_link(mask, k);
                 if st.busy_until[out as usize] > now32 {
                     let mut wake = u32::MAX;
-                    for &cand in ports {
-                        wake = wake.min(st.busy_until[cand as usize]);
+                    for b in links(mask) {
+                        wake = wake.min(st.busy_until[(first + b) as usize]);
                     }
                     if wake > now32 {
                         park_until!(wake);
@@ -955,7 +955,7 @@ impl Cycle<'_> {
                     }
                 }
                 let Some(tvc) = chosen else {
-                    if ports.len() == 1 {
+                    if len == 1 {
                         // The pick cannot change and no draw has side
                         // effects, so every rescan would land here
                         // until a credit for this output returns.
@@ -1807,17 +1807,51 @@ mod tests {
             .table()
             .expect("table fits the budget");
         assert_eq!(s, p, "parallel build diverged from serial");
-        assert!(!s.row_ports.is_empty(), "table must hold resolved ports");
+        assert!(
+            s.masks.iter().any(|&m| m != 0),
+            "table must hold candidates"
+        );
+    }
+
+    /// Panics unless every `(switch, dst)` row of `candidates`, decoded
+    /// from its link mask lowest bit first, is what the old dense build
+    /// stored: `routing`'s answer resolved to out-ports, in routing order.
+    fn assert_rows_decode_in_routing_order(
+        net: &SimNetwork,
+        routing: &UpDownRouting,
+        candidates: &Candidates,
+        what: &str,
+    ) {
+        let dst_space = net.dst_switch_of_terminal.iter().max().unwrap() + 1;
+        let mut hops = Vec::new();
+        let mut bufs = RowBufs::default();
+        for switch in 0..vid(net.num_switches()) {
+            let first = net.first_link_port[switch as usize];
+            for dst in 0..dst_space {
+                hops.clear();
+                routing.next_hops_into(switch, dst, &mut hops);
+                let dense: Vec<u32> = hops
+                    .iter()
+                    .map(|&h| net.out_port_to(switch, h).unwrap())
+                    .collect();
+                let mask = candidates.row(net, routing, switch, dst, &mut bufs);
+                let decoded: Vec<u32> = links(mask).map(|b| first + b).collect();
+                assert_eq!(decoded, dense, "{what}: switch {switch} dst {dst}");
+                for (k, &port) in dense.iter().enumerate() {
+                    assert_eq!(first + nth_link(mask, k), port, "{what}: candidate {k}");
+                }
+            }
+        }
     }
 
     #[test]
     fn deduped_table_rows_match_dense_oracle_answers() {
-        // Expanding the per-switch, run-length-compressed table back to
-        // one row per (switch, dst) pair must reproduce exactly what the
-        // old dense build stored: the routing's answer, resolved to out
-        // ports, in routing order. Checked on a regular CFT (long runs,
-        // no full column) and a random folded Clos (worst-case
-        // fragmentation, some columns full), so both lookups run.
+        // Expanding the per-switch, run-length-compressed mask table back
+        // to one row per (switch, dst) pair must reproduce the routing's
+        // answer, resolved to out ports, in routing order. Checked on a
+        // regular CFT (long runs, no full column) and a random folded
+        // Clos (worst-case fragmentation, some columns full), so both
+        // lookups run.
         for (clos, full) in [(FoldedClos::cft(6, 3).unwrap(), false), (rfc_41(), true)] {
             let routing = UpDownRouting::new(&clos);
             let net = SimNetwork::from_folded_clos(&clos);
@@ -1829,27 +1863,35 @@ mod tests {
                 full,
                 "full columns"
             );
-            let dst_space = table.dst_space;
-            let mut hops = Vec::new();
-            let mut bufs = RowBufs::default();
-            for switch in 0..vid(net.num_switches()) {
-                for dst in 0..vid(dst_space) {
-                    hops.clear();
-                    routing.next_hops_into(switch, dst, &mut hops);
-                    let dense: Vec<u32> = hops
-                        .iter()
-                        .map(|&h| net.out_port_to(switch, h).unwrap())
-                        .collect();
-                    assert_eq!(
-                        sim.candidates().row(&net, &routing, switch, dst, &mut bufs),
-                        &dense[..],
-                        "switch {switch} dst {dst}"
-                    );
-                }
+            assert_rows_decode_in_routing_order(&net, &routing, sim.candidates(), "fresh");
+            // And on the CFT the run-length encoding must actually pay:
+            // fewer masks than (switch, dst) pairs.
+            let pairs = net.num_switches() * table.dst_space;
+            assert!(full || table.masks.len() < pairs);
+        }
+        // Bit order must stay routing order under churn, where failed
+        // links drop out of the routing's neighbor lists and recovered
+        // ones return to their places: after every event, rows of the
+        // patched table and of live queries decode to the repaired
+        // routing's answers.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2017);
+        for (clos, seed) in [
+            (FoldedClos::random(8, 32, 3, &mut rng).unwrap(), 5),
+            (FoldedClos::cft(6, 3).unwrap(), 9),
+        ] {
+            let routing = UpDownRouting::new(&clos);
+            let net = SimNetwork::from_folded_clos(&clos);
+            let sim = Simulation::new(&net, &routing, SimConfig::quick());
+            let schedule = FaultSchedule::poisson(&clos, 0.02, 200.0, 2_000, seed);
+            let mut ds = DynState::new(&net, &routing, sim.candidates(), Some(&clos));
+            for due in schedule.events().chunks(1) {
+                ds.commit(due[0].0, due);
+                let what = format!("after the event at cycle {}", due[0].0);
+                assert!(ds.candidates.table().is_some(), "{what}: the table fits");
+                assert_rows_decode_in_routing_order(&net, &ds.routing, &ds.candidates, &what);
+                assert_rows_decode_in_routing_order(&net, &ds.routing, &Candidates::Live, &what);
             }
-            // And the dedup must actually pay: fewer rows than
-            // (switch, dst) pairs.
-            assert!(table.row_off.len() - 1 < net.num_switches() * dst_space);
+            assert!(ds.applied > 6, "only {} events applied", ds.applied);
         }
     }
 

@@ -66,6 +66,6 @@ mod traffic;
 pub use churn::{ChurnResult, FaultSchedule};
 pub use config::{RequestMode, SimConfig};
 pub use engine::{RunScratch, Simulation};
-pub use network::SimNetwork;
+pub use network::{SimNetwork, MAX_LINKS_PER_SWITCH};
 pub use stats::SimResult;
 pub use traffic::TrafficPattern;

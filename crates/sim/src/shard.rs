@@ -489,8 +489,8 @@ pub(crate) struct ShardState {
     /// Serialization end per output port, narrowed by [`cycle32`] and
     /// indexed by **global** port id (only owned entries are ever
     /// touched): the request stage's busy/park scans walk candidate
-    /// lists of global ids, and global indexing spares them a local-id
-    /// translation on the hottest path (DESIGN.md §15).
+    /// masks decoded to global ids, and global indexing spares them a
+    /// local-id translation on the hottest path (DESIGN.md §15).
     pub busy_until: Vec<u32>,
     /// Event wheels of [`EVENT_WHEEL`] slots, indexed by
     /// `wheel_slot(cycle)`: packet arrivals, and everything else.

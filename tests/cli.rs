@@ -253,6 +253,19 @@ fn invalid_simulator_flags_are_usage_errors() {
 }
 
 #[test]
+fn switches_with_more_than_64_links_are_usage_errors() {
+    // Candidate rows are 64-bit link masks. cft(66,2) is cheap to build,
+    // and each of its 33 top switches has 66 links.
+    for command in ["simulate", "sweep"] {
+        let err = usage_error(&[command, "--kind", "cft", "--radix", "66", "--levels", "2"]);
+        assert!(
+            err.contains("66 links") && err.contains("at most 64"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn unknown_flags_are_usage_errors() {
     let err = usage_error(&[
         "simulate",
