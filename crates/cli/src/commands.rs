@@ -252,6 +252,12 @@ pub fn analyze(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
                     routing.connected_pair_fraction()
                 )
                 .map_err(io_err)?;
+                writeln!(
+                    out,
+                    "  unconnected leaf pairs: {}",
+                    routing.unconnected_leaf_pairs()
+                )
+                .map_err(io_err)?;
             }
             if let Some(d) = clos.leaf_diameter() {
                 writeln!(out, "leaf diameter  : {d}").map_err(io_err)?;
@@ -373,7 +379,9 @@ fn warn_if_not_updown(
     writeln!(
         out,
         "{prefix}warning: topology lacks the full up/down property \
-         ({:.4} of leaf pairs connected); unroutable packets are refused",
+         ({} leaf pairs unconnected, {:.4} of pairs connected); \
+         unroutable packets are refused",
+        routing.unconnected_leaf_pairs(),
         routing.connected_pair_fraction()
     )
     .map_err(io_err)
@@ -399,13 +407,18 @@ pub fn simulate(parsed: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "traffic          : {pattern}").map_err(io_err)?;
     writeln!(out, "offered load     : {:.3}", r.offered_load).map_err(io_err)?;
     writeln!(out, "accepted load    : {:.3}", r.accepted_load).map_err(io_err)?;
-    writeln!(out, "mean latency     : {:.1} cycles", r.avg_latency).map_err(io_err)?;
-    writeln!(
-        out,
-        "latency p50/95/99: {:.0} / {:.0} / {:.0}",
-        r.latency_p50, r.latency_p95, r.latency_p99
-    )
-    .map_err(io_err)?;
+    if r.delivered_packets == 0 {
+        // Latency is a mean over deliveries: with none it is NaN.
+        writeln!(out, "mean latency     : no packet delivered").map_err(io_err)?;
+    } else {
+        writeln!(out, "mean latency     : {:.1} cycles", r.avg_latency).map_err(io_err)?;
+        writeln!(
+            out,
+            "latency p50/95/99: {:.0} / {:.0} / {:.0}",
+            r.latency_p50, r.latency_p95, r.latency_p99
+        )
+        .map_err(io_err)?;
+    }
     writeln!(out, "delivered packets: {}", r.delivered_packets).map_err(io_err)?;
     writeln!(out, "refused packets  : {}", r.refused_packets).map_err(io_err)?;
     Ok(())

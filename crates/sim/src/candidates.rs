@@ -18,10 +18,11 @@
 //!
 //! A churn patch ([`Candidates::patch`]) rewrites, in place, only the
 //! columns of the switches the routing repair made dirty, and in a full
-//! column only the entries whose destinations changed (DESIGN.md §16).
+//! column only the entries the event can have changed (DESIGN.md §16).
 
 use rfc_graph::vid;
 use rfc_routing::{RepairScope, UpDownRouting};
+use rfc_topology::LinkEventKind;
 
 use crate::network::SimNetwork;
 
@@ -76,9 +77,7 @@ impl RowBufs {
     ) -> u64 {
         self.hops.clear();
         routing.next_hops_into(switch, dst, &mut self.hops);
-        let s = switch as usize;
-        let ports = &net.link_neighbor
-            [net.first_link_port[s] as usize..net.first_link_port[s + 1] as usize];
+        let ports = net.link_neighbors(switch);
         let (mut mask, mut next) = (0u64, 0usize);
         for &hop in &self.hops {
             #[expect(
@@ -137,20 +136,22 @@ impl Candidates {
     // xtask: hot-loop-end
 
     /// Brings the candidates past a routing repair: a table is patched
-    /// in place over `scope` against the repaired `routing` (falling
-    /// back to live when the result exceeds the budget), and a live
-    /// source stays live. `scratch` is reused across patches.
+    /// in place over `scope`, the repair of a `kind` event, against the
+    /// repaired `routing` (falling back to live when the result exceeds
+    /// the budget), and a live source stays live. `scratch` is reused
+    /// across patches.
     pub(crate) fn patch(
         &mut self,
         net: &SimNetwork,
         routing: &UpDownRouting,
         scope: &RepairScope,
+        kind: LinkEventKind,
         scratch: &mut ColumnScratch,
     ) {
         let Candidates::Table(table) = self else {
             return;
         };
-        if table.patch(net, routing, scope, scratch).is_none() {
+        if table.patch(net, routing, scope, kind, scratch).is_none() {
             *self = Candidates::Live;
         }
     }
@@ -297,15 +298,24 @@ impl RleTable {
     // scratch lives in `DynState`, and only a table that outgrows its
     // capacity reallocates
     /// Repairs the table in place after a routing repair over `scope`,
-    /// so that it equals a fresh [`build_table`] over the repaired
-    /// `routing`. Only the `table_dirty` switches are touched:
+    /// the repair of a `kind` event, so that it equals a fresh
+    /// [`build_table`] over the repaired `routing`. Only the
+    /// `table_dirty` switches are touched.
     ///
-    /// - the two event endpoints changed adjacency, so their columns
-    ///   are re-derived from the routing;
-    /// - any other dirty switch's masks can differ only at `dst_delta`
-    ///   (see `rfc_routing::RepairScope::dst_delta`): a full column
-    ///   re-queries those entries where it stands, a run column is
-    ///   spliced at them in `O(runs + delta)`.
+    /// A row reads only its switch's adjacency, its own `down_reach`
+    /// and its neighbors' reach sets at the destination. Outside
+    /// `dst_delta` (see `rfc_routing::RepairScope::dst_delta`) no reach
+    /// set changed, so:
+    ///
+    /// - a dirty switch other than the two event endpoints keeps its
+    ///   masks outside `dst_delta`: a full column re-queries the
+    ///   `dst_delta` entries where they stand, a run column is spliced
+    ///   at them in `O(runs + delta)`;
+    /// - an endpoint's only other change is whether the far end of the
+    ///   event link is in its adjacency. A full endpoint column is
+    ///   rewritten entry by entry ([`ColumnScratch::rewrite_endpoint`]),
+    ///   re-querying only where the link can change the answer; an
+    ///   endpoint's run column is re-derived from the routing.
     ///
     /// A column that changes kind or length moves the columns after it.
     /// Returns `None` on budget or `u32`-offset exhaustion, the same
@@ -315,39 +325,87 @@ impl RleTable {
         net: &SimNetwork,
         routing: &UpDownRouting,
         scope: &RepairScope,
+        kind: LinkEventKind,
         col: &mut ColumnScratch,
     ) -> Option<()> {
-        let dst_space = self.dst_space;
         // Leaves past the last populated one are no destination.
         let delta = &scope.dst_delta[..scope
             .dst_delta
-            .partition_point(|&d| (d as usize) < dst_space)];
+            .partition_point(|&d| (d as usize) < self.dst_space)];
+        #[cfg(test)]
+        {
+            col.counts.events += 1;
+        }
         for &switch in &scope.table_dirty {
-            let s = switch as usize;
-            if scope.endpoints.contains(&switch) {
-                col.derive(net, routing, switch, dst_space);
-            } else if self.is_full(s) {
-                let lo = self.mask_off[s] as usize;
-                let column = &mut self.masks[lo..lo + dst_space];
-                for &d in delta {
-                    column[d as usize] = col.bufs.live_row(net, routing, switch, d);
-                }
-                let runs = 1 + column.windows(2).filter(|w| w[0] != w[1]).count();
-                if full_column(runs, dst_space) {
-                    continue;
-                }
-                col.clear();
-                for (d, &mask) in column.iter().enumerate() {
-                    col.push(vid(d), mask);
-                }
-            } else {
-                col.splice(net, routing, self, switch, delta);
+            // Endpoints are `[lower, upper]`: the far end of the lower
+            // one is above it.
+            let end = scope.endpoints.iter().position(|&e| e == switch);
+            let end = end.map(|i| EventLink {
+                far: scope.endpoints[1 - i],
+                far_is_above: i == 0,
+                kind,
+            });
+            #[cfg(test)]
+            let queried = col.counts.queries;
+            if self.patch_column(net, routing, switch, end, delta, col) {
+                let s = switch as usize;
+                replace(&mut self.masks, &mut self.mask_off, s, &col.masks)?;
+                replace(&mut self.runs_start, &mut self.start_off, s, &col.starts)?;
             }
-            col.finish(dst_space);
-            replace(&mut self.masks, &mut self.mask_off, s, &col.masks)?;
-            replace(&mut self.runs_start, &mut self.start_off, s, &col.starts)?;
+            #[cfg(test)]
+            {
+                let queries = col.counts.queries - queried;
+                if end.is_some() {
+                    col.counts.endpoint_queries += queries;
+                } else {
+                    col.counts.delta_queries += queries;
+                }
+            }
         }
         (self.bytes() <= TABLE_BUDGET).then_some(())
+    }
+
+    /// Brings `switch`'s column past the event (see [`RleTable::patch`];
+    /// `end` is the event link when `switch` is one of its endpoints).
+    /// A full column that stays full is rewritten where it stands and
+    /// `false` returned; otherwise the new column is left in `col`,
+    /// finished, for the caller to write back, and `true` returned.
+    fn patch_column(
+        &mut self,
+        net: &SimNetwork,
+        routing: &UpDownRouting,
+        switch: u32,
+        end: Option<EventLink>,
+        delta: &[u32],
+        col: &mut ColumnScratch,
+    ) -> bool {
+        let (s, dst_space) = (switch as usize, self.dst_space);
+        if self.is_full(s) {
+            let lo = self.mask_off[s] as usize;
+            let column = &mut self.masks[lo..lo + dst_space];
+            match end {
+                Some(link) => col.rewrite_endpoint(net, routing, column, switch, link, delta),
+                None => {
+                    for &d in delta {
+                        column[d as usize] = col.query(net, routing, switch, d);
+                    }
+                }
+            }
+            let runs = 1 + column.windows(2).filter(|w| w[0] != w[1]).count();
+            if full_column(runs, dst_space) {
+                return false;
+            }
+            col.clear();
+            for (d, &mask) in column.iter().enumerate() {
+                col.push(vid(d), mask);
+            }
+        } else if end.is_some() {
+            col.derive(net, routing, switch, dst_space);
+        } else {
+            col.splice(net, routing, self, switch, delta);
+        }
+        col.finish(dst_space);
+        true
     }
 }
 
@@ -382,9 +440,101 @@ pub(crate) struct ColumnScratch {
     /// The routing's run starts (`UpDownRouting::dst_run_starts`).
     dst_starts: Vec<u32>,
     bufs: RowBufs,
+    /// What the patches through this scratch did.
+    #[cfg(test)]
+    pub(crate) counts: PatchCounts,
+}
+
+/// The event link as one of its endpoints sees it.
+#[derive(Debug, Clone, Copy)]
+struct EventLink {
+    /// The other endpoint.
+    far: u32,
+    /// Whether `far` is the upper endpoint: an up-neighbor of this one.
+    far_is_above: bool,
+    kind: LinkEventKind,
 }
 
 impl ColumnScratch {
+    /// The live row of `(switch, dst)`: every patch query goes through
+    /// here.
+    fn query(&mut self, net: &SimNetwork, routing: &UpDownRouting, switch: u32, dst: u32) -> u64 {
+        #[cfg(test)]
+        {
+            self.counts.queries += 1;
+        }
+        self.bufs.live_row(net, routing, switch, dst)
+    }
+
+    /// Rewrites, in place, the full `column` of `x`, an endpoint of the
+    /// event `link`, so that it equals a fresh derivation over the
+    /// repaired `routing`. `delta` is the repair's `dst_delta` below the
+    /// column's length.
+    ///
+    /// At `delta` the entry is re-queried. Elsewhere no reach set
+    /// changed, so the only change to `x`'s answer is whether the far
+    /// end `y` is in its adjacency; with `ybits` the mask of `x`'s link
+    /// ports to `y` (all parallel copies, which fail and recover
+    /// together) and `m` the old mask:
+    ///
+    /// - fail: `y` was a candidate only where `m` has its bits. If other
+    ///   candidates remain they keep their tier, so the mask is
+    ///   `m & !ybits`; if `y` was the only one (`m == ybits`), a lower
+    ///   endpoint falls back to its other up-neighbors, so the entry is
+    ///   re-queried. An upper endpoint never meets that case outside
+    ///   `delta`: `y` the only child covering `d` means `down_reach(x)`
+    ///   lost `d`.
+    /// - recover: `y` can become a candidate only where it reaches `d`
+    ///   — `d ∈ down_reach(y)` below `x`, `d ∈ down_reach(y) ∪
+    ///   updown_reach(y)` above it — and only there is the entry
+    ///   re-queried.
+    fn rewrite_endpoint(
+        &mut self,
+        net: &SimNetwork,
+        routing: &UpDownRouting,
+        column: &mut [u64],
+        x: u32,
+        link: EventLink,
+        delta: &[u32],
+    ) {
+        let y = link.far;
+        let ybits = net
+            .link_neighbors(x)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &nb)| nb == y)
+            .fold(0u64, |bits, (b, _)| bits | 1 << b);
+        #[cfg(test)]
+        {
+            let kind = usize::from(link.kind == LinkEventKind::Recover);
+            self.counts.in_place[usize::from(!link.far_is_above)][kind] += 1;
+        }
+        let mut delta = delta.iter().copied().peekable();
+        for (d, m) in column.iter_mut().enumerate() {
+            let dst = vid(d);
+            let requery = delta.next_if_eq(&dst).is_some()
+                || match link.kind {
+                    LinkEventKind::Fail => {
+                        let rest = *m & !ybits;
+                        let sole = *m != 0 && rest == 0;
+                        #[cfg(test)]
+                        {
+                            self.counts.sole_link_requeries += usize::from(sole);
+                        }
+                        *m = rest;
+                        sole
+                    }
+                    LinkEventKind::Recover => {
+                        routing.down_reach(y).contains(d)
+                            || (link.far_is_above && routing.updown_reach(y).contains(d))
+                    }
+                };
+            if requery {
+                *m = self.query(net, routing, x, dst);
+            }
+        }
+    }
+
     /// Empties the column, keeping allocations.
     fn clear(&mut self) {
         self.starts.clear();
@@ -407,7 +557,7 @@ impl ColumnScratch {
         routing.dst_run_starts(switch, vid(dst_space), &mut self.dst_starts);
         for k in 0..self.dst_starts.len() {
             let start = self.dst_starts[k];
-            let mask = self.bufs.live_row(net, routing, switch, start);
+            let mask = self.query(net, routing, switch, start);
             self.push(start, mask);
         }
     }
@@ -440,7 +590,7 @@ impl ColumnScratch {
                 if pos < d {
                     self.push(pos, mask);
                 }
-                let changed = self.bufs.live_row(net, routing, switch, d);
+                let changed = self.query(net, routing, switch, d);
                 self.push(d, changed);
                 pos = d + 1;
             }
@@ -523,6 +673,30 @@ fn build_table(net: &SimNetwork, routing: &UpDownRouting, budget: usize) -> Opti
         }
     }
     Some(table)
+}
+
+/// The work of the patches through one [`ColumnScratch`], summed over
+/// events. Test-only, so the patch pays nothing for it in a release
+/// build.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PatchCounts {
+    /// Patched events.
+    pub events: usize,
+    /// Live queries, all columns.
+    pub queries: usize,
+    /// Live queries for the event endpoints' columns.
+    pub endpoint_queries: usize,
+    /// Live queries for the other dirty columns: their `dst_delta`
+    /// entries.
+    pub delta_queries: usize,
+    /// Full endpoint columns rewritten in place, indexed `[role][kind]`:
+    /// role 0 the lower endpoint and 1 the upper, kind 0 a failure and 1
+    /// a recovery.
+    pub in_place: [[usize; 2]; 2],
+    /// In-place entries re-queried because the failed link was their
+    /// only candidate.
+    pub sole_link_requeries: usize,
 }
 
 #[cfg(test)]

@@ -229,9 +229,17 @@ impl<'a> DynState<'a> {
             };
             if live.apply(ev) {
                 let scope = self.routing.to_mut().apply_event(live.current(), ev);
-                self.candidates
-                    .to_mut()
-                    .patch(self.net, &self.routing, &scope, &mut self.column);
+                self.candidates.to_mut().patch(
+                    self.net,
+                    &self.routing,
+                    &scope,
+                    ev.kind,
+                    &mut self.column,
+                );
+                #[cfg(test)]
+                if let Some(table) = self.candidates.table() {
+                    table.assert_layout();
+                }
                 self.applied += 1;
             }
         }
@@ -265,6 +273,7 @@ fn fails_a_link(clos: &FoldedClos, ev: &LinkEvent) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidates::PatchCounts;
     use crate::engine::{RunScratch, Simulation};
     use crate::{SimConfig, SimResult, TrafficPattern};
     use rfc_graph::HeapBytes;
@@ -461,6 +470,88 @@ mod tests {
                 ds.applied
             );
         }
+    }
+
+    #[test]
+    fn every_link_event_patches_endpoints_in_place_exactly() {
+        // Every link of a small RFC fails and recovers on its own, then
+        // two up-links of leaf 0 fail together and recover in reverse
+        // order; after every event the patched table equals a fresh
+        // build. All columns are full here, so both endpoints' columns
+        // are rewritten in place: the counts show that path ran for
+        // both roles and both kinds, and re-queried entries whose only
+        // candidate was the failed link.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let clos = FoldedClos::random(8, 24, 3, &mut rng).unwrap();
+        let routing = UpDownRouting::new(&clos);
+        let net = SimNetwork::from_folded_clos(&clos);
+        let cfg = churn_cfg();
+        let sim = Simulation::new(&net, &routing, cfg);
+        let table = sim.candidates().table().expect("the table fits");
+        assert!((0..clos.num_switches()).all(|s| table.is_full(s)));
+        let mut links = clos.links();
+        links.dedup();
+        let mut events: Vec<LinkEvent> = links
+            .iter()
+            .flat_map(|&l| [LinkEvent::fail(l), LinkEvent::recover(l)])
+            .collect();
+        let ups: Vec<Link> = links.iter().copied().filter(|l| l.lower == 0).collect();
+        events.extend([
+            LinkEvent::fail(ups[0]),
+            LinkEvent::fail(ups[1]),
+            LinkEvent::recover(ups[1]),
+            LinkEvent::recover(ups[0]),
+        ]);
+        let mut ds = DynState::new(&net, &routing, sim.candidates(), Some(&clos));
+        for (cycle, &ev) in (0u64..).zip(&events) {
+            ds.commit(cycle, &[(cycle, ev)]);
+            let fresh = Simulation::new(&net, &ds.routing, cfg);
+            assert_eq!(
+                ds.candidates.table(),
+                fresh.candidates().table(),
+                "patched table diverged after {ev:?}"
+            );
+        }
+        assert_eq!(ds.applied, events.len());
+        let counts = ds.column.counts;
+        assert_eq!(counts.events, events.len());
+        assert!(
+            counts.in_place.iter().flatten().all(|&n| n > 0),
+            "{counts:?}"
+        );
+        assert!(counts.sole_link_requeries > 0, "{counts:?}");
+    }
+
+    #[test]
+    fn churn_patch_work_reproduces_its_recorded_counts() {
+        // The schedule of `churn_runs_reproduce_their_recorded_results`
+        // (cft(4,3), dense Poisson churn, 111 applied events) replayed
+        // through one `DynState`: the live queries the table patch makes,
+        // split between the event endpoints' columns and the other dirty
+        // columns' `dst_delta` entries. Re-deriving both endpoint columns
+        // in full made 1,200 endpoint queries here; the `dst_delta`
+        // queries are the same either way.
+        let (clos, net, routing) = setup(4, 3);
+        let cfg = SimConfig::quick();
+        let sim = Simulation::new(&net, &routing, cfg);
+        let end = cfg.total_cycles();
+        let schedule = FaultSchedule::poisson(&clos, 0.05, 100.0, end, 100);
+        let mut ds = DynState::new(&net, &routing, sim.candidates(), Some(&clos));
+        for &(cycle, ev) in schedule.events().iter().take_while(|e| e.0 < end) {
+            ds.commit(cycle, &[(cycle, ev)]);
+        }
+        assert_eq!(ds.applied, 111);
+        assert_eq!(
+            ds.column.counts,
+            PatchCounts {
+                events: 111,
+                queries: 4_452,
+                endpoint_queries: 862,
+                delta_queries: 3_590,
+                in_place: [[49, 38], [56, 41]],
+                sole_link_requeries: 0,
+            }
+        );
     }
 
     #[test]

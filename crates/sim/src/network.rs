@@ -93,6 +93,14 @@ impl SimNetwork {
         self.out_owner.len()
     }
 
+    /// The neighbor behind each of `switch`'s link ports: entry `b` is
+    /// the far end of link port `b`, the port of mask bit `b`.
+    #[inline]
+    pub(crate) fn link_neighbors(&self, switch: u32) -> &[u32] {
+        let s = switch as usize;
+        &self.link_neighbor[self.first_link_port[s] as usize..self.first_link_port[s + 1] as usize]
+    }
+
     /// Fills `out` with, for each input port, the output port that
     /// feeds it — `u32::MAX` for injection ports, which are filled by
     /// their terminal. This is the map freed-buffer credits follow back

@@ -8,10 +8,8 @@
 //! random link stealing, preserving radix-regularity and near-uniform
 //! randomness of every stage.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
-use rfc_graph::random::random_bipartite;
 use rfc_graph::vid;
 
 use crate::{CloKind, FoldedClos, TopologyError};
@@ -215,78 +213,6 @@ fn wire_stage<R: Rng + ?Sized>(
     }
 }
 
-/// Weak expansion: adds one level to a random folded Clos so growth can
-/// continue past the Theorem 4.2 threshold (Section 5; Figure 7's RFC
-/// steps).
-///
-/// The old root level is doubled to `N₁` switches — each old root keeps
-/// a random half of its `R` down-links and donates the other half to a
-/// new partner switch, exactly the "rewire half of the wires on the top
-/// level" bill the paper quotes — and a fresh uniform random stage
-/// connects the now-regular level to `N₁/2` brand-new roots. No
-/// terminals are added; the report counts the `N₁/2 · R/2` moved links
-/// as rewired.
-///
-/// # Errors
-///
-/// [`TopologyError::WrongKind`] for non-random topologies;
-/// [`TopologyError::Generation`] if the new top stage cannot be drawn.
-pub fn add_level<R: Rng + ?Sized>(
-    clos: &mut FoldedClos,
-    rng: &mut R,
-) -> Result<ExpansionReport, TopologyError> {
-    if clos.kind() != CloKind::RandomFoldedClos {
-        return Err(TopologyError::WrongKind {
-            operation: "weak expansion",
-            found: clos.kind().as_str(),
-        });
-    }
-    let l = clos.num_levels();
-    let radix = clos.radix();
-    let half = radix / 2;
-    let n1 = clos.num_leaves();
-    let old_roots = clos.level_size(l - 1);
-
-    // Draw the new top stage first so a generation failure leaves the
-    // network untouched.
-    let new_stage = random_bipartite(n1, half, n1 / 2, radix, rng)?;
-
-    // Double the old root level: root i donates half its down-links to
-    // new partner old_roots + i.
-    let mut report = ExpansionReport::default();
-    {
-        let stage = clos.stage_mut(l - 2);
-        for _ in 0..old_roots {
-            stage.adj2.push(Vec::with_capacity(half));
-        }
-        for root in 0..old_roots {
-            let partner = vid(old_roots + root);
-            debug_assert_eq!(stage.adj2[root].len(), radix);
-            stage.adj2[root].shuffle(rng);
-            let moved: Vec<u32> = stage.adj2[root].split_off(half);
-            for &lower in &moved {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "stage edges are stored in both adjacency lists, so lower lists root"
-                )]
-                let slot = stage.adj1[lower as usize]
-                    .iter()
-                    .position(|&u| u == vid(root))
-                    .expect("symmetric stage adjacency");
-                stage.adj1[lower as usize][slot] = partner;
-            }
-            stage.adj2[partner as usize] = moved;
-            report.rewired_links += half;
-        }
-    }
-    clos.set_level_size(l - 1, 2 * old_roots);
-    report.new_links += new_stage.num_edges();
-    clos.push_level(n1 / 2, new_stage);
-    report.added_switches += old_roots + n1 / 2;
-    clos.validate()?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,107 +273,6 @@ mod tests {
             "expected ~1.8% rewiring, got {:.2}%",
             fraction * 100.0
         );
-    }
-
-    #[test]
-    fn add_level_preserves_radix_regularity() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut net = FoldedClos::random(8, 32, 2, &mut rng).unwrap();
-        let t = net.num_terminals();
-        let report = add_level(&mut net, &mut rng).unwrap();
-        assert_eq!(net.num_levels(), 3);
-        assert_eq!(net.level_size(0), 32);
-        assert_eq!(net.level_size(1), 32, "old root level doubled");
-        assert_eq!(net.level_size(2), 16, "fresh root level");
-        assert_eq!(net.num_terminals(), t, "weak expansion adds no terminals");
-        assert!(net.is_radix_regular());
-        net.validate().unwrap();
-        // Half the old top wires moved: (N1/2) * (R/2).
-        assert_eq!(report.rewired_links, 16 * 4);
-        assert_eq!(report.added_switches, 16 + 16);
-        assert!(is_connected(&net.switch_graph()));
-    }
-
-    #[test]
-    fn add_level_then_strong_expansion_continues() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut net = FoldedClos::random(8, 24, 2, &mut rng).unwrap();
-        add_level(&mut net, &mut rng).unwrap();
-        let report = expand_rfc(&mut net, 2, &mut rng).unwrap();
-        assert_eq!(report.added_terminals, 16);
-        assert_eq!(net.num_leaves(), 28);
-        assert!(net.is_radix_regular());
-    }
-
-    #[test]
-    fn add_level_restores_updown_headroom() {
-        // A 2-level RFC at its threshold has marginal routability; after
-        // a weak expansion the 3-level threshold is far away, so the
-        // up/down property holds comfortably.
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut net = FoldedClos::random(12, 72, 2, &mut rng).unwrap();
-        add_level(&mut net, &mut rng).unwrap();
-        let routing = rfc_routing_check(&net);
-        assert!(
-            routing,
-            "3-level RFC at N1 = 72, R = 12 is deep below threshold"
-        );
-    }
-
-    /// Local helper so the topology crate's tests do not depend on the
-    /// routing crate: checks the common-ancestor property by upward BFS
-    /// reachability of root-descendant sets.
-    fn rfc_routing_check(net: &FoldedClos) -> bool {
-        let l = net.num_levels();
-        let leaves = net.num_leaves();
-        // Compute, for each root, the set of reachable leaves.
-        let mut reach: Vec<std::collections::BTreeSet<u32>> = Vec::new();
-        for idx in 0..net.level_size(l - 1) {
-            let root = net.switch_id(l - 1, idx);
-            let mut frontier = vec![root];
-            let mut seen = std::collections::BTreeSet::new();
-            for _ in 0..l - 1 {
-                let mut next = Vec::new();
-                for s in frontier {
-                    for d in net.down_neighbors(s) {
-                        next.push(d);
-                    }
-                }
-                frontier = next;
-            }
-            for leaf in frontier {
-                seen.insert(leaf);
-            }
-            reach.push(seen);
-        }
-        // Ancestor roots per leaf.
-        let mut roots_of_leaf: Vec<Vec<usize>> = vec![Vec::new(); leaves];
-        for (r, set) in reach.iter().enumerate() {
-            for &leaf in set {
-                roots_of_leaf[leaf as usize].push(r);
-            }
-        }
-        for a in 0..leaves {
-            for b in (a + 1)..leaves {
-                let shares = roots_of_leaf[a]
-                    .iter()
-                    .any(|r| roots_of_leaf[b].contains(r));
-                if !shares {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    #[test]
-    fn add_level_rejects_non_random_topologies() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut cft = FoldedClos::cft(4, 2).unwrap();
-        assert!(matches!(
-            add_level(&mut cft, &mut rng),
-            Err(TopologyError::WrongKind { .. })
-        ));
     }
 
     #[test]

@@ -325,17 +325,6 @@ impl FoldedClos {
         &mut self.stages[level]
     }
 
-    /// Appends a new top level (used by weak expansion).
-    pub(crate) fn push_level(&mut self, size: usize, stage: BipartiteGraph) {
-        #[expect(
-            clippy::expect_used,
-            reason = "from_stages always pushes the leading 0 offset"
-        )]
-        let last = *self.level_offsets.last().expect("nonempty offsets");
-        self.level_offsets.push(last + vid(size));
-        self.stages.push(stage);
-    }
-
     pub(crate) fn set_level_size(&mut self, level: usize, size: usize) {
         let old = self.level_size(level);
         // Every later offset is at least `offsets[level + 1] ≥ old`.

@@ -124,6 +124,55 @@ fn every_traffic_pattern_is_a_cli_name() {
 }
 
 #[test]
+fn simulate_counts_unconnected_pairs_and_reports_an_empty_run() {
+    use rand::SeedableRng;
+    // The sub-threshold RFC below: `simulate`'s warning and `analyze`
+    // name the exact number of leaf pairs without a common ancestor,
+    // which agrees with the connected fraction.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let clos = rfc_net::FoldedClos::random(4, 64, 2, &mut rng).unwrap();
+    let routing = rfc_net::UpDownRouting::new(&clos);
+    let unconnected = routing.unconnected_leaf_pairs();
+    let pairs = 64 * 63 / 2;
+    assert!(unconnected > 0 && unconnected < pairs);
+    assert_eq!(
+        (pairs - unconnected) as f64 / pairs as f64,
+        routing.connected_pair_fraction()
+    );
+    let text = run(&[
+        "simulate", "--kind", "rfc", "--radix", "4", "--leaves", "64", "--levels", "2", "--seed",
+        "3", "--cycles", "200", "--warmup", "50",
+    ])
+    .unwrap();
+    assert!(
+        text.contains(&format!("({unconnected} leaf pairs unconnected, ")),
+        "{text}"
+    );
+    let text = run(&[
+        "analyze", "--kind", "rfc", "--radix", "4", "--leaves", "64", "--levels", "2", "--seed",
+        "3",
+    ])
+    .unwrap();
+    assert!(
+        text.contains(&format!("  unconnected leaf pairs: {unconnected}\n")),
+        "{text}"
+    );
+    // A run too short to deliver anything says so instead of printing
+    // a NaN latency.
+    let text = run(&[
+        "simulate", "--kind", "cft", "--radix", "4", "--levels", "2", "--cycles", "1", "--warmup",
+        "0",
+    ])
+    .unwrap();
+    assert!(text.contains("delivered packets: 0"), "{text}");
+    assert!(
+        text.contains("mean latency     : no packet delivered"),
+        "{text}"
+    );
+    assert!(!text.contains("NaN"), "{text}");
+}
+
+#[test]
 fn sub_threshold_warning_is_printed_by_simulate_and_sweep() {
     // The analyzed network above: an RFC well past its up/down threshold.
     let topology = [
